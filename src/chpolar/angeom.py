@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .su1n import ConsistencyError, bracket, build_root_decomposition
+from .su1n import ConsistencyError, bracket_stack, build_root_decomposition
 
 
 @dataclass(frozen=True)
@@ -351,12 +351,13 @@ def isotropy_at(rd_or_n, q_basis, xi, tol_rank=1e-9):
     xi_m = _coerce_galpha(rd, xi)
     if not q:
         return []
-    cols = np.array([rd.coords(bracket(T, xi_m)) for T in q]).T
+    q_mats = np.array([T.matrix for T in q])
+    cols = rd.coords_many(-bracket_stack(xi_m.matrix, q_mats)).T  # columns [T, xi]
     u, s, vh = np.linalg.svd(cols)
     cutoff = tol_rank * max(1.0, s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     combos = vh[rank:]
-    members = np.array([rd.coords(T) for T in q])
+    members = rd.coords_many(q_mats)
     rows = _orthonormal_rows(combos @ members, 1e-9)
     return [rd.from_coords(r) for r in rows]
 
@@ -377,9 +378,7 @@ def conjugate_subalgebra(rd_or_n, h_basis, g_exponent, tol=1e-9):
         + g_exponent.x * rd.Z
     )
     Ad = ad_exp(g_mat)
-    rows = []
-    for h in h_basis:
-        rows.append(Ad @ rd.coords(h))
+    rows = rd.coords_many(np.array([h.matrix for h in h_basis])) @ Ad.T if h_basis else []
     rows = _orthonormal_rows(rows, 1e-12)
     out = []
     for r in rows:

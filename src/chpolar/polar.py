@@ -23,7 +23,6 @@ of polar representations (a documented limitation for exotic inputs).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +30,13 @@ import numpy as np
 
 from . import kahler
 from .kahler import RealSubspace
-from .su1n import ConsistencyError, bracket, build_root_decomposition, theta
+from .su1n import (
+    ConsistencyError,
+    bracket_stack,
+    build_root_decomposition,
+    real_rows,
+    theta,
+)
 
 TOL_RANK = 1e-8
 
@@ -56,6 +61,44 @@ def _rank(rows, tol=TOL_RANK):
 def _span_contains(span_rows, vec, tol=1e-8):
     resid = vec - span_rows.T @ (span_rows @ vec) if span_rows.size else vec
     return np.linalg.norm(resid) <= tol * max(1.0, np.linalg.norm(vec))
+
+
+def _complement_rows(rows, dim):
+    """Orthonormal rows spanning the orthogonal complement of the
+    orthonormal rows ``rows`` in R^dim."""
+    if not rows.size:
+        return np.eye(dim)
+    q, _ = np.linalg.qr(rows.T, mode="complete")
+    return q[:, rows.shape[0]:].T
+
+
+def _upper_pairs(mats):
+    """(M_i, M_{i+1:}) for each i: the pairs i < j, one row at a time."""
+    return ((mats[i], mats[i + 1:]) for i in range(len(mats) - 1))
+
+
+def _bracket_values(rows, functionals):
+    """For each (X, Ys) of ``rows``, the functionals applied to the stack of
+    [X, Y] over Y in Ys: one stacked commutator and one matmul per row,
+    never the whole (k^2, n+1, n+1) array of brackets."""
+    if functionals.shape[0]:
+        for X, Ys in rows:
+            yield real_rows(bracket_stack(X, Ys)) @ functionals.T
+
+
+def _pair_residual(mats, functionals):
+    """Largest norm of the functionals over brackets [M_i, M_j], i < j."""
+    worst = 0.0
+    for vals in _bracket_values(_upper_pairs(mats), functionals):
+        worst = max(worst, float(np.sqrt(np.einsum("ij,ij->i", vals, vals).max())))
+    return worst
+
+
+def _coord_rows(rd, elems):
+    """Orthonormal coordinate rows spanning the given algebra elements."""
+    if not elems:
+        return np.zeros((0, rd.dim))
+    return _orthonormal_rows(rd.coords_many(np.array([X.matrix for X in elems])))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +225,11 @@ class PolarityReport:
 
 
 def _check_q_subalgebra(q_basis, tol=1e-9):
+    """Raise ValueError unless q_basis spans a subalgebra of u(m).
+
+    Closure is measured on an orthonormal basis of the span (Frobenius
+    metric), so neither the rank nor the residual depends on the scale of
+    the input."""
     if not q_basis:
         return
     m = q_basis[0].shape[0]
@@ -190,14 +238,17 @@ def _check_q_subalgebra(q_basis, tol=1e-9):
             raise ValueError("q_basis matrices must share one size")
         if np.abs(N + N.conj().T).max() > tol * max(1.0, np.abs(N).max()):
             raise ValueError("q_basis matrices must be skew-Hermitian")
-    flat = _orthonormal_rows(
-        [np.concatenate([N.real.reshape(-1), N.imag.reshape(-1)]) for N in q_basis]
-    )
-    for N, M in itertools.combinations_with_replacement(q_basis, 2):
-        C = N @ M - M @ N
-        v = np.concatenate([C.real.reshape(-1), C.imag.reshape(-1)])
-        if not _span_contains(flat, v, tol):
-            raise ValueError("q_basis is not closed under the bracket")
+    flat = real_rows(np.array(q_basis))
+    peak = np.abs(flat).max()
+    if peak == 0.0:
+        return
+    rows = _orthonormal_rows(flat / peak)  # the rank cutoff is then relative
+    unit = np.ascontiguousarray(rows).view(complex).reshape(-1, m, m)
+    resid = _pair_residual(unit, _complement_rows(rows, 2 * m * m))
+    if resid > tol:
+        raise ValueError(
+            f"q_basis is not closed under the bracket (residual {resid:.3g} > {tol:g})"
+        )
 
 
 def build_family_II(rd_or_n, b_flag, w, q_basis, q_section):
@@ -300,14 +351,22 @@ def build_family_I(rd_or_n, k, q_basis, q_section):
     return h, sigma
 
 
+def _closure_residual(rd, h_rows):
+    """Largest norm of the part of [X_i, X_j] outside h, over pairs of the
+    orthonormal coordinate rows h_rows: brackets of unit vectors, so the
+    figure does not depend on the scale of the input basis."""
+    perp = _complement_rows(h_rows, rd.dim)
+    return _pair_residual(rd.from_coords_many(h_rows), rd.dual_rows(perp))
+
+
 def _verify_closed(rd, h, tol=1e-9):
     if not h:
         return
-    rows = _orthonormal_rows([rd.coords(X) for X in h])
-    for X, Y in itertools.combinations_with_replacement(h, 2):
-        v = rd.coords(bracket(X, Y))
-        if not _span_contains(rows, v, tol):
-            raise ConsistencyError("assembled h is not closed under the bracket")
+    resid = _closure_residual(rd, _coord_rows(rd, h))
+    if resid > tol:
+        raise ConsistencyError(
+            f"assembled h is not closed under the bracket (residual {resid:.3g} > {tol:g})"
+        )
 
 
 def build_action(spec):
@@ -347,75 +406,62 @@ def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, samples=24, tol_rank=T
     N = rd.dim
     rng = np.random.default_rng(seed)
 
-    h_rows = _orthonormal_rows([rd.coords(X) for X in h_basis])
-    sig_rows = _orthonormal_rows([rd.coords(X) for X in sigma_basis]) \
-        if sigma_basis else np.zeros((0, N))
+    h_rows = _coord_rows(rd, h_basis)
+    sig_rows = _coord_rows(rd, sigma_basis)
 
     # 1. subalgebra
-    sub_resid = 0.0
-    h_elems = [rd.from_coords(r) for r in h_rows]
-    for X, Y in itertools.combinations(h_elems, 2):
-        v = rd.coords(bracket(X, Y))
-        resid = v - h_rows.T @ (h_rows @ v)
-        sub_resid = max(sub_resid, float(np.linalg.norm(resid)))
+    sub_resid = _closure_residual(rd, h_rows)
     is_subalgebra = sub_resid <= 1e-8
 
     # 2. orbit tangent, normal space, section containment
-    theta_mat = _theta_coords(rd)
+    theta_mat = rd.theta_matrix
     P_p = 0.5 * (np.eye(N) - theta_mat)
-    orbit_rows = _orthonormal_rows([P_p @ r for r in h_rows], 1e-10) \
+    orbit_rows = _orthonormal_rows(h_rows @ P_p.T, 1e-10) \
         if h_rows.size else np.zeros((0, N))
     p_rows = _orthonormal_rows(P_p, 1e-10)
     nu_rows = _orthonormal_rows(
-        [r - orbit_rows.T @ (orbit_rows @ r) for r in p_rows], 1e-10
+        p_rows - (p_rows @ orbit_rows.T) @ orbit_rows, 1e-10
     ) if p_rows.size else np.zeros((0, N))
     dim_nu = nu_rows.shape[0]
 
     sec_resid = 0.0
-    for r in sig_rows:
-        proj = nu_rows.T @ (nu_rows @ r) if dim_nu else np.zeros(N)
-        sec_resid = max(sec_resid, float(np.linalg.norm(r - proj)))
+    if sig_rows.size:
+        outside = sig_rows - (sig_rows @ nu_rows.T) @ nu_rows
+        sec_resid = float(np.linalg.norm(outside, axis=1).max())
     section_in_normal = sec_resid <= 1e-8
 
     # 3. <h, sigma + [sigma, sigma]> = 0, scale-normalized via unit bases
     br_resid = 0.0
-    sig_elems = [rd.from_coords(r) for r in sig_rows]
-    for r in sig_rows:
-        if h_rows.size:
-            br_resid = max(br_resid, float(np.abs(h_rows @ r).max()))
-    for X, Y in itertools.combinations(sig_elems, 2):
-        v = rd.coords(bracket(X, Y))
-        if h_rows.size:
-            br_resid = max(br_resid, float(np.abs(h_rows @ v).max()))
+    sig_mats = rd.from_coords_many(sig_rows)
+    if h_rows.size and sig_rows.size:
+        br_resid = float(np.abs(sig_rows @ h_rows.T).max())
+        for vals in _bracket_values(_upper_pairs(sig_mats), rd.dual_rows(h_rows)):
+            br_resid = max(br_resid, float(np.abs(vals).max()))
     bracket_condition = br_resid <= 1e-9
 
     # 4. slice condition at a sampled regular section vector
     ho_rows = _intersect_with_k(rd, h_rows, theta_mat)
-    ho_elems = [rd.from_coords(r) for r in ho_rows]
+    ho_mats = rd.from_coords_many(ho_rows)
     ortho_resid = 0.0
-    for T in ho_elems:
-        for r in sig_rows:
-            v = rd.coords(bracket(T, rd.from_coords(r)))
-            if sig_rows.size:
-                ortho_resid = max(ortho_resid, float(np.abs(sig_rows @ v).max()))
+    cross = ((T, sig_mats) for T in ho_mats)
+    for vals in _bracket_values(cross, rd.dual_rows(sig_rows)):
+        ortho_resid = max(ortho_resid, float(np.abs(vals).max()))
 
     dim_orbit_xi = 0
     best_stack = None
     k_sec = sig_rows.shape[0]
-    if k_sec and ho_elems:
+    if k_sec and len(ho_mats):
         for _ in range(samples):
             coeff = rng.standard_normal(k_sec)
             coeff /= np.linalg.norm(coeff)
-            xi = rd.from_coords(coeff @ sig_rows)
-            moved = [rd.coords(bracket(T, xi)) for T in ho_elems]
+            xi = rd.from_coords_many(coeff @ sig_rows)[0]
+            moved = rd.coords_many(-bracket_stack(xi, ho_mats))  # rows [T, xi]
             d = _rank(moved, tol_rank)
             if d >= dim_orbit_xi:
                 dim_orbit_xi = d
                 best_stack = moved
-    joint = list(sig_rows)
-    if best_stack is not None:
-        joint += best_stack
-    dim_joint = _rank(joint, tol_rank) if joint else 0
+    joint = sig_rows if best_stack is None else np.vstack([sig_rows, best_stack])
+    dim_joint = _rank(joint, tol_rank) if joint.size else 0
     slice_condition = (ortho_resid <= 1e-8) and (dim_joint == dim_nu)
 
     transitive = dim_nu == 0
@@ -441,16 +487,6 @@ def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, samples=24, tol_rank=T
         transitive=transitive,
         verdict=verdict,
     )
-
-
-_THETA_CACHE = {}
-
-
-def _theta_coords(rd):
-    if rd.n not in _THETA_CACHE:
-        cols = [rd.coords(theta(E)) for E in rd.onb]
-        _THETA_CACHE[rd.n] = np.array(cols).T
-    return _THETA_CACHE[rd.n]
 
 
 def _intersect_with_k(rd, h_rows, theta_mat):

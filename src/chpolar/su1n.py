@@ -10,10 +10,19 @@ with the scale c fixed so that the distinguished unit vector B spanning the
 maximal abelian subspace a has <B, B> = 1 (this pins c = 2 and makes the
 holomorphic sectional curvature of the associated symmetric space -1).
 
-All root spaces are computed as eigenspaces of ad(B), which has eigenvalues
-{-1, -1/2, 0, 1/2, 1}.  Distinguished generators: Z spans g_{2a} with
-<Z, Z> = 2 and sign fixed by J B = Z, where J is the complex structure of
-the solvable model; J on g_a is J X = -[theta(X), Z].
+Every root space is written in closed form (arXiv 1208.2823, section 2):
+g_{+-2a} spanned by Z and theta(Z), g_{+-a} by an adapted frame and its
+theta-image, and k_0 = {diag(ia, ia, N) traceless, N in u(n-1)}.  The
+construction checks that ad(B) is diagonal in the resulting basis with
+the root values {-1, -1/2, 0, 1/2, 1}; the numerical construction of the
+root spaces as ad(B) eigenspaces is a test oracle (tests/test_su1n.py).
+Distinguished generators: Z spans g_{2a} with <Z, Z> = 2 and sign fixed
+by J B = Z, where J is the complex structure of the solvable model; J on
+g_a is J X = -[theta(X), Z].
+
+Brackets and coordinates also come stacked: ``bracket_stack`` brackets
+one matrix with a (k, n+1, n+1) stack and ``RootDecomposition.coords_many``
+takes coordinates of a whole stack in one matmul.
 """
 
 from __future__ import annotations
@@ -22,10 +31,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 TOL_ALG = 1e-12     # membership tolerances for su(1, n)
-TOL_SNAP = 1e-8     # eigenvalue snapping for root spaces
+TOL_SNAP = 1e-8     # ad(B) against diag(root values) in the basis
 TOL_CONSIST = 1e-9  # agreement of redundant computations
 
 
@@ -97,6 +105,19 @@ def bracket(X, Y):
     return AlgElement(X.n, X.matrix @ Y.matrix - Y.matrix @ X.matrix, validate=False)
 
 
+def bracket_stack(X, Ys):
+    """Row-wise stacked commutator: the stack of [X, Y_j] for a matrix X
+    and a (k, n+1, n+1) stack Ys."""
+    return X @ Ys - Ys @ X
+
+
+def real_rows(stack):
+    """A stack of complex matrices as real rows, (re, im) interleaved, so
+    that Re tr(A* B) is the dot product of two rows."""
+    stack = np.ascontiguousarray(stack, dtype=complex)
+    return stack.reshape(len(stack), -1).view(float)
+
+
 def theta(X):
     """Cartan involution theta(X) = I X I."""
     I = _signature(X.n)
@@ -130,8 +151,7 @@ def inner_an(X, Y, tol=1e-9):
 def ad(X):
     """The linear map ad(X) = [X, .] as a matrix in the root-space ONB of g."""
     rd = build_root_decomposition(X.n)
-    cols = [rd.coords(bracket(X, E)) for E in rd.onb]
-    return np.array(cols).T
+    return rd.coords_many(bracket_stack(X.matrix, rd._mats)).T
 
 
 def ad_exp(X):
@@ -140,17 +160,19 @@ def ad_exp(X):
     Computed both as expm(ad X) and as conjugation by expm(X); the two must
     agree to TOL_CONSIST, otherwise a ConsistencyError is raised.
     """
+    import scipy.linalg  # only here, so that importing the package skips it
+
     rd = build_root_decomposition(X.n)
     via_ad = scipy.linalg.expm(ad(X))
     g = scipy.linalg.expm(X.matrix)
     ginv = scipy.linalg.expm(-X.matrix)
-    cols = []
-    for E in rd.onb:
-        cols.append(rd.coords(AlgElement(X.n, g @ E.matrix @ ginv, validate=False)))
-    via_conj = np.array(cols).T
+    via_conj = rd.coords_many(g @ rd._mats @ ginv).T
     scale = max(1.0, np.abs(via_conj).max())
-    if np.abs(via_ad - via_conj).max() > TOL_CONSIST * scale:
-        raise ConsistencyError("expm(ad X) and conjugation by exp(X) disagree")
+    err = np.abs(via_ad - via_conj).max()
+    if err > TOL_CONSIST * scale:
+        raise ConsistencyError(
+            f"expm(ad X) and conjugation by exp(X) disagree by {err:.3g}"
+        )
     return via_conj
 
 
@@ -176,7 +198,8 @@ class RootDecomposition:
     Z: AlgElement                 # generator of g_2a, <Z,Z> = 2, J B = Z
     galpha_frame: tuple           # AN-orthonormal adapted frame of g_a
     J_galpha: np.ndarray          # J matrix on g_a in the onb block basis
-    _dual: np.ndarray = field(repr=False)   # coordinate functionals
+    theta_matrix: np.ndarray      # theta in onb coordinates, a signed permutation
+    _dual: np.ndarray = field(repr=False)   # coordinate functionals, see _functionals
     _mats: np.ndarray = field(repr=False)   # stacked ONB matrices
 
     # -- coordinates -------------------------------------------------------
@@ -187,11 +210,27 @@ class RootDecomposition:
 
     def coords(self, X):
         """Coordinates of X in the global ONB (Euclidean for <,>)."""
-        return np.real(self._dual @ X.matrix.reshape(-1))
+        return self.coords_many(X.matrix[None])[0]
+
+    def coords_many(self, stack):
+        """Coordinates of a (k, n+1, n+1) stack, one row per matrix:
+        Re(stack.reshape(k, -1) @ _dual.T) as one real matmul."""
+        return real_rows(stack) @ self._dual.T
+
+    def dual_rows(self, rows):
+        """Functionals X -> rows @ coords(X): dotted with ``real_rows(X)``,
+        they give the coordinates of X along other orthonormal rows."""
+        return np.asarray(rows, dtype=float).reshape(-1, self.dim) @ self._dual
 
     def from_coords(self, v):
-        mat = np.tensordot(np.asarray(v, dtype=float), self._mats, axes=(0, 0))
+        mat = self.from_coords_many(v)[0]
         return AlgElement(self.n, mat, validate=False)
+
+    def from_coords_many(self, rows):
+        """The (k, n+1, n+1) stack of matrices with the given coordinate rows."""
+        rows = np.asarray(rows, dtype=float).reshape(-1, self.dim)
+        flat = rows @ real_rows(self._mats)
+        return flat.view(complex).reshape(len(rows), self.n + 1, self.n + 1)
 
     def block(self, name):
         """The ONB elements of a root-space block."""
@@ -275,10 +314,7 @@ class RootDecomposition:
             raise ValueError(f"expected matrix on C^{self.n - 1}")
         if np.abs(N + N.conj().T).max() > 1e-9 * max(1.0, np.abs(N).max()):
             raise ValueError("matrix is not skew-Hermitian")
-        mat = np.zeros((self.n + 1, self.n + 1), dtype=complex)
-        mat[2:, 2:] = N
-        mat -= (np.trace(N) / (self.n + 1)) * np.eye(self.n + 1)
-        return AlgElement(self.n, mat)
+        return AlgElement(self.n, _k0_embed(self.n, N))
 
     def k0_action(self, T, tol=1e-9):
         """Inverse bridge: the u(n-1) matrix by which T in k_0 acts on g_a."""
@@ -315,39 +351,68 @@ class RootDecomposition:
         return self.p_matrix(1j * self.p_coords(X))
 
 
-def _raw_su_basis(n):
-    eps = np.array([-1.0] + [1.0] * n)
-    out = []
-    N1 = n + 1
-    for j in range(N1):
-        for k in range(j + 1, N1):
-            E = np.zeros((N1, N1), complex)
-            E[j, k], E[k, j] = 1.0, -eps[j] * eps[k]
-            out.append(E)
-            E = np.zeros((N1, N1), complex)
-            E[j, k], E[k, j] = 1j, 1j * eps[j] * eps[k]
-            out.append(E)
-    for j in range(n):
-        E = np.zeros((N1, N1), complex)
-        E[j, j], E[j + 1, j + 1] = 1j, -1j
-        out.append(E)
+ROOT_VALUES = {"g_m2a": -1.0, "g_ma": -0.5, "k_0": 0.0, "a": 0.0, "g_a": 0.5, "g_2a": 1.0}
+
+
+def _theta_stack(mats):
+    """theta on a stack of matrices: entry (i, j) times eps_i eps_j."""
+    eps = np.ones(mats.shape[-1])
+    eps[0] = -1.0
+    return mats * np.outer(eps, eps)
+
+
+def _functionals(mats, c):
+    """Coordinate functionals of a stack: row i, dotted with ``real_rows(X)``,
+    gives <E_i, X> = -c Re(vec(theta(E_i)^T) . vec(X))."""
+    d = (-c * _theta_stack(mats).transpose(0, 2, 1)).reshape(len(mats), -1)
+    out = np.empty((len(mats), 2 * d.shape[1]))
+    out[:, 0::2] = d.real
+    out[:, 1::2] = -d.imag
     return out
 
 
-def _ip_raw(X, Y, I, c):
-    return -c * float(np.real(np.trace(I @ X @ I @ Y)))
+def _gram(A, Bs, c):
+    """Gram matrix <A_i, B_j> of two stacks, as one matmul."""
+    return real_rows(A) @ _functionals(Bs, c).T
 
 
-def _mgs_matrices(mats, I, c):
-    out = []
-    for X in mats:
-        Y = np.array(X, dtype=complex)
-        for _ in range(2):
-            for E in out:
-                Y = Y - _ip_raw(Y, E, I, c) * E
-        nrm = np.sqrt(max(0.0, _ip_raw(Y, Y, I, c)))
-        if nrm > 1e-10:
-            out.append(Y / nrm)
+def _k0_embed(n, N):
+    """The k_0 matrix diag(0, 0, N) - (tr N / (n+1)) Id of N in u(n-1)."""
+    mat = np.zeros((n + 1, n + 1), dtype=complex)
+    mat[2:, 2:] = N
+    mat -= (np.trace(N) / (n + 1)) * np.eye(n + 1)
+    return mat
+
+
+def _k0_generators(n):
+    """u(n-1) embedded in k_0 by ``_k0_embed``: the real and imaginary
+    off-diagonal generators, then i E_jj."""
+    m = n - 1
+    basis = []
+    for j in range(m):
+        for k in range(j + 1, m):
+            for val in (1.0, 1j):
+                N = np.zeros((m, m), complex)
+                N[j, k], N[k, j] = val, -np.conj(val)
+                basis.append(N)
+    for j in range(m):
+        N = np.zeros((m, m), complex)
+        N[j, j] = 1j
+        basis.append(N)
+    return np.array([_k0_embed(n, N) for N in basis])
+
+
+def _theta_permutation(slices, dim):
+    """theta in ONB coordinates: swaps g_{2a} <-> g_{-2a} and g_a <-> g_{-a}
+    entry by entry, fixes k_0 and negates a."""
+    out = np.zeros((dim, dim))
+    for pos, neg in (("g_a", "g_ma"), ("g_2a", "g_m2a")):
+        p = np.arange(dim)[slices[pos]]
+        q = np.arange(dim)[slices[neg]]
+        out[p, q] = out[q, p] = 1.0
+    k0 = np.arange(dim)[slices["k_0"]]
+    out[k0, k0] = 1.0
+    out[slices["a"].start, slices["a"].start] = -1.0
     return out
 
 
@@ -356,171 +421,158 @@ def build_root_decomposition(n):
     """Construct (and cache) the root space decomposition of su(1, n).
 
     a = R.H0 with H0 the matrix with ones at (0, 1) and (1, 0); B = H0/2 so
-    that ad(B) has eigenvalue 1/2 on g_a.  Root spaces come out of an
-    eigendecomposition of the symmetric matrix of ad(B) with snapping
-    tolerance TOL_SNAP; the g_a and g_{2a} bases are then replaced by
-    deterministic adapted generators inside those eigenspaces.
+    that ad(B) has eigenvalue 1/2 on g_a.  Every block is written in closed
+    form: Z, the adapted g_a frame X(u)/2 (first row and column
+    (0, conj u | u), second (0, conj u | -u)), the theta-images of both,
+    and k_0 = {diag(ia, ia, N) traceless, N in u(n-1)}, orthonormalized
+    through the Cholesky factor of its Gram matrix.
+    ``_verify_root_decomposition`` then checks that ad(B) is diagonal with
+    the root values in the assembled basis.
     """
     n = int(n)
     if n < 2:
         raise ValueError("need n >= 2")
     N1 = n + 1
+    m = n - 1
     I = _signature(n)
 
-    H0 = np.zeros((N1, N1), complex)
-    H0[0, 1] = H0[1, 0] = 1.0
-    Bmat = H0 / 2.0  # so that ad(B) has eigenvalue 1/2 on g_a
+    Bmat = np.zeros((N1, N1), complex)
+    Bmat[0, 1] = Bmat[1, 0] = 0.5  # B = H0 / 2
     # the scale is solved from <B, B> = 1, not assumed:
     c = 1.0 / float(np.real(np.trace(Bmat @ Bmat)))
     if abs(c - _METRIC_SCALE) > 1e-14:
         raise ConsistencyError("metric scale disagrees with the module constant")
 
-    raw = _raw_su_basis(n)
-    onb_generic = _mgs_matrices(raw, I, c)
-    N = len(onb_generic)
-    if N != N1 * N1 - 1:
-        raise ConsistencyError("orthonormalization lost basis elements")
-
-    adB = np.array(
-        [[_ip_raw(Bmat @ F - F @ Bmat, E, I, c) for F in onb_generic] for E in onb_generic]
-    )
-    if np.abs(adB - adB.T).max() > 1e-10:
-        raise ConsistencyError("ad(B) is not symmetric in the orthonormal basis")
-    evals, evecs = np.linalg.eigh(adB)
-
-    targets = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    groups = {t: [] for t in targets}
-    for lam, col in zip(evals, evecs.T):
-        best = min(targets, key=lambda t: abs(lam - t))
-        if abs(lam - best) > TOL_SNAP:
-            raise ConsistencyError(f"ad(B) eigenvalue {lam} is not near a root value")
-        groups[best].append(col)
-
-    def group_matrices(t):
-        return [
-            np.tensordot(col, np.array(onb_generic), axes=(0, 0)) for col in groups[t]
-        ]
-
-    g0 = group_matrices(0.0)
-    # split g_0 = k_0 + a: k_0 is the theta = +1 part of g_0
-    k0_mats = _mgs_matrices([(M + I @ M @ I) / 2 for M in g0], I, c)
-    expected = {
-        -1.0: 1, -0.5: 2 * n - 2, 0.0: (n - 1) ** 2 + 1, 0.5: 2 * n - 2, 1.0: 1,
-    }
-    found = {t: len(groups[t]) for t in targets}
-    if found != expected or len(k0_mats) != (n - 1) ** 2:
-        raise ConsistencyError(f"unexpected root space dimensions: {found}")
-
     # distinguished g_{2a} generator: <Z, Z> = 2 and J B = Z, the latter
     # realized via the tangent-space complex structure: 2 i B = (1 - theta) Z
     Zmat = np.zeros((N1, N1), complex)
     Zmat[0, 0], Zmat[0, 1], Zmat[1, 0], Zmat[1, 1] = 0.5j, -0.5j, 0.5j, -0.5j
-    g2a_num = group_matrices(1.0)[0]
-    if np.abs(Zmat / np.sqrt(2) - g2a_num).max() > 1e-6 and \
-       np.abs(Zmat / np.sqrt(2) + g2a_num).max() > 1e-6:
-        raise ConsistencyError("analytic g_{2a} generator disagrees with eigenspace")
     iB = np.zeros((N1, N1), complex)
     iB[0, 1], iB[1, 0] = -0.5j, 0.5j
-    if np.abs(2 * iB - (Zmat - I @ Zmat @ I)).max() > 1e-12:
-        raise ConsistencyError("sign of Z violates J B = Z")
+    sign_err = np.abs(2 * iB - (Zmat - I @ Zmat @ I)).max()
+    if sign_err > 1e-12:
+        raise ConsistencyError(f"sign of Z violates J B = Z (residual {sign_err:.3g})")
 
-    # adapted AN-orthonormal frame of g_a: F_j, J F_j for the standard
-    # complex coordinates; J F = -[theta F, Z]
-    def galpha_raw(u):
-        X = np.zeros((N1, N1), complex)
-        X[0, 2:] = np.conj(u)
-        X[1, 2:] = np.conj(u)
-        X[2:, 0] = u
-        X[2:, 1] = -u
-        return X
+    # adapted AN-orthonormal frame of g_a: F_j = X(e_j)/2 and J F_j = X(i e_j)/2
+    frame = np.zeros((2 * m, N1, N1), complex)
+    for j in range(m):
+        for row, z in ((2 * j, 1.0), (2 * j + 1, 1j)):
+            frame[row, 0, 2 + j] = frame[row, 1, 2 + j] = np.conj(z) / 2
+            frame[row, 2 + j, 0] = z / 2
+            frame[row, 2 + j, 1] = -z / 2
 
-    frame = []
-    eye = np.eye(n - 1, dtype=complex)
-    for j in range(n - 1):
-        F = galpha_raw(eye[j]) / 2.0          # AN-unit: <F, F> = 2
-        tF = I @ F @ I
-        JF = -(tF @ Zmat - Zmat @ tF)
-        frame.append(F)
-        frame.append(JF)
-    # consistency: frame lies in the ad(B) eigenvalue 1/2 eigenspace
-    for F in frame:
-        if np.abs((Bmat @ F - F @ Bmat) - 0.5 * F).max() > 1e-10:
-            raise ConsistencyError("adapted frame is not in g_a")
+    raw = _k0_generators(n)
+    try:
+        L = np.linalg.cholesky(_gram(raw, raw, c))
+    except np.linalg.LinAlgError as exc:
+        raise ConsistencyError(f"k_0 Gram matrix is not positive definite: {exc}") from exc
+    k0 = np.linalg.solve(L, raw.reshape(len(raw), -1)).reshape(raw.shape)
 
     # assemble the global ONB; g_a frame rescaled to <,>-unit
-    order = []
-    mk = lambda M: AlgElement(n, M, validate=False)
-    theta_of = lambda M: I @ M @ I
-    galpha_unit = [F / np.sqrt(2) for F in frame]
-    g_m2a = [theta_of(Zmat / np.sqrt(2))]
-    g_ma = [theta_of(F) for F in galpha_unit]
+    galpha_unit = frame / np.sqrt(2)
+    g2a = Zmat[None] / np.sqrt(2)
     blocks = [
-        ("g_m2a", g_m2a),
-        ("g_ma", g_ma),
-        ("k_0", k0_mats),
-        ("a", [Bmat]),
+        ("g_m2a", _theta_stack(g2a)),
+        ("g_ma", _theta_stack(galpha_unit)),
+        ("k_0", k0),
+        ("a", Bmat[None]),
         ("g_a", galpha_unit),
-        ("g_2a", [Zmat / np.sqrt(2)]),
+        ("g_2a", g2a),
     ]
     slices = {}
     start = 0
-    for name, mats in blocks:
-        slices[name] = slice(start, start + len(mats))
-        start += len(mats)
-        order.extend(mats)
-    if start != N:
-        raise ConsistencyError("blocks do not fill the algebra")
+    for name, block in blocks:
+        slices[name] = slice(start, start + len(block))
+        start += len(block)
+    if start != N1 * N1 - 1:
+        raise ConsistencyError(f"blocks give {start} basis elements, not {N1 * N1 - 1}")
+    mats = np.concatenate([block for _, block in blocks])
+    dual = _functionals(mats, c)
 
-    gram = np.array([[_ip_raw(X, Y, I, c) for Y in order] for X in order])
-    if np.abs(gram - np.eye(N)).max() > 1e-9:
-        raise ConsistencyError("global basis is not orthonormal")
+    # J matrix on the g_a block (ONB coordinates): J E = -[theta E, Z]
+    ga = slices["g_a"]
+    JE = bracket_stack(Zmat, _theta_stack(galpha_unit))
+    Jmat = (real_rows(JE) @ dual[ga].T).T
 
-    # dual functionals: coords_i(X) = <X, E_i> = -c Re tr(theta(E_i) X)
-    dual = np.array([(-c * theta_of(E).T).reshape(-1) for E in order])
-
-    # J matrix on the g_a block (ONB coordinates)
-    d = 2 * n - 2
-    Jmat = np.zeros((d, d))
-    for j in range(d):
-        Fj = order[slices["g_a"].start + j]
-        tFj = theta_of(Fj)
-        JFj = -(tFj @ Zmat - Zmat @ tFj)
-        for i in range(d):
-            Jmat[i, j] = _ip_raw(JFj, order[slices["g_a"].start + i], I, c)
-    if np.abs(Jmat @ Jmat + np.eye(d)).max() > 1e-10:
-        raise ConsistencyError("J on g_a does not square to -1")
-
+    theta_mat = _theta_permutation(slices, start)
+    for arr in (mats, dual, Jmat, theta_mat):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    mk = lambda M: AlgElement(n, M, validate=False)
     rd = RootDecomposition(
         n=n,
         c=c,
-        onb=tuple(mk(M) for M in order),
+        onb=tuple(mk(M) for M in mats),
         slices=slices,
         B=mk(Bmat),
         Z=mk(Zmat),
         galpha_frame=tuple(mk(F) for F in frame),
         J_galpha=Jmat,
+        theta_matrix=theta_mat,
         _dual=dual,
-        _mats=np.array(order),
+        _mats=mats,
     )
     _verify_root_decomposition(rd)
     return rd
 
 
 def _verify_root_decomposition(rd, tol=1e-10):
-    """Structural invariants checked once per construction."""
-    if abs(inner(rd.B, rd.B) - 1.0) > 1e-12:
-        raise ConsistencyError("<B, B> != 1")
-    if abs(inner(rd.Z, rd.Z) - 2.0) > 1e-12:
-        raise ConsistencyError("<Z, Z> != 2")
-    lam = {"g_m2a": -1.0, "g_ma": -0.5, "k_0": 0.0, "a": 0.0, "g_a": 0.5, "g_2a": 1.0}
-    for name, want in lam.items():
-        for E in rd.block(name):
-            r = (bracket(rd.B, E) - want * E).norm()
-            if r > tol:
-                raise ConsistencyError(f"block {name} is not an ad(B) eigenspace")
-    # theta g_lambda = g_{-lambda}
-    for pos, neg in (("g_a", "g_ma"), ("g_2a", "g_m2a")):
-        for E in rd.block(pos):
-            tE = theta(E)
-            if (tE - rd.project_block(tE, [neg])).norm() > tol:
-                raise ConsistencyError(f"theta does not map {pos} onto {neg}")
+    """Structural invariants checked once per construction, each on the
+    whole stacked basis at once."""
+    mats, c, N = rd._mats, rd.c, rd.dim
+    # su(1, n) membership: the AlgElement test on every basis element
+    I = _signature(rd.n)
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+    trace = np.abs(np.trace(mats, axis1=1, axis2=2)) / (scale * (rd.n + 1))
+    skew = np.abs(mats.conj().transpose(0, 2, 1) @ I + I @ mats).max(axis=(1, 2)) / (scale * 10)
+    if max(trace.max(), skew.max()) > TOL_ALG:
+        raise ConsistencyError(
+            f"basis leaves su(1, n): trace {trace.max():.3g}, X* I + I X {skew.max():.3g}"
+        )
+    gram_err = np.abs(_gram(mats, mats, c) - np.eye(N)).max()
+    if gram_err > 1e-9:
+        raise ConsistencyError(f"global basis is not orthonormal (max |G - 1| = {gram_err:.3g})")
+    BZ = _gram(np.array([rd.B.matrix, rd.Z.matrix]), np.array([rd.B.matrix, rd.Z.matrix]), c)
+    if abs(BZ[0, 0] - 1.0) > 1e-12:
+        raise ConsistencyError(f"<B, B> = {BZ[0, 0]!r} != 1")
+    if abs(BZ[1, 1] - 2.0) > 1e-12:
+        raise ConsistencyError(f"<Z, Z> = {BZ[1, 1]!r} != 2")
+
+    # ad(B) in the basis is diag(-1, -1/2, 0, 0, 1/2, 1) block by block; an
+    # orthonormal basis of all of su(1, n) on which it is diagonal pins
+    # every root space and its dimension
+    lam = np.zeros(N)
+    for name, value in ROOT_VALUES.items():
+        lam[rd.slices[name]] = value
+    adB_mats = bracket_stack(rd.B.matrix, mats)
+    adB = rd.coords_many(adB_mats).T
+    dev = np.abs(adB - np.diag(lam)).max()
+    if dev > TOL_SNAP:
+        raise ConsistencyError(f"ad(B) is off diag(root values) by {dev:.3g} > {TOL_SNAP:g}")
+    asym = np.abs(adB - adB.T).max()
+    if asym > 1e-10:
+        raise ConsistencyError(f"ad(B) is not symmetric in the orthonormal basis ({asym:.3g})")
+    R = adB_mats - lam[:, None, None] * mats
+    resid = np.sqrt(np.maximum(0.0, np.einsum("ij,ij->i", real_rows(R), _functionals(R, c))))
+    if resid.max() > tol:
+        name = next(k for k, s in rd.slices.items() if resid[s].max() > tol)
+        raise ConsistencyError(
+            f"block {name} is not an ad(B) eigenspace (residual {resid.max():.3g})"
+        )
+
+    # theta g_lambda = g_{-lambda}: theta in coordinates is the stored
+    # signed permutation, column by column
+    theta_err = np.linalg.norm(
+        rd.coords_many(_theta_stack(mats)).T - rd.theta_matrix, axis=0
+    ).max()
+    if theta_err > tol:
+        raise ConsistencyError(f"theta does not map g_lambda onto g_-lambda ({theta_err:.3g})")
+
+    # J on g_a: J F_j = J-frame partner, hence J^2 = -1
+    d = 2 * rd.n - 2
+    J_std = np.kron(np.eye(d // 2), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    J_err = np.abs(rd.J_galpha - J_std).max()
+    if J_err > tol:
+        raise ConsistencyError(f"J = -[theta(.), Z] disagrees with the adapted frame ({J_err:.3g})")
+    sq_err = np.abs(rd.J_galpha @ rd.J_galpha + np.eye(d)).max()
+    if sq_err > tol:
+        raise ConsistencyError(f"J on g_a does not square to -1 ({sq_err:.3g})")

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chpolar
 from chpolar import kahler, polar
 from chpolar.cli import main, render_json
 from chpolar.polar import PolarActionSpec, normalizer_section
@@ -116,6 +120,42 @@ def test_cmd_verify_precondition_violation_exit_2(tmp_path, capsys):
     assert main(["verify", write_json(tmp_path, "s.json", spec.to_json())]) == 2
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+def test_cmd_verify_non_subalgebra_exit_2_at_every_scale(tmp_path, capsys, scale):
+    E = np.zeros((2, 2), dtype=complex)
+    E[0, 1], E[1, 0] = 1.0, -1.0
+    F = np.zeros((2, 2), dtype=complex)
+    F[0, 1], F[1, 0] = 1j, 1j
+    spec = PolarActionSpec(n=3, family="II", b_flag="full", q_basis=[scale * E, scale * F])
+    assert main(["verify", write_json(tmp_path, "s.json", spec.to_json())]) == 2
+    assert "not closed" in capsys.readouterr().err
+
+
+def _seed_seen(monkeypatch, tmp_path, payload, argv):
+    seen = []
+    real = polar.check_polarity
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polar, "check_polarity", spy)
+    assert main(["verify", write_json(tmp_path, "s.json", payload)] + argv) == 0
+    return seen
+
+
+def test_cmd_verify_spec_seed_zero_beats_seed_flag(tmp_path, monkeypatch):
+    payload = spec_pi3().to_json()
+    payload["seed"] = 0
+    assert _seed_seen(monkeypatch, tmp_path, payload, ["--seed", "7"]) == [0]
+
+
+def test_cmd_verify_seed_flag_used_without_spec_seed(tmp_path, monkeypatch):
+    payload = spec_pi3().to_json()
+    del payload["seed"]
+    assert _seed_seen(monkeypatch, tmp_path, payload, ["--seed", "7"]) == [7]
+
+
 # --- compare ---------------------------------------------------------------------
 
 
@@ -210,3 +250,15 @@ def test_text_format(capsys):
 def test_bad_config_exit_2(capsys):
     assert main(["selfcheck", "--n", "1"]) == 2
     assert main(["enumerate", "--n", "2", "--tol-rank", "-1"]) == 2
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    code = (
+        "import sys, chpolar.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(chpolar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

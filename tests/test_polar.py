@@ -120,6 +120,21 @@ def test_build_family_I_rejects_non_subalgebra():
         build_family_I(n, 1, [E, F], None)  # [E, F] leaves span{E, F}
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+def test_non_subalgebra_rejected_at_every_scale(scale):
+    # the closure residual is measured on an orthonormalized basis, so a
+    # tiny or huge non-closed q_basis is still an input error
+    E = np.zeros((2, 2), dtype=complex)
+    E[0, 1], E[1, 0] = 1.0, -1.0
+    F = np.zeros((2, 2), dtype=complex)
+    F[0, 1], F[1, 0] = 1j, 1j
+    q = [scale * E, scale * F]
+    with pytest.raises(ValueError, match="closed"):
+        build_family_I(3, 1, q, None)
+    with pytest.raises(ValueError, match="closed"):
+        build_family_II(3, "full", None, q, None)
+
+
 # --- polarity criterion ------------------------------------------------------------
 
 

@@ -343,3 +343,117 @@ def test_galpha_coords_roundtrip():
     rd = build_root_decomposition(3)
     u = np.array([0.3 - 0.2j, 1.5 + 0.4j])
     assert np.abs(rd.galpha_coords(rd.galpha_matrix(u)) - u).max() < 1e-12
+
+
+# --- the closed form against the eigenspace construction ---------------------------
+#
+# The oracle is the numerical construction the closed form replaced: a
+# Gram-Schmidt basis of su(1, n), the ad(B) matrix in it, its eigh
+# eigenspaces snapped to the root values, and k_0 as the theta-fixed part
+# of the zero eigenspace.
+
+
+def _raw_su_basis(n):
+    eps = np.array([-1.0] + [1.0] * n)
+    out = []
+    N1 = n + 1
+    for j in range(N1):
+        for k in range(j + 1, N1):
+            E = np.zeros((N1, N1), complex)
+            E[j, k], E[k, j] = 1.0, -eps[j] * eps[k]
+            out.append(E)
+            E = np.zeros((N1, N1), complex)
+            E[j, k], E[k, j] = 1j, 1j * eps[j] * eps[k]
+            out.append(E)
+    for j in range(n):
+        E = np.zeros((N1, N1), complex)
+        E[j, j], E[j + 1, j + 1] = 1j, -1j
+        out.append(E)
+    return out
+
+
+def _ip_raw(X, Y, I, c):
+    return -c * float(np.real(np.trace(I @ X @ I @ Y)))
+
+
+def _mgs_matrices(mats, I, c):
+    out = []
+    for X in mats:
+        Y = np.array(X, dtype=complex)
+        for _ in range(2):
+            for E in out:
+                Y = Y - _ip_raw(Y, E, I, c) * E
+        nrm = np.sqrt(max(0.0, _ip_raw(Y, Y, I, c)))
+        if nrm > 1e-10:
+            out.append(Y / nrm)
+    return out
+
+
+def eigenspace_oracle(n, c=2.0):
+    """Root spaces as ad(B) eigenspaces: value -> orthonormal matrices,
+    with the zero eigenspace also split into k_0 (key 'k_0')."""
+    I = np.diag([-1.0] + [1.0] * n).astype(complex)
+    B = np.zeros((n + 1, n + 1), complex)
+    B[0, 1] = B[1, 0] = 0.5
+    onb = _mgs_matrices(_raw_su_basis(n), I, c)
+    assert len(onb) == (n + 1) ** 2 - 1
+    adB = np.array([[_ip_raw(B @ F - F @ B, E, I, c) for F in onb] for E in onb])
+    evals, evecs = np.linalg.eigh(adB)
+    out = {t: [] for t in (-1.0, -0.5, 0.0, 0.5, 1.0)}
+    for lam, col in zip(evals, evecs.T):
+        best = min(out, key=lambda t: abs(lam - t))
+        assert abs(lam - best) < 1e-8
+        out[best].append(np.tensordot(col, np.array(onb), axes=(0, 0)))
+    out["k_0"] = _mgs_matrices([(M + I @ M @ I) / 2 for M in out[0.0]], I, c)
+    return out
+
+
+def _projector(rd, mats):
+    C = np.array([rd.coords(AlgElement(rd.n, M, validate=False)) for M in mats])
+    # every oracle element is a unit vector fully seen by the coordinates
+    assert np.abs(np.linalg.norm(C, axis=1) - 1.0).max() < 1e-10
+    return C.T @ C
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_closed_form_blocks_span_the_ad_B_eigenspaces(n):
+    rd = build_root_decomposition(n)
+    oracle = eigenspace_oracle(n)
+    pairs = {
+        -1.0: ["g_m2a"], -0.5: ["g_ma"], 0.0: ["k_0", "a"], "k_0": ["k_0"],
+        0.5: ["g_a"], 1.0: ["g_2a"],
+    }
+    for key, names in pairs.items():
+        closed = np.zeros((rd.dim, rd.dim))
+        for name in names:
+            sl = rd.slices[name]
+            closed[sl, sl] = np.eye(sl.stop - sl.start)
+        assert np.abs(_projector(rd, oracle[key]) - closed).max() < 1e-9, key
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_theta_matrix_is_coords_of_theta_of_basis(n):
+    rd = build_root_decomposition(n)
+    for j, E in enumerate(rd.onb):
+        assert np.abs(rd.theta_matrix[:, j] - rd.coords(theta(E))).max() < 1e-12
+    # a signed permutation
+    assert np.array_equal(np.abs(rd.theta_matrix).sum(axis=0), np.ones(rd.dim))
+    assert set(np.unique(rd.theta_matrix)) <= {-1.0, 0.0, 1.0}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_stacked_coords_and_brackets_match_single_ones(n):
+    rd = build_root_decomposition(n)
+    rng = np.random.default_rng(200 + n)
+    els = [rand_element(rd, rng) for _ in range(6)]
+    stack = np.array([X.matrix for X in els])
+    many = rd.coords_many(stack)
+    assert np.abs(many - np.array([rd.coords(X) for X in els])).max() < 1e-12
+    assert np.abs(rd.from_coords_many(many) - stack).max() < 1e-12
+    X = els[0]
+    brs = su1n.bracket_stack(X.matrix, stack)
+    for Y, br in zip(els, brs):
+        assert np.abs(br - bracket(X, Y).matrix).max() < 1e-12
+    rows = np.linalg.qr(rng.standard_normal((rd.dim, 3)))[0].T
+    along = su1n.real_rows(stack) @ rd.dual_rows(rows).T
+    assert np.abs(along - many @ rows.T).max() < 1e-12
