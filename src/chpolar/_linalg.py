@@ -1,0 +1,69 @@
+"""The linear-algebra kernel: every SVD rank and null-space decision.
+
+Matrices are real, one vector per row.  A singular value counts toward the
+rank when it exceeds ``tol * max(1, s_0)``, with ``s_0`` the largest one
+(``_rank_of``).  The cutoff is relative at scale 1 and above and absolute
+below it, so that a projection of unit data that is numerically zero (h
+inside k, an empty normal space, [h_o, xi] = 0) keeps rank 0 instead of
+counting rounding noise.  Scale-free answers come from the inputs: spanning
+sets from outside the program pass through ``unit_rows``, and every other
+matrix is built from orthonormal rows.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def _rank_of(s, tol):
+    """The rank rule on singular values in decreasing order."""
+    return int(np.sum(s > tol * max(1.0, s[0]))) if s.size else 0
+
+
+def unit_rows(A):
+    """The nonzero rows of A, each scaled to unit norm: the same span, with
+    the scale of the input gone."""
+    A = np.asarray(A, dtype=float)
+    norms = np.linalg.norm(A, axis=1)
+    keep = norms > 0.0
+    return A[keep] / norms[keep, None]
+
+
+def orthonormal_rows(A, tol=1e-10):
+    """Orthonormal rows spanning the rows of A (its leading right singular
+    vectors)."""
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    return vh[: _rank_of(s, tol)]
+
+
+def rank(A, tol):
+    """Rank of A under the rank rule; 0 for an empty matrix."""
+    return _rank_of(np.linalg.svd(A, compute_uv=False), tol)
+
+
+def left_nullspace(A):
+    """Orthonormal rows c with c @ A = 0, one coefficient per row of A,
+    under the rank rule at tol 1e-9."""
+    _, s, vh = np.linalg.svd(A.T, full_matrices=True)
+    return vh[_rank_of(s, 1e-9):]
+
+
+def complement_rows(rows, dim):
+    """Orthonormal rows spanning the orthogonal complement of the
+    orthonormal rows ``rows`` in R^dim."""
+    if not rows.size:
+        return np.eye(dim)
+    q, _ = np.linalg.qr(rows.T, mode="complete")
+    return q[:, rows.shape[0]:].T
+
+
+def sample_ranks(rng, basis, act, samples, tol):
+    """The regular-vector sampler: for each of ``samples`` draws, the unit
+    combination xi of the orthonormal rows ``basis``, the rank of the rows
+    ``act(xi)`` and those rows, as (xi, rank, rows)."""
+    for _ in range(samples):
+        coeff = rng.standard_normal(basis.shape[0])
+        coeff /= np.linalg.norm(coeff)
+        xi = coeff @ basis
+        moved = act(xi)
+        yield xi, rank(moved, tol), moved

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import left_nullspace, orthonormal_rows, unit_rows
 from .su1n import ConsistencyError, bracket_stack, build_root_decomposition
 
 
@@ -176,15 +177,6 @@ def _same_model(X, Y):
         raise ValueError("vectors belong to different models")
 
 
-def _orthonormal_rows(rows, tol=1e-12):
-    if len(rows) == 0:
-        return np.zeros((0, 0))
-    A = np.array(rows, dtype=float)
-    u, s, vh = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
-    return vh[:rank]
-
-
 class OrbitModel:
     """An orbit of a family-II type subgroup through the base point,
     represented by its tangent subalgebra inside a + n.
@@ -231,7 +223,7 @@ class OrbitModel:
         # normal: AN-orthogonal complement inside a + n
         full = np.eye(2 * self.n)
         proj = full - T.T @ T
-        self.normal = [ANVector.from_real(r) for r in _orthonormal_rows(proj, 1e-9)]
+        self.normal = [ANVector.from_real(r) for r in orthonormal_rows(proj, 1e-9)]
         if len(self.normal) + len(self.tangent) != 2 * self.n:
             raise ConsistencyError("tangent and normal do not fill a + n")
         self._check_subalgebra()
@@ -337,29 +329,27 @@ def _coerce_galpha(rd, xi):
     return rd.galpha_matrix(np.asarray(xi, dtype=complex))
 
 
-def isotropy_at(rd_or_n, q_basis, xi, tol_rank=1e-9):
+def isotropy_at(rd_or_n, q_basis, xi):
     """Isotropy subalgebra at the point Exp(lambda xi)(o): q cut down to
     ker ad(xi).
 
     q_basis elements may be ambient algebra elements in k_0 or skew-Hermitian
     matrices acting on C^{n-1}; xi may be an algebra element of g_a or a
-    vector in C^{n-1}.  Returns an orthonormalized basis of
-    {T in span(q) : [T, xi] = 0} as algebra elements.
+    vector in C^{n-1}.  Returns an orthonormal basis of
+    {T in span(q) : [T, xi] = 0} as algebra elements.  Neither the scale of
+    q nor that of xi changes the answer.
     """
     rd = rd_or_n if hasattr(rd_or_n, "onb") else build_root_decomposition(rd_or_n)
     q = _coerce_k0(rd, q_basis)
-    xi_m = _coerce_galpha(rd, xi)
     if not q:
         return []
-    q_mats = np.array([T.matrix for T in q])
-    cols = rd.coords_many(-bracket_stack(xi_m.matrix, q_mats)).T  # columns [T, xi]
-    u, s, vh = np.linalg.svd(cols)
-    cutoff = tol_rank * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    combos = vh[rank:]
-    members = rd.coords_many(q_mats)
-    rows = _orthonormal_rows(combos @ members, 1e-9)
-    return [rd.from_coords(r) for r in rows]
+    q_rows = orthonormal_rows(unit_rows(rd.coords_many(np.array([T.matrix for T in q]))))
+    xi_c = rd.coords(_coerce_galpha(rd, xi))
+    if not xi_c.any():
+        return [rd.from_coords(r) for r in q_rows]  # every T fixes xi = 0
+    xi_m = rd.from_coords_many(xi_c / np.linalg.norm(xi_c))[0]
+    moved = rd.coords_many(bracket_stack(xi_m, rd.from_coords_many(q_rows)))  # [xi, T]
+    return [rd.from_coords(r) for r in left_nullspace(moved) @ q_rows]
 
 
 def conjugate_subalgebra(rd_or_n, h_basis, g_exponent, tol=1e-9):
@@ -371,6 +361,8 @@ def conjugate_subalgebra(rd_or_n, h_basis, g_exponent, tol=1e-9):
     """
     from .su1n import ad_exp
 
+    if not h_basis:
+        return []
     rd = rd_or_n if hasattr(rd_or_n, "onb") else build_root_decomposition(rd_or_n)
     g_mat = (
         g_exponent.a * rd.B
@@ -378,8 +370,8 @@ def conjugate_subalgebra(rd_or_n, h_basis, g_exponent, tol=1e-9):
         + g_exponent.x * rd.Z
     )
     Ad = ad_exp(g_mat)
-    rows = rd.coords_many(np.array([h.matrix for h in h_basis])) @ Ad.T if h_basis else []
-    rows = _orthonormal_rows(rows, 1e-12)
+    rows = unit_rows(rd.coords_many(np.array([h.matrix for h in h_basis])))
+    rows = orthonormal_rows(rows @ Ad.T, 1e-12)
     out = []
     for r in rows:
         el = rd.from_coords(r)

@@ -9,6 +9,9 @@ Subcommands:
     curvature   family II spec -> mean curvature of the core orbit
     selfcheck   structural identity suite for the Lie model
 
+Each subcommand takes only the flags it reads; argparse rejects any other
+flag with exit code 2.
+
 Exit codes: 0 success / verdict true, 1 verdict false or not equivalent
 (this includes 'undetermined' equivalence answers), 2 input error,
 3 internal consistency error.  All floating point numbers are printed
@@ -21,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,7 +36,6 @@ from .su1n import ConsistencyError
 class RunConfig:
     n: int = 2
     tol_eig: float = kahler.TOL_EIG
-    tol_angle: float = kahler.TOL_ANGLE
     tol_rank: float = polar.TOL_RANK
     seed: int = 0
     fmt: str = "json"
@@ -42,7 +44,7 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need n >= 2")
-        for name in ("tol_eig", "tol_angle", "tol_rank"):
+        for name in ("tol_eig", "tol_rank"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.fmt not in ("json", "text"):
@@ -298,6 +300,14 @@ def _parse_angles(text):
     return out
 
 
+_FLAGS = {
+    "--n": dict(type=int, default=2, help="complex dimension, n >= 2"),
+    "--tol-eig": dict(type=float, default=kahler.TOL_EIG, help="grouping of cos^2 angles"),
+    "--tol-rank": dict(type=float, default=polar.TOL_RANK, help="slice-condition rank cutoff"),
+    "--seed": dict(type=int, default=0, help="seed of the samplers"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chpolar",
@@ -305,30 +315,34 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", nargs="?", default="-",
-                           help="input JSON file, '-' for stdin (default)")
-        p.add_argument("--n", type=int, default=2, help="complex dimension, n >= 2")
-        p.add_argument("--tol-eig", type=float, default=kahler.TOL_EIG)
-        p.add_argument("--tol-angle", type=float, default=kahler.TOL_ANGLE)
-        p.add_argument("--tol-rank", type=float, default=polar.TOL_RANK)
-        p.add_argument("--seed", type=int, default=0)
+    def add_flags(p, *names):
+        """The output flags, and each named flag of _FLAGS: a flag goes only
+        on the subcommands that read it, so argparse rejects it elsewhere."""
+        for name in names:
+            p.add_argument(name, **_FLAGS[name])
         p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 
-    common(sub.add_parser("decompose", help="Kahler decomposition of a real subspace"))
-    common(sub.add_parser("verify", help="run the polarity criterion on an action spec"))
+    def with_input(p):
+        p.add_argument("input", nargs="?", default="-",
+                       help="input JSON file, '-' for stdin (default)")
+        return p
+
+    add_flags(with_input(sub.add_parser(
+        "decompose", help="Kahler decomposition of a real subspace")), "--tol-eig")
+    add_flags(with_input(sub.add_parser(
+        "verify", help="run the polarity criterion on an action spec")), "--tol-rank", "--seed")
     p = sub.add_parser("compare", help="orbit equivalence of two action specs")
     p.add_argument("input_a")
     p.add_argument("input_b")
-    common(p, needs_input=False)
+    add_flags(p, "--seed")
     p = sub.add_parser("enumerate", help="enumerate moduli classes")
     p.add_argument("--angles", default="",
                    help="comma separated interior Kahler angles for the w moduli")
-    common(p, needs_input=False)
-    common(sub.add_parser("curvature", help="mean curvature of a family II core orbit"))
-    common(sub.add_parser("selfcheck", help="structural identity suite"), needs_input=False)
+    add_flags(p, "--n", "--seed")
+    add_flags(with_input(sub.add_parser(
+        "curvature", help="mean curvature of a family II core orbit")))
+    add_flags(sub.add_parser("selfcheck", help="structural identity suite"), "--n", "--seed")
     return parser
 
 
@@ -346,15 +360,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            n=args.n,
-            tol_eig=args.tol_eig,
-            tol_angle=args.tol_angle,
-            tol_rank=args.tol_rank,
-            seed=args.seed,
-            fmt=args.fmt,
-            out=args.out,
-        )
+        config = RunConfig(**{
+            f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)
+        })
         return _COMMANDS[args.command](args, config)
     except ValueError as exc:
         print(f"chpolar: input error: {exc}", file=sys.stderr)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import left_nullspace
+
 # Default tolerances.  Double precision with ambient dimensions up to ~64
 # keeps all of these comfortable.
 TOL_EIG = 1e-8      # eigenvalue grouping on cos^2(phi)
@@ -518,7 +520,7 @@ def skew_hermitian_basis(m):
     return out
 
 
-def normalizer_algebra(V, tol_rank=1e-9):
+def normalizer_algebra(V):
     """Basis of {T in u(m) : T.V <= V}, solved as a nullspace problem."""
     m = V.ambient_complex_dim
     gens = skew_hermitian_basis(m)
@@ -532,11 +534,7 @@ def normalizer_algebra(V, tol_rank=1e-9):
             r = r - V.project(r)
             resid.append(np.concatenate([r.real, r.imag]))
         rows.append(np.concatenate(resid))
-    A = np.array(rows).T  # (constraints, m^2)
-    u, s, vh = np.linalg.svd(A)
-    cutoff = tol_rank * max(1.0, (s[0] if s.size else 0.0))
-    rank = int(np.sum(s > cutoff))
-    null = vh[rank:]
+    null = left_nullspace(np.array(rows))  # one row of constraints per T
     return [sum(c * g for c, g in zip(coeffs, gens)) for coeffs in null]
 
 

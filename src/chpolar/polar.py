@@ -29,8 +29,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kahler
+from ._linalg import (
+    complement_rows,
+    left_nullspace,
+    orthonormal_rows,
+    rank,
+    sample_ranks,
+    unit_rows,
+)
 from .kahler import RealSubspace
 from .su1n import (
+    AlgElement,
     ConsistencyError,
     bracket_stack,
     build_root_decomposition,
@@ -39,37 +48,6 @@ from .su1n import (
 )
 
 TOL_RANK = 1e-8
-
-
-def _orthonormal_rows(rows, tol=1e-10):
-    A = np.array(rows, dtype=float)
-    if A.size == 0:
-        return A.reshape(0, A.shape[1] if A.ndim == 2 else 0)
-    u, s, vh = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
-    return vh[:rank]
-
-
-def _rank(rows, tol=TOL_RANK):
-    A = np.array(rows, dtype=float)
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, s[0])))
-
-
-def _span_contains(span_rows, vec, tol=1e-8):
-    resid = vec - span_rows.T @ (span_rows @ vec) if span_rows.size else vec
-    return np.linalg.norm(resid) <= tol * max(1.0, np.linalg.norm(vec))
-
-
-def _complement_rows(rows, dim):
-    """Orthonormal rows spanning the orthogonal complement of the
-    orthonormal rows ``rows`` in R^dim."""
-    if not rows.size:
-        return np.eye(dim)
-    q, _ = np.linalg.qr(rows.T, mode="complete")
-    return q[:, rows.shape[0]:].T
 
 
 def _upper_pairs(mats):
@@ -95,10 +73,15 @@ def _pair_residual(mats, functionals):
 
 
 def _coord_rows(rd, elems):
-    """Orthonormal coordinate rows spanning the given algebra elements."""
-    if not elems:
-        return np.zeros((0, rd.dim))
-    return _orthonormal_rows(rd.coords_many(np.array([X.matrix for X in elems])))
+    """Coordinate rows of the given algebra elements, one per element."""
+    return rd.coords_many(np.array([X.matrix for X in elems]).reshape(-1, rd.n + 1, rd.n + 1))
+
+
+def _q_rows(q_basis, m):
+    """An orthonormal basis of span q in the Frobenius metric, as a (r, m, m)
+    stack: it spans what q spans and ranks what q ranks, at any scale of q."""
+    rows = orthonormal_rows(unit_rows(real_rows(np.array(q_basis))))
+    return np.ascontiguousarray(rows).view(complex).reshape(-1, m, m)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +219,10 @@ def _check_q_subalgebra(q_basis, tol=1e-9):
     for N in q_basis:
         if N.shape != (m, m):
             raise ValueError("q_basis matrices must share one size")
-        if np.abs(N + N.conj().T).max() > tol * max(1.0, np.abs(N).max()):
+        if np.abs(N + N.conj().T).max() > tol * np.abs(N).max():
             raise ValueError("q_basis matrices must be skew-Hermitian")
-    flat = real_rows(np.array(q_basis))
-    peak = np.abs(flat).max()
-    if peak == 0.0:
-        return
-    rows = _orthonormal_rows(flat / peak)  # the rank cutoff is then relative
-    unit = np.ascontiguousarray(rows).view(complex).reshape(-1, m, m)
-    resid = _pair_residual(unit, _complement_rows(rows, 2 * m * m))
+    unit = _q_rows(q_basis, m)
+    resid = _pair_residual(unit, complement_rows(real_rows(unit), 2 * m * m))
     if resid > tol:
         raise ValueError(
             f"q_basis is not closed under the bracket (residual {resid:.3g} > {tol:g})"
@@ -273,7 +251,7 @@ def build_family_II(rd_or_n, b_flag, w, q_basis, q_section):
     q_basis = [np.asarray(N, dtype=complex) for N in q_basis]
     _check_q_subalgebra(q_basis)
     for N in q_basis:
-        scale = max(1.0, float(np.abs(N).max()))
+        scale = float(np.abs(N).max())  # relative: q at any scale
         for bvec in w.basis:
             img = N @ bvec
             if np.linalg.norm(img - w.project(img)) > 1e-8 * scale:
@@ -320,8 +298,6 @@ def build_family_I(rd_or_n, k, q_basis, q_section):
     if s.ambient_complex_dim != m:
         raise ValueError(f"q_section must live in C^{m}")
 
-    from .su1n import AlgElement
-
     N1 = n + 1
     eps = np.array([-1.0] + [1.0] * n)
     h = []
@@ -355,14 +331,14 @@ def _closure_residual(rd, h_rows):
     """Largest norm of the part of [X_i, X_j] outside h, over pairs of the
     orthonormal coordinate rows h_rows: brackets of unit vectors, so the
     figure does not depend on the scale of the input basis."""
-    perp = _complement_rows(h_rows, rd.dim)
+    perp = complement_rows(h_rows, rd.dim)
     return _pair_residual(rd.from_coords_many(h_rows), rd.dual_rows(perp))
 
 
 def _verify_closed(rd, h, tol=1e-9):
     if not h:
         return
-    resid = _closure_residual(rd, _coord_rows(rd, h))
+    resid = _closure_residual(rd, orthonormal_rows(unit_rows(_coord_rows(rd, h))))
     if resid > tol:
         raise ConsistencyError(
             f"assembled h is not closed under the bracket (residual {resid:.3g} > {tol:g})"
@@ -400,68 +376,56 @@ def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, samples=24, tol_rank=T
        dim[h_o, xi]) the span sigma + [h_o, xi] fills nu.
 
     The verdict is the conjunction.  A transitive action (empty normal
-    space) is reported as vacuously polar with cohomogeneity 0.
+    space) is reported as vacuously polar with cohomogeneity 0.  The
+    cohomogeneity of a polar action is dim sigma; otherwise it is
+    dim nu minus the largest dim[h_o, xi] over xi sampled in nu.
     """
     rd = rd_or_n if hasattr(rd_or_n, "onb") else build_root_decomposition(rd_or_n)
     N = rd.dim
     rng = np.random.default_rng(seed)
 
-    h_rows = _coord_rows(rd, h_basis)
-    sig_rows = _coord_rows(rd, sigma_basis)
+    h_rows = orthonormal_rows(unit_rows(_coord_rows(rd, h_basis)))  # h at any scale
+    sig_rows = orthonormal_rows(_coord_rows(rd, sigma_basis))  # built at unit scale
 
     # 1. subalgebra
     sub_resid = _closure_residual(rd, h_rows)
     is_subalgebra = sub_resid <= 1e-8
 
     # 2. orbit tangent, normal space, section containment
-    theta_mat = rd.theta_matrix
-    P_p = 0.5 * (np.eye(N) - theta_mat)
-    orbit_rows = _orthonormal_rows(h_rows @ P_p.T, 1e-10) \
-        if h_rows.size else np.zeros((0, N))
-    p_rows = _orthonormal_rows(P_p, 1e-10)
-    nu_rows = _orthonormal_rows(
-        p_rows - (p_rows @ orbit_rows.T) @ orbit_rows, 1e-10
-    ) if p_rows.size else np.zeros((0, N))
+    P_p = 0.5 * (np.eye(N) - rd.theta_matrix)
+    orbit_rows = orthonormal_rows(h_rows @ P_p.T)
+    p_rows = orthonormal_rows(P_p)
+    nu_rows = orthonormal_rows(p_rows - (p_rows @ orbit_rows.T) @ orbit_rows)
     dim_nu = nu_rows.shape[0]
 
-    sec_resid = 0.0
-    if sig_rows.size:
-        outside = sig_rows - (sig_rows @ nu_rows.T) @ nu_rows
-        sec_resid = float(np.linalg.norm(outside, axis=1).max())
+    outside = sig_rows - (sig_rows @ nu_rows.T) @ nu_rows
+    sec_resid = float(np.linalg.norm(outside, axis=1).max(initial=0.0))
     section_in_normal = sec_resid <= 1e-8
 
     # 3. <h, sigma + [sigma, sigma]> = 0, scale-normalized via unit bases
-    br_resid = 0.0
     sig_mats = rd.from_coords_many(sig_rows)
-    if h_rows.size and sig_rows.size:
-        br_resid = float(np.abs(sig_rows @ h_rows.T).max())
-        for vals in _bracket_values(_upper_pairs(sig_mats), rd.dual_rows(h_rows)):
-            br_resid = max(br_resid, float(np.abs(vals).max()))
+    br_resid = float(np.abs(sig_rows @ h_rows.T).max(initial=0.0))
+    for vals in _bracket_values(_upper_pairs(sig_mats), rd.dual_rows(h_rows)):
+        br_resid = max(br_resid, float(np.abs(vals).max()))
     bracket_condition = br_resid <= 1e-9
 
     # 4. slice condition at a sampled regular section vector
-    ho_rows = _intersect_with_k(rd, h_rows, theta_mat)
-    ho_mats = rd.from_coords_many(ho_rows)
+    # h_o = h cap k: the combinations of the rows of h with no p-part
+    ho_mats = rd.from_coords_many(left_nullspace(h_rows @ P_p) @ h_rows)
     ortho_resid = 0.0
     cross = ((T, sig_mats) for T in ho_mats)
     for vals in _bracket_values(cross, rd.dual_rows(sig_rows)):
         ortho_resid = max(ortho_resid, float(np.abs(vals).max()))
 
-    dim_orbit_xi = 0
-    best_stack = None
+    def act(xi):  # coordinate rows [T, xi] over T in h_o
+        return rd.coords_many(-bracket_stack(rd.from_coords_many(xi)[0], ho_mats))
+
     k_sec = sig_rows.shape[0]
-    if k_sec and len(ho_mats):
-        for _ in range(samples):
-            coeff = rng.standard_normal(k_sec)
-            coeff /= np.linalg.norm(coeff)
-            xi = rd.from_coords_many(coeff @ sig_rows)[0]
-            moved = rd.coords_many(-bracket_stack(xi, ho_mats))  # rows [T, xi]
-            d = _rank(moved, tol_rank)
-            if d >= dim_orbit_xi:
-                dim_orbit_xi = d
-                best_stack = moved
-    joint = sig_rows if best_stack is None else np.vstack([sig_rows, best_stack])
-    dim_joint = _rank(joint, tol_rank) if joint.size else 0
+    dim_orbit_xi, best_stack = 0, np.zeros((0, N))
+    for _, d, moved in sample_ranks(rng, sig_rows, act, samples if k_sec else 0, tol_rank):
+        if d >= dim_orbit_xi:  # the last sample of largest rank
+            dim_orbit_xi, best_stack = d, moved
+    dim_joint = rank(np.vstack([sig_rows, best_stack]), tol_rank)
     slice_condition = (ortho_resid <= 1e-8) and (dim_joint == dim_nu)
 
     transitive = dim_nu == 0
@@ -472,6 +436,12 @@ def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, samples=24, tol_rank=T
     verdict = bool(
         is_subalgebra and section_in_normal and bracket_condition and slice_condition
     )
+    cohomogeneity = k_sec
+    if not verdict:
+        # sigma is not certified, so count on all of nu: dim nu minus the
+        # principal orbit dimension of the slice representation of h_o
+        ranks = [d for _, d, _ in sample_ranks(rng, nu_rows, act, samples, tol_rank)]
+        cohomogeneity = dim_nu - max(ranks, default=0)
     return PolarityReport(
         is_subalgebra=is_subalgebra,
         subalgebra_residual=sub_resid,
@@ -483,27 +453,10 @@ def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, samples=24, tol_rank=T
         dim_normal=dim_nu,
         dim_section=int(k_sec),
         dim_isotropy_orbit=dim_orbit_xi,
-        cohomogeneity=int(k_sec),
+        cohomogeneity=int(cohomogeneity),
         transitive=transitive,
         verdict=verdict,
     )
-
-
-def _intersect_with_k(rd, h_rows, theta_mat):
-    """Rows spanning h cap k: combinations of h with vanishing p-part."""
-    if not h_rows.size:
-        return np.zeros((0, rd.dim))
-    P_p = 0.5 * (np.eye(rd.dim) - theta_mat)
-    A = h_rows @ P_p  # rows: p-components of the h basis
-    u, s, vh = np.linalg.svd(A.T, full_matrices=True)
-    # nullspace of A^T . c = 0 over coefficient vectors c
-    s_full = np.zeros(h_rows.shape[0])
-    s_full[: s.shape[0]] = s
-    cutoff = 1e-9 * max(1.0, s[0] if s.size else 0.0)
-    combos = vh[np.sum(s_full > cutoff):]
-    if combos.size == 0:
-        return np.zeros((0, rd.dim))
-    return _orthonormal_rows(combos @ h_rows, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +464,7 @@ def _intersect_with_k(rd, h_rows, theta_mat):
 # ---------------------------------------------------------------------------
 
 
-def regular_vectors(q_basis, w, s, samples=100, seed=0, tol_rank=TOL_RANK):
+def regular_vectors(q_basis, w, s, samples=100, seed=0):
     """Sample unit vectors xi in s and flag whether [q, xi] fills
     g_a minus (w + s), i.e. the rank of {N xi} equals
     dim g_a - dim w - dim s.
@@ -526,57 +479,39 @@ def regular_vectors(q_basis, w, s, samples=100, seed=0, tol_rank=TOL_RANK):
         for b in w.basis:
             if abs(float(np.real(np.vdot(b, a)))) > 1e-8:
                 raise ValueError("s must be orthogonal to w")
-    target = 2 * m - w.dim - s.dim
-    rng = np.random.default_rng(seed)
-    q_basis = [np.asarray(N, dtype=complex) for N in q_basis]
-    out = []
     if s.dim == 0:
-        return out
-    for _ in range(samples):
-        coeff = rng.standard_normal(s.dim)
-        coeff /= np.linalg.norm(coeff)
-        xi = coeff @ s.basis
-        moved = [np.concatenate([(N @ xi).real, (N @ xi).imag]) for N in q_basis]
-        d = _rank(moved, tol_rank) if moved else 0
-        out.append((xi, d == target))
-    return out
+        return []
+    target = 2 * m - w.dim - s.dim
+    q = _q_rows(q_basis, m)
+    ranks = sample_ranks(np.random.default_rng(seed), s.basis,
+                         lambda xi: real_rows(q @ xi), samples, TOL_RANK)
+    return [(xi, d == target) for xi, d, _ in ranks]
 
 
-def _principal_orbit_dim(q_basis, sub, samples, rng, tol_rank=TOL_RANK):
+def _principal_orbit_dim(q_basis, sub, samples, rng):
     """Largest sampled orbit dimension of the q-action restricted to sub."""
     if sub.dim == 0 or not q_basis:
         return 0
-    best = 0
-    for _ in range(samples):
-        coeff = rng.standard_normal(sub.dim)
-        coeff /= np.linalg.norm(coeff)
-        v = coeff @ sub.basis
-        moved = []
-        for N in q_basis:
-            img = sub.project(N @ v)  # orbit stays in sub when q normalizes it
-            moved.append(np.concatenate([img.real, img.imag]))
-        best = max(best, _rank(moved, tol_rank))
-    return best
-
-
-def _span_rows_complex(mats):
-    return _orthonormal_rows(
-        [np.concatenate([M.real.reshape(-1), M.imag.reshape(-1)]) for M in mats]
-    )
+    q = _q_rows(q_basis, sub.ambient_complex_dim)
+    # coordinates of N v along the orthonormal basis of sub: the orbit stays
+    # in sub when q normalizes it, and this is its projection otherwise
+    ranks = sample_ranks(rng, sub.basis,
+                         lambda v: (q @ v @ sub.basis.conj().T).real, samples, TOL_RANK)
+    return max((d for _, d, _ in ranks), default=0)
 
 
 def _same_matrix_span(mats1, mats2, tol=1e-7):
-    if len(mats1) == 0 and len(mats2) == 0:
-        return True
-    if (len(mats1) == 0) != (len(mats2) == 0):
-        return False
-    r1 = _span_rows_complex(mats1)
-    r2 = _span_rows_complex(mats2)
+    if not len(mats1) or not len(mats2):
+        return len(mats1) == len(mats2)
+    m = len(mats1[0])
+    r1, r2 = real_rows(_q_rows(mats1, m)), real_rows(_q_rows(mats2, m))
     if r1.shape[0] != r2.shape[0]:
         return False
-    ok12 = all(_span_contains(r2, v, tol) for v in r1)
-    ok21 = all(_span_contains(r1, v, tol) for v in r2)
-    return ok12 and ok21
+    # each orthonormal row lies in the other span
+    return all(
+        np.linalg.norm(a - (a @ b.T) @ b, axis=1).max(initial=0.0) <= tol
+        for a, b in ((r1, r2), (r2, r1))
+    )
 
 
 def orbit_equivalence_invariants(spec1, spec2, samples=40, seed=0):
@@ -735,11 +670,7 @@ def _admissible_moduli(m, angle_grid):
             pairs += 1
 
     rec(0, 0, [])
-    uniq = []
-    for mod in results:
-        if mod not in uniq:
-            uniq.append(mod)
-    return uniq
+    return results
 
 
 def normalizer_section(w):

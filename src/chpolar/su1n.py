@@ -27,6 +27,7 @@ takes coordinates of a whole stack in one matmul.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -115,7 +116,7 @@ def real_rows(stack):
     """A stack of complex matrices as real rows, (re, im) interleaved, so
     that Re tr(A* B) is the dot product of two rows."""
     stack = np.ascontiguousarray(stack, dtype=complex)
-    return stack.reshape(len(stack), -1).view(float)
+    return stack.reshape(len(stack), math.prod(stack.shape[1:])).view(float)
 
 
 def theta(X):

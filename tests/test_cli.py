@@ -249,7 +249,20 @@ def test_text_format(capsys):
 
 def test_bad_config_exit_2(capsys):
     assert main(["selfcheck", "--n", "1"]) == 2
-    assert main(["enumerate", "--n", "2", "--tol-rank", "-1"]) == 2
+    assert main(["verify", "--tol-rank", "-1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "7"],
+    ["verify", "--tol-angle", "5"],
+    ["decompose", "--seed", "3"],
+    ["compare", "a.json", "b.json", "--tol-rank", "1e-3"],
+])
+def test_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_import_cli_leaves_scipy_unloaded():

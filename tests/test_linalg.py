@@ -1,0 +1,139 @@
+import pathlib
+
+import numpy as np
+import pytest
+
+import chpolar
+from chpolar import kahler
+from chpolar._linalg import (
+    complement_rows,
+    left_nullspace,
+    orthonormal_rows,
+    rank,
+    sample_ranks,
+    unit_rows,
+)
+from chpolar.angeom import isotropy_at
+from chpolar.kahler import RealSubspace
+from chpolar.polar import (
+    PolarActionSpec,
+    build_action,
+    check_polarity,
+    orbit_equivalence_invariants,
+    regular_vectors,
+)
+
+SCALES = (1e-11, 1e-6, 1.0, 1e6)
+
+
+# --- the kernel on hand cases -------------------------------------------------------
+
+
+def test_unit_rows_drops_zero_rows_and_keeps_the_span():
+    A = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1e-12]])
+    U = unit_rows(A)
+    assert np.allclose(U, [[0.6, 0.8, 0.0], [0.0, 0.0, -1.0]])
+    assert unit_rows(np.zeros((2, 3))).shape == (0, 3)
+
+
+def test_rank_rule_is_relative_above_scale_one_and_absolute_below():
+    A = np.diag([1e6, 1.0, 1e-3])
+    assert rank(A, 1e-10) == 3
+    assert rank(A, 1e-8) == 2  # 1e-3 < 1e-8 * 1e6
+    assert rank(1e-11 * np.eye(3), 1e-8) == 0  # absolute below scale 1
+    assert rank(unit_rows(1e-11 * np.eye(3)), 1e-8) == 3
+    assert rank(np.zeros((0, 4)), 1e-8) == 0
+
+
+def test_orthonormal_rows_spans_the_rows():
+    A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+    Q = orthonormal_rows(A)
+    assert Q.shape == (2, 3)
+    assert np.allclose(Q @ Q.T, np.eye(2))
+    assert np.allclose(A - (A @ Q.T) @ Q, 0.0)
+    assert orthonormal_rows(np.zeros((0, 3))).shape == (0, 3)
+
+
+def test_left_nullspace():
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    C = left_nullspace(A)
+    assert C.shape == (1, 3)
+    assert np.allclose(C @ A, 0.0)
+    assert np.allclose(C @ C.T, np.eye(1))
+    assert np.allclose(left_nullspace(np.zeros((2, 0))), np.eye(2))
+    assert left_nullspace(np.eye(3)).shape == (0, 3)
+
+
+def test_complement_rows():
+    rows = orthonormal_rows(np.array([[1.0, 1.0, 0.0]]))
+    perp = complement_rows(rows, 3)
+    assert perp.shape == (2, 3)
+    full = np.vstack([rows, perp])
+    assert np.allclose(full @ full.T, np.eye(3))
+    assert np.allclose(complement_rows(np.zeros((0, 3)), 3), np.eye(3))
+
+
+def test_sample_ranks_draws_unit_combinations_in_stream_order():
+    basis = np.eye(4)[:2]
+    out = list(sample_ranks(np.random.default_rng(5), basis, lambda xi: xi[None], 3, 1e-8))
+    rng = np.random.default_rng(5)
+    for xi, d, moved in out:
+        coeff = rng.standard_normal(2)
+        assert np.allclose(xi, (coeff / np.linalg.norm(coeff)) @ basis)
+        assert d == 1 and np.array_equal(moved, xi[None])
+
+
+# --- rank decisions do not depend on the scale of the input -------------------------
+
+
+def _u2(scale):
+    return [scale * N for N in kahler.skew_hermitian_basis(2)]
+
+
+def _line(m):
+    return RealSubspace(m, [np.eye(m, dtype=complex)[0]])
+
+
+def _family_II(scale):
+    return PolarActionSpec(n=3, family="II", b_flag="zero", q_basis=_u2(scale),
+                           q_section=_line(2))
+
+
+def _family_I(scale):
+    return PolarActionSpec(n=3, family="I", k=1, q_basis=_u2(scale), q_section=_line(2))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_polar_family_II_verdict_at_every_scale(scale):
+    report = check_polarity(*build_action(_family_II(scale)))
+    assert report.verdict and report.slice_condition
+    assert (report.dim_normal, report.cohomogeneity, report.dim_isotropy_orbit) == (5, 2, 3)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("make", [_family_I, _family_II])
+def test_compare_a_spec_with_its_rescaled_copy_says_yes(make, scale):
+    answer, report = orbit_equivalence_invariants(make(1.0), make(scale))
+    assert answer == "yes", report
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_regular_vectors_at_every_scale(scale):
+    out = regular_vectors(_u2(scale), RealSubspace.zero(2), _line(2), samples=10, seed=1)
+    assert [flag for _, flag in out] == [True] * 10
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("xi_scale", SCALES)
+def test_isotropy_dimension_at_every_scale(scale, xi_scale):
+    xi = xi_scale * np.array([1.0, 0.0], dtype=complex)
+    assert len(isotropy_at(3, _u2(scale), xi)) == 1
+
+
+# --- one home for SVD rank and null-space decisions ---------------------------------
+
+
+def test_svd_appears_only_in_the_kernel():
+    src = pathlib.Path(chpolar.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if "linalg.svd" in p.read_text())
+    assert users == ["_linalg.py"]

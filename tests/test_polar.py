@@ -195,6 +195,23 @@ def test_cohomogeneities_in_catalog():
     assert check_polarity(rd, h, sigma).cohomogeneity == 3  # iB line + R^2
 
 
+def test_cohomogeneity_of_a_false_verdict_is_measured_on_the_normal_space():
+    # q = 0: h = g_2a has trivial isotropy, so every orbit has codimension 2n - 1
+    n = 4
+    spec = PolarActionSpec(n=n, family="II", b_flag="zero",
+                           q_section=RealSubspace(n - 1, list(np.eye(n - 1, dtype=complex))))
+    report = check_polarity(*build_action(spec))
+    assert not report.verdict
+    assert (report.dim_normal, report.cohomogeneity) == (2 * n - 1, 2 * n - 1)
+    # q = u(2) claiming R^2: U(2) has 3-dimensional principal orbits on C^2
+    spec = PolarActionSpec(n=3, family="II", b_flag="zero",
+                           q_basis=kahler.skew_hermitian_basis(2),
+                           q_section=RealSubspace(2, list(np.eye(2, dtype=complex))))
+    report = check_polarity(*build_action(spec))
+    assert not report.verdict
+    assert (report.dim_normal, report.dim_section, report.cohomogeneity) == (5, 3, 5 - 3)
+
+
 # --- regular vectors ------------------------------------------------------------------
 
 
@@ -336,6 +353,13 @@ def test_enumerate_count_strictly_increases_with_grid():
     grids = [[], [math.pi / 4], [math.pi / 6, math.pi / 4], [math.pi / 6, math.pi / 4, math.pi / 3]]
     counts = [len(enumerate_moduli(3, g)) for g in grids]
     assert all(c2 > c1 for c1, c2 in zip(counts, counts[1:]))
+
+
+@pytest.mark.parametrize("grid", [(), (0.5,), (0.5, 0.9), (0.3, 0.6, 1.2), (0.2, 0.4, 0.8, 1.0)])
+def test_admissible_moduli_has_no_duplicates(grid):
+    for m in range(9):
+        moduli = [tuple(mod) for mod in polar._admissible_moduli(m, grid)]
+        assert len(set(moduli)) == len(moduli)
 
 
 def test_enumerate_rejects_bad_grid():
