@@ -414,14 +414,16 @@ def _adapted_frame(sub, phi):
         basis pair_j = cos(phi/2) e_j + i sin(phi/2) f_j,
                        i cos(phi/2) e_j + sin(phi/2) f_j.
 
-    The frame choice is deterministic: we peel pairs off the stored basis in
-    order.
+    The frame choice is deterministic: we peel dim/2 pairs off the stored
+    basis in order.  phi must be the factor's own angle: with another one the
+    pairs do not exhaust the factor, and a ValueError names what is left.
     """
     c2, s2 = math.cos(phi / 2), math.sin(phi / 2)
     cos_phi = math.cos(phi)
     remaining = [b.copy() for b in sub.basis]
+    keep = remaining
     es, fs = [], []
-    while remaining:
+    while remaining and len(es) < sub.dim // 2:
         v = remaining[0]
         v = v / np.linalg.norm(v)
         # J_phi v = (1/cos phi) pi_V (i v), the partner of v inside the factor
@@ -437,8 +439,13 @@ def _adapted_frame(sub, phi):
             w2 = w - np.vdot(e, w) * e - np.vdot(f, w) * f
             if np.linalg.norm(w2) > 1e-9:
                 keep.append(w2)
-        keep = _mgs(keep)
-        remaining = keep
+        remaining = _mgs(keep)
+    if remaining or 2 * len(es) != sub.dim:
+        leftover = max((float(np.linalg.norm(w)) for w in keep), default=0.0)
+        raise ValueError(
+            f"adapted frame at angle {phi!r} peeled {len(es)} of {sub.dim // 2} pairs; "
+            f"leftover norm {leftover:.3e}"
+        )
     return es, fs
 
 
@@ -460,6 +467,16 @@ def _complete_to_unitary(cols, m):
     return out
 
 
+def same_moduli(m1, m2, tol_angle=TOL_ANGLE):
+    """The congruence rule on Kahler moduli (KahlerDecomposition.moduli()):
+    the same number of factors, equal dimensions and angles within
+    tol_angle, factor by factor."""
+    return len(m1) == len(m2) and all(
+        d1 == d2 and abs(phi1 - phi2) <= tol_angle
+        for (phi1, d1), (phi2, d2) in zip(m1, m2)
+    )
+
+
 def congruent(V, W, tol_angle=TOL_ANGLE):
     """Decide U(m)-congruence of two real subspaces; build a witness if so.
 
@@ -468,17 +485,25 @@ def congruent(V, W, tol_angle=TOL_ANGLE):
     """
     if V.ambient_complex_dim != W.ambient_complex_dim:
         raise ValueError("ambient dimensions differ")
-    m = V.ambient_complex_dim
     dv, dw = decompose(V), decompose(W)
-    if len(dv.factors) != len(dw.factors):
+    if not same_moduli(dv.moduli(), dw.moduli(), tol_angle):
         return False, None
-    for (phi1, s1), (phi2, s2) in zip(dv.factors, dw.factors):
-        if abs(phi1 - phi2) > tol_angle or s1.dim != s2.dim:
-            return False, None
+    return True, congruence_witness(dv, dw, V.ambient_complex_dim)
 
+
+def congruence_witness(dv, dw, m):
+    """Unitary A of C^m carrying the factors of dv onto those of dw.
+
+    dv and dw are the decompositions of two subspaces of C^m whose moduli
+    agree under same_moduli; then A.V = W.
+    """
+    if dv.dimensions() != dw.dimensions():
+        raise ValueError(
+            f"factor dimensions differ: {dv.dimensions()} vs {dw.dimensions()}"
+        )
     # build C-orthonormal frames factor by factor, then complete
     src_cols, dst_cols = [], []
-    for (phi, s1), (_, s2) in zip(dv.factors, dw.factors):
+    for (phi, s1), (phi2, s2) in zip(dv.factors, dw.factors):
         if phi <= TOL_ANGLE:
             src_cols += _complex_onb_of_complex_subspace(s1)
             dst_cols += _complex_onb_of_complex_subspace(s2)
@@ -488,15 +513,14 @@ def congruent(V, W, tol_angle=TOL_ANGLE):
             dst_cols += list(s2.basis)
         else:
             es1, fs1 = _adapted_frame(s1, phi)
-            es2, fs2 = _adapted_frame(s2, phi)
+            es2, fs2 = _adapted_frame(s2, phi2)
             src_cols += es1 + fs1
             dst_cols += es2 + fs2
     src = _complete_to_unitary(src_cols, m)
     dst = _complete_to_unitary(dst_cols, m)
     S = np.array(src).T  # columns are the source frame
     D = np.array(dst).T
-    A = D @ S.conj().T
-    return True, A
+    return D @ S.conj().T
 
 
 # -- normalizers ----------------------------------------------------------

@@ -559,14 +559,12 @@ def orbit_equivalence_invariants(spec1, spec2, samples=40, seed=0):
     if spec1.b_flag != spec2.b_flag:
         report["reason"] = "b-flags differ (mean curvature of the core orbits)"
         return "no", report
-    ok, witness = kahler.congruent(spec1.w, spec2.w)
-    report["w_moduli"] = (
-        kahler.decompose(spec1.w).moduli(),
-        kahler.decompose(spec2.w).moduli(),
-    )
-    if not ok:
+    dec1, dec2 = kahler.decompose(spec1.w), kahler.decompose(spec2.w)
+    report["w_moduli"] = (dec1.moduli(), dec2.moduli())
+    if not kahler.same_moduli(*report["w_moduli"]):
         report["reason"] = "Kahler moduli of w differ"
         return "no", report
+    witness = kahler.congruence_witness(dec1, dec2, spec1.w.ambient_complex_dim)
     wperp1 = spec1.w.perp()
     wperp2 = spec2.w.perp()
     d1 = _principal_orbit_dim(spec1.q_basis, wperp1, samples, rng)
@@ -581,7 +579,7 @@ def orbit_equivalence_invariants(spec1, spec2, samples=40, seed=0):
     conj_match = conj_match and _same_matrix_span(back, spec1.q_basis)
     report["witness_unitarity"] = float(
         np.abs(witness @ witness.conj().T - np.eye(spec1.w.ambient_complex_dim)).max()
-    ) if witness is not None else None
+    )
     if conj_match:
         report["reason"] = "w congruent and q-data conjugate by the witness"
         return "yes", report
@@ -705,26 +703,42 @@ def _family_II_entries(n, angle_grid):
     return entries
 
 
+def _congruence_invariants(spec):
+    """The invariants on which orbit_equivalence_invariants answers 'no'
+    before any sampling: (family, k, []) for family I and
+    (family, b-flag, Kahler moduli of w) for family II."""
+    if spec.family == "I":
+        return spec.family, spec.k, []
+    return spec.family, spec.b_flag, kahler.decompose(spec.w).moduli()
+
+
 def enumerate_moduli(n, angle_grid=(), seed=0):
     """One representative per structural moduli class.
 
     Family I runs over k with q drawn from the small fixed table (trivial,
     full unitary, maximal torus); family II runs over the b-flag and the
     admissible Kahler moduli of w built from {0, pi/2} plus the angle grid,
-    always with the full normalizer as q.  Entries are deduplicated with
-    orbit_equivalence_invariants.
+    always with the full normalizer as q.
+
+    Entries are deduplicated with orbit_equivalence_invariants, which is
+    called only on pairs whose congruence invariants match: same family,
+    same k or b-flag, and Kahler moduli of w equal under kahler.same_moduli.
+    Every other pair gets 'no' from one of its early exits, which come
+    before its (per-call) random draws, so skipping them keeps the catalog,
+    its order and its labels exactly as an all-pairs dedupe gives them.
+    Each w is decomposed once, not once per pair.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     raw = _family_I_entries(n) + _family_II_entries(n, angle_grid)
-    kept = []
+    kept = []  # (entry, its congruence invariants)
     for entry in raw:
-        dup = False
-        for prev in kept:
-            ans, _ = orbit_equivalence_invariants(prev.spec, entry.spec, seed=seed)
-            if ans == "yes":
-                dup = True
-                break
-        if not dup:
-            kept.append(entry)
-    return kept
+        key = _congruence_invariants(entry.spec)
+        if not any(
+            key[:2] == prev_key[:2]
+            and kahler.same_moduli(key[2], prev_key[2])
+            and orbit_equivalence_invariants(prev.spec, entry.spec, seed=seed)[0] == "yes"
+            for prev, prev_key in kept
+        ):
+            kept.append((entry, key))
+    return [entry for entry, _ in kept]

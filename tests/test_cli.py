@@ -195,6 +195,39 @@ def test_cmd_enumerate_rejects_bad_angles(capsys):
     assert main(["enumerate", "--n", "3", "--angles", "abc"]) == 2
 
 
+def subprocess_env():
+    """The environment of a child interpreter that imports this chpolar."""
+    src = os.path.dirname(os.path.dirname(chpolar.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def run_cli(args, cwd):
+    """The CLI in its own process, cut after 60 s so that a hang fails."""
+    return subprocess.run([sys.executable, "-m", "chpolar.cli", *args], cwd=cwd,
+                          env=subprocess_env(), capture_output=True, text=True, timeout=60)
+
+
+def test_cmd_enumerate_merges_angles_within_tolerance(tmp_path):
+    proc = run_cli(["enumerate", "--n", "4", "--angles", "0.5,0.50000001"], tmp_path)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["count"] == 33  # 39 raw entries
+
+
+def test_cmd_compare_angles_within_tolerance(tmp_path):
+    def spec(angle):
+        w = kahler.canonical_subspace(2, [(angle, 2)])
+        return PolarActionSpec(
+            n=3, family="II", b_flag="full", w=w,
+            q_basis=kahler.normalizer_algebra(w), q_section=normalizer_section(w),
+        ).to_json()
+
+    a = write_json(tmp_path, "a.json", spec(0.5))
+    b = write_json(tmp_path, "b.json", spec(0.5 + 1e-8))
+    proc = run_cli(["compare", a, b], tmp_path)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["equivalent"] == "yes"
+
+
 # --- curvature --------------------------------------------------------------------
 
 
@@ -270,8 +303,6 @@ def test_import_cli_leaves_scipy_unloaded():
         "import sys, chpolar.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = os.path.dirname(os.path.dirname(chpolar.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

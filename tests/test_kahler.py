@@ -251,6 +251,34 @@ def test_congruent_random_pi_5_subspaces():
         assert np.linalg.norm(img - W.project(img)) < 1e-9
 
 
+def test_congruent_angles_within_tolerance():
+    # angles 1e-8 apart are congruent under TOL_ANGLE; each factor is framed
+    # with its own angle (framing W with V's angle never exhausted W)
+    V = kahler.canonical_subspace(3, [(0.5, 2)])
+    W = kahler.canonical_subspace(3, [(0.5 + 1e-8, 2)])
+    ok, A = kahler.congruent(V, W)
+    assert ok
+    assert np.abs(A @ A.conj().T - np.eye(3)).max() < 1e-12
+    for b in V.basis:
+        img = A @ b
+        assert np.linalg.norm(img - W.project(img)) < 1e-7
+
+
+def test_adapted_frame_with_a_wrong_angle_raises():
+    W = kahler.canonical_subspace(3, [(0.5 + 1e-8, 2)])
+    with pytest.raises(ValueError, match="leftover norm"):
+        kahler._adapted_frame(W, 0.5)
+
+
+def test_same_moduli():
+    m = [(0.5, 2), (math.pi / 2, 1)]
+    assert kahler.same_moduli(m, [(0.5 + 1e-8, 2), (math.pi / 2, 1)])
+    assert not kahler.same_moduli(m, [(0.5 + 1e-5, 2), (math.pi / 2, 1)])
+    assert not kahler.same_moduli(m, [(0.5, 2), (math.pi / 2, 2)])
+    assert not kahler.same_moduli(m, m[:1])
+    assert kahler.same_moduli([], [])
+
+
 def test_congruent_rejects_ambient_mismatch():
     with pytest.raises(ValueError):
         kahler.congruent(RealSubspace.zero(2), RealSubspace.zero(3))

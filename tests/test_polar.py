@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chpolar import kahler, polar
+from chpolar.cli import render_json
 from chpolar.kahler import RealSubspace
 from chpolar.polar import (
     PolarActionSpec,
@@ -353,6 +354,52 @@ def test_enumerate_count_strictly_increases_with_grid():
     grids = [[], [math.pi / 4], [math.pi / 6, math.pi / 4], [math.pi / 6, math.pi / 4, math.pi / 3]]
     counts = [len(enumerate_moduli(3, g)) for g in grids]
     assert all(c2 > c1 for c1, c2 in zip(counts, counts[1:]))
+
+
+def all_pairs_catalog(n, angle_grid=(), seed=0):
+    """The reference dedupe: each raw entry against every kept entry with
+    the full orbit_equivalence_invariants."""
+    kept = []
+    for entry in polar._family_I_entries(n) + polar._family_II_entries(n, angle_grid):
+        if all(orbit_equivalence_invariants(prev.spec, entry.spec, seed=seed)[0] != "yes"
+               for prev in kept):
+            kept.append(entry)
+    return kept
+
+
+def catalog_json(catalog):
+    return render_json([[entry.label, entry.spec.to_json()] for entry in catalog])
+
+
+@pytest.mark.parametrize("n,grid", [
+    *((n, grid) for n in (2, 3, 4, 5)
+      for grid in ((), (math.pi / 6, math.pi / 4), (0.3, 0.7, 1.2), (0.4, 1.0))),
+    # near-duplicate angles: the only grids on which the dedupe merges entries
+    (4, (0.5, 0.5 + 1e-8)),
+    (3, (0.5, 0.5 + 1e-7, 0.9)),
+])
+def test_enumerate_matches_all_pairs_dedupe(n, grid):
+    assert catalog_json(enumerate_moduli(n, grid)) == catalog_json(all_pairs_catalog(n, grid))
+
+
+def test_enumerate_decomposes_each_w_once(monkeypatch):
+    n, grid = 6, (0.4, 1.0)
+    raw = len(polar._family_I_entries(n) + polar._family_II_entries(n, grid))
+    calls = {"oei": 0, "decompose": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(polar, "orbit_equivalence_invariants",
+                        counted("oei", polar.orbit_equivalence_invariants))
+    monkeypatch.setattr(kahler, "decompose", counted("decompose", kahler.decompose))
+    enumerate_moduli(n, grid)
+    # only the family I pairs u(m), t(m) with the same k are compared in full
+    assert calls["oei"] <= n - 1, calls
+    assert calls["decompose"] <= 2 * raw, (calls, raw)
 
 
 @pytest.mark.parametrize("grid", [(), (0.5,), (0.5, 0.9), (0.3, 0.6, 1.2), (0.2, 0.4, 0.8, 1.0)])
