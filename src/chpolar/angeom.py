@@ -199,15 +199,16 @@ class OrbitModel:
         w_rows = [np.asarray(b, dtype=complex).reshape(-1) for b in w_basis]
         if any(r.shape != (self.n - 1,) for r in w_rows) or self.x_vec.shape != (self.n - 1,):
             raise ValueError("g_a data must live in C^{n-1}")
-        for r in w_rows:
-            if abs(np.real(np.vdot(r, self.x_vec))) > 1e-9:
+        x_norm = np.linalg.norm(self.x_vec)
+        for r in w_rows:  # relative, so that X and w may have any scale
+            if abs(np.real(np.vdot(r, self.x_vec))) > 1e-9 * np.linalg.norm(r) * x_norm:
                 raise ValueError("X must be orthogonal to w")
         self.w_basis = w_rows
 
         tangent = []
         if kind == "line":
             lead = ANVector(self.a, self.x_vec, 0.0)
-            if norm(lead) < 1e-12:
+            if norm(lead) == 0.0:
                 raise ValueError("line-type orbit needs aB + X nonzero")
             tangent.append((1.0 / norm(lead)) * lead)
         elif kind == "flag_full":

@@ -86,18 +86,19 @@ def _emit(payload, config):
 
 
 def _as_text(payload, prefix=""):
+    """Indented text; tuples print as lists, as in render_json."""
     lines = []
     if isinstance(payload, dict):
         for k, v in payload.items():
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 lines.append(f"{prefix}{k}:")
                 lines.append(_as_text(v, prefix + "  "))
             else:
                 vv = format(v, ".17g") if isinstance(v, float) else v
                 lines.append(f"{prefix}{k}: {vv}")
-    elif isinstance(payload, list):
+    elif isinstance(payload, (list, tuple)):
         for v in payload:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 lines.append(_as_text(v, prefix + "  "))
             else:
                 lines.append(f"{prefix}- {v}")
@@ -151,7 +152,7 @@ def cmd_compare(args, config):
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed PolarActionSpec JSON: {exc}") from exc
     answer, report = polar.orbit_equivalence_invariants(spec_a, spec_b, seed=config.seed)
-    payload = {"equivalent": answer, "report": _plainify(report)}
+    payload = {"equivalent": answer, "report": report}
     _emit(payload, config)
     return 0 if answer == "yes" else 1
 
@@ -267,18 +268,6 @@ def identity_suite(n, seed=0, trials=100):
         "ok": ok,
     }
     return payload, ok
-
-
-def _plainify(obj):
-    if isinstance(obj, dict):
-        return {k: _plainify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plainify(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def _parse_angles(text):

@@ -20,7 +20,6 @@ from ._linalg import left_nullspace
 # keeps all of these comfortable.
 TOL_EIG = 1e-8      # eigenvalue grouping on cos^2(phi)
 TOL_ANGLE = 1e-6    # angle comparisons, radians
-TOL_ORTHO = 1e-10   # orthonormality of stored bases
 TOL_MEMBER = 1e-8   # membership tests
 
 
@@ -95,10 +94,6 @@ class RealSubspace:
         eye = np.eye(m, dtype=complex)
         return cls(m, list(eye) + list(1j * eye))
 
-    @classmethod
-    def span(cls, vectors, ambient_complex_dim):
-        return cls(ambient_complex_dim, vectors)
-
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -133,12 +128,6 @@ class RealSubspace:
     def perp(self):
         """Orthogonal complement in the full realification of C^m."""
         return ominus(RealSubspace.full(self.ambient_complex_dim), self)
-
-    def check_invariants(self, tol=TOL_ORTHO):
-        g = np.array([[re_inner(a, b) for b in self.basis] for a in self.basis])
-        if g.size and np.max(np.abs(g - np.eye(self.dim))) > tol:
-            raise ValueError("stored basis is not orthonormal")
-        return True
 
     # -- serialization ---------------------------------------------------
 

@@ -24,7 +24,7 @@ of polar representations (a documented limitation for exotic inputs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,14 +40,16 @@ from ._linalg import (
 from .kahler import RealSubspace
 from .su1n import (
     AlgElement,
-    ConsistencyError,
     bracket_stack,
     build_root_decomposition,
     real_rows,
     theta,
+    traceless_block,
 )
 
 TOL_RANK = 1e-8
+SLICE_SAMPLES = 24  # draws of the regular-vector sampler in check_polarity
+ORBIT_SAMPLES = 40  # draws per principal orbit dimension in orbit_equivalence_invariants
 
 
 def _upper_pairs(mats):
@@ -62,14 +64,6 @@ def _bracket_values(rows, functionals):
     if functionals.shape[0]:
         for X, Ys in rows:
             yield real_rows(bracket_stack(X, Ys)) @ functionals.T
-
-
-def _pair_residual(mats, functionals):
-    """Largest norm of the functionals over brackets [M_i, M_j], i < j."""
-    worst = 0.0
-    for vals in _bracket_values(_upper_pairs(mats), functionals):
-        worst = max(worst, float(np.sqrt(np.einsum("ij,ij->i", vals, vals).max())))
-    return worst
 
 
 def _coord_rows(rd, elems):
@@ -185,21 +179,7 @@ class PolarityReport:
     verdict: bool
 
     def to_json(self):
-        return {
-            "is_subalgebra": self.is_subalgebra,
-            "subalgebra_residual": self.subalgebra_residual,
-            "section_in_normal": self.section_in_normal,
-            "section_residual": self.section_residual,
-            "bracket_condition": self.bracket_condition,
-            "bracket_residual": self.bracket_residual,
-            "slice_condition": self.slice_condition,
-            "dim_normal": self.dim_normal,
-            "dim_section": self.dim_section,
-            "dim_isotropy_orbit": self.dim_isotropy_orbit,
-            "cohomogeneity": self.cohomogeneity,
-            "transitive": self.transitive,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -207,26 +187,28 @@ class PolarityReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_q_subalgebra(q_basis, tol=1e-9):
-    """Raise ValueError unless q_basis spans a subalgebra of u(m).
+def _check_q_subalgebra(rd, q_basis, m, tol=1e-9):
+    """Raise ValueError unless q_basis spans a subalgebra of u(m); return
+    its image in su(1, n) under ``traceless_block``, the elements the
+    builders put in h.
 
-    Closure is measured on an orthonormal basis of the span (Frobenius
-    metric), so neither the rank nor the residual depends on the scale of
-    the input."""
-    if not q_basis:
-        return
-    m = q_basis[0].shape[0]
+    The embedding is an injective Lie homomorphism, so q is closed exactly
+    when its image is.  Closure is measured by ``_closure_residual`` on the
+    orthonormalized unit rows of the image, so neither the rank nor the
+    residual depends on the scale of the input."""
     for N in q_basis:
         if N.shape != (m, m):
-            raise ValueError("q_basis matrices must share one size")
+            raise ValueError(f"q_basis must act on C^{m}")
         if np.abs(N + N.conj().T).max() > tol * np.abs(N).max():
             raise ValueError("q_basis matrices must be skew-Hermitian")
-    unit = _q_rows(q_basis, m)
-    resid = _pair_residual(unit, complement_rows(real_rows(unit), 2 * m * m))
-    if resid > tol:
-        raise ValueError(
-            f"q_basis is not closed under the bracket (residual {resid:.3g} > {tol:g})"
-        )
+    q = [AlgElement(rd.n, traceless_block(rd.n, N)) for N in q_basis]
+    if q:
+        resid = _closure_residual(rd, orthonormal_rows(unit_rows(_coord_rows(rd, q))))
+        if resid > tol:
+            raise ValueError(
+                f"q_basis is not closed under the bracket (residual {resid:.3g} > {tol:g})"
+            )
+    return q
 
 
 def build_family_II(rd_or_n, b_flag, w, q_basis, q_section):
@@ -234,8 +216,8 @@ def build_family_II(rd_or_n, b_flag, w, q_basis, q_section):
 
     Returns (h_basis, sigma_basis) as lists of algebra elements.  Raises
     ValueError when the algebra preconditions fail ([q, w] not inside w or
-    q not a subalgebra) and ConsistencyError if the assembled h is not
-    closed under the bracket.  The claimed section is passed through
+    q not a subalgebra); once they hold, h is closed, and check_polarity
+    measures and reports that closure.  The claimed section is passed through
     untouched: a bad claim (not totally real, meeting w, ...) is the
     criterion's job to reject, so that deliberately wrong claims produce a
     false verdict with residuals instead of an input error.
@@ -249,7 +231,7 @@ def build_family_II(rd_or_n, b_flag, w, q_basis, q_section):
     if w.ambient_complex_dim != n - 1 or s.ambient_complex_dim != n - 1:
         raise ValueError("w and q_section must live in C^{n-1}")
     q_basis = [np.asarray(N, dtype=complex) for N in q_basis]
-    _check_q_subalgebra(q_basis)
+    h = _check_q_subalgebra(rd, q_basis, n - 1)
     for N in q_basis:
         scale = float(np.abs(N).max())  # relative: q at any scale
         for bvec in w.basis:
@@ -257,7 +239,6 @@ def build_family_II(rd_or_n, b_flag, w, q_basis, q_section):
             if np.linalg.norm(img - w.project(img)) > 1e-8 * scale:
                 raise ValueError("q does not normalize w")
 
-    h = [rd.k0_matrix(N) for N in q_basis]
     if b_flag == "full":
         h.append(rd.B)
     h += [rd.galpha_matrix(bvec) for bvec in w.basis]
@@ -269,8 +250,6 @@ def build_family_II(rd_or_n, b_flag, w, q_basis, q_section):
     for svec in s.basis:
         X = rd.galpha_matrix(svec)
         sigma.append(X - theta(X))
-
-    _verify_closed(rd, h)
     return h, sigma
 
 
@@ -282,18 +261,15 @@ def build_family_I(rd_or_n, k, q_basis, q_section):
     trace scalar (the scalar generates the trivial-acting center of u(1, n),
     so the action on the space is the standard q-action).  The section
     tangent is the line R(iB) for k >= 1 plus the claimed q-section inside
-    the totally geodesic complementary block.
+    the totally geodesic complementary block.  Raises ValueError when q is
+    not a subalgebra of u(n - k); check_polarity measures the closure of h.
     """
     rd = rd_or_n if hasattr(rd_or_n, "onb") else build_root_decomposition(rd_or_n)
     n = rd.n
     if not (0 <= k <= n):
         raise ValueError("k must be in {0..n}")
     m = n - k
-    q_basis = [np.asarray(N, dtype=complex) for N in q_basis]
-    for N in q_basis:
-        if N.shape != (m, m):
-            raise ValueError(f"q_basis must act on C^{m}")
-    _check_q_subalgebra(q_basis)
+    q = _check_q_subalgebra(rd, [np.asarray(N, dtype=complex) for N in q_basis], m)
     s = q_section if q_section is not None else RealSubspace.zero(m)
     if s.ambient_complex_dim != m:
         raise ValueError(f"q_section must live in C^{m}")
@@ -307,11 +283,7 @@ def build_family_I(rd_or_n, k, q_basis, q_section):
             E[i, j] = 1.0
             E[j, i] = -eps[i] * eps[j]
             h.append(AlgElement(n, E))
-    for N in q_basis:
-        E = np.zeros((N1, N1), dtype=complex)
-        E[k + 1 :, k + 1 :] = N
-        E -= (np.trace(N) / (n + 1)) * np.eye(N1)
-        h.append(AlgElement(n, E))
+    h += q
 
     sigma = []
     if k >= 1:
@@ -322,27 +294,18 @@ def build_family_I(rd_or_n, k, q_basis, q_section):
         z = np.zeros(n, dtype=complex)
         z[k:] = svec
         sigma.append(rd.p_matrix(z))
-
-    _verify_closed(rd, h)
     return h, sigma
 
 
 def _closure_residual(rd, h_rows):
-    """Largest norm of the part of [X_i, X_j] outside h, over pairs of the
-    orthonormal coordinate rows h_rows: brackets of unit vectors, so the
+    """Largest norm of the part of [X_i, X_j] outside h, over pairs i < j of
+    the orthonormal coordinate rows h_rows: brackets of unit vectors, so the
     figure does not depend on the scale of the input basis."""
-    perp = complement_rows(h_rows, rd.dim)
-    return _pair_residual(rd.from_coords_many(h_rows), rd.dual_rows(perp))
-
-
-def _verify_closed(rd, h, tol=1e-9):
-    if not h:
-        return
-    resid = _closure_residual(rd, orthonormal_rows(unit_rows(_coord_rows(rd, h))))
-    if resid > tol:
-        raise ConsistencyError(
-            f"assembled h is not closed under the bracket (residual {resid:.3g} > {tol:g})"
-        )
+    perp = rd.dual_rows(complement_rows(h_rows, rd.dim))
+    worst = 0.0
+    for vals in _bracket_values(_upper_pairs(rd.from_coords_many(h_rows)), perp):
+        worst = max(worst, float(np.sqrt(np.einsum("ij,ij->i", vals, vals).max())))
+    return worst
 
 
 def build_action(spec):
@@ -362,7 +325,7 @@ def build_action(spec):
 # ---------------------------------------------------------------------------
 
 
-def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, samples=24, tol_rank=TOL_RANK):
+def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, tol_rank=TOL_RANK):
     """Evaluate the polarity criterion for a subalgebra h and claimed
     section tangent sigma inside p.
 
@@ -422,7 +385,7 @@ def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, samples=24, tol_rank=T
 
     k_sec = sig_rows.shape[0]
     dim_orbit_xi, best_stack = 0, np.zeros((0, N))
-    for _, d, moved in sample_ranks(rng, sig_rows, act, samples if k_sec else 0, tol_rank):
+    for _, d, moved in sample_ranks(rng, sig_rows, act, SLICE_SAMPLES if k_sec else 0, tol_rank):
         if d >= dim_orbit_xi:  # the last sample of largest rank
             dim_orbit_xi, best_stack = d, moved
     dim_joint = rank(np.vstack([sig_rows, best_stack]), tol_rank)
@@ -440,7 +403,7 @@ def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, samples=24, tol_rank=T
     if not verdict:
         # sigma is not certified, so count on all of nu: dim nu minus the
         # principal orbit dimension of the slice representation of h_o
-        ranks = [d for _, d, _ in sample_ranks(rng, nu_rows, act, samples, tol_rank)]
+        ranks = [d for _, d, _ in sample_ranks(rng, nu_rows, act, SLICE_SAMPLES, tol_rank)]
         cohomogeneity = dim_nu - max(ranks, default=0)
     return PolarityReport(
         is_subalgebra=is_subalgebra,
@@ -488,7 +451,7 @@ def regular_vectors(q_basis, w, s, samples=100, seed=0):
     return [(xi, d == target) for xi, d, _ in ranks]
 
 
-def _principal_orbit_dim(q_basis, sub, samples, rng):
+def _principal_orbit_dim(q_basis, sub, rng):
     """Largest sampled orbit dimension of the q-action restricted to sub."""
     if sub.dim == 0 or not q_basis:
         return 0
@@ -496,7 +459,7 @@ def _principal_orbit_dim(q_basis, sub, samples, rng):
     # coordinates of N v along the orthonormal basis of sub: the orbit stays
     # in sub when q normalizes it, and this is its projection otherwise
     ranks = sample_ranks(rng, sub.basis,
-                         lambda v: (q @ v @ sub.basis.conj().T).real, samples, TOL_RANK)
+                         lambda v: (q @ v @ sub.basis.conj().T).real, ORBIT_SAMPLES, TOL_RANK)
     return max((d for _, d, _ in ranks), default=0)
 
 
@@ -514,7 +477,7 @@ def _same_matrix_span(mats1, mats2, tol=1e-7):
     )
 
 
-def orbit_equivalence_invariants(spec1, spec2, samples=40, seed=0):
+def orbit_equivalence_invariants(spec1, spec2, seed=0):
     """Decide orbit equivalence of two constructed actions where the
     congruence invariants allow it.
 
@@ -542,8 +505,8 @@ def orbit_equivalence_invariants(spec1, spec2, samples=40, seed=0):
             return "no", report
         m = spec1.n - spec1.k
         amb = RealSubspace.full(m)
-        d1 = _principal_orbit_dim(spec1.q_basis, amb, samples, rng)
-        d2 = _principal_orbit_dim(spec2.q_basis, amb, samples, rng)
+        d1 = _principal_orbit_dim(spec1.q_basis, amb, rng)
+        d2 = _principal_orbit_dim(spec2.q_basis, amb, rng)
         report["principal_orbit_dims"] = (d1, d2)
         if d1 != d2:
             report["reason"] = "q-actions have different principal orbit dimensions"
@@ -564,15 +527,13 @@ def orbit_equivalence_invariants(spec1, spec2, samples=40, seed=0):
     if not kahler.same_moduli(*report["w_moduli"]):
         report["reason"] = "Kahler moduli of w differ"
         return "no", report
-    witness = kahler.congruence_witness(dec1, dec2, spec1.w.ambient_complex_dim)
-    wperp1 = spec1.w.perp()
-    wperp2 = spec2.w.perp()
-    d1 = _principal_orbit_dim(spec1.q_basis, wperp1, samples, rng)
-    d2 = _principal_orbit_dim(spec2.q_basis, wperp2, samples, rng)
+    d1 = _principal_orbit_dim(spec1.q_basis, spec1.w.perp(), rng)
+    d2 = _principal_orbit_dim(spec2.q_basis, spec2.w.perp(), rng)
     report["principal_orbit_dims"] = (d1, d2)
     if d1 != d2:
         report["reason"] = "q-actions on w-perp have different principal orbit dimensions"
         return "no", report
+    witness = kahler.congruence_witness(dec1, dec2, spec1.w.ambient_complex_dim)
     moved = [witness @ N @ witness.conj().T for N in spec1.q_basis]
     conj_match = _same_matrix_span(moved, spec2.q_basis)
     back = [witness.conj().T @ N @ witness for N in spec2.q_basis]

@@ -315,7 +315,7 @@ class RootDecomposition:
             raise ValueError(f"expected matrix on C^{self.n - 1}")
         if np.abs(N + N.conj().T).max() > 1e-9 * max(1.0, np.abs(N).max()):
             raise ValueError("matrix is not skew-Hermitian")
-        return AlgElement(self.n, _k0_embed(self.n, N))
+        return AlgElement(self.n, traceless_block(self.n, N))
 
     def k0_action(self, T, tol=1e-9):
         """Inverse bridge: the u(n-1) matrix by which T in k_0 acts on g_a."""
@@ -377,16 +377,21 @@ def _gram(A, Bs, c):
     return real_rows(A) @ _functionals(Bs, c).T
 
 
-def _k0_embed(n, N):
-    """The k_0 matrix diag(0, 0, N) - (tr N / (n+1)) Id of N in u(n-1)."""
+def traceless_block(n, N):
+    """N in u(m) placed in the trailing m x m block of an (n+1) x (n+1)
+    matrix, minus (tr N / (n+1)) Id: diag(0, 0, N) - trace for the k_0
+    embedding of u(n-1), and the q-block of family I for m = n - k.  The
+    subtracted scalar is central in u(1, n), so this is an injective Lie
+    homomorphism u(m) -> su(1, n)."""
+    m = N.shape[0]
     mat = np.zeros((n + 1, n + 1), dtype=complex)
-    mat[2:, 2:] = N
+    mat[n + 1 - m:, n + 1 - m:] = N
     mat -= (np.trace(N) / (n + 1)) * np.eye(n + 1)
     return mat
 
 
 def _k0_generators(n):
-    """u(n-1) embedded in k_0 by ``_k0_embed``: the real and imaginary
+    """u(n-1) embedded in k_0 by ``traceless_block``: the real and imaginary
     off-diagonal generators, then i E_jj."""
     m = n - 1
     basis = []
@@ -400,7 +405,7 @@ def _k0_generators(n):
         N = np.zeros((m, m), complex)
         N[j, j] = 1j
         basis.append(N)
-    return np.array([_k0_embed(n, N) for N in basis])
+    return np.array([traceless_block(n, N) for N in basis])
 
 
 def _theta_permutation(slices, dim):

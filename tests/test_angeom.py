@@ -133,6 +133,22 @@ def test_orbit_requires_orthogonal_X():
         OrbitModel.from_line(3, 1.0, np.array([1.0, 0]), [np.array([1.0, 0])])
 
 
+@pytest.mark.parametrize("a", [1e-13, 1e-11, 1.0, 1e6])
+@pytest.mark.parametrize("x_scale", [0.0, 1.0])
+def test_line_orbit_at_any_scale(a, x_scale):
+    # aB + X and X against w are judged relative to their own size
+    w = [np.array([1.0 + 0j, 0.0])]
+    orb = OrbitModel.from_line(3, a, np.array([0.0, x_scale * a], dtype=complex), w)
+    closed = mean_curvature_closed_form(orb)
+    assert norm(mean_curvature(orb) - closed) <= 1e-12 * max(1.0, norm(closed))
+
+
+def test_orbit_rejects_non_orthogonal_X_at_small_scale():
+    with pytest.raises(ValueError, match="orthogonal"):
+        OrbitModel.from_line(3, 1e-11, np.array([1e-11, 1e-11], dtype=complex),
+                             [np.array([1.0 + 0j, 0.0])])
+
+
 def test_orbit_tangent_is_subalgebra():
     orb = line_orbit(4, a=0.7, m=2)
     assert len(orb.tangent) == 1 + 2 + 1

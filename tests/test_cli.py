@@ -9,7 +9,7 @@ import pytest
 
 import chpolar
 from chpolar import kahler, polar
-from chpolar.cli import main, render_json
+from chpolar.cli import _as_text, main, render_json
 from chpolar.polar import PolarActionSpec, normalizer_section
 
 
@@ -131,6 +131,45 @@ def test_cmd_verify_non_subalgebra_exit_2_at_every_scale(tmp_path, capsys, scale
     assert "not closed" in capsys.readouterr().err
 
 
+def leak_spec(b_flag, leak):
+    """q = R(diag(0, i) + leak (E_12 - E_21)) against w = R e_1: a closed q
+    whose bracket with w leaves w by about leak."""
+    N = np.array([[0, leak], [-leak, 1j]], dtype=complex)
+    return PolarActionSpec(
+        n=3, family="II", b_flag=b_flag,
+        w=kahler.RealSubspace(2, [np.array([1, 0j])]), q_basis=[N],
+        q_section=kahler.RealSubspace(2, [np.array([1j, 0]), np.array([0, 1 + 0j])]),
+    )
+
+
+@pytest.mark.parametrize("b_flag", ["full", "zero"])
+def test_cmd_verify_leak_below_the_input_bound_is_measured_not_an_error(tmp_path, capsys, b_flag):
+    # [q, w] may leave w by up to 1e-8 relative; h is then closed to about
+    # that figure, which check_polarity reports instead of a consistency error
+    rc = main(["verify", write_json(tmp_path, "s.json", leak_spec(b_flag, 3e-9).to_json())])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0 and out["verdict"] is True
+    assert 1e-9 < out["subalgebra_residual"] < 1e-8
+    rc = main(["verify", write_json(tmp_path, "s.json", leak_spec(b_flag, 2e-8).to_json())])
+    assert rc == 2 and "q does not normalize w" in capsys.readouterr().err
+
+
+def test_cmd_verify_brackets_h_once(tmp_path, capsys, monkeypatch):
+    spec = spec_pi3(n=4)
+    _, h, _ = polar.build_action(spec)
+    rows = []
+    real = polar._closure_residual
+
+    def spy(rd, h_rows):
+        rows.append(h_rows.shape[0])
+        return real(rd, h_rows)
+
+    monkeypatch.setattr(polar, "_closure_residual", spy)
+    assert main(["verify", write_json(tmp_path, "s.json", spec.to_json())]) == 0
+    # q's closure once in the builder, h's once in check_polarity
+    assert rows == [len(spec.q_basis), len(h)]
+
+
 def _seed_seen(monkeypatch, tmp_path, payload, argv):
     seen = []
     real = polar.check_polarity
@@ -173,6 +212,30 @@ def test_cmd_compare_b_flag_mismatch(tmp_path, capsys):
     rc = main(["compare", a, b])
     out = json.loads(capsys.readouterr().out)
     assert rc == 1 and out["equivalent"] == "no"
+
+
+def as_lists(obj):
+    """obj with every tuple turned into a list."""
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_lists(v) for v in obj]
+    return obj
+
+
+def test_cmd_compare_prints_tuples_as_lists(tmp_path, capsys):
+    a = write_json(tmp_path, "a.json", spec_pi3().to_json())
+    answer, report = polar.orbit_equivalence_invariants(spec_pi3(), spec_pi3())
+    for key in ("family", "principal_orbit_dims", "w_moduli"):
+        assert isinstance(report[key], tuple)
+    payload = as_lists({"equivalent": answer, "report": report})
+    assert main(["compare", a, a]) == 0
+    assert capsys.readouterr().out == render_json(payload) + "\n"
+    assert main(["compare", a, a, "--format", "text"]) == 0
+    text = capsys.readouterr().out
+    assert text == _as_text(payload) + "\n"
+    assert "  family:\n    - II\n    - II\n" in text
+    assert "  principal_orbit_dims:\n    - 1\n    - 1\n" in text
 
 
 # --- enumerate --------------------------------------------------------------------

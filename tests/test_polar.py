@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chpolar import kahler, polar
+from chpolar._linalg import orthonormal_rows, unit_rows
 from chpolar.cli import render_json
 from chpolar.kahler import RealSubspace
 from chpolar.polar import (
@@ -134,6 +135,38 @@ def test_non_subalgebra_rejected_at_every_scale(scale):
         build_family_I(3, 1, q, None)
     with pytest.raises(ValueError, match="closed"):
         build_family_II(3, "full", None, q, None)
+
+
+def closure_residual(rd, h):
+    """The closure residual of check_polarity's step 1 on the builders' h."""
+    return polar._closure_residual(
+        rd, orthonormal_rows(unit_rows(polar._coord_rows(rd, h))))
+
+
+def conjugated(spec, A):
+    """A family II spec moved by the unitary A: w -> A w, q -> A q A*,
+    section -> A s."""
+    m = spec.n - 1
+    return PolarActionSpec(
+        n=spec.n, family="II", b_flag=spec.b_flag,
+        w=RealSubspace(m, [A @ b for b in spec.w.basis]),
+        q_basis=[A @ N @ A.conj().T for N in spec.q_basis],
+        q_section=RealSubspace(m, [A @ b for b in spec.q_section.basis]),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("grid", [(), (math.pi / 6, math.pi / 4)])
+def test_builders_return_closed_h(n, grid):
+    # the builders check only their inputs (q closed, [q, w] in w); the h
+    # they assemble from inputs that pass must then be closed
+    rng = np.random.default_rng(n)
+    specs = [entry.spec for entry in enumerate_moduli(n, grid)]
+    specs += [conjugated(spec, kahler.haar_unitary(n - 1, rng))
+              for spec in specs if spec.family == "II"]
+    for spec in specs:
+        rd, h, _ = build_action(spec)
+        assert closure_residual(rd, h) <= 1e-9, spec.to_json()
 
 
 # --- polarity criterion ------------------------------------------------------------
