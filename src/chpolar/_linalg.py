@@ -1,6 +1,9 @@
 """The linear-algebra kernel: every SVD rank and null-space decision.
 
-Matrices are real, one vector per row.  A singular value counts toward the
+Matrices are real, one vector per row; ``orthonormal_rows`` and
+``complement_rows`` also take complex rows, orthonormal then in the
+Hermitian product (complex vectors are otherwise passed as their real rows,
+``su1n.real_rows``).  A singular value counts toward the
 rank when it exceeds ``tol * max(1, s_0)``, with ``s_0`` the largest one
 (``_rank_of``).  The cutoff is relative at scale 1 and above and absolute
 below it, so that a projection of unit data that is numerically zero (h
@@ -22,7 +25,8 @@ def _rank_of(s, tol):
 
 def unit_rows(A):
     """The nonzero rows of A, each scaled to unit norm: the same span, with
-    the scale of the input gone."""
+    the scale of the input gone.  A is read as real (complex input is cast,
+    so pass complex vectors as their real rows)."""
     A = np.asarray(A, dtype=float)
     norms = np.linalg.norm(A, axis=1)
     keep = norms > 0.0
@@ -31,7 +35,8 @@ def unit_rows(A):
 
 def orthonormal_rows(A, tol=1e-10):
     """Orthonormal rows spanning the rows of A (its leading right singular
-    vectors)."""
+    vectors).  For complex A they span the complex row space and are
+    orthonormal in the Hermitian product."""
     _, s, vh = np.linalg.svd(A, full_matrices=False)
     return vh[: _rank_of(s, tol)]
 
@@ -50,7 +55,8 @@ def left_nullspace(A):
 
 def complement_rows(rows, dim):
     """Orthonormal rows spanning the orthogonal complement of the
-    orthonormal rows ``rows`` in R^dim."""
+    orthonormal rows ``rows`` in R^dim, or in C^dim for complex rows (the
+    complete QR works on either; together the rows form a unitary matrix)."""
     if not rows.size:
         return np.eye(dim)
     q, _ = np.linalg.qr(rows.T, mode="complete")

@@ -2,9 +2,13 @@
 
 A real subspace of C^m is an R-linear subspace of the realification R^{2m}.
 Everything here works with the Euclidean structure Re<u, v> (real part of the
-standard Hermitian product) and the complex structure J(v) = i*v.  The central
-operation is the canonical decomposition of a subspace into factors of
-constant Kahler angle, obtained from the eigenvalues of -(pi_V J)^2 on V.
+standard Hermitian product) and the complex structure J(v) = i*v.  Vectors
+of C^m are handled as their real rows (``su1n.real_rows``: re, im
+interleaved), on which Re<u, v> is the dot product, so projections and Gram
+matrices are matmuls and every orthonormalization and rank decision goes
+through ``_linalg``.  The central operation is the canonical decomposition
+of a subspace into factors of constant Kahler angle, obtained from the
+eigenvalues of -(pi_V J)^2 on V.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import left_nullspace
+from ._linalg import complement_rows, left_nullspace, orthonormal_rows, unit_rows
+from .su1n import real_rows
 
 # Default tolerances.  Double precision with ambient dimensions up to ~64
 # keeps all of these comfortable.
@@ -23,33 +28,19 @@ TOL_ANGLE = 1e-6    # angle comparisons, radians
 TOL_MEMBER = 1e-8   # membership tests
 
 
-def re_inner(u, v):
-    """Real part of the Hermitian product <u, v> = sum u_j conj(v_j)."""
-    return float(np.real(np.vdot(v, u)))
-
-
-def _mgs(rows, drop_tol=1e-12):
-    """Modified Gram-Schmidt on the given complex rows over the *real* inner
-    product Re<.,.>.  Rows that become numerically dependent are dropped."""
-    out = []
-    for row in rows:
-        v = np.array(row, dtype=complex)
-        scale = max(1.0, np.linalg.norm(v))
-        for _ in range(2):  # one re-orthogonalization pass for stability
-            for b in out:
-                v = v - re_inner(v, b) * b
-        nrm = np.linalg.norm(v)
-        if nrm > drop_tol * scale:
-            out.append(v / nrm)
-    return out
+def _complex_rows(rows, m):
+    """Real rows (re, im interleaved) viewed back as complex vectors of C^m."""
+    return np.ascontiguousarray(rows).view(complex).reshape(len(rows), m)
 
 
 @dataclass(frozen=True)
 class RealSubspace:
     """A real-linear subspace of C^m, stored as an orthonormal basis.
 
-    The constructor canonicalizes via modified Gram-Schmidt, so the input
-    rows may be any (possibly redundant) real spanning set.
+    The constructor canonicalizes through ``_linalg``: the input rows may be
+    any (possibly redundant) real spanning set at any scale, and the stored
+    rows are an orthonormal basis of their span (not a Gram-Schmidt flag of
+    the input).
     """
 
     ambient_complex_dim: int
@@ -63,12 +54,10 @@ class RealSubspace:
         for r in rows:
             if r.shape != (m,):
                 raise ValueError(f"basis vector has length {r.shape}, ambient is C^{m}")
-        onb = _mgs(rows)
-        if len(onb) > 2 * m:
-            raise ValueError("more independent vectors than the realification allows")
-        mat = np.array(onb, dtype=complex).reshape(len(onb), m)
+        mat = np.array(rows, dtype=complex).reshape(len(rows), m)
+        onb = orthonormal_rows(unit_rows(real_rows(mat)))
         object.__setattr__(self, "ambient_complex_dim", m)
-        object.__setattr__(self, "basis", mat)
+        object.__setattr__(self, "basis", _complex_rows(onb, m))
 
     # -- constructors ---------------------------------------------------
 
@@ -100,23 +89,24 @@ class RealSubspace:
     def dim(self):
         return self.basis.shape[0]
 
+    def _outside(self, rows):
+        """The parts of the real rows ``rows`` orthogonal to this subspace."""
+        B = real_rows(self.basis)
+        return rows - (rows @ B.T) @ B
+
     def project(self, v):
         """Orthogonal (real-linear) projection of v onto this subspace."""
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        if self.dim == 0:
-            return np.zeros(self.ambient_complex_dim, dtype=complex)
-        coeff = np.array([re_inner(v, b) for b in self.basis])
-        return coeff @ self.basis
+        v = real_rows(np.asarray(v, dtype=complex).reshape(1, -1))
+        return _complex_rows(v - self._outside(v), self.ambient_complex_dim)[0]
 
     def contains(self, v, tol=TOL_MEMBER):
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            return True
-        return np.linalg.norm(v - self.project(v)) <= tol * nrm
+        v = real_rows(np.asarray(v, dtype=complex).reshape(1, -1))
+        return np.linalg.norm(self._outside(v)) <= tol * np.linalg.norm(v)
 
     def contains_subspace(self, other, tol=TOL_MEMBER):
-        return all(self.contains(b, tol) for b in other.basis)
+        """Whether every (unit) basis row of other lies in this subspace."""
+        resid = self._outside(real_rows(other.basis))
+        return bool(np.linalg.norm(resid, axis=1).max(initial=0.0) <= tol)
 
     def same_span(self, other, tol=TOL_MEMBER):
         return (
@@ -132,12 +122,7 @@ class RealSubspace:
     # -- serialization ---------------------------------------------------
 
     def to_json(self):
-        rows = []
-        for b in self.basis:
-            inter = np.empty(2 * self.ambient_complex_dim)
-            inter[0::2] = b.real
-            inter[1::2] = b.imag
-            rows.append(inter.tolist())
+        rows = real_rows(self.basis).tolist()  # the interleaved layout
         return {"ambient_complex_dim": self.ambient_complex_dim, "basis": rows}
 
     @classmethod
@@ -206,8 +191,7 @@ def decompose(V, tol_eig=TOL_EIG):
     if k == 0:
         return KahlerDecomposition(())
     basis = V.basis
-    # P[a, b] = Re< J b_b, b_a >  (matrix of pi_V J restricted to V)
-    P = np.array([[re_inner(1j * bb, ba) for bb in basis] for ba in basis])
+    P = _pi_J(basis)
     M = -P @ P
     M = 0.5 * (M + M.T)
     evals, evecs = np.linalg.eigh(M)
@@ -237,7 +221,7 @@ def decompose(V, tol_eig=TOL_EIG):
     for phi, sub in factors:
         if merged and abs(merged[-1][0] - phi) <= TOL_ANGLE:
             prev_phi, prev = merged.pop()
-            joint = RealSubspace(V.ambient_complex_dim, list(prev.basis) + list(sub.basis))
+            joint = RealSubspace(V.ambient_complex_dim, np.vstack([prev.basis, sub.basis]))
             merged.append((prev_phi, joint))
         else:
             merged.append((phi, sub))
@@ -246,22 +230,25 @@ def decompose(V, tol_eig=TOL_EIG):
     return dec
 
 
-def _check_decomposition(V, dec, tol=1e-8):
+def _pi_J(basis):
+    """The matrix of pi_V J on V in the orthonormal rows ``basis`` of V:
+    P[a, b] = Re<J b_b, b_a>, so P @ x are the coordinates of pi_V J(x @ basis)."""
+    return real_rows(basis) @ real_rows(1j * basis).T
+
+
+def _check_decomposition(V, dec):
     """Internal invariant checks for a freshly computed decomposition."""
-    total = 0
     for phi, sub in dec.factors:
-        total += sub.dim
         if phi < math.pi / 2 - TOL_ANGLE and sub.dim % 2 != 0:
             raise ValueError("factor with angle < pi/2 must have even dimension")
-    if total != V.dim:
+    if sum(dec.dimensions()) != V.dim:
         raise ValueError("factors do not sum to the decomposed subspace")
-    for i, (_, a) in enumerate(dec.factors):
-        for _, b in dec.factors[i + 1 :]:
-            span_a = np.vstack([a.basis, 1j * a.basis])
-            span_b = np.vstack([b.basis, 1j * b.basis])
-            g = span_a.conj() @ span_b.T
-            if g.size and np.max(np.abs(g)) > tol:
-                raise ValueError("complex spans of factors are not orthogonal")
+    # Hermitian products across factors; |<a, b>| also bounds <Ja, b>
+    owner = np.repeat(np.arange(len(dec.factors)), dec.dimensions())
+    F = np.vstack([sub.basis for _, sub in dec.factors])
+    cross = np.abs(F.conj() @ F.T)[owner[:, None] != owner[None, :]]
+    if cross.max(initial=0.0) > TOL_MEMBER:
+        raise ValueError("complex spans of factors are not orthogonal")
     angles = dec.angles()
     if any(angles[i] >= angles[i + 1] for i in range(len(angles) - 1)):
         raise ValueError("angles are not strictly increasing")
@@ -347,7 +334,7 @@ def random_subspace(ambient_dim, moduli, rng):
     representative moved by a Haar-random unitary."""
     V = canonical_subspace(ambient_dim, moduli)
     A = haar_unitary(ambient_dim, rng)
-    return RealSubspace(ambient_dim, [A @ b for b in V.basis])
+    return RealSubspace(ambient_dim, V.basis @ A.T)
 
 
 def haar_unitary(m, rng):
@@ -362,8 +349,7 @@ def haar_unitary(m, rng):
 
 def complex_span(V):
     """The complex span C.V = V + JV, as a real subspace."""
-    rows = list(V.basis) + list(1j * V.basis)
-    return RealSubspace(V.ambient_complex_dim, rows)
+    return RealSubspace(V.ambient_complex_dim, np.vstack([V.basis, 1j * V.basis]))
 
 
 def ominus(V, U, tol=TOL_MEMBER):
@@ -372,8 +358,9 @@ def ominus(V, U, tol=TOL_MEMBER):
         raise ValueError("ambient dimensions differ")
     if not V.contains_subspace(U, tol):
         raise ValueError("ominus requires U to be contained in V")
-    rows = [b - U.project(b) for b in V.basis]
-    out = RealSubspace(V.ambient_complex_dim, rows)
+    # the residuals are orthonormal or rounding noise: rank them as they are
+    rows = orthonormal_rows(U._outside(real_rows(V.basis)))
+    out = RealSubspace(V.ambient_complex_dim, _complex_rows(rows, V.ambient_complex_dim))
     if out.dim != V.dim - U.dim:
         raise ValueError("complement has unexpected dimension")
     return out
@@ -382,78 +369,34 @@ def ominus(V, U, tol=TOL_MEMBER):
 # -- congruence -----------------------------------------------------------
 
 
-def _complex_onb_of_complex_subspace(sub):
-    """C-orthonormal basis of a J-invariant (angle 0) real subspace."""
-    out = []
-    for b in sub.basis:
-        v = b.copy()
-        for e in out:
-            v = v - np.vdot(e, v) * e  # complex projection
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-10:
-            out.append(v / nrm)
-    return out
-
-
 def _adapted_frame(sub, phi):
-    """Extract the (e_j, f_j) frame of a constant-angle factor, phi in (0, pi/2).
+    """The (e_j, f_j) frame of a constant-angle factor, phi in (0, pi/2).
 
-    Returns complex-orthonormal lists es, fs with
+    Returns C-orthonormal rows e_1..e_p, f_1..f_p (p = dim/2) with
 
-        basis pair_j = cos(phi/2) e_j + i sin(phi/2) f_j,
-                       i cos(phi/2) e_j + sin(phi/2) f_j.
+        cos(phi/2) e_j + i sin(phi/2) f_j,  i cos(phi/2) e_j + sin(phi/2) f_j
 
-    The frame choice is deterministic: we peel dim/2 pairs off the stored
-    basis in order.  phi must be the factor's own angle: with another one the
-    pairs do not exhaust the factor, and a ValueError names what is left.
+    spanning the factor.  The pairs (v_j, J_phi v_j), J_phi = pi_V J / cos phi,
+    are the real and imaginary parts of the +1 eigenvectors of the Hermitian
+    i J_phi in the factor's orthonormal basis.  phi must be the factor's own
+    angle: off it the frame's Gram matrix moves from the identity by about
+    |angle - phi| cot(phi/2), and a ValueError names that leftover.
     """
     c2, s2 = math.cos(phi / 2), math.sin(phi / 2)
-    cos_phi = math.cos(phi)
-    remaining = [b.copy() for b in sub.basis]
-    keep = remaining
-    es, fs = [], []
-    while remaining and len(es) < sub.dim // 2:
-        v = remaining[0]
-        v = v / np.linalg.norm(v)
-        # J_phi v = (1/cos phi) pi_V (i v), the partner of v inside the factor
-        jv_proj = sub.project(1j * v)
-        vpartner = jv_proj / cos_phi
-        f = (vpartner - 1j * v) / (2 * s2)  # (J_phi v - J v) / (2 sin(phi/2))
-        e = (v - 1j * s2 * f) / c2
-        es.append(e)
-        fs.append(f)
-        # remove the real span of (v, partner) intersected with C{e,f} from play
-        keep = []
-        for w in remaining:
-            w2 = w - np.vdot(e, w) * e - np.vdot(f, w) * f
-            if np.linalg.norm(w2) > 1e-9:
-                keep.append(w2)
-        remaining = _mgs(keep)
-    if remaining or 2 * len(es) != sub.dim:
-        leftover = max((float(np.linalg.norm(w)) for w in keep), default=0.0)
+    H = 1j * _pi_J(sub.basis) / math.cos(phi)
+    _, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))  # eigenvalues -1, then +1
+    top = math.sqrt(2.0) * vecs[:, sub.dim // 2:].T
+    v, jv = top.real @ sub.basis, top.imag @ sub.basis
+    f = (jv - 1j * v) / (2 * s2)  # (J_phi v - J v) / (2 sin(phi/2))
+    e = (v - 1j * s2 * f) / c2
+    frame = np.vstack([e, f])
+    leftover = float(np.abs(frame.conj() @ frame.T - np.eye(sub.dim)).max(initial=0.0))
+    if leftover > TOL_MEMBER:
         raise ValueError(
-            f"adapted frame at angle {phi!r} peeled {len(es)} of {sub.dim // 2} pairs; "
-            f"leftover norm {leftover:.3e}"
+            f"adapted frame at angle {phi!r} is not C-orthonormal: "
+            f"leftover norm {leftover:.3e} > {TOL_MEMBER:g}"
         )
-    return es, fs
-
-
-def _complete_to_unitary(cols, m):
-    """Deterministically complete C-orthonormal columns to a unitary basis of C^m."""
-    out = [np.asarray(c, dtype=complex) for c in cols]
-    eye = np.eye(m, dtype=complex)
-    for j in range(m):
-        v = eye[j].copy()
-        for e in out:
-            v = v - np.vdot(e, v) * e
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            out.append(v / nrm)
-        if len(out) == m:
-            break
-    if len(out) != m:
-        raise ValueError("could not complete to a unitary basis")
-    return out
+    return frame
 
 
 def same_moduli(m1, m2, tol_angle=TOL_ANGLE):
@@ -490,26 +433,23 @@ def congruence_witness(dv, dw, m):
         raise ValueError(
             f"factor dimensions differ: {dv.dimensions()} vs {dw.dimensions()}"
         )
-    # build C-orthonormal frames factor by factor, then complete
-    src_cols, dst_cols = [], []
+    # C-orthonormal frames factor by factor, then completed to unitaries
+    src, dst = [np.zeros((0, m))], [np.zeros((0, m))]
     for (phi, s1), (phi2, s2) in zip(dv.factors, dw.factors):
-        if phi <= TOL_ANGLE:
-            src_cols += _complex_onb_of_complex_subspace(s1)
-            dst_cols += _complex_onb_of_complex_subspace(s2)
+        if phi <= TOL_ANGLE:  # complex factor: a C-orthonormal basis of it
+            src.append(orthonormal_rows(s1.basis))
+            dst.append(orthonormal_rows(s2.basis))
         elif abs(phi - math.pi / 2) <= TOL_ANGLE:
             # a real orthonormal basis of a totally real subspace is C-orthonormal
-            src_cols += list(s1.basis)
-            dst_cols += list(s2.basis)
+            src.append(s1.basis)
+            dst.append(s2.basis)
         else:
-            es1, fs1 = _adapted_frame(s1, phi)
-            es2, fs2 = _adapted_frame(s2, phi2)
-            src_cols += es1 + fs1
-            dst_cols += es2 + fs2
-    src = _complete_to_unitary(src_cols, m)
-    dst = _complete_to_unitary(dst_cols, m)
-    S = np.array(src).T  # columns are the source frame
-    D = np.array(dst).T
-    return D @ S.conj().T
+            src.append(_adapted_frame(s1, phi))
+            dst.append(_adapted_frame(s2, phi2))
+    S, D = np.vstack(src), np.vstack(dst)
+    S = np.vstack([S, complement_rows(S, m)])  # the rows of unitary matrices
+    D = np.vstack([D, complement_rows(D, m)])
+    return D.T @ S.conj()
 
 
 # -- normalizers ----------------------------------------------------------
@@ -533,22 +473,25 @@ def skew_hermitian_basis(m):
     return out
 
 
+def normalizer_residual(V, mats):
+    """The parts (1 - pi_V)(T b) of T b outside V, for every matrix T of
+    ``mats`` and every b in V.basis, as real rows of shape (len(mats), V.dim,
+    2m): T normalizes V exactly when its block vanishes."""
+    m = V.ambient_complex_dim
+    images = np.asarray(mats, dtype=complex).reshape(-1, m, m) @ V.basis.T
+    rows = real_rows(images.transpose(0, 2, 1).reshape(-1, m))
+    return V._outside(rows).reshape(len(images), V.dim, 2 * m)
+
+
 def normalizer_algebra(V):
-    """Basis of {T in u(m) : T.V <= V}, solved as a nullspace problem."""
+    """Basis of {T in u(m) : T.V <= V}: the left null space of the stacked
+    residuals of the generators of u(m)."""
     m = V.ambient_complex_dim
     gens = skew_hermitian_basis(m)
     if V.dim == 0 or V.dim == 2 * m:
         return gens
-    rows = []
-    for T in gens:
-        resid = []
-        for b in V.basis:
-            r = T @ b
-            r = r - V.project(r)
-            resid.append(np.concatenate([r.real, r.imag]))
-        rows.append(np.concatenate(resid))
-    null = left_nullspace(np.array(rows))  # one row of constraints per T
-    return [sum(c * g for c, g in zip(coeffs, gens)) for coeffs in null]
+    null = left_nullspace(normalizer_residual(V, gens).reshape(len(gens), -1))
+    return list(np.tensordot(null, gens, axes=1))
 
 
 def normalizer_dimension_formula(V):

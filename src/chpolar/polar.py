@@ -232,12 +232,14 @@ def build_family_II(rd_or_n, b_flag, w, q_basis, q_section):
         raise ValueError("w and q_section must live in C^{n-1}")
     q_basis = [np.asarray(N, dtype=complex) for N in q_basis]
     h = _check_q_subalgebra(rd, q_basis, n - 1)
-    for N in q_basis:
-        scale = float(np.abs(N).max())  # relative: q at any scale
-        for bvec in w.basis:
-            img = N @ bvec
-            if np.linalg.norm(img - w.project(img)) > 1e-8 * scale:
-                raise ValueError("q does not normalize w")
+    if q_basis:
+        leak = np.linalg.norm(kahler.normalizer_residual(w, q_basis), axis=2)
+        scale = np.abs(np.array(q_basis)).max(axis=(1, 2))  # relative: q at any scale
+        bad = leak > 1e-8 * scale[:, None]
+        if bad.any():
+            raise ValueError(
+                f"q does not normalize w (|(1 - pi_w) N b| = {leak[bad].max():.3g} > 1e-8 max|N|)"
+            )
 
     if b_flag == "full":
         h.append(rd.B)

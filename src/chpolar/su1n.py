@@ -113,8 +113,9 @@ def bracket_stack(X, Ys):
 
 
 def real_rows(stack):
-    """A stack of complex matrices as real rows, (re, im) interleaved, so
-    that Re tr(A* B) is the dot product of two rows."""
+    """A stack of complex matrices or vectors as real rows, (re, im)
+    interleaved, so that Re tr(A* B) (Re<u, v> for vectors) is the dot
+    product of two rows."""
     stack = np.ascontiguousarray(stack, dtype=complex)
     return stack.reshape(len(stack), math.prod(stack.shape[1:])).view(float)
 
@@ -313,8 +314,9 @@ class RootDecomposition:
         N = np.asarray(N, dtype=complex)
         if N.shape != (self.n - 1, self.n - 1):
             raise ValueError(f"expected matrix on C^{self.n - 1}")
-        if np.abs(N + N.conj().T).max() > 1e-9 * max(1.0, np.abs(N).max()):
-            raise ValueError("matrix is not skew-Hermitian")
+        resid = np.abs(N + N.conj().T).max()
+        if resid > 1e-9 * np.abs(N).max():  # relative: N at any scale
+            raise ValueError(f"matrix is not skew-Hermitian (residual {resid:.3g})")
         return AlgElement(self.n, traceless_block(self.n, N))
 
     def k0_action(self, T, tol=1e-9):

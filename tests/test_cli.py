@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -251,6 +252,43 @@ def test_cmd_enumerate_accepts_angle_grid(capsys):
     rc = main(["enumerate", "--n", "3", "--angles", f"{math.pi/6},{math.pi/4}"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0 and out["count"] > 0
+
+
+# The classes are fixed.  The bytes (basis rows of w, q_section and q_basis)
+# may move only with a deliberate change that updates ENUMERATE_SHA256 and
+# says in CHANGES.md what moved.
+ENUMERATE_LABELS = {
+    "n2": [
+        "I:k=2,q=0", "I:k=1,q=u(1)", "I:k=0,q=u(2)", "I:k=0,q=t(2)",
+        "II:b=full,w=[]", "II:b=zero,w=[]", "II:b=full,w=[(1.570796, 1)]",
+        "II:b=zero,w=[(1.570796, 1)]", "II:b=zero,w=[(0.0, 2)]",
+    ],
+    "n3": [
+        "I:k=3,q=0", "I:k=2,q=u(1)", "I:k=1,q=u(2)", "I:k=1,q=t(2)", "I:k=0,q=u(3)",
+        "I:k=0,q=t(3)", "II:b=full,w=[]", "II:b=zero,w=[]", "II:b=full,w=[(1.570796, 1)]",
+        "II:b=zero,w=[(1.570796, 1)]", "II:b=full,w=[(1.570796, 2)]",
+        "II:b=zero,w=[(1.570796, 2)]", "II:b=full,w=[(0.0, 2)]", "II:b=zero,w=[(0.0, 2)]",
+        "II:b=full,w=[(0.0, 2), (1.570796, 1)]", "II:b=zero,w=[(0.0, 2), (1.570796, 1)]",
+        "II:b=zero,w=[(0.0, 4)]", "II:b=full,w=[(0.785398, 2)]",
+        "II:b=zero,w=[(0.785398, 2)]", "II:b=full,w=[(0.523599, 2)]",
+        "II:b=zero,w=[(0.523599, 2)]",
+    ],
+}
+ENUMERATE_SHA256 = {
+    "n2": "bc068547a150472ea8951d6effb2ce995c3ce72d9dbd899723814f79f161dda2",
+    "n3": "ccc1dc98c281cfdba6b624ee0633e8e8fc146ff3dbfacb514da6522d32eac290",
+}
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("n2", ["enumerate", "--n", "2"]),
+    ("n3", ["enumerate", "--n", "3", "--angles", f"{math.pi/6},{math.pi/4}"]),
+])
+def test_cmd_enumerate_output_is_pinned(capsys, key, argv):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert [c["label"] for c in json.loads(text)["classes"]] == ENUMERATE_LABELS[key]
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_SHA256[key]
 
 
 def test_cmd_enumerate_rejects_bad_angles(capsys):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chpolar import kahler
+from chpolar import kahler, polar
+from chpolar._linalg import left_nullspace
 from chpolar.kahler import RealSubspace
 
 
@@ -45,6 +46,26 @@ def normalizer_dim_oracle(V):
     s = np.linalg.svd(A, compute_uv=False)
     rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 0.0)))
     return len(gens) - rank
+
+
+def normalizer_algebra_loop(V):
+    """The normalizer {T in u(m) : T.V <= V} one generator and one basis row
+    at a time: T b minus its projection Re<T b, b_j> b_j onto V, stacked per
+    T, then the left null space of those constraint rows."""
+    m = V.ambient_complex_dim
+    gens = kahler.skew_hermitian_basis(m)
+    if V.dim == 0 or V.dim == 2 * m:
+        return gens
+    rows = []
+    for T in gens:
+        resid = []
+        for b in V.basis:
+            r = T @ b
+            r = r - sum(float(np.real(np.vdot(bj, r))) * bj for bj in V.basis)
+            resid.append(np.concatenate([r.real, r.imag]))
+        rows.append(np.concatenate(resid))
+    null = left_nullspace(np.array(rows))
+    return [sum(c * g for c, g in zip(coeffs, gens)) for coeffs in null]
 
 
 def sample_unit(sub, rng):
@@ -352,6 +373,26 @@ def test_normalizer_formula_matches_oracle_on_random_subspaces():
         formula = kahler.normalizer_dimension_formula(V)
         assert len(kahler.normalizer_algebra(V)) == formula
         assert normalizer_dim_oracle(V) == formula
+
+
+def _agrees_with_the_loop_oracle(V):
+    alg = kahler.normalizer_algebra(V)
+    return (len(alg) == kahler.normalizer_dimension_formula(V)
+            and polar._same_matrix_span(alg, normalizer_algebra_loop(V)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_normalizer_matches_the_loop_oracle_on_the_catalog(n):
+    for moduli in polar._admissible_moduli(n - 1, (0.4, 1.0)):
+        V = kahler.canonical_subspace(n - 1, moduli)
+        assert _agrees_with_the_loop_oracle(V), moduli
+
+
+def test_normalizer_matches_the_loop_oracle_on_haar_moved_subspaces():
+    rng = np.random.default_rng(23)
+    for moduli in ([(0.0, 2), (0.4, 2)], [(1.0, 4), (math.pi / 2, 1)],
+                   [(0.4, 2), (1.0, 2), (math.pi / 2, 1)], [(0.0, 4), (math.pi / 2, 2)]):
+        assert _agrees_with_the_loop_oracle(kahler.random_subspace(5, moduli, rng)), moduli
 
 
 # --- serialization ---------------------------------------------------------------

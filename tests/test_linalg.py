@@ -1,3 +1,4 @@
+import math
 import pathlib
 
 import numpy as np
@@ -19,11 +20,13 @@ from chpolar.polar import (
     PolarActionSpec,
     build_action,
     check_polarity,
+    normalizer_section,
     orbit_equivalence_invariants,
     regular_vectors,
 )
+from chpolar.su1n import build_root_decomposition
 
-SCALES = (1e-11, 1e-6, 1.0, 1e6)
+SCALES = (1e-13, 1e-11, 1e-6, 1.0, 1e6)
 
 
 # --- the kernel on hand cases -------------------------------------------------------
@@ -130,6 +133,53 @@ def test_isotropy_dimension_at_every_scale(scale, xi_scale):
     assert len(isotropy_at(3, _u2(scale), xi)) == 1
 
 
+@pytest.mark.parametrize("scale", SCALES)
+def test_real_subspace_dimension_at_every_scale(scale):
+    e1 = np.array([1.0, 0.0], dtype=complex)
+    assert RealSubspace(2, [scale * e1, scale * 1j * e1]).dim == 2
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_decompose_moduli_at_every_scale(scale):
+    V = kahler.random_subspace(3, [(math.pi / 5, 2), (math.pi / 2, 1)], np.random.default_rng(4))
+    got = kahler.decompose(RealSubspace(3, scale * V.basis)).moduli()
+    want = kahler.decompose(V).moduli()
+    assert [d for _, d in got] == [d for _, d in want]
+    assert np.allclose([a for a, _ in got], [a for a, _ in want], rtol=0.0, atol=1e-12)
+
+
+def _family_II_with_w(scale):
+    w = kahler.canonical_subspace(3, [(math.pi / 3, 2)])
+    section = normalizer_section(w)
+    return PolarActionSpec(n=4, family="II", b_flag="zero",
+                           w=RealSubspace(3, scale * w.basis),
+                           q_basis=kahler.normalizer_algebra(w),
+                           q_section=RealSubspace(3, scale * section.basis))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_family_II_with_rescaled_w_and_section_at_every_scale(scale):
+    report = check_polarity(*build_action(_family_II_with_w(scale)))
+    reference = check_polarity(*build_action(_family_II_with_w(1.0)))
+    assert reference.verdict and reference.dim_normal == 7 - 2
+    assert (report.verdict, report.dim_normal) == (reference.verdict, reference.dim_normal)
+
+
+def test_k0_matrix_rejects_a_tiny_hermitian_matrix():
+    rd = build_root_decomposition(3)
+    hermitian = np.diag([1e-12, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="not skew-Hermitian"):
+        rd.k0_matrix(hermitian)
+    with pytest.raises(ValueError, match="not skew-Hermitian"):
+        isotropy_at(rd, [hermitian], np.array([1.0, 0.0], dtype=complex))
+
+
+def test_k0_matrix_accepts_a_tiny_skew_hermitian_matrix():
+    rd = build_root_decomposition(3)
+    T = rd.k0_matrix(np.diag([1e-12j, 0.0]))
+    assert np.abs(T.matrix + T.matrix.conj().T).max() == 0.0
+
+
 # --- one home for SVD rank and null-space decisions ---------------------------------
 
 
@@ -137,3 +187,11 @@ def test_svd_appears_only_in_the_kernel():
     src = pathlib.Path(chpolar.__file__).parent
     users = sorted(p.name for p in src.glob("*.py") if "linalg.svd" in p.read_text())
     assert users == ["_linalg.py"]
+
+
+def test_no_hand_written_orthonormalization_returns():
+    src = pathlib.Path(chpolar.__file__).parent
+    gone = ("_mgs", "re_inner", "_complex_onb_of_complex_subspace", "_complete_to_unitary")
+    found = sorted((p.name, name) for p in src.glob("*.py") for name in gone
+                   if name in p.read_text())
+    assert found == []
