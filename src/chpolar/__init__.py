@@ -55,6 +55,7 @@ from .polar import (
     build_family_I,
     build_family_II,
     check_polarity,
+    check_spec,
     enumerate_moduli,
     orbit_equivalence_invariants,
     regular_vectors,
@@ -80,6 +81,7 @@ __all__ = [
     "build_family_II",
     "build_root_decomposition",
     "check_polarity",
+    "check_spec",
     "complex_span",
     "congruent",
     "conjugate_subalgebra",

@@ -26,8 +26,16 @@ def _rank_of(s, tol):
 def unit_rows(A):
     """The nonzero rows of A, each scaled to unit norm: the same span, with
     the scale of the input gone.  A is read as real (complex input is cast,
-    so pass complex vectors as their real rows)."""
+    so pass complex vectors as their real rows).
+
+    Each row is first scaled by the power of two nearest its largest
+    entry, so the squares inside the norm neither underflow nor overflow
+    (a row of 1e-300 keeps its direction).  Scaling by a power of two is
+    exact, so rows whose norm is representable give the same bits as
+    without it."""
     A = np.asarray(A, dtype=float)
+    _, exp = np.frexp(np.abs(A).max(axis=1, initial=0.0))
+    A = np.ldexp(A, -exp[:, None])
     norms = np.linalg.norm(A, axis=1)
     keep = norms > 0.0
     return A[keep] / norms[keep, None]

@@ -137,10 +137,9 @@ def cmd_verify(args, config):
         spec = polar.PolarActionSpec.from_json(data)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed PolarActionSpec JSON: {exc}") from exc
-    rd, h, sigma = polar.build_action(spec)
     # the spec's own seed wins whenever the spec has one, 0 included
     seed = spec.seed if "seed" in data else config.seed
-    report = polar.check_polarity(rd, h, sigma, seed=seed, tol_rank=config.tol_rank)
+    report = polar.check_spec(spec, seed=seed, tol_rank=config.tol_rank)
     _emit(report.to_json(), config)
     return 0 if report.verdict else 1
 

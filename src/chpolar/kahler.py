@@ -369,28 +369,50 @@ def ominus(V, U, tol=TOL_MEMBER):
 # -- congruence -----------------------------------------------------------
 
 
+def _gram_leftover(rows):
+    """Largest entry of the Hermitian Gram matrix of ``rows`` minus the identity."""
+    return float(np.abs(rows @ rows.conj().T - np.eye(len(rows))).max(initial=0.0))
+
+
 def _adapted_frame(sub, phi):
-    """The (e_j, f_j) frame of a constant-angle factor, phi in (0, pi/2).
+    """The (e_j, f_j) frame of a factor of interior Kahler angle phi.
 
     Returns C-orthonormal rows e_1..e_p, f_1..f_p (p = dim/2) with
 
-        cos(phi/2) e_j + i sin(phi/2) f_j,  i cos(phi/2) e_j + sin(phi/2) f_j
+        cos(phi_j/2) e_j + i sin(phi_j/2) f_j,  i cos(phi_j/2) e_j + sin(phi_j/2) f_j
 
-    spanning the factor.  The pairs (v_j, J_phi v_j), J_phi = pi_V J / cos phi,
-    are the real and imaginary parts of the +1 eigenvectors of the Hermitian
-    i J_phi in the factor's orthonormal basis.  phi must be the factor's own
-    angle: off it the frame's Gram matrix moves from the identity by about
-    |angle - phi| cot(phi/2), and a ValueError names that leftover.
+    spanning the factor.  The pairs (v_j, J_j v_j), J_j = pi_V J / cos phi_j,
+    are the real and imaginary parts of the eigenvectors of the Hermitian
+    i pi_V J / cos phi with the positive eigenvalues cos phi_j / cos phi, in
+    the factor's orthonormal basis.  A factor of one exact angle is framed
+    at phi_j = phi.  A factor that ``decompose`` grouped from angles closer
+    than TOL_EIG but not equal is off that frame by about
+    |phi_j - phi| cot(phi/2), so it is framed pair by pair, each at the
+    angle of its own eigenvalue.  A ValueError names the leftover of the
+    frame's Gram matrix from the identity if it is still not C-orthonormal.
     """
-    c2, s2 = math.cos(phi / 2), math.sin(phi / 2)
     H = 1j * _pi_J(sub.basis) / math.cos(phi)
-    _, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))  # eigenvalues -1, then +1
+    lam, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))  # -cos phi_j / cos phi, then +
     top = math.sqrt(2.0) * vecs[:, sub.dim // 2:].T
     v, jv = top.real @ sub.basis, top.imag @ sub.basis
-    f = (jv - 1j * v) / (2 * s2)  # (J_phi v - J v) / (2 sin(phi/2))
-    e = (v - 1j * s2 * f) / c2
-    frame = np.vstack([e, f])
-    leftover = float(np.abs(frame.conj() @ frame.T - np.eye(sub.dim)).max(initial=0.0))
+
+    def frame_at(c2, s2):  # cos and sin of the half-angles
+        f = (jv - 1j * v) / (2 * s2)  # (J_j v - J v) / (2 sin(phi_j/2))
+        e = (v - 1j * s2 * f) / c2
+        return np.vstack([e, f])
+
+    frame = frame_at(math.cos(phi / 2), math.sin(phi / 2))
+    if _gram_leftover(frame) > 1e-12:
+        half = 0.5 * np.arccos(np.clip(lam[sub.dim // 2:] * math.cos(phi), 0.0, 1.0))[:, None]
+        frame = frame_at(np.cos(half), np.sin(half))
+    if _gram_leftover(frame) > 1e-12:
+        # eigh mixes pairs whose eigenvalues differ by rounding, and a mixed
+        # pair of unequal angles has no exact angle: its frame is off by about
+        # eps / phi^2 (4e-8 at phi = 1e-4).  One Newton-Schulz step,
+        # F -> (3 - F F*) F / 2, takes a Gram matrix I + E to I + O(E^2) and
+        # moves the rows by about |E|.
+        frame = 0.5 * (3.0 * frame - (frame @ frame.conj().T) @ frame)
+    leftover = _gram_leftover(frame)
     if leftover > TOL_MEMBER:
         raise ValueError(
             f"adapted frame at angle {phi!r} is not C-orthonormal: "

@@ -19,6 +19,13 @@ are the necessary conditions of the criterion; for the compact isotropy
 representations arising here the dimension-saturation check at a regular
 vector certifies the section property without invoking the classification
 of polar representations (a documented limitation for exotic inputs).
+
+``check_polarity`` works on any h given as su(1, n) elements.  ``check_spec``
+evaluates the same criterion on a PolarActionSpec in the tangent space
+T_o CH^n = C^n, where the isotropy algebra h cap k acts by m x m blocks:
+every bracket the root-space structure fixes is written in closed form, and
+only q is measured.  Both report the same residuals, Frobenius norms of
+basis-free maps (see PolarityReport).
 """
 
 from __future__ import annotations
@@ -48,7 +55,12 @@ from .su1n import (
 )
 
 TOL_RANK = 1e-8
-SLICE_SAMPLES = 24  # draws of the regular-vector sampler in check_polarity
+TOL_SUBALGEBRA = 1e-8  # is_subalgebra; also the builders' bound on the closure of h
+TOL_Q_CLOSED = 1e-9    # the builders' bound on the [q, q] part of that closure
+TOL_SECTION = 1e-8     # section_in_normal
+TOL_BRACKET = 1e-9     # bracket_condition
+TOL_SLICE = 1e-8       # h_o moves sigma orthogonally to itself (slice_condition)
+SLICE_SAMPLES = 24  # draws of the regular-vector sampler of the criterion
 ORBIT_SAMPLES = 40  # draws per principal orbit dimension in orbit_equivalence_invariants
 
 
@@ -66,6 +78,13 @@ def _bracket_values(rows, functionals):
             yield real_rows(bracket_stack(X, Ys)) @ functionals.T
 
 
+def _pair_norm(blocks):
+    """Frobenius norm of an antisymmetric bilinear map on an orthonormal
+    basis, from the value blocks of its pairs i < j: each block counts for
+    both orders of its pairs, so the figure does not depend on the basis."""
+    return math.sqrt(2.0 * sum(float(np.sum(vals * vals)) for vals in blocks))
+
+
 def _coord_rows(rd, elems):
     """Coordinate rows of the given algebra elements, one per element."""
     return rd.coords_many(np.array([X.matrix for X in elems]).reshape(-1, rd.n + 1, rd.n + 1))
@@ -76,6 +95,100 @@ def _q_rows(q_basis, m):
     stack: it spans what q spans and ranks what q ranks, at any scale of q."""
     rows = orthonormal_rows(unit_rows(real_rows(np.array(q_basis))))
     return np.ascontiguousarray(rows).view(complex).reshape(-1, m, m)
+
+
+# ---------------------------------------------------------------------------
+# u(m) in the metric of su(1, n)
+# ---------------------------------------------------------------------------
+
+
+def _trace_shift(m, n):
+    """alpha with (1 - alpha)^2 = 1 - m / (n + 1): the shift along the trace
+    that makes _u_coords an isometry."""
+    return 1.0 - math.sqrt((n + 1 - m) / (n + 1))
+
+
+def _u_coords(N, n):
+    """Coordinates of the skew-Hermitian parts of the (r, m, m) stack N in an
+    orthonormal frame of u(m) for the metric su(1, n) puts on it through
+    ``traceless_block``,
+
+        <N, M> = 2 (Re tr(N* M) - Im tr N Im tr M / (n + 1)):
+
+    the Frobenius frame i E_jj, (E_jk - E_kj)/sqrt 2, i (E_jk + E_kj)/sqrt 2,
+    its diagonal part shifted along the trace.  Orthonormal rows here are
+    orthonormal elements of h, so a figure measured on them is the figure
+    check_polarity measures in su(1, n)."""
+    m = N.shape[-1]
+    S = 0.5 * (N - N.conj().transpose(0, 2, 1))
+    diag = S.diagonal(axis1=1, axis2=2).imag
+    diag = diag - (_trace_shift(m, n) / m) * diag.sum(axis=1, keepdims=True)
+    iu = np.triu_indices(m, 1)
+    off = math.sqrt(2.0) * S[:, iu[0], iu[1]]
+    return math.sqrt(2.0) * np.hstack([diag, off.real, off.imag])
+
+
+def _u_matrices(rows, m, n):
+    """The (r, m, m) stack of u(m) matrices with the given _u_coords rows."""
+    rows = np.asarray(rows, dtype=float) / math.sqrt(2.0)
+    alpha = _trace_shift(m, n)
+    diag = rows[:, :m]
+    diag = diag + (alpha / (m * (1.0 - alpha))) * diag.sum(axis=1, keepdims=True)
+    p = m * (m - 1) // 2
+    off = (rows[:, m:m + p] + 1j * rows[:, m + p:]) / math.sqrt(2.0)
+    out = np.zeros((len(rows), m, m), dtype=complex)
+    out[:, np.arange(m), np.arange(m)] = 1j * diag
+    iu = np.triu_indices(m, 1)
+    out[:, iu[0], iu[1]] = off
+    out[:, iu[1], iu[0]] = -off.conj()
+    return out
+
+
+def _checked_inputs(n, m, q_basis, section, w=None):
+    """The input checks of the builders and of check_spec: q_basis is a list
+    of skew-Hermitian m x m matrices, the section (and w) live in C^m,
+    [q, q] <= q and [q, w] <= w.
+
+    h is closed exactly except for those two brackets: every other one is
+    fixed by the root-space structure.  Their parts outside h, over
+    orthonormal bases, make up the closure residual of h (PolarityReport's
+    ``subalgebra_residual``): the [q, q] part is measured inside u(m)
+    against the complement of q there (empty for q = u(m), so free), the
+    [q, w] part is kahler.normalizer_residual.  A [q, q] part above
+    TOL_Q_CLOSED or a total above TOL_SUBALGEBRA is a ValueError, so every
+    input these checks accept reads is_subalgebra true.
+
+    Returns (q, residual): an orthonormal basis of q in the metric of
+    su(1, n), as an (r, m, m) stack, and the closure residual of h."""
+    if section.ambient_complex_dim != m or (w is not None and w.ambient_complex_dim != m):
+        raise ValueError(f"q_section{'' if w is None else ' and w'} must live in C^{m}")
+    for N in q_basis:
+        if np.shape(N) != (m, m):
+            raise ValueError(f"q_basis must act on C^{m}")
+    if not len(q_basis):
+        return np.zeros((0, m, m), dtype=complex), 0.0
+    mats = np.array(q_basis, dtype=complex)
+    skew = np.abs(mats + mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    if (skew > 1e-9 * np.abs(mats).max(axis=(1, 2))).any():
+        raise ValueError(f"q_basis matrices must be skew-Hermitian (|N + N*| = {skew.max():.3g})")
+    rows = orthonormal_rows(unit_rows(_u_coords(mats, n)))  # q at any scale
+    q = _u_matrices(rows, m, n)
+    closure = 0.0
+    if len(rows) < m * m:
+        perp = complement_rows(rows, m * m)
+        closure = _pair_norm(_u_coords(X @ Ys - Ys @ X, n) @ perp.T for X, Ys in _upper_pairs(q))
+    if closure > TOL_Q_CLOSED:
+        raise ValueError(
+            f"q_basis is not closed under the bracket (residual {closure:.3g} > {TOL_Q_CLOSED:g})"
+        )
+    leak = 0.0 if w is None else float(np.linalg.norm(kahler.normalizer_residual(w, q)))
+    resid = math.hypot(closure, math.sqrt(2.0) * leak)
+    if resid > TOL_SUBALGEBRA:
+        raise ValueError(
+            f"q does not normalize w (|(1 - pi_w) N b| = {leak:.3g} over orthonormal N in q "
+            f"and b in w; closure residual of h {resid:.3g} > {TOL_SUBALGEBRA:g})"
+        )
+    return q, resid
 
 
 # ---------------------------------------------------------------------------
@@ -131,38 +244,65 @@ class PolarActionSpec:
         else:
             out["b"] = self.b_flag
             out["w"] = self.w.to_json()
-        out["q_basis"] = [
-            [[[float(z.real), float(z.imag)] for z in row] for row in N]
-            for N in self.q_basis
-        ]
+        # each entry as its [re, im] pair: a complex stack viewed as floats
+        q = np.array(self.q_basis, dtype=complex)
+        out["q_basis"] = q.view(float).reshape(*q.shape, 2).tolist() if q.size else []
         out["q_section"] = self.q_section.to_json()
         return out
 
     @classmethod
     def from_json(cls, data):
         family = data["family"]
-        q_basis = [
-            np.array([[complex(re, im) for re, im in row] for row in N])
-            for N in data.get("q_basis", [])
-        ]
         q_section = (
             RealSubspace.from_json(data["q_section"]) if "q_section" in data else None
         )
+        common = dict(n=int(data["n"]), q_basis=_q_basis_from_json(data.get("q_basis", [])),
+                      q_section=q_section, seed=int(data.get("seed", 0)))
         if family == "I":
-            return cls(
-                n=int(data["n"]), family="I", k=int(data["k"]),
-                q_basis=q_basis, q_section=q_section, seed=int(data.get("seed", 0)),
-            )
+            return cls(family="I", k=int(data["k"]), **common)
         w = RealSubspace.from_json(data["w"]) if "w" in data else None
-        return cls(
-            n=int(data["n"]), family="II", b_flag=data["b"], w=w,
-            q_basis=q_basis, q_section=q_section, seed=int(data.get("seed", 0)),
+        return cls(family="II", b_flag=data["b"], w=w, **common)
+
+
+def _q_basis_from_json(data):
+    """The (r, m, m) complex stack of a JSON q_basis: r matrices of [re, im]
+    pairs, read as one float array and viewed as complex."""
+    try:
+        arr = np.asarray(data)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"q_basis is not a regular array: {exc}") from exc
+    if arr.size == 0:
+        return []
+    if arr.dtype.kind not in "biuf" or arr.ndim != 4 or arr.shape[-1] != 2:
+        raise ValueError(
+            "q_basis must be a list of matrices of [re, im] number pairs "
+            f"(read an array of shape {arr.shape} and dtype {arr.dtype})"
         )
+    if not np.isfinite(arr).all():
+        raise ValueError("q_basis entries must be finite numbers")
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
 @dataclass
 class PolarityReport:
-    """Outcome of the numerical polarity criterion, with all residuals."""
+    """Outcome of the numerical polarity criterion, with all residuals.
+
+    The residuals are Frobenius norms of maps between subspaces, so they do
+    not depend on the bases in which they are evaluated; each is taken over
+    orthonormal bases in the metric <X, Y> = -2 Re tr(theta(X) Y) of
+    su(1, n), and the matching boolean is the residual against its bound:
+
+    - ``subalgebra_residual`` = |P_{h-perp} [., .]| on h x h, the part of
+      the bracket of h outside h (``is_subalgebra``: at most 1e-8);
+    - ``section_residual`` = |P_{nu-perp} P_sigma|, the part of sigma
+      outside the normal space nu (``section_in_normal``: at most 1e-8);
+    - ``bracket_residual`` = sqrt(|P_h P_sigma|^2 + |P_h [., .]|^2), the
+      second map on sigma x sigma (``bracket_condition``: at most 1e-9).
+
+    ``slice_condition`` holds when |P_sigma [., .]| on h_o x sigma is at
+    most 1e-8 (h_o = h cap k moves sigma orthogonally to itself) and sigma
+    plus [h_o, xi] fills nu at the sampled regular xi.
+    """
 
     is_subalgebra: bool
     subalgebra_residual: float
@@ -187,37 +327,20 @@ class PolarityReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_q_subalgebra(rd, q_basis, m, tol=1e-9):
-    """Raise ValueError unless q_basis spans a subalgebra of u(m); return
-    its image in su(1, n) under ``traceless_block``, the elements the
-    builders put in h.
-
-    The embedding is an injective Lie homomorphism, so q is closed exactly
-    when its image is.  Closure is measured by ``_closure_residual`` on the
-    orthonormalized unit rows of the image, so neither the rank nor the
-    residual depends on the scale of the input."""
-    for N in q_basis:
-        if N.shape != (m, m):
-            raise ValueError(f"q_basis must act on C^{m}")
-        if np.abs(N + N.conj().T).max() > tol * np.abs(N).max():
-            raise ValueError("q_basis matrices must be skew-Hermitian")
-    q = [AlgElement(rd.n, traceless_block(rd.n, N)) for N in q_basis]
-    if q:
-        resid = _closure_residual(rd, orthonormal_rows(unit_rows(_coord_rows(rd, q))))
-        if resid > tol:
-            raise ValueError(
-                f"q_basis is not closed under the bracket (residual {resid:.3g} > {tol:g})"
-            )
-    return q
+def _q_elements(rd, q_basis):
+    """The images of the q_basis matrices in su(1, n), the elements the
+    builders put in h (``traceless_block``, an injective Lie homomorphism)."""
+    return [AlgElement(rd.n, traceless_block(rd.n, np.asarray(N, dtype=complex)))
+            for N in q_basis]
 
 
 def build_family_II(rd_or_n, b_flag, w, q_basis, q_section):
     """Assemble h = q + b + w + g_2a and its claimed section tangent in p.
 
     Returns (h_basis, sigma_basis) as lists of algebra elements.  Raises
-    ValueError when the algebra preconditions fail ([q, w] not inside w or
-    q not a subalgebra); once they hold, h is closed, and check_polarity
-    measures and reports that closure.  The claimed section is passed through
+    ValueError when the algebra preconditions fail (see _checked_inputs:
+    [q, w] not inside w or q not a subalgebra); once they hold, h is closed
+    to within TOL_SUBALGEBRA.  The claimed section is passed through
     untouched: a bad claim (not totally real, meeting w, ...) is the
     criterion's job to reject, so that deliberately wrong claims produce a
     false verdict with residuals instead of an input error.
@@ -228,19 +351,9 @@ def build_family_II(rd_or_n, b_flag, w, q_basis, q_section):
         raise ValueError("b_flag must be 'zero' or 'full'")
     w = w if w is not None else RealSubspace.zero(n - 1)
     s = q_section if q_section is not None else RealSubspace.zero(n - 1)
-    if w.ambient_complex_dim != n - 1 or s.ambient_complex_dim != n - 1:
-        raise ValueError("w and q_section must live in C^{n-1}")
-    q_basis = [np.asarray(N, dtype=complex) for N in q_basis]
-    h = _check_q_subalgebra(rd, q_basis, n - 1)
-    if q_basis:
-        leak = np.linalg.norm(kahler.normalizer_residual(w, q_basis), axis=2)
-        scale = np.abs(np.array(q_basis)).max(axis=(1, 2))  # relative: q at any scale
-        bad = leak > 1e-8 * scale[:, None]
-        if bad.any():
-            raise ValueError(
-                f"q does not normalize w (|(1 - pi_w) N b| = {leak[bad].max():.3g} > 1e-8 max|N|)"
-            )
+    _checked_inputs(n, n - 1, q_basis, s, w)
 
+    h = _q_elements(rd, q_basis)
     if b_flag == "full":
         h.append(rd.B)
     h += [rd.galpha_matrix(bvec) for bvec in w.basis]
@@ -264,17 +377,15 @@ def build_family_I(rd_or_n, k, q_basis, q_section):
     so the action on the space is the standard q-action).  The section
     tangent is the line R(iB) for k >= 1 plus the claimed q-section inside
     the totally geodesic complementary block.  Raises ValueError when q is
-    not a subalgebra of u(n - k); check_polarity measures the closure of h.
+    not a subalgebra of u(n - k) (see _checked_inputs).
     """
     rd = rd_or_n if hasattr(rd_or_n, "onb") else build_root_decomposition(rd_or_n)
     n = rd.n
     if not (0 <= k <= n):
         raise ValueError("k must be in {0..n}")
     m = n - k
-    q = _check_q_subalgebra(rd, [np.asarray(N, dtype=complex) for N in q_basis], m)
     s = q_section if q_section is not None else RealSubspace.zero(m)
-    if s.ambient_complex_dim != m:
-        raise ValueError(f"q_section must live in C^{m}")
+    _checked_inputs(n, m, q_basis, s)
 
     N1 = n + 1
     eps = np.array([-1.0] + [1.0] * n)
@@ -285,7 +396,7 @@ def build_family_I(rd_or_n, k, q_basis, q_section):
             E[i, j] = 1.0
             E[j, i] = -eps[i] * eps[j]
             h.append(AlgElement(n, E))
-    h += q
+    h += _q_elements(rd, q_basis)
 
     sigma = []
     if k >= 1:
@@ -300,14 +411,11 @@ def build_family_I(rd_or_n, k, q_basis, q_section):
 
 
 def _closure_residual(rd, h_rows):
-    """Largest norm of the part of [X_i, X_j] outside h, over pairs i < j of
-    the orthonormal coordinate rows h_rows: brackets of unit vectors, so the
-    figure does not depend on the scale of the input basis."""
+    """|P_{h-perp} [., .]| on h x h over the orthonormal coordinate rows
+    h_rows, a Frobenius norm: it depends neither on the basis nor on the
+    scale of the input."""
     perp = rd.dual_rows(complement_rows(h_rows, rd.dim))
-    worst = 0.0
-    for vals in _bracket_values(_upper_pairs(rd.from_coords_many(h_rows)), perp):
-        worst = max(worst, float(np.sqrt(np.einsum("ij,ij->i", vals, vals).max())))
-    return worst
+    return _pair_norm(_bracket_values(_upper_pairs(rd.from_coords_many(h_rows)), perp))
 
 
 def build_action(spec):
@@ -327,71 +435,39 @@ def build_action(spec):
 # ---------------------------------------------------------------------------
 
 
-def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, tol_rank=TOL_RANK):
-    """Evaluate the polarity criterion for a subalgebra h and claimed
-    section tangent sigma inside p.
+def _section_residual(sig, nu):
+    """|P_{nu-perp} P_sigma| from orthonormal rows of sigma and nu."""
+    return float(np.linalg.norm(sig - (sig @ nu.T) @ nu))
 
-    Checks, in coordinates of the root-space ONB:
 
-    1. h is closed under the bracket (residual reported);
-    2. sigma lies in the normal space nu = p minus the orbit tangent;
-    3. <h, sigma + [sigma, sigma]> = 0 (max residual over unit vectors);
-    4. the isotropy algebra h_o = h cap k moves sigma orthogonally to
-       itself, and at a sampled regular xi in sigma (the sample maximizing
-       dim[h_o, xi]) the span sigma + [h_o, xi] fills nu.
+def _slice_orthogonality(sig, act):
+    """|P_sigma [., .]| on h_o x sigma, from the orthonormal rows ``sig`` of
+    sigma and ``act(xi)``, the rows [T, xi] over an orthonormal basis T of
+    h_o: zero when h_o moves sigma orthogonally to itself."""
+    return math.sqrt(sum(float(np.sum((act(s) @ sig.T) ** 2)) for s in sig))
 
-    The verdict is the conjunction.  A transitive action (empty normal
-    space) is reported as vacuously polar with cohomogeneity 0.  The
-    cohomogeneity of a polar action is dim sigma; otherwise it is
-    dim nu minus the largest dim[h_o, xi] over xi sampled in nu.
-    """
-    rd = rd_or_n if hasattr(rd_or_n, "onb") else build_root_decomposition(rd_or_n)
-    N = rd.dim
+
+def _report(residuals, sig, nu, act, seed, tol_rank):
+    """Step 4 and the verdict, shared by check_polarity and check_spec.
+
+    ``residuals`` are (subalgebra, section, bracket, slice orthogonality);
+    ``sig`` and ``nu`` orthonormal rows of sigma and nu in one Euclidean
+    model of p; ``act`` as in _slice_orthogonality.  At a sampled regular
+    xi in sigma (the sample maximizing dim[h_o, xi]) the span
+    sigma + [h_o, xi] must fill nu."""
+    sub_resid, sec_resid, br_resid, ortho_resid = residuals
     rng = np.random.default_rng(seed)
+    is_subalgebra = sub_resid <= TOL_SUBALGEBRA
+    section_in_normal = sec_resid <= TOL_SECTION
+    bracket_condition = br_resid <= TOL_BRACKET
 
-    h_rows = orthonormal_rows(unit_rows(_coord_rows(rd, h_basis)))  # h at any scale
-    sig_rows = orthonormal_rows(_coord_rows(rd, sigma_basis))  # built at unit scale
-
-    # 1. subalgebra
-    sub_resid = _closure_residual(rd, h_rows)
-    is_subalgebra = sub_resid <= 1e-8
-
-    # 2. orbit tangent, normal space, section containment
-    P_p = 0.5 * (np.eye(N) - rd.theta_matrix)
-    orbit_rows = orthonormal_rows(h_rows @ P_p.T)
-    p_rows = orthonormal_rows(P_p)
-    nu_rows = orthonormal_rows(p_rows - (p_rows @ orbit_rows.T) @ orbit_rows)
-    dim_nu = nu_rows.shape[0]
-
-    outside = sig_rows - (sig_rows @ nu_rows.T) @ nu_rows
-    sec_resid = float(np.linalg.norm(outside, axis=1).max(initial=0.0))
-    section_in_normal = sec_resid <= 1e-8
-
-    # 3. <h, sigma + [sigma, sigma]> = 0, scale-normalized via unit bases
-    sig_mats = rd.from_coords_many(sig_rows)
-    br_resid = float(np.abs(sig_rows @ h_rows.T).max(initial=0.0))
-    for vals in _bracket_values(_upper_pairs(sig_mats), rd.dual_rows(h_rows)):
-        br_resid = max(br_resid, float(np.abs(vals).max()))
-    bracket_condition = br_resid <= 1e-9
-
-    # 4. slice condition at a sampled regular section vector
-    # h_o = h cap k: the combinations of the rows of h with no p-part
-    ho_mats = rd.from_coords_many(left_nullspace(h_rows @ P_p) @ h_rows)
-    ortho_resid = 0.0
-    cross = ((T, sig_mats) for T in ho_mats)
-    for vals in _bracket_values(cross, rd.dual_rows(sig_rows)):
-        ortho_resid = max(ortho_resid, float(np.abs(vals).max()))
-
-    def act(xi):  # coordinate rows [T, xi] over T in h_o
-        return rd.coords_many(-bracket_stack(rd.from_coords_many(xi)[0], ho_mats))
-
-    k_sec = sig_rows.shape[0]
-    dim_orbit_xi, best_stack = 0, np.zeros((0, N))
-    for _, d, moved in sample_ranks(rng, sig_rows, act, SLICE_SAMPLES if k_sec else 0, tol_rank):
+    k_sec, dim_nu = sig.shape[0], nu.shape[0]
+    dim_orbit_xi, best_stack = 0, np.zeros((0, sig.shape[1]))
+    for _, d, moved in sample_ranks(rng, sig, act, SLICE_SAMPLES if k_sec else 0, tol_rank):
         if d >= dim_orbit_xi:  # the last sample of largest rank
             dim_orbit_xi, best_stack = d, moved
-    dim_joint = rank(np.vstack([sig_rows, best_stack]), tol_rank)
-    slice_condition = (ortho_resid <= 1e-8) and (dim_joint == dim_nu)
+    dim_joint = rank(np.vstack([sig, best_stack]), tol_rank)
+    slice_condition = (ortho_resid <= TOL_SLICE) and (dim_joint == dim_nu)
 
     transitive = dim_nu == 0
     if transitive:
@@ -405,7 +481,7 @@ def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, tol_rank=TOL_RANK):
     if not verdict:
         # sigma is not certified, so count on all of nu: dim nu minus the
         # principal orbit dimension of the slice representation of h_o
-        ranks = [d for _, d, _ in sample_ranks(rng, nu_rows, act, SLICE_SAMPLES, tol_rank)]
+        ranks = [d for _, d, _ in sample_ranks(rng, nu, act, SLICE_SAMPLES, tol_rank)]
         cohomogeneity = dim_nu - max(ranks, default=0)
     return PolarityReport(
         is_subalgebra=is_subalgebra,
@@ -422,6 +498,126 @@ def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, tol_rank=TOL_RANK):
         transitive=transitive,
         verdict=verdict,
     )
+
+
+def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, tol_rank=TOL_RANK):
+    """Evaluate the polarity criterion for a subalgebra h and claimed
+    section tangent sigma inside p.
+
+    The general entry point, for any h given as su(1, n) elements; checks,
+    in coordinates of the root-space ONB:
+
+    1. h is closed under the bracket (residual reported);
+    2. sigma lies in the normal space nu = p minus the orbit tangent;
+    3. <h, sigma + [sigma, sigma]> = 0;
+    4. the isotropy algebra h_o = h cap k moves sigma orthogonally to
+       itself, and at a sampled regular xi in sigma (the sample maximizing
+       dim[h_o, xi]) the span sigma + [h_o, xi] fills nu.
+
+    The residuals are the Frobenius norms PolarityReport describes.  The
+    verdict is the conjunction.  A transitive action (empty normal space)
+    is reported as vacuously polar with cohomogeneity 0.  The cohomogeneity
+    of a polar action is dim sigma; otherwise it is dim nu minus the largest
+    dim[h_o, xi] over xi sampled in nu.
+    """
+    rd = rd_or_n if hasattr(rd_or_n, "onb") else build_root_decomposition(rd_or_n)
+    h_rows = orthonormal_rows(unit_rows(_coord_rows(rd, h_basis)))  # h at any scale
+    sig_rows = orthonormal_rows(_coord_rows(rd, sigma_basis))  # built at unit scale
+
+    # 2. orbit tangent and normal space
+    P_p = 0.5 * (np.eye(rd.dim) - rd.theta_matrix)
+    orbit_rows = orthonormal_rows(h_rows @ P_p.T)
+    p_rows = orthonormal_rows(P_p)
+    nu_rows = orthonormal_rows(p_rows - (p_rows @ orbit_rows.T) @ orbit_rows)
+
+    # 3. |P_h P_sigma| and |P_h [., .]| on sigma x sigma
+    pairs = _bracket_values(_upper_pairs(rd.from_coords_many(sig_rows)), rd.dual_rows(h_rows))
+    br_resid = math.hypot(float(np.linalg.norm(sig_rows @ h_rows.T)), _pair_norm(pairs))
+
+    # 4. h_o = h cap k: the combinations of the rows of h with no p-part
+    ho_mats = rd.from_coords_many(left_nullspace(h_rows @ P_p) @ h_rows)
+
+    def act(xi):  # coordinate rows [T, xi] over T in h_o
+        return rd.coords_many(-bracket_stack(rd.from_coords_many(xi)[0], ho_mats))
+
+    residuals = (_closure_residual(rd, h_rows), _section_residual(sig_rows, nu_rows),
+                 br_resid, _slice_orthogonality(sig_rows, act))
+    return _report(residuals, sig_rows, nu_rows, act, seed, tol_rank)
+
+
+def check_spec(spec, seed=0, tol_rank=TOL_RANK):
+    """check_polarity for a PolarActionSpec, evaluated in the tangent space
+    T_o CH^n = C^n; no su(1, n) element is formed.
+
+    The spec is validated by _checked_inputs, which also measures the only
+    brackets of h that can leave h ([q, q] and [q, w]).  With z = (z', u)
+    split into the leading C^{n-m} and the trailing C^m on which q acts
+    (m = n - 1 for family II, n - k for family I), a unit z stands for the
+    unit p(z)/2 of p, and by the Iwasawa decomposition su(1, n) = k + a + n:
+
+    - family II: h = q + b + w + g_2a meets k in h_o = q; an orthonormal
+      basis of h has p-parts e_0 (B, when b = a), (0, w)/sqrt 2 and
+      i e_0/sqrt 2 (Z/sqrt 2); sigma is e_0 (b = 0) plus (0, s);
+    - family I: h = so(1, k) + q meets k in h_o = so(k) + q, and p in
+      R^k = span(e_0, ..., e_{k-1}); sigma is i e_0 (k >= 1) plus (0, s);
+
+    so nu is the complement of those p-parts, so(k) acts by rotations of
+    the leading block and q by N on u.  The bracket of two section vectors
+    lies in k, where its h-part is its h_o-part (whose norm is the slice
+    orthogonality residual, by ad-invariance of the metric) plus, for
+    family II only, its parts along the k-parts of X_w and Z: in closed
+    form, |Re<w, s>|^2/4 from the pairs (B, s) when b = 0 and
+    |Im<s, s'>|^2/8 over the ordered pairs of section vectors.
+
+    The report agrees with check_polarity(*build_action(spec)) up to
+    rounding in the residuals and up to the random draws of the sampler
+    (which are taken in a different basis of the same sigma).
+    """
+    n, fam_II = spec.n, spec.family == "II"
+    m = n - 1 if fam_II else n - spec.k
+    q, sub_resid = _checked_inputs(n, m, spec.q_basis, spec.q_section,
+                                   spec.w if fam_II else None)
+    lead = n - m
+    e0 = np.eye(1, n, dtype=complex)
+
+    def trailing(vectors):
+        out = np.zeros((len(vectors), n), dtype=complex)
+        out[:, lead:] = vectors
+        return out
+
+    section = trailing(spec.q_section.basis)
+    S = real_rows(spec.q_section.basis)
+    if fam_II:
+        b_zero = spec.b_flag == "zero"
+        hp = [trailing(spec.w.basis) / math.sqrt(2.0), 1j * e0 / math.sqrt(2.0)]
+        hp = hp if b_zero else [e0] + hp
+        sig = [e0, section] if b_zero else [section]
+        omega = real_rows(1j * spec.q_section.basis) @ S.T  # Im<s, s'>
+        extra = float(np.sum(omega ** 2)) / 8
+        if b_zero:
+            extra += float(np.sum((real_rows(spec.w.basis) @ S.T) ** 2)) / 4
+    else:
+        hp = [np.eye(spec.k, n, dtype=complex)]
+        sig = [1j * e0, section] if spec.k >= 1 else [section]
+        extra = 0.0
+    hp, sig = real_rows(np.vstack(hp)), real_rows(np.vstack(sig))
+    nu = complement_rows(orthonormal_rows(hp), 2 * n)
+
+    rot_a, rot_b = np.triu_indices(lead, 1)  # so(k) of family I; none for family II
+    rot = np.arange(len(rot_a))
+
+    def act(xi):  # real rows [T, xi] over an orthonormal basis T of h_o
+        z = xi.view(complex)
+        out = np.zeros((len(rot) + len(q), n), dtype=complex)
+        out[rot, rot_a] = 0.5 * z[rot_b]
+        out[rot, rot_b] = -0.5 * z[rot_a]
+        out[len(rot):, lead:] = q @ z[lead:]
+        return real_rows(out)
+
+    ortho = _slice_orthogonality(sig, act)
+    br_resid = math.sqrt(float(np.sum((sig @ hp.T) ** 2)) + ortho ** 2 + extra)
+    residuals = (sub_resid, _section_residual(sig, nu), br_resid, ortho)
+    return _report(residuals, sig, nu, act, seed, tol_rank)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chpolar
-from chpolar import kahler, polar
+from chpolar import angeom, cli, kahler, polar, su1n
 from chpolar.cli import _as_text, main, render_json
 from chpolar.polar import PolarActionSpec, normalizer_section
 
@@ -145,8 +145,8 @@ def leak_spec(b_flag, leak):
 
 @pytest.mark.parametrize("b_flag", ["full", "zero"])
 def test_cmd_verify_leak_below_the_input_bound_is_measured_not_an_error(tmp_path, capsys, b_flag):
-    # [q, w] may leave w by up to 1e-8 relative; h is then closed to about
-    # that figure, which check_polarity reports instead of a consistency error
+    # the builders' checks and is_subalgebra bound one figure, the closure
+    # residual of h: a [q, w] leak below 1e-8 is reported, not an error
     rc = main(["verify", write_json(tmp_path, "s.json", leak_spec(b_flag, 3e-9).to_json())])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0 and out["verdict"] is True
@@ -155,31 +155,65 @@ def test_cmd_verify_leak_below_the_input_bound_is_measured_not_an_error(tmp_path
     assert rc == 2 and "q does not normalize w" in capsys.readouterr().err
 
 
-def test_cmd_verify_brackets_h_once(tmp_path, capsys, monkeypatch):
-    spec = spec_pi3(n=4)
-    _, h, _ = polar.build_action(spec)
-    rows = []
-    real = polar._closure_residual
+@pytest.mark.parametrize("b_flag", ["full", "zero"])
+def test_check_spec_matches_the_flat_path_on_the_leak_specs(b_flag):
+    spec = leak_spec(b_flag, 3e-9)
+    got = polar.check_spec(spec).to_json()
+    want = polar.check_polarity(*polar.build_action(spec)).to_json()
+    assert [got[k] for k in ("verdict", "dim_normal", "cohomogeneity")] == \
+        [want[k] for k in ("verdict", "dim_normal", "cohomogeneity")]
+    # sqrt(2) |(1 - pi_w) N b| over the two orders of the pair (N, b), with
+    # |N| = 1 in the metric of su(1, 3): 2 |N|_F^2 - 2 (Im tr N)^2 / 4 = 3/2
+    leak = math.sqrt(2.0) * 3e-9 / math.sqrt(1.5)
+    for report in (got, want):
+        assert report["subalgebra_residual"] == pytest.approx(leak, rel=1e-6)
+    assert abs(got["subalgebra_residual"] - want["subalgebra_residual"]) <= 1e-12
 
-    def spy(rd, h_rows):
-        rows.append(h_rows.shape[0])
-        return real(rd, h_rows)
 
-    monkeypatch.setattr(polar, "_closure_residual", spy)
-    assert main(["verify", write_json(tmp_path, "s.json", spec.to_json())]) == 0
-    # q's closure once in the builder, h's once in check_polarity
-    assert rows == [len(spec.q_basis), len(h)]
+def test_cmd_verify_brackets_no_su1n_element(tmp_path, monkeypatch):
+    # verify evaluates the criterion in T_o CH^n = C^n: it builds no root
+    # decomposition and brackets no su(1, n) matrix, for either family
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify reached the su(1, n) model")
+
+    for name in ("build_root_decomposition", "bracket_stack"):
+        original = getattr(su1n, name)
+        for module in (su1n, polar, kahler, angeom, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, forbidden)
+    line = lambda m: kahler.RealSubspace(m, [np.eye(m, dtype=complex)[0]])
+    specs = {
+        "II": spec_pi3(n=4),
+        "I, k = 2": PolarActionSpec(n=4, family="I", k=2,
+                                    q_basis=kahler.skew_hermitian_basis(2), q_section=line(2)),
+        "I, k = 0": PolarActionSpec(n=4, family="I", k=0,
+                                    q_basis=kahler.skew_hermitian_basis(4), q_section=line(4)),
+    }
+    for label, spec in specs.items():
+        assert main(["verify", write_json(tmp_path, "s.json", spec.to_json())]) == 0, label
+
+
+@pytest.mark.parametrize("q_basis", [
+    [[[[0, 1], [0, 0]], [[0, 0]]]],                               # ragged
+    [[[[0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0]]]],           # triples, not pairs
+    [[[[0, 1], [0, 0]], [[0, 0], ["a", 1]]]],                     # not a number
+], ids=["ragged", "wrong-shape", "non-numeric"])
+def test_cmd_verify_malformed_q_basis_exit_2(tmp_path, capsys, q_basis):
+    payload = PolarActionSpec(n=2, family="I", k=0).to_json()
+    payload["q_basis"] = q_basis
+    assert main(["verify", write_json(tmp_path, "s.json", payload)]) == 2
+    assert "q_basis" in capsys.readouterr().err
 
 
 def _seed_seen(monkeypatch, tmp_path, payload, argv):
     seen = []
-    real = polar.check_polarity
+    real = polar.check_spec
 
     def spy(*args, **kwargs):
         seen.append(kwargs["seed"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(polar, "check_polarity", spy)
+    monkeypatch.setattr(polar, "check_spec", spy)
     assert main(["verify", write_json(tmp_path, "s.json", payload)] + argv) == 0
     return seen
 
@@ -327,6 +361,24 @@ def test_cmd_compare_angles_within_tolerance(tmp_path):
     proc = run_cli(["compare", a, b], tmp_path)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["equivalent"] == "yes"
+
+
+@pytest.mark.parametrize("phi, spread", [
+    (phi, spread) for phi in (0.5, 0.1, 0.01, 1e-4) for spread in (1e-10, 1e-9, 1e-8)])
+def test_cmd_compare_near_equal_angles_with_a_unitary_image(tmp_path, capsys, phi, spread):
+    # w has two pairs whose angles decompose groups into one factor: the
+    # congruence witness of w and its Haar image used to raise (exit 2)
+    w = kahler.canonical_subspace(4, [(phi, 2), (phi + spread, 2)])
+    spec = PolarActionSpec(n=5, family="II", b_flag="full", w=w, q_section=normalizer_section(w))
+    A = kahler.haar_unitary(4, np.random.default_rng(11))
+    image = PolarActionSpec(n=5, family="II", b_flag="full",
+                            w=kahler.RealSubspace(4, w.basis @ A.T),
+                            q_section=kahler.RealSubspace(4, spec.q_section.basis @ A.T))
+    a = write_json(tmp_path, "a.json", spec.to_json())
+    b = write_json(tmp_path, "b.json", image.to_json())
+    assert main(["compare", a, b]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["witness_unitarity"] < 1e-12
 
 
 # --- curvature --------------------------------------------------------------------

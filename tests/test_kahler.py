@@ -285,10 +285,32 @@ def test_congruent_angles_within_tolerance():
         assert np.linalg.norm(img - W.project(img)) < 1e-7
 
 
-def test_adapted_frame_with_a_wrong_angle_raises():
-    W = kahler.canonical_subspace(3, [(0.5 + 1e-8, 2)])
-    with pytest.raises(ValueError, match="leftover norm"):
-        kahler._adapted_frame(W, 0.5)
+def test_adapted_frame_at_a_nearby_angle_frames_each_pair():
+    # the frame at 0.5 of a factor at 0.5 + 1e-8 would be off by about
+    # 1e-8 cot(0.25); each pair is framed at its own eigenvalue's angle
+    angle = 0.5 + 1e-8
+    W = kahler.canonical_subspace(3, [(angle, 2)])
+    F = kahler._adapted_frame(W, 0.5)
+    assert np.abs(F @ F.conj().T - np.eye(2)).max() < 1e-12
+    e, f = F
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    assert W.contains(c * e + 1j * s * f) and W.contains(1j * c * e + s * f)
+
+
+NEAR_ANGLES = [(phi, spread) for phi in (0.5, 0.1, 0.01, 1e-4) for spread in (1e-10, 1e-9, 1e-8)]
+
+
+@pytest.mark.parametrize("phi, spread", NEAR_ANGLES)
+def test_congruent_on_a_factor_grouped_from_near_equal_angles(phi, spread):
+    # decompose groups the two pairs into one factor although their angles
+    # differ; the witness frames each pair at its own angle
+    V = kahler.canonical_subspace(4, [(phi, 2), (phi + spread, 2)])
+    W = RealSubspace(4, V.basis @ kahler.haar_unitary(4, np.random.default_rng(7)).T)
+    assert len(kahler.decompose(V).factors) == 1
+    ok, A = kahler.congruent(V, W)
+    assert ok
+    assert np.abs(A @ A.conj().T - np.eye(4)).max() < 1e-12
+    assert RealSubspace(4, V.basis @ A.T).same_span(W)
 
 
 def test_same_moduli():

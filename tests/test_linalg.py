@@ -39,6 +39,25 @@ def test_unit_rows_drops_zero_rows_and_keeps_the_span():
     assert unit_rows(np.zeros((2, 3))).shape == (0, 3)
 
 
+def test_unit_rows_is_the_plain_normalization_where_the_norm_is_representable():
+    A = np.random.default_rng(2).standard_normal((20, 7)) * np.logspace(-150, 150, 20)[:, None]
+    assert np.array_equal(unit_rows(A), A / np.linalg.norm(A, axis=1)[:, None])
+
+
+def test_unit_rows_does_not_underflow_at_1e_300():
+    # the squares of 1e-300 underflow; rows are scaled by a power of two
+    # first.  1e-300 stays out of SCALES: brackets of such rows underflow
+    A = np.array([[1e-300, 0.0], [3e-300, -4e-300], [0.0, 0.0]])
+    assert np.allclose(unit_rows(A), [[1.0, 0.0], [0.6, -0.8]], rtol=0.0, atol=1e-15)
+    assert np.allclose(unit_rows(1e300 * A[:2] / 1e-300), unit_rows(A[:2]), rtol=0.0, atol=1e-15)
+    assert RealSubspace(2, [[1e-300, 0]]).dim == 1
+    V = kahler.random_subspace(3, [(math.pi / 5, 2), (math.pi / 2, 1)], np.random.default_rng(4))
+    got = kahler.decompose(RealSubspace(3, 1e-300 * V.basis)).moduli()
+    want = kahler.decompose(V).moduli()
+    assert [d for _, d in got] == [d for _, d in want]
+    assert np.allclose([a for a, _ in got], [a for a, _ in want], rtol=0.0, atol=1e-12)
+
+
 def test_rank_rule_is_relative_above_scale_one_and_absolute_below():
     A = np.diag([1e6, 1.0, 1e-3])
     assert rank(A, 1e-10) == 3

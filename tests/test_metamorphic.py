@@ -1,0 +1,122 @@
+"""Metamorphic properties of the polarity criterion.
+
+Verdict, dim_normal and cohomogeneity of check_spec do not change under a
+unitary conjugation of a family II spec, a positive rescaling and invertible
+real change of basis of q_basis, w and the section, or a change of seed; and
+the residuals of the flat check_polarity do not depend on the bases of h
+and sigma it is given.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chpolar import kahler, polar
+from chpolar.kahler import RealSubspace
+from chpolar.polar import PolarActionSpec, build_action, check_polarity, check_spec
+from chpolar.su1n import AlgElement
+
+
+def _false_claims():
+    """Specs whose claimed section is not one, with nonzero residuals."""
+    eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+    return [
+        # u(2) on C^2 has the one-line section, not R^2
+        PolarActionSpec(n=3, family="II", b_flag="zero", q_basis=kahler.skew_hermitian_basis(2),
+                        q_section=RealSubspace(2, list(eye2))),
+        # q = 0: every orbit has codimension 2n - 1
+        PolarActionSpec(n=4, family="II", b_flag="zero", q_section=RealSubspace(3, list(eye3))),
+        # a complex section claim fails the bracket condition
+        PolarActionSpec(n=3, family="II", b_flag="full", q_section=RealSubspace.full(2)),
+        PolarActionSpec(n=4, family="I", k=1, q_basis=kahler.skew_hermitian_basis(3),
+                        q_section=RealSubspace(3, list(eye3))),
+    ]
+
+
+POOL = ([entry.spec for entry in polar.enumerate_moduli(3, (0.4, 1.0))]
+        + [entry.spec for entry in polar.enumerate_moduli(4, (0.4,))]
+        + _false_claims())
+FAMILY_II = [i for i, spec in enumerate(POOL) if spec.family == "II"]
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def invariants(spec, seed=0):
+    report = check_spec(spec, seed=seed)
+    return report.verdict, report.dim_normal, report.cohomogeneity
+
+
+def invertible(rng, k):
+    """A random real k x k matrix with singular values in [0.3, 3]."""
+    q1, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    q2, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return (q1 * rng.uniform(0.3, 3.0, k)) @ q2
+
+
+def orthogonal(rng, k):
+    return np.linalg.qr(rng.standard_normal((k, k)))[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FAMILY_II), SEEDS)
+def test_unitary_conjugation_keeps_the_invariants(index, seed):
+    spec = POOL[index]
+    m = spec.n - 1
+    A = kahler.haar_unitary(m, np.random.default_rng(seed))
+    moved = PolarActionSpec(
+        n=spec.n, family="II", b_flag=spec.b_flag,
+        w=RealSubspace(m, spec.w.basis @ A.T),
+        q_basis=[A @ N @ A.conj().T for N in spec.q_basis],
+        q_section=RealSubspace(m, spec.q_section.basis @ A.T),
+    )
+    assert invariants(moved) == invariants(spec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=len(POOL) - 1), SEEDS,
+       st.floats(min_value=-6.0, max_value=6.0))
+def test_rescaled_and_rebased_inputs_keep_the_invariants(index, seed, log_scale):
+    spec = POOL[index]
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+
+    def rebased(rows):  # the same span, another spanning set at another scale
+        return scale * np.tensordot(invertible(rng, len(rows)), rows, axes=1) if len(rows) else rows
+
+    m = spec.q_section.ambient_complex_dim
+    moved = PolarActionSpec(
+        n=spec.n, family=spec.family, k=spec.k, b_flag=spec.b_flag,
+        w=None if spec.w is None else RealSubspace(m, rebased(spec.w.basis)),
+        q_basis=list(rebased(np.array(spec.q_basis, dtype=complex))),
+        q_section=RealSubspace(m, rebased(spec.q_section.basis)),
+    )
+    assert invariants(moved) == invariants(spec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=len(POOL) - 1), SEEDS)
+def test_a_change_of_seed_keeps_the_invariants(index, seed):
+    assert invariants(POOL[index], seed=seed) == invariants(POOL[index])
+
+
+RESIDUALS = ("subalgebra_residual", "section_residual", "bracket_residual")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=len(POOL) - 1), SEEDS)
+def test_flat_residuals_do_not_depend_on_the_bases_of_h_and_sigma(index, seed):
+    rng = np.random.default_rng(seed)
+    rd, h, sigma = build_action(POOL[index])
+
+    def turned(elements):  # the rows moved by a random orthogonal matrix
+        if not elements:
+            return elements
+        mats = np.array([X.matrix for X in elements])
+        return [AlgElement(rd.n, M) for M in np.tensordot(orthogonal(rng, len(mats)), mats, axes=1)]
+
+    base = check_polarity(rd, h, sigma).to_json()
+    moved = check_polarity(rd, turned(h), turned(sigma)).to_json()
+    for key in RESIDUALS:
+        # 1e-12 relative, above a rounding floor four decades below the bounds
+        assert math.isclose(moved[key], base[key], rel_tol=1e-12, abs_tol=1e-13), (key, base, moved)

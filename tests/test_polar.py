@@ -1,4 +1,7 @@
+import json
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from chpolar.polar import (
     build_family_I,
     build_family_II,
     check_polarity,
+    check_spec,
     enumerate_moduli,
     normalizer_section,
     orbit_equivalence_invariants,
@@ -478,3 +482,76 @@ def test_report_json_has_all_residuals():
         "cohomogeneity", "transitive", "verdict",
     ):
         assert key in data
+
+
+# --- check_spec against the flat path -----------------------------------------------------
+
+EXACT_FIELDS = ("verdict", "is_subalgebra", "section_in_normal", "bracket_condition",
+                "slice_condition", "dim_normal", "dim_section", "dim_isotropy_orbit",
+                "cohomogeneity", "transitive")
+RESIDUALS = ("subalgebra_residual", "section_residual", "bracket_residual")
+
+
+def assert_check_spec_matches_the_flat_path(spec, seed=0):
+    """check_spec against check_polarity(*build_action(spec)): the same
+    booleans and dimensions, the residuals to 1e-12 max(1, value)."""
+    got = check_spec(spec, seed=seed).to_json()
+    want = check_polarity(*build_action(spec), seed=seed).to_json()
+    assert list(got) == list(want)
+    assert {k: got[k] for k in EXACT_FIELDS} == {k: want[k] for k in EXACT_FIELDS}, spec.to_json()
+    for key in RESIDUALS:
+        assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, abs(got[key])), (key, got, want)
+    return got
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("grid", [(), (0.4, 1.0)])
+def test_check_spec_matches_the_flat_path_on_the_catalog(n, grid):
+    rng = np.random.default_rng(n)
+    specs = [entry.spec for entry in enumerate_moduli(n, grid)]
+    specs += [conjugated(spec, kahler.haar_unitary(n - 1, rng))
+              for spec in specs if spec.family == "II"]
+    for spec in specs:
+        assert assert_check_spec_matches_the_flat_path(spec)["verdict"]
+
+
+def benchmark_specs(workload, seed, workdir):
+    """The specs every verify op of a perfbench workload reads."""
+    sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return {op["id"]: PolarActionSpec.from_json(json.loads((workdir / op["argv"][1]).read_text()))
+            for op in workloads.make_ops(workload, seed, str(workdir))
+            if op["argv"][0] == "verify"}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_check_spec_matches_the_flat_path_on_the_benchmark_specs(seed, tmp_path):
+    specs = benchmark_specs("verify-large", seed, tmp_path)
+    specs["verify-wrong-section"] = benchmark_specs("cli-catalog", seed, tmp_path)["verify-wrong-section"]
+    assert len(specs) == 10
+    for op_id, spec in specs.items():
+        report = assert_check_spec_matches_the_flat_path(spec, seed=spec.seed)
+        if op_id == "verify-non-polar-n12":  # q = 0: every orbit has codimension 2n - 1
+            assert (report["verdict"], report["cohomogeneity"]) == (False, 23)
+        elif op_id == "verify-wrong-section":  # u(2) on C^2 has cohomogeneity 1, plus the B line
+            assert (report["verdict"], report["cohomogeneity"]) == (False, 2)
+        else:
+            assert report["verdict"], op_id
+
+
+def test_check_spec_matches_the_flat_path_on_false_claims():
+    n = 3
+    zero, full = RealSubspace.zero(n - 1), RealSubspace.full(n - 1)
+    e1 = np.array([1.0 + 0j, 0])
+    specs = [
+        PolarActionSpec(n=n, family="II", b_flag="full", w=zero, q_section=full),
+        PolarActionSpec(n=n, family="II", b_flag="zero", w=RealSubspace(2, [e1]),
+                        q_section=RealSubspace(2, [e1, 1j * e1])),
+        PolarActionSpec(n=4, family="I", k=1, q_basis=kahler.skew_hermitian_basis(3),
+                        q_section=RealSubspace(3, list(np.eye(3, dtype=complex)))),
+    ]
+    for spec in specs:
+        assert not assert_check_spec_matches_the_flat_path(spec)["verdict"]
