@@ -412,6 +412,23 @@ def test_cmd_selfcheck_passes(capsys):
     assert rc == 0 and out["ok"] is True
 
 
+# selfcheck prints rounding-level residuals at 17 digits, so its bytes pin
+# every floating-point operation of galpha_matrix, k0_matrix and the root
+# decomposition it runs through.
+SELFCHECK_SHA256 = {
+    2: "91574523fbb162ab9474960c183da7441318fd7dd82877374a71a6195483cdd0",
+    3: "36131b39bde923ebd0e09db68fc7e8780819f5c35147783a9c200b45e8cd4047",
+    4: "065f450e37c313e97f5dfea476a5caf30f15b75c6b5212d3c4cc470b0a8dd666",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SELFCHECK_SHA256))
+def test_cmd_selfcheck_output_is_pinned(capsys, n):
+    assert main(["selfcheck", "--n", str(n), "--seed", "1"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == SELFCHECK_SHA256[n]
+
+
 def test_deterministic_byte_identical_output(tmp_path):
     a = write_json(tmp_path, "a.json", spec_pi3().to_json())
     out1 = tmp_path / "r1.json"
