@@ -219,8 +219,11 @@ class OrbitModel:
         self.tangent = tangent
         T = np.array([t.to_real() for t in tangent])
         gram = T @ T.T
-        if np.abs(gram - np.eye(len(tangent))).max() > 1e-9:
-            raise ValueError("tangent basis failed to orthonormalize")
+        gram_err = np.abs(gram - np.eye(len(tangent))).max()
+        if gram_err > 1e-9:
+            raise ValueError(
+                f"tangent basis failed to orthonormalize (max |G - 1| = {gram_err:.3g} > 1e-9)"
+            )
         # normal: AN-orthogonal complement inside a + n
         full = np.eye(2 * self.n)
         proj = full - T.T @ T
@@ -257,19 +260,26 @@ class OrbitModel:
         for i, s in enumerate(self.tangent):
             for t in self.tangent[i:]:
                 br = an_bracket(s, t)
-                resid = br - self.project_tangent(br)
-                if norm(resid) > tol:
-                    raise ValueError("tangent space is not a subalgebra of a + n")
+                resid = norm(br - self.project_tangent(br))
+                if resid > tol:
+                    raise ValueError(
+                        f"tangent space is not a subalgebra of a + n "
+                        f"(bracket part outside {resid:.3g} > {tol:g})"
+                    )
 
 
 def shape_operator(orbit, xi, tol=1e-9):
     """Matrix of S_xi = -(grad_. xi)^T in the orbit's orthonormal tangent basis.
 
     xi must be a unit normal vector; the result is symmetric (checked)."""
-    if abs(norm(xi) - 1.0) > tol:
-        raise ValueError("shape operator needs a unit normal vector")
-    if norm(orbit.project_tangent(xi)) > tol:
-        raise ValueError("vector is not normal to the orbit")
+    off_unit = abs(norm(xi) - 1.0)
+    if off_unit > tol:
+        raise ValueError(
+            f"shape operator needs a unit normal vector (||xi| - 1| = {off_unit:.3g} > {tol:g})")
+    tangential = norm(orbit.project_tangent(xi))
+    if tangential > tol:
+        raise ValueError(
+            f"vector is not normal to the orbit (tangential part {tangential:.3g} > {tol:g})")
     k = len(orbit.tangent)
     S = np.empty((k, k))
     for j, t in enumerate(orbit.tangent):
@@ -277,8 +287,10 @@ def shape_operator(orbit, xi, tol=1e-9):
         colT = orbit.project_tangent(col)
         for i, s in enumerate(orbit.tangent):
             S[i, j] = inner_product(colT, s)
-    if np.abs(S - S.T).max() > 1e-9:
-        raise ConsistencyError("shape operator is not self-adjoint")
+    asym = np.abs(S - S.T).max()
+    if asym > 1e-9:
+        raise ConsistencyError(
+            f"shape operator is not self-adjoint (max |S - S^T| = {asym:.3g} > 1e-9)")
     return S
 
 
@@ -314,38 +326,21 @@ def mean_curvature_closed_form(orbit):
 # -- operations that live in the ambient matrix model ----------------------
 
 
-def _coerce_k0(rd, elements):
-    out = []
-    for T in elements:
-        if hasattr(T, "matrix"):
-            out.append(T)
-        else:
-            out.append(rd.k0_matrix(np.asarray(T, dtype=complex)))
-    return out
-
-
-def _coerce_galpha(rd, xi):
-    if hasattr(xi, "matrix"):
-        return xi
-    return rd.galpha_matrix(np.asarray(xi, dtype=complex))
-
-
-def isotropy_at(rd_or_n, q_basis, xi):
+def isotropy_at(n, q_basis, xi):
     """Isotropy subalgebra at the point Exp(lambda xi)(o): q cut down to
     ker ad(xi).
 
-    q_basis elements may be ambient algebra elements in k_0 or skew-Hermitian
-    matrices acting on C^{n-1}; xi may be an algebra element of g_a or a
-    vector in C^{n-1}.  Returns an orthonormal basis of
-    {T in span(q) : [T, xi] = 0} as algebra elements.  Neither the scale of
-    q nor that of xi changes the answer.
+    q_basis holds skew-Hermitian matrices acting on C^{n-1} (embedded in
+    k_0 by ``k0_matrix``) and xi is a vector of C^{n-1} ~ g_a.  Returns an
+    orthonormal basis of {T in span(q) : [T, xi] = 0} as algebra elements.
+    Neither the scale of q nor that of xi changes the answer.
     """
-    rd = rd_or_n if hasattr(rd_or_n, "onb") else build_root_decomposition(rd_or_n)
-    q = _coerce_k0(rd, q_basis)
-    if not q:
+    rd = build_root_decomposition(n)
+    if not len(q_basis):
         return []
-    q_rows = orthonormal_rows(unit_rows(rd.coords_many(np.array([T.matrix for T in q]))))
-    xi_c = rd.coords(_coerce_galpha(rd, xi))
+    q = np.array([rd.k0_matrix(N).matrix for N in q_basis])
+    q_rows = orthonormal_rows(unit_rows(rd.coords_many(q)))
+    xi_c = rd.coords(rd.galpha_matrix(xi))
     if not xi_c.any():
         return [rd.from_coords(r) for r in q_rows]  # every T fixes xi = 0
     xi_m = rd.from_coords_many(xi_c / np.linalg.norm(xi_c))[0]
@@ -353,7 +348,7 @@ def isotropy_at(rd_or_n, q_basis, xi):
     return [rd.from_coords(r) for r in left_nullspace(moved) @ q_rows]
 
 
-def conjugate_subalgebra(rd_or_n, h_basis, g_exponent, tol=1e-9):
+def conjugate_subalgebra(n, h_basis, g_exponent, tol=1e-9):
     """Push a subalgebra h of k_0 + a + n forward by Ad(exp(g_exponent)).
 
     g_exponent is an ANVector.  The image is re-orthonormalized and checked
@@ -364,7 +359,7 @@ def conjugate_subalgebra(rd_or_n, h_basis, g_exponent, tol=1e-9):
 
     if not h_basis:
         return []
-    rd = rd_or_n if hasattr(rd_or_n, "onb") else build_root_decomposition(rd_or_n)
+    rd = build_root_decomposition(n)
     g_mat = (
         g_exponent.a * rd.B
         + rd.galpha_matrix(g_exponent.u)
@@ -377,7 +372,9 @@ def conjugate_subalgebra(rd_or_n, h_basis, g_exponent, tol=1e-9):
     for r in rows:
         el = rd.from_coords(r)
         inside = rd.project_block(el, ["k_0", "a", "g_a", "g_2a"])
-        if (el - inside).norm() > tol * max(1.0, el.norm()):
-            raise ConsistencyError("conjugated algebra left k_0 + a + n")
+        outside = (el - inside).norm() / max(1.0, el.norm())
+        if outside > tol:
+            raise ConsistencyError(f"conjugated algebra left k_0 + a + n "
+                                   f"(part outside / max(1, |X|) = {outside:.3g} > {tol:g})")
         out.append(el)
     return out

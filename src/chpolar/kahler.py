@@ -55,9 +55,9 @@ class RealSubspace:
             if r.shape != (m,):
                 raise ValueError(f"basis vector has length {r.shape}, ambient is C^{m}")
         mat = np.array(rows, dtype=complex).reshape(len(rows), m)
-        onb = orthonormal_rows(unit_rows(real_rows(mat)))
+        orth = orthonormal_rows(unit_rows(real_rows(mat)))
         object.__setattr__(self, "ambient_complex_dim", m)
-        object.__setattr__(self, "basis", _complex_rows(onb, m))
+        object.__setattr__(self, "basis", _complex_rows(orth, m))
 
     # -- constructors ---------------------------------------------------
 
@@ -248,7 +248,10 @@ def _check_decomposition(V, dec):
     F = np.vstack([sub.basis for _, sub in dec.factors])
     cross = np.abs(F.conj() @ F.T)[owner[:, None] != owner[None, :]]
     if cross.max(initial=0.0) > TOL_MEMBER:
-        raise ValueError("complex spans of factors are not orthogonal")
+        raise ValueError(
+            f"complex spans of factors are not orthogonal "
+            f"(max |<a, b>| = {cross.max():.3g} > {TOL_MEMBER:g})"
+        )
     angles = dec.angles()
     if any(angles[i] >= angles[i + 1] for i in range(len(angles) - 1)):
         raise ValueError("angles are not strictly increasing")

@@ -20,12 +20,13 @@ representations arising here the dimension-saturation check at a regular
 vector certifies the section property without invoking the classification
 of polar representations (a documented limitation for exotic inputs).
 
-``check_polarity`` works on any h given as su(1, n) elements.  ``check_spec``
-evaluates the same criterion on a PolarActionSpec in the tangent space
-T_o CH^n = C^n, where the isotropy algebra h cap k acts by m x m blocks:
-every bracket the root-space structure fixes is written in closed form, and
-only q is measured.  Both report the same residuals, Frobenius norms of
-basis-free maps (see PolarityReport).
+``check_polarity`` works on any h given as a stack of su(1, n) matrices, as
+the builders return it from a spec.  ``check_spec`` evaluates the same
+criterion on a PolarActionSpec in the tangent space T_o CH^n = C^n, where
+the isotropy algebra h cap k acts by m x m blocks: every bracket the
+root-space structure fixes is written in closed form, and only q is
+measured.  Both report the same residuals, Frobenius norms of basis-free
+maps (see PolarityReport).
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ from ._linalg import (
 )
 from .kahler import RealSubspace
 from .su1n import (
-    AlgElement,
+    TOL_ALG,
     bracket_stack,
     build_root_decomposition,
+    galpha_matrices,
+    membership_residual,
+    p_matrices,
     real_rows,
-    theta,
     traceless_block,
 )
 
@@ -83,11 +86,6 @@ def _pair_norm(blocks):
     basis, from the value blocks of its pairs i < j: each block counts for
     both orders of its pairs, so the figure does not depend on the basis."""
     return math.sqrt(2.0 * sum(float(np.sum(vals * vals)) for vals in blocks))
-
-
-def _coord_rows(rd, elems):
-    """Coordinate rows of the given algebra elements, one per element."""
-    return rd.coords_many(np.array([X.matrix for X in elems]).reshape(-1, rd.n + 1, rd.n + 1))
 
 
 def _q_rows(q_basis, m):
@@ -327,87 +325,67 @@ class PolarityReport:
 # ---------------------------------------------------------------------------
 
 
-def _q_elements(rd, q_basis):
-    """The images of the q_basis matrices in su(1, n), the elements the
-    builders put in h (``traceless_block``, an injective Lie homomorphism)."""
-    return [AlgElement(rd.n, traceless_block(rd.n, np.asarray(N, dtype=complex)))
-            for N in q_basis]
+def _section_stack(n, lead, section):
+    """The claimed section tangent as p-matrices (``su1n.p_matrices``): the
+    rows ``lead`` of C^n, then the section vectors of C^m in the trailing
+    coordinates."""
+    m = section.ambient_complex_dim
+    z = np.zeros((len(lead) + section.dim, n), dtype=complex)
+    z[:len(lead)] = np.reshape(lead, (len(lead), n))
+    z[len(lead):, n - m:] = section.basis
+    return p_matrices(z)
 
 
-def build_family_II(rd_or_n, b_flag, w, q_basis, q_section):
-    """Assemble h = q + b + w + g_2a and its claimed section tangent in p.
+def build_family_II(spec):
+    """Assemble h = q + b + w + g_2a and its claimed section tangent in p
+    for a family II spec.
 
-    Returns (h_basis, sigma_basis) as lists of algebra elements.  Raises
+    Returns (h, sigma) as (k, n+1, n+1) stacks of su(1, n) matrices.  Raises
     ValueError when the algebra preconditions fail (see _checked_inputs:
     [q, w] not inside w or q not a subalgebra); once they hold, h is closed
     to within TOL_SUBALGEBRA.  The claimed section is passed through
     untouched: a bad claim (not totally real, meeting w, ...) is the
     criterion's job to reject, so that deliberately wrong claims produce a
-    false verdict with residuals instead of an input error.
+    false verdict with residuals instead of an input error.  A section
+    vector s stands for X(s) - theta X(s) with X(s) in g_a, the p-matrix of
+    (0, s).
     """
-    rd = rd_or_n if hasattr(rd_or_n, "onb") else build_root_decomposition(rd_or_n)
-    n = rd.n
-    if b_flag not in ("zero", "full"):
-        raise ValueError("b_flag must be 'zero' or 'full'")
-    w = w if w is not None else RealSubspace.zero(n - 1)
-    s = q_section if q_section is not None else RealSubspace.zero(n - 1)
-    _checked_inputs(n, n - 1, q_basis, s, w)
-
-    h = _q_elements(rd, q_basis)
-    if b_flag == "full":
-        h.append(rd.B)
-    h += [rd.galpha_matrix(bvec) for bvec in w.basis]
-    h.append(rd.Z)
-
-    sigma = []
-    if b_flag == "zero":
-        sigma.append(rd.B)
-    for svec in s.basis:
-        X = rd.galpha_matrix(svec)
-        sigma.append(X - theta(X))
-    return h, sigma
+    n = spec.n
+    _checked_inputs(n, n - 1, spec.q_basis, spec.q_section, spec.w)
+    rd = build_root_decomposition(n)
+    q = np.array(spec.q_basis, dtype=complex).reshape(len(spec.q_basis), n - 1, n - 1)
+    h = [traceless_block(n, q), galpha_matrices(spec.w.basis), rd.Z.matrix[None]]
+    lead = []
+    if spec.b_flag == "full":
+        h.insert(1, rd.B.matrix[None])
+    else:
+        lead.append(np.eye(n)[0] / 2)  # B = p(e_0 / 2)
+    return np.concatenate(h), _section_stack(n, lead, spec.q_section)
 
 
-def build_family_I(rd_or_n, k, q_basis, q_section):
-    """Assemble h = q + so(1, k) and its claimed section tangent in p.
+def build_family_I(spec):
+    """Assemble h = q + so(1, k) and its claimed section tangent in p for a
+    family I spec.
 
     so(1, k) occupies the upper-left (k+1) x (k+1) block as real matrices;
     q acts on the trailing C^{n-k} block, embedded as diag(0, N) minus its
     trace scalar (the scalar generates the trivial-acting center of u(1, n),
     so the action on the space is the standard q-action).  The section
     tangent is the line R(iB) for k >= 1 plus the claimed q-section inside
-    the totally geodesic complementary block.  Raises ValueError when q is
-    not a subalgebra of u(n - k) (see _checked_inputs).
+    the totally geodesic complementary block.  Returns (h, sigma) as
+    (k, n+1, n+1) stacks; raises ValueError when q is not a subalgebra of
+    u(n - k) (see _checked_inputs).
     """
-    rd = rd_or_n if hasattr(rd_or_n, "onb") else build_root_decomposition(rd_or_n)
-    n = rd.n
-    if not (0 <= k <= n):
-        raise ValueError("k must be in {0..n}")
+    n, k = spec.n, spec.k
     m = n - k
-    s = q_section if q_section is not None else RealSubspace.zero(m)
-    _checked_inputs(n, m, q_basis, s)
-
-    N1 = n + 1
-    eps = np.array([-1.0] + [1.0] * n)
-    h = []
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            E = np.zeros((N1, N1), dtype=complex)
-            E[i, j] = 1.0
-            E[j, i] = -eps[i] * eps[j]
-            h.append(AlgElement(n, E))
-    h += _q_elements(rd, q_basis)
-
-    sigma = []
-    if k >= 1:
-        z = np.zeros(n, dtype=complex)
-        z[0] = 0.5j
-        sigma.append(rd.p_matrix(z))  # i B, normal to T_o RH^k inside T_o CH^k
-    for svec in s.basis:
-        z = np.zeros(n, dtype=complex)
-        z[k:] = svec
-        sigma.append(rd.p_matrix(z))
-    return h, sigma
+    _checked_inputs(n, m, spec.q_basis, spec.q_section)
+    i, j = np.triu_indices(k + 1, 1)
+    so = np.zeros((len(i), n + 1, n + 1), dtype=complex)
+    so[np.arange(len(i)), i, j] = 1.0
+    so[np.arange(len(i)), j, i] = np.where(i == 0, 1.0, -1.0)  # -eps_i eps_j
+    q = np.array(spec.q_basis, dtype=complex).reshape(len(spec.q_basis), m, m)
+    lead = [0.5j * np.eye(n)[0]] if k >= 1 else []  # i B, normal to T_o RH^k in T_o CH^k
+    return np.concatenate([so, traceless_block(n, q)]), _section_stack(n, lead, spec.q_section)
 
 
 def _closure_residual(rd, h_rows):
@@ -421,13 +399,9 @@ def _closure_residual(rd, h_rows):
 def build_action(spec):
     """Dispatch a PolarActionSpec to its family builder.
 
-    Returns (rd, h_basis, sigma_basis)."""
-    rd = build_root_decomposition(spec.n)
-    if spec.family == "I":
-        h, sigma = build_family_I(rd, spec.k, spec.q_basis, spec.q_section)
-    else:
-        h, sigma = build_family_II(rd, spec.b_flag, spec.w, spec.q_basis, spec.q_section)
-    return rd, h, sigma
+    Returns (n, h, sigma), the arguments of check_polarity."""
+    build = build_family_I if spec.family == "I" else build_family_II
+    return (spec.n, *build(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +474,28 @@ def _report(residuals, sig, nu, act, seed, tol_rank):
     )
 
 
-def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, tol_rank=TOL_RANK):
+def _member_rows(rd, stack, name):
+    """Orthonormal coordinate rows spanning a (k, n+1, n+1) stack of
+    su(1, n) matrices, at any scale of the stack; a stack of another shape,
+    or with a matrix outside su(1, n), is a ValueError."""
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (rd.n + 1, rd.n + 1):
+        raise ValueError(
+            f"{name} must be a (k, {rd.n + 1}, {rd.n + 1}) stack, got shape {stack.shape}")
+    resid = membership_residual(stack).max(initial=0.0)
+    if resid > TOL_ALG:
+        raise ValueError(
+            f"{name} leaves su(1, {rd.n}) (relative residual {resid:.3g} > {TOL_ALG:g})")
+    return orthonormal_rows(unit_rows(rd.coords_many(stack)))
+
+
+def check_polarity(n, h, sigma, seed=0, tol_rank=TOL_RANK):
     """Evaluate the polarity criterion for a subalgebra h and claimed
     section tangent sigma inside p.
 
-    The general entry point, for any h given as su(1, n) elements; checks,
-    in coordinates of the root-space ONB:
+    The general entry point, for any h and sigma given as (k, n+1, n+1)
+    stacks of su(1, n) matrices; checks, in coordinates of the root-space
+    ONB:
 
     1. h is closed under the bracket (residual reported);
     2. sigma lies in the normal space nu = p minus the orbit tangent;
@@ -520,9 +510,8 @@ def check_polarity(rd_or_n, h_basis, sigma_basis, seed=0, tol_rank=TOL_RANK):
     of a polar action is dim sigma; otherwise it is dim nu minus the largest
     dim[h_o, xi] over xi sampled in nu.
     """
-    rd = rd_or_n if hasattr(rd_or_n, "onb") else build_root_decomposition(rd_or_n)
-    h_rows = orthonormal_rows(unit_rows(_coord_rows(rd, h_basis)))  # h at any scale
-    sig_rows = orthonormal_rows(_coord_rows(rd, sigma_basis))  # built at unit scale
+    rd = build_root_decomposition(n)
+    h_rows, sig_rows = _member_rows(rd, h, "h"), _member_rows(rd, sigma, "sigma")
 
     # 2. orbit tangent and normal space
     P_p = 0.5 * (np.eye(rd.dim) - rd.theta_matrix)
@@ -636,10 +625,9 @@ def regular_vectors(q_basis, w, s, samples=100, seed=0):
     m = w.ambient_complex_dim
     if s.ambient_complex_dim != m:
         raise ValueError("w and s must share the ambient space")
-    for a in s.basis:
-        for b in w.basis:
-            if abs(float(np.real(np.vdot(b, a)))) > 1e-8:
-                raise ValueError("s must be orthogonal to w")
+    cross = np.abs(real_rows(s.basis) @ real_rows(w.basis).T).max(initial=0.0)
+    if cross > 1e-8:
+        raise ValueError(f"s must be orthogonal to w (max |Re<s_i, w_j>| = {cross:.3g} > 1e-8)")
     if s.dim == 0:
         return []
     target = 2 * m - w.dim - s.dim
@@ -757,15 +745,6 @@ class CatalogEntry:
     spec: PolarActionSpec
 
 
-def _torus_basis(m):
-    out = []
-    for j in range(m):
-        E = np.zeros((m, m), dtype=complex)
-        E[j, j] = 1j
-        out.append(E)
-    return out
-
-
 def _family_I_entries(n):
     entries = []
     for k in range(n, -1, -1):
@@ -790,7 +769,7 @@ def _family_I_entries(n):
                 label=f"I:k={k},q=t({m})",
                 spec=PolarActionSpec(
                     n=n, family="I", k=k,
-                    q_basis=_torus_basis(m),
+                    q_basis=kahler.skew_hermitian_basis(m)[:m],
                     q_section=RealSubspace(m, list(eye)),
                 ),
             ))

@@ -59,12 +59,11 @@ class AlgElement:
         if mat.shape != (n + 1, n + 1):
             raise ValueError(f"matrix must be {(n + 1, n + 1)}, got {mat.shape}")
         if validate:
-            scale = max(1.0, np.abs(mat).max())
-            if abs(np.trace(mat)) > TOL_ALG * scale * (n + 1):
-                raise ValueError("matrix is not traceless")
-            I = _signature(n)
-            if np.abs(mat.conj().T @ I + I @ mat).max() > TOL_ALG * scale * 10:
-                raise ValueError("matrix does not satisfy X* I + I X = 0")
+            resid = membership_residual(mat[None])[0]
+            if resid > TOL_ALG:
+                raise ValueError(
+                    f"matrix is not in su(1, {n}) (relative residual {resid:.3g} > {TOL_ALG:g})"
+                )
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -98,6 +97,22 @@ class AlgElement:
     def from_json(cls, n, data):
         mat = np.array([[complex(re, im) for re, im in row] for row in data])
         return cls(n, mat)
+
+
+def membership_residual(mats):
+    """How far each matrix X of a (k, n+1, n+1) stack is from su(1, n),
+    relative to max|X| (0 for X = 0):
+
+        max(|tr X| / (n + 1), max|X* I + I X| / 10) / max|X|.
+
+    The one membership test: AlgElement, the root decomposition and
+    check_polarity compare it with TOL_ALG, at any scale of X."""
+    n = mats.shape[-1] - 1
+    I = _signature(n)
+    trace = np.abs(np.trace(mats, axis1=1, axis2=2)) / (n + 1)
+    skew = np.abs(mats.conj().transpose(0, 2, 1) @ I + I @ mats).max(axis=(1, 2), initial=0.0) / 10
+    scale = np.abs(mats).max(axis=(1, 2), initial=0.0)
+    return np.divide(np.maximum(trace, skew), scale, out=np.zeros(len(mats)), where=scale > 0)
 
 
 def bracket(X, Y):
@@ -182,33 +197,30 @@ def ad_exp(X):
 class RootDecomposition:
     """Restricted root space data of su(1, n) for a fixed n.
 
-    The global orthonormal basis ``onb`` is ordered by blocks
+    The global orthonormal basis, the stack ``_mats``, is ordered by blocks
 
         [g_{-2a} | g_{-a} | k_0 | a | g_a | g_{2a}]
 
     and index ranges for each block are exposed.  The g_a block is the
     adapted frame F_1, J F_1, F_2, J F_2, ..., which realizes the complex
     identification g_a ~ C^{n-1}; all of these are <,>-orthonormal (the
-    AN-orthonormal frame differs by a factor sqrt(2) and is also stored).
+    AN-orthonormal frame, ``galpha_matrix`` of the unit vectors, is
+    sqrt(2) times it).
     """
 
     n: int
-    c: float                      # metric scale in <X,Y> = -c Re tr(theta(X) Y)
-    onb: tuple                    # tuple[AlgElement], <,>-orthonormal
-    slices: dict                  # block name -> slice into onb
+    slices: dict                  # block name -> slice into the basis
     B: AlgElement                 # unit vector spanning a
     Z: AlgElement                 # generator of g_2a, <Z,Z> = 2, J B = Z
-    galpha_frame: tuple           # AN-orthonormal adapted frame of g_a
-    J_galpha: np.ndarray          # J matrix on g_a in the onb block basis
-    theta_matrix: np.ndarray      # theta in onb coordinates, a signed permutation
+    theta_matrix: np.ndarray      # theta in basis coordinates, a signed permutation
     _dual: np.ndarray = field(repr=False)   # coordinate functionals, see _functionals
-    _mats: np.ndarray = field(repr=False)   # stacked ONB matrices
+    _mats: np.ndarray = field(repr=False)   # stacked orthonormal basis matrices
 
     # -- coordinates -------------------------------------------------------
 
     @property
     def dim(self):
-        return len(self.onb)
+        return len(self._mats)
 
     def coords(self, X):
         """Coordinates of X in the global ONB (Euclidean for <,>)."""
@@ -236,7 +248,7 @@ class RootDecomposition:
 
     def block(self, name):
         """The ONB elements of a root-space block."""
-        return list(self.onb[self.slices[name]])
+        return [AlgElement(self.n, M, validate=False) for M in self._mats[self.slices[name]]]
 
     def project_block(self, X, names):
         """Projection of X onto the direct sum of the named blocks."""
@@ -246,32 +258,15 @@ class RootDecomposition:
             mask[self.slices[name]] = 1.0
         return self.from_coords(v * mask)
 
-    def k_basis(self):
-        """Orthonormal basis of k (the +1 eigenspace of theta): k_0 together
-        with the symmetrized root vectors.  dim k = n^2."""
-        out = list(self.block("k_0"))
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        for E in self.block("g_a") + self.block("g_2a"):
-            out.append(inv_sqrt2 * (E + theta(E)))
-        return out
-
-    def p_basis(self):
-        """Orthonormal basis of p (the -1 eigenspace of theta, the tangent
-        space at the base point).  dim p = 2n."""
-        out = [self.B]
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        for E in self.block("g_a") + self.block("g_2a"):
-            out.append(inv_sqrt2 * (E - theta(E)))
-        return out
-
     def split_a_n(self, X, tol=1e-9):
         """Split X = X_a + X_n; raise if X is not in a + n."""
         Xa = self.project_block(X, ["a"])
         Xn = self.project_block(X, ["g_a", "g_2a"])
-        rest = X - Xa - Xn
-        scale = max(1.0, X.norm())
-        if rest.norm() > tol * scale:
-            raise ValueError("element does not lie in a + n")
+        rest = (X - Xa - Xn).norm() / max(1.0, X.norm())
+        if rest > tol:
+            raise ValueError(
+                f"element does not lie in a + n (part outside / max(1, |X|) = {rest:.3g} > {tol:g})"
+            )
         return Xa, Xn
 
     # -- the complex identification g_a ~ C^{n-1} ---------------------------
@@ -281,23 +276,7 @@ class RootDecomposition:
         u = np.asarray(u, dtype=complex).reshape(-1)
         if u.shape != (self.n - 1,):
             raise ValueError(f"expected vector in C^{self.n - 1}")
-        mat = np.zeros((self.n + 1, self.n + 1), dtype=complex)
-        for j, z in enumerate(u):
-            F = self.galpha_frame[2 * j].matrix
-            JF = self.galpha_frame[2 * j + 1].matrix
-            mat = mat + z.real * F + z.imag * JF
-        return AlgElement(self.n, mat, validate=False)
-
-    def galpha_coords(self, X, tol=1e-9):
-        """Inverse of galpha_matrix; raises if X is not in g_a."""
-        if (X - self.project_block(X, ["g_a"])).norm() > tol * max(1.0, X.norm()):
-            raise ValueError("element does not lie in g_a")
-        out = np.zeros(self.n - 1, dtype=complex)
-        for j in range(self.n - 1):
-            re = 0.5 * inner(X, self.galpha_frame[2 * j])      # AN inner = <,>/2 on n
-            im = 0.5 * inner(X, self.galpha_frame[2 * j + 1])
-            out[j] = re + 1j * im
-        return out
+        return AlgElement(self.n, galpha_matrices(u[None])[0], validate=False)
 
     def J_on_galpha(self, X):
         """The complex structure on g_a: J X = -[theta X, Z]."""
@@ -319,13 +298,6 @@ class RootDecomposition:
             raise ValueError(f"matrix is not skew-Hermitian (residual {resid:.3g})")
         return AlgElement(self.n, traceless_block(self.n, N))
 
-    def k0_action(self, T, tol=1e-9):
-        """Inverse bridge: the u(n-1) matrix by which T in k_0 acts on g_a."""
-        if (T - self.project_block(T, ["k_0"])).norm() > tol * max(1.0, T.norm()):
-            raise ValueError("element does not lie in k_0")
-        ia = T.matrix[0, 0]
-        return T.matrix[2:, 2:] - ia * np.eye(self.n - 1)
-
     # -- tangent space model at the base point -------------------------------
 
     def p_matrix(self, z):
@@ -334,24 +306,28 @@ class RootDecomposition:
         z = np.asarray(z, dtype=complex).reshape(-1)
         if z.shape != (self.n,):
             raise ValueError(f"expected vector in C^{self.n}")
-        mat = np.zeros((self.n + 1, self.n + 1), dtype=complex)
-        mat[0, 1:] = z.conj()
-        mat[1:, 0] = z
-        return AlgElement(self.n, mat, validate=False)
+        return AlgElement(self.n, p_matrices(z[None])[0], validate=False)
 
-    def p_coords(self, X, tol=1e-9):
-        mat = X.matrix
-        z = mat[1:, 0].copy()
-        resid = mat.copy()
-        resid[0, 1:] = 0
-        resid[1:, 0] = 0
-        if np.abs(resid).max() > tol * max(1.0, np.abs(mat).max()):
-            raise ValueError("element does not lie in p")
-        return z
 
-    def multiply_i_p(self, X):
-        """The complex structure of T_o CH^n on p: z -> i z."""
-        return self.p_matrix(1j * self.p_coords(X))
+def galpha_matrices(u):
+    """The g_a elements X(u)/2 of the rows u of a (k, n-1) array: first row
+    and column (0, conj u | u)/2, second (0, conj u | -u)/2."""
+    n = u.shape[1] + 1
+    out = np.zeros((len(u), n + 1, n + 1), dtype=complex)
+    out[:, 0, 2:] = out[:, 1, 2:] = u.conj() / 2
+    out[:, 2:, 0] = u / 2
+    out[:, 2:, 1] = -u / 2
+    return out
+
+
+def p_matrices(z):
+    """The p-matrices of the rows z of a (k, n) array: first row (0, conj z),
+    first column (0, z)."""
+    n = z.shape[1]
+    out = np.zeros((len(z), n + 1, n + 1), dtype=complex)
+    out[:, 0, 1:] = z.conj()
+    out[:, 1:, 0] = z
+    return out
 
 
 ROOT_VALUES = {"g_m2a": -1.0, "g_ma": -0.5, "k_0": 0.0, "a": 0.0, "g_a": 0.5, "g_2a": 1.0}
@@ -384,11 +360,12 @@ def traceless_block(n, N):
     matrix, minus (tr N / (n+1)) Id: diag(0, 0, N) - trace for the k_0
     embedding of u(n-1), and the q-block of family I for m = n - k.  The
     subtracted scalar is central in u(1, n), so this is an injective Lie
-    homomorphism u(m) -> su(1, n)."""
-    m = N.shape[0]
-    mat = np.zeros((n + 1, n + 1), dtype=complex)
-    mat[n + 1 - m:, n + 1 - m:] = N
-    mat -= (np.trace(N) / (n + 1)) * np.eye(n + 1)
+    homomorphism u(m) -> su(1, n).  A (k, m, m) stack N gives the stack of
+    images."""
+    m = N.shape[-1]
+    mat = np.zeros(N.shape[:-2] + (n + 1, n + 1), dtype=complex)
+    mat[..., n + 1 - m:, n + 1 - m:] = N
+    mat -= (np.trace(N, axis1=-2, axis2=-1) / (n + 1))[..., None, None] * np.eye(n + 1)
     return mat
 
 
@@ -462,12 +439,7 @@ def build_root_decomposition(n):
         raise ConsistencyError(f"sign of Z violates J B = Z (residual {sign_err:.3g})")
 
     # adapted AN-orthonormal frame of g_a: F_j = X(e_j)/2 and J F_j = X(i e_j)/2
-    frame = np.zeros((2 * m, N1, N1), complex)
-    for j in range(m):
-        for row, z in ((2 * j, 1.0), (2 * j + 1, 1j)):
-            frame[row, 0, 2 + j] = frame[row, 1, 2 + j] = np.conj(z) / 2
-            frame[row, 2 + j, 0] = z / 2
-            frame[row, 2 + j, 1] = -z / 2
+    frame = galpha_matrices(np.kron(np.eye(m), [[1.0], [1j]]))
 
     raw = _k0_generators(n)
     try:
@@ -496,25 +468,14 @@ def build_root_decomposition(n):
         raise ConsistencyError(f"blocks give {start} basis elements, not {N1 * N1 - 1}")
     mats = np.concatenate([block for _, block in blocks])
     dual = _functionals(mats, c)
-
-    # J matrix on the g_a block (ONB coordinates): J E = -[theta E, Z]
-    ga = slices["g_a"]
-    JE = bracket_stack(Zmat, _theta_stack(galpha_unit))
-    Jmat = (real_rows(JE) @ dual[ga].T).T
-
     theta_mat = _theta_permutation(slices, start)
-    for arr in (mats, dual, Jmat, theta_mat):
+    for arr in (mats, dual, theta_mat):
         arr.flags.writeable = False  # shared by every caller through the cache
-    mk = lambda M: AlgElement(n, M, validate=False)
     rd = RootDecomposition(
         n=n,
-        c=c,
-        onb=tuple(mk(M) for M in mats),
         slices=slices,
-        B=mk(Bmat),
-        Z=mk(Zmat),
-        galpha_frame=tuple(mk(F) for F in frame),
-        J_galpha=Jmat,
+        B=AlgElement(n, Bmat, validate=False),
+        Z=AlgElement(n, Zmat, validate=False),
         theta_matrix=theta_mat,
         _dual=dual,
         _mats=mats,
@@ -526,16 +487,11 @@ def build_root_decomposition(n):
 def _verify_root_decomposition(rd, tol=1e-10):
     """Structural invariants checked once per construction, each on the
     whole stacked basis at once."""
-    mats, c, N = rd._mats, rd.c, rd.dim
-    # su(1, n) membership: the AlgElement test on every basis element
-    I = _signature(rd.n)
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
-    trace = np.abs(np.trace(mats, axis1=1, axis2=2)) / (scale * (rd.n + 1))
-    skew = np.abs(mats.conj().transpose(0, 2, 1) @ I + I @ mats).max(axis=(1, 2)) / (scale * 10)
-    if max(trace.max(), skew.max()) > TOL_ALG:
+    mats, c, N = rd._mats, _METRIC_SCALE, rd.dim
+    member = membership_residual(mats).max()
+    if member > TOL_ALG:
         raise ConsistencyError(
-            f"basis leaves su(1, n): trace {trace.max():.3g}, X* I + I X {skew.max():.3g}"
-        )
+            f"basis leaves su(1, n) (relative residual {member:.3g} > {TOL_ALG:g})")
     gram_err = np.abs(_gram(mats, mats, c) - np.eye(N)).max()
     if gram_err > 1e-9:
         raise ConsistencyError(f"global basis is not orthonormal (max |G - 1| = {gram_err:.3g})")
@@ -575,12 +531,11 @@ def _verify_root_decomposition(rd, tol=1e-10):
     if theta_err > tol:
         raise ConsistencyError(f"theta does not map g_lambda onto g_-lambda ({theta_err:.3g})")
 
-    # J on g_a: J F_j = J-frame partner, hence J^2 = -1
-    d = 2 * rd.n - 2
-    J_std = np.kron(np.eye(d // 2), np.array([[0.0, -1.0], [1.0, 0.0]]))
-    J_err = np.abs(rd.J_galpha - J_std).max()
+    # J on g_a, J E = -[theta E, Z] in coordinates: J F_j = J-frame partner,
+    # which also makes J^2 = -1
+    ga = rd.slices["g_a"]
+    J = rd.coords_many(bracket_stack(rd.Z.matrix, _theta_stack(mats[ga])))[:, ga].T
+    J_std = np.kron(np.eye(rd.n - 1), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    J_err = np.abs(J - J_std).max()
     if J_err > tol:
         raise ConsistencyError(f"J = -[theta(.), Z] disagrees with the adapted frame ({J_err:.3g})")
-    sq_err = np.abs(rd.J_galpha @ rd.J_galpha + np.eye(d)).max()
-    if sq_err > tol:
-        raise ConsistencyError(f"J on g_a does not square to -1 ({sq_err:.3g})")

@@ -291,14 +291,13 @@ def test_criterion_06_polarity_soundness():
     catalog = _acceptance_catalog()
     assert len(catalog) >= 12
     for label, spec in catalog:
-        rd, h, sigma = build_action(spec)
-        report = check_polarity(rd, h, sigma, seed=7)
+        report = check_polarity(*build_action(spec), seed=7)
         assert report.verdict, (label, report.to_json())
         assert report.bracket_residual <= 1e-9, label
     rd = build_root_decomposition(3)
-    h = [rd.B, rd.Z]
-    sigma = [E - theta(E) for E in rd.block("g_a")]
-    neg = check_polarity(rd, h, sigma, seed=7)
+    h = np.array([rd.B.matrix, rd.Z.matrix])
+    sigma = np.array([(E - theta(E)).matrix for E in rd.block("g_a")])
+    neg = check_polarity(3, h, sigma, seed=7)
     assert not neg.verdict
     assert neg.bracket_residual >= 0.1
     _report(6, f"{len(catalog)} constructed examples polar; negative residual "
@@ -316,13 +315,10 @@ def test_criterion_07_isotropy_dimensions():
         size = int(rng.integers(1, len(gens) + 1))
         picks = rng.choice(len(gens), size=size, replace=False)
         coeffs = rng.standard_normal((size, size))
-        q = []
-        for row in coeffs:
-            N = sum(c * gens[i] for c, i in zip(row, picks))
-            q.append(rd.k0_matrix(N))
-        xi = rd.galpha_matrix(rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
-        got = len(angeom.isotropy_at(rd, q, xi))
-        assert got == isotropy_dim_oracle(rd, q, xi)
+        q = [sum(c * gens[i] for c, i in zip(row, picks)) for row in coeffs]
+        u = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        got = len(angeom.isotropy_at(n, q, u))
+        assert got == isotropy_dim_oracle(rd, [rd.k0_matrix(N) for N in q], rd.galpha_matrix(u))
     _report(7, "isotropy dimensions match the nullspace oracle on 50 pairs")
 
 

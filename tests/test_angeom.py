@@ -21,7 +21,7 @@ from chpolar.angeom import (
     sectional_curvature,
     shape_operator,
 )
-from chpolar.su1n import bracket, build_root_decomposition
+from chpolar.su1n import ConsistencyError, bracket, build_root_decomposition, theta
 
 
 def rand_vec(n, rng):
@@ -191,6 +191,24 @@ def test_shape_operator_self_adjoint_and_input_validation():
     assert np.abs(S - S.T).max() < 1e-9
 
 
+def test_errors_name_the_residual_and_the_bound():
+    orb = line_orbit(3, a=1.0, m=1)
+    with pytest.raises(ValueError, match=r"not normal to the orbit \(tangential part 1 > 1e-09\)"):
+        shape_operator(orb, orb.tangent[0])
+    with pytest.raises(ValueError, match=r"unit normal vector \(\|\|xi\| - 1\| = 1 > 1e-09\)"):
+        shape_operator(orb, 2.0 * orb.normal[0])
+    with pytest.raises(ValueError, match=r"orthonormalize \(max \|G - 1\| = 3 > 1e-9\)"):
+        OrbitModel.from_flag(3, "zero", [np.array([0, 2.0 + 0j])])
+    e1 = np.array([1.0 + 0j, 0.0])
+    orb.tangent = [ANVector.from_galpha(e1), ANVector.from_galpha(1j * e1)]  # [U, JU] = Z
+    with pytest.raises(ValueError, match=r"a \+ n \(bracket part outside 1 > 1e-10\)"):
+        orb._check_subalgebra()
+    rd = build_root_decomposition(3)
+    origin = ANVector(0.0, np.zeros(2, dtype=complex), 0.0)
+    with pytest.raises(ConsistencyError, match=r"n \(part outside / max\(1, \|X\|\) = 1 > 1e-09\)"):
+        conjugate_subalgebra(3, [theta(rd.Z)], origin)
+
+
 def test_totally_geodesic_case_has_zero_shape_trace():
     # h = a + g_2a: minimal (0 mean curvature) per the b = a case
     orb = OrbitModel.from_flag(3, "full", [])
@@ -280,28 +298,23 @@ def isotropy_dim_oracle(rd, q_mats, xi_mat):
 
 
 def test_isotropy_full_q_at_zero():
-    rd = build_root_decomposition(3)
-    q = [rd.k0_matrix(N) for N in kahler.skew_hermitian_basis(2)]
-    out = isotropy_at(rd, q, np.zeros(2, dtype=complex))
+    out = isotropy_at(3, kahler.skew_hermitian_basis(2), np.zeros(2, dtype=complex))
     assert len(out) == 4
 
 
 def test_isotropy_standard_vector():
     for n in (3, 4):
         rd = build_root_decomposition(n)
-        q = [rd.k0_matrix(N) for N in kahler.skew_hermitian_basis(n - 1)]
         e1 = np.zeros(n - 1, dtype=complex)
         e1[0] = 1.0
-        out = isotropy_at(rd, q, e1)
+        out = isotropy_at(n, kahler.skew_hermitian_basis(n - 1), e1)
         assert len(out) == (n - 2) ** 2
         for T in out:
             assert bracket(T, rd.galpha_matrix(e1)).norm() < 1e-9
 
 
 def test_isotropy_center_acts_freely():
-    rd = build_root_decomposition(3)
-    centre = rd.k0_matrix(1j * np.eye(2))
-    out = isotropy_at(rd, [centre], np.array([1.0 + 0j, 0.0]))
+    out = isotropy_at(3, [1j * np.eye(2)], np.array([1.0 + 0j, 0.0]))
     assert out == []
 
 
@@ -313,11 +326,10 @@ def test_isotropy_matches_oracle_on_random_pairs():
         gens = kahler.skew_hermitian_basis(n - 1)
         size = int(rng.integers(1, len(gens) + 1))
         picks = rng.choice(len(gens), size=size, replace=False)
-        q = [rd.k0_matrix(gens[i]) for i in picks]
+        q = [gens[i] for i in picks]
         xi_vec = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-        xi = rd.galpha_matrix(xi_vec)
-        got = len(isotropy_at(rd, q, xi))
-        want = isotropy_dim_oracle(rd, q, xi)
+        got = len(isotropy_at(n, q, xi_vec))
+        want = isotropy_dim_oracle(rd, [rd.k0_matrix(N) for N in q], rd.galpha_matrix(xi_vec))
         assert got == want
 
 
@@ -327,7 +339,7 @@ def test_isotropy_matches_oracle_on_random_pairs():
 def test_conjugate_by_identity_fixes_subalgebra():
     rd = build_root_decomposition(3)
     h = [rd.B, rd.Z]
-    out = conjugate_subalgebra(rd, h, ANVector(0.0, np.zeros(2, dtype=complex), 0.0))
+    out = conjugate_subalgebra(3, h, ANVector(0.0, np.zeros(2, dtype=complex), 0.0))
     before = np.array([rd.coords(x) for x in h])
     u, s, vh = np.linalg.svd(before)
     span = vh[:2]
@@ -341,7 +353,7 @@ def test_w_plus_center_is_AN_invariant():
     h = [rd.galpha_matrix(np.array([0, 1.0 + 0j])), rd.Z]
     rng = np.random.default_rng(9)
     g_exp = rand_vec(3, rng)
-    out = conjugate_subalgebra(rd, h, g_exp)
+    out = conjugate_subalgebra(3, h, g_exp)
     before = np.array([rd.coords(x) for x in h])
     u, s, vh = np.linalg.svd(before)
     span = vh[:2]
@@ -357,7 +369,7 @@ def test_conjugating_a_w_g2a_tilts_the_line():
     w_vec = np.array([0, 1.0 + 0j])
     x0 = np.array([1.0 + 0j, 0])  # orthogonal to w
     h = [rd.B, rd.galpha_matrix(w_vec), rd.Z]
-    out = conjugate_subalgebra(rd, h, ANVector.from_galpha(x0))
+    out = conjugate_subalgebra(3, h, ANVector.from_galpha(x0))
     # direct expansion oracle: Ad(exp X0) B = B - X0/2 exactly (nilpotency)
     want_lead = rd.B - 0.5 * rd.galpha_matrix(x0)
     rows = np.array([rd.coords(el) for el in out])

@@ -135,6 +135,15 @@ def test_decompose_mixed_complex_plus_real_line():
             assert angle_by_definition(sub.basis, v) == pytest.approx(phi, abs=1e-6)
 
 
+def test_check_decomposition_names_the_cross_factor_product():
+    e1, e2 = np.eye(2, dtype=complex)
+    V = RealSubspace(2, [e1, 1j * e1, e2])
+    dec = kahler.KahlerDecomposition(((0.0, RealSubspace(2, [e1, 1j * e1])),
+                                      (math.pi / 2, RealSubspace(2, [e1 + e2]))))
+    with pytest.raises(ValueError, match=r"not orthogonal \(max \|<a, b>\| = 0.707 > 1e-08\)"):
+        kahler._check_decomposition(V, dec)
+
+
 def test_decompose_reassembles_projection():
     rng = np.random.default_rng(3)
     V = kahler.random_subspace(4, [(0.0, 2), (math.pi / 3, 2), (math.pi / 2, 1)], rng)

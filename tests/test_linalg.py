@@ -190,7 +190,7 @@ def test_k0_matrix_rejects_a_tiny_hermitian_matrix():
     with pytest.raises(ValueError, match="not skew-Hermitian"):
         rd.k0_matrix(hermitian)
     with pytest.raises(ValueError, match="not skew-Hermitian"):
-        isotropy_at(rd, [hermitian], np.array([1.0, 0.0], dtype=complex))
+        isotropy_at(3, [hermitian], np.array([1.0, 0.0], dtype=complex))
 
 
 def test_k0_matrix_accepts_a_tiny_skew_hermitian_matrix():

@@ -57,24 +57,32 @@ def family_I_spec(n, k, q_kind):
 # --- builders ---------------------------------------------------------------------
 
 
+def family_II(n, b_flag, w=None, q_basis=(), q_section=None):
+    return PolarActionSpec(n=n, family="II", b_flag=b_flag, w=w, q_basis=list(q_basis),
+                           q_section=q_section)
+
+
+def family_I(n, k, q_basis=(), q_section=None):
+    return PolarActionSpec(n=n, family="I", k=k, q_basis=list(q_basis), q_section=q_section)
+
+
 def test_build_family_II_shapes():
     # b = a, w = 0, q = k_0, s = one line: h has dim (n-1)^2 + 2, section is a line
     n = 3
-    rd = build_root_decomposition(n)
     q = kahler.skew_hermitian_basis(n - 1)
     s = normalizer_section(RealSubspace.zero(n - 1))
-    h, sigma = build_family_II(rd, "full", RealSubspace.zero(n - 1), q, s)
-    assert len(h) == (n - 1) ** 2 + 2
-    assert len(sigma) == 1
+    h, sigma = build_family_II(family_II(n, "full", q_basis=q, q_section=s))
+    assert h.shape == ((n - 1) ** 2 + 2, n + 1, n + 1)
+    assert sigma.shape == (1, n + 1, n + 1)
 
 
 def test_build_family_II_horosphere():
     n = 3
     rd = build_root_decomposition(n)
-    h, sigma = build_family_II(rd, "zero", RealSubspace.full(n - 1), [], None)
+    h, sigma = build_family_II(family_II(n, "zero", w=RealSubspace.full(n - 1)))
     # h = n (the Heisenberg algebra), section tangent = a
     assert len(h) == 2 * (n - 1) + 1
-    assert len(sigma) == 1 and (sigma[0] - rd.B).norm() < 1e-12
+    assert len(sigma) == 1 and np.abs(sigma[0] - rd.B.matrix).max() < 1e-12
 
 
 def test_build_family_II_rejects_non_normalizing_q():
@@ -83,7 +91,7 @@ def test_build_family_II_rejects_non_normalizing_q():
     bad = np.zeros((2, 2), dtype=complex)
     bad[0, 1], bad[1, 0] = 1.0, -1.0  # rotates e1 out of w... e1 -> -e2
     with pytest.raises(ValueError, match="normalize"):
-        build_family_II(n, "full", w, [bad], RealSubspace.zero(n - 1))
+        build_family_II(family_II(n, "full", w=w, q_basis=[bad]))
 
 
 def test_non_totally_real_section_claim_fails_at_check_time():
@@ -91,7 +99,7 @@ def test_non_totally_real_section_claim_fails_at_check_time():
     # criterion rejects it via the bracket condition
     n = 3
     s = RealSubspace(n - 1, [np.array([1.0 + 0j, 0]), np.array([1j, 0])])
-    h, sigma = build_family_II(n, "full", RealSubspace.zero(n - 1), [], s)
+    h, sigma = build_family_II(family_II(n, "full", q_section=s))
     report = check_polarity(n, h, sigma)
     assert not report.verdict and not report.bracket_condition
 
@@ -100,18 +108,18 @@ def test_section_meeting_w_fails_at_check_time():
     n = 3
     w = RealSubspace(n - 1, [np.array([1.0 + 0j, 0])])
     s = RealSubspace(n - 1, [np.array([1.0 + 0j, 0])])
-    h, sigma = build_family_II(n, "full", w, [], s)
+    h, sigma = build_family_II(family_II(n, "full", w=w, q_section=s))
     report = check_polarity(n, h, sigma)
     assert not report.verdict and not report.section_in_normal
 
 
 def test_build_family_I_shapes():
     n = 3
-    rd = build_root_decomposition(n)
-    h, sigma = build_family_I(rd, n, [], None)
+    h, sigma = build_family_I(family_I(n, n))
     assert len(h) == n * (n + 1) // 2  # dim so(1, n)
     assert len(sigma) == 1
-    h0, sigma0 = build_family_I(rd, 0, kahler.skew_hermitian_basis(n), RealSubspace(n, [np.eye(n, dtype=complex)[0]]))
+    h0, sigma0 = build_family_I(family_I(n, 0, kahler.skew_hermitian_basis(n),
+                                         RealSubspace(n, [np.eye(n, dtype=complex)[0]])))
     assert len(h0) == n * n
     assert len(sigma0) == 1
 
@@ -123,7 +131,7 @@ def test_build_family_I_rejects_non_subalgebra():
     F = np.zeros((2, 2), dtype=complex)
     F[0, 1], F[1, 0] = 1j, 1j
     with pytest.raises(ValueError, match="closed"):
-        build_family_I(n, 1, [E, F], None)  # [E, F] leaves span{E, F}
+        build_family_I(family_I(n, 1, [E, F]))  # [E, F] leaves span{E, F}
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
@@ -136,15 +144,15 @@ def test_non_subalgebra_rejected_at_every_scale(scale):
     F[0, 1], F[1, 0] = 1j, 1j
     q = [scale * E, scale * F]
     with pytest.raises(ValueError, match="closed"):
-        build_family_I(3, 1, q, None)
+        build_family_I(family_I(3, 1, q))
     with pytest.raises(ValueError, match="closed"):
-        build_family_II(3, "full", None, q, None)
+        build_family_II(family_II(3, "full", q_basis=q))
 
 
-def closure_residual(rd, h):
+def closure_residual(n, h):
     """The closure residual of check_polarity's step 1 on the builders' h."""
-    return polar._closure_residual(
-        rd, orthonormal_rows(unit_rows(polar._coord_rows(rd, h))))
+    rd = build_root_decomposition(n)
+    return polar._closure_residual(rd, orthonormal_rows(unit_rows(rd.coords_many(h))))
 
 
 def conjugated(spec, A):
@@ -169,8 +177,8 @@ def test_builders_return_closed_h(n, grid):
     specs += [conjugated(spec, kahler.haar_unitary(n - 1, rng))
               for spec in specs if spec.family == "II"]
     for spec in specs:
-        rd, h, _ = build_action(spec)
-        assert closure_residual(rd, h) <= 1e-9, spec.to_json()
+        n, h, _ = build_action(spec)
+        assert closure_residual(n, h) <= 1e-9, spec.to_json()
 
 
 # --- polarity criterion ------------------------------------------------------------
@@ -198,8 +206,8 @@ POLAR_CATALOG = [
 @pytest.mark.parametrize("label,factory", POLAR_CATALOG, ids=[c[0] for c in POLAR_CATALOG])
 def test_constructed_examples_are_polar(label, factory):
     spec = factory()
-    rd, h, sigma = build_action(spec)
-    report = check_polarity(rd, h, sigma, seed=5)
+    n, h, sigma = build_action(spec)
+    report = check_polarity(n, h, sigma, seed=5)
     assert report.verdict, report.to_json()
     assert report.bracket_residual < 1e-9
 
@@ -207,30 +215,52 @@ def test_constructed_examples_are_polar(label, factory):
 def test_crafted_negative_fails_robustly():
     n = 3
     rd = build_root_decomposition(n)
-    h = [rd.B, rd.Z]
-    sigma = [E - theta(E) for E in rd.block("g_a")]
-    report = check_polarity(rd, h, sigma, seed=1)
+    h = np.array([rd.B.matrix, rd.Z.matrix])
+    sigma = np.array([(E - theta(E)).matrix for E in rd.block("g_a")])
+    report = check_polarity(n, h, sigma, seed=1)
     assert not report.verdict
     assert not report.bracket_condition
     assert report.bracket_residual >= 0.1
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_check_polarity_rejects_stacks_outside_su1n(scale):
+    n = 2
+    h, sigma = build_family_II(canonical_family_II(n, "zero", []))
+    shape = r" must be a \(k, 3, 3\) stack, got shape "
+    with pytest.raises(ValueError, match="^h" + shape + r"\(3, 3\)"):
+        check_polarity(n, scale * h[0], sigma)
+    with pytest.raises(ValueError, match="^sigma" + shape + r"\(1, 4, 4\)"):
+        check_polarity(n, h, scale * np.eye(4, dtype=complex)[None])
+    for bad, resid in ((np.eye(3), "1"), (np.diag([1.0, -0.5, -0.5]), "0.2")):
+        named = rf" leaves su\(1, 2\) \(relative residual {resid} > 1e-12\)"
+        with pytest.raises(ValueError, match="^h" + named):
+            check_polarity(n, np.concatenate([h, scale * bad[None]]), sigma)
+        with pytest.raises(ValueError, match="^sigma" + named):
+            check_polarity(n, h, scale * bad[None])
+    got = check_polarity(n, scale * h, scale * sigma).to_json()
+    want = check_polarity(n, h, sigma).to_json()
+    assert {k: got[k] for k in EXACT_FIELDS} == {k: want[k] for k in EXACT_FIELDS}
+    for key in RESIDUALS:  # unit_rows rounds 1e-12 h and 1e-12 sigma differently from 1
+        assert abs(got[key] - want[key]) <= 1e-15, (key, got, want)
+
+
 def test_transitive_action_reported_vacuously_polar():
     n = 2
     spec = canonical_family_II(n, "full", [(0.0, 2)])  # full parabolic: w = g_a
-    rd, h, sigma = build_action(spec)
-    report = check_polarity(rd, h, sigma)
+    n, h, sigma = build_action(spec)
+    report = check_polarity(n, h, sigma)
     assert report.transitive and report.cohomogeneity == 0
     assert report.verdict
 
 
 def test_cohomogeneities_in_catalog():
     spec = canonical_family_II(3, "full", [(math.pi / 3, 2)])
-    rd, h, sigma = build_action(spec)
-    assert check_polarity(rd, h, sigma).cohomogeneity == 1
+    n, h, sigma = build_action(spec)
+    assert check_polarity(n, h, sigma).cohomogeneity == 1
     spec2 = family_I_spec(3, 1, "torus")
-    rd, h, sigma = build_action(spec2)
-    assert check_polarity(rd, h, sigma).cohomogeneity == 3  # iB line + R^2
+    n, h, sigma = build_action(spec2)
+    assert check_polarity(n, h, sigma).cohomogeneity == 3  # iB line + R^2
 
 
 def test_cohomogeneity_of_a_false_verdict_is_measured_on_the_normal_space():
@@ -251,6 +281,13 @@ def test_cohomogeneity_of_a_false_verdict_is_measured_on_the_normal_space():
 
 
 # --- regular vectors ------------------------------------------------------------------
+
+
+def test_regular_vectors_names_the_overlap_of_s_and_w():
+    e1 = np.array([1.0 + 0j, 0.0])
+    w, s = RealSubspace(2, [e1]), RealSubspace(2, [e1 + np.array([0, 1.0])])
+    with pytest.raises(ValueError, match=r"to w \(max \|Re<s_i, w_j>\| = 0.707 > 1e-8\)"):
+        regular_vectors([], w, s)
 
 
 def test_regular_vectors_full_k0():
@@ -382,8 +419,8 @@ def test_enumerate_n2_classes_are_pairwise_inequivalent():
 
 def test_enumerate_n2_all_polar():
     for entry in enumerate_moduli(2):
-        rd, h, sigma = build_action(entry.spec)
-        report = check_polarity(rd, h, sigma, seed=6)
+        n, h, sigma = build_action(entry.spec)
+        report = check_polarity(n, h, sigma, seed=6)
         assert report.verdict, entry.label
 
 
@@ -459,22 +496,22 @@ def test_spec_json_roundtrip_family_II():
     spec2 = PolarActionSpec.from_json(spec.to_json())
     assert spec2.n == spec.n and spec2.family == "II" and spec2.b_flag == "full"
     assert spec2.w.same_span(spec.w)
-    rd, h, sigma = build_action(spec2)
-    assert check_polarity(rd, h, sigma).verdict
+    n, h, sigma = build_action(spec2)
+    assert check_polarity(n, h, sigma).verdict
 
 
 def test_spec_json_roundtrip_family_I():
     spec = family_I_spec(3, 1, "torus")
     spec2 = PolarActionSpec.from_json(spec.to_json())
     assert spec2.k == 1 and len(spec2.q_basis) == 2
-    rd, h, sigma = build_action(spec2)
-    assert check_polarity(rd, h, sigma).verdict
+    n, h, sigma = build_action(spec2)
+    assert check_polarity(n, h, sigma).verdict
 
 
 def test_report_json_has_all_residuals():
     spec = canonical_family_II(2, "full", [])
-    rd, h, sigma = build_action(spec)
-    data = check_polarity(rd, h, sigma).to_json()
+    n, h, sigma = build_action(spec)
+    data = check_polarity(n, h, sigma).to_json()
     for key in (
         "is_subalgebra", "subalgebra_residual", "section_in_normal",
         "section_residual", "bracket_condition", "bracket_residual",

@@ -23,6 +23,17 @@ def rand_galpha(rd, rng):
     return rd.galpha_matrix(u)
 
 
+def onb(rd):
+    """The global orthonormal basis, block by block."""
+    return [X for name in rd.slices for X in rd.block(name)]
+
+
+def times_i(rd, X):
+    """The complex structure of T_o CH^n = C^n on a p-matrix X: z -> i z."""
+    assert np.abs(X.matrix - rd.p_matrix(X.matrix[1:, 0]).matrix).max() < 1e-12  # X in p
+    return rd.p_matrix(1j * X.matrix[1:, 0])
+
+
 def rand_k0(rd, rng):
     v = np.zeros(rd.dim)
     sl = rd.slices["k_0"]
@@ -42,6 +53,17 @@ def test_algelement_validates_membership():
     AlgElement(2, bad)  # H0 is a valid element
     with pytest.raises(ValueError):
         AlgElement(2, np.diag([1.0, -0.5, -0.5]))  # hermitian, violates X* I + I X = 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_membership_residual_is_relative(scale):
+    rd = build_root_decomposition(2)
+    bad = scale * np.array([np.eye(3), np.diag([1.0, -0.5, -0.5])], dtype=complex)
+    assert np.allclose(su1n.membership_residual(bad), [1.0, 0.2])
+    good = scale * rd.from_coords_many(np.random.default_rng(0).standard_normal((4, rd.dim)))
+    assert su1n.membership_residual(good).max() < 1e-15
+    with pytest.raises(ValueError, match=r"relative residual 1 > 1e-12"):
+        AlgElement(2, bad[0])
 
 
 def test_algelement_json_roundtrip():
@@ -144,7 +166,7 @@ def test_skew_adjointness_relation():
 def test_inner_an_rejects_elements_outside_a_plus_n():
     rd = build_root_decomposition(2)
     T = rand_k0(rd, np.random.default_rng(8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"a \+ n \(part outside / max\(1, \|X\|\) = 1 > 1e-09\)"):
         inner_an(T, T)
 
 
@@ -192,9 +214,15 @@ def test_bracket_grading():
 
 
 def test_k_and_p_bases():
+    # k_0 with the symmetrized root vectors spans k, B with the
+    # antisymmetrized ones spans p; (E - theta E)/sqrt 2 is a p-matrix
     rd = build_root_decomposition(3)
     n = rd.n
-    kb, pb = rd.k_basis(), rd.p_basis()
+    roots = rd.block("g_a") + rd.block("g_2a")
+    kb = rd.block("k_0") + [(1 / np.sqrt(2)) * (E + theta(E)) for E in roots]
+    pb = [rd.B] + [rd.p_matrix(np.sqrt(2) * E.matrix[1:, 0]) for E in roots]
+    for E, P in zip(roots, pb[1:]):
+        assert ((1 / np.sqrt(2)) * (E - theta(E)) - P).norm() < 1e-12
     assert len(kb) == n * n and len(pb) == 2 * n
     for X in kb:
         assert (theta(X) - X).norm() < 1e-12
@@ -206,7 +234,8 @@ def test_k_and_p_bases():
 
 def test_onb_is_orthonormal_and_projections_sum_to_identity():
     rd = build_root_decomposition(3)
-    gram = np.array([[inner(X, Y) for Y in rd.onb] for X in rd.onb])
+    basis = onb(rd)
+    gram = np.array([[inner(X, Y) for Y in basis] for X in basis])
     assert np.abs(gram - np.eye(rd.dim)).max() < 1e-9
     rng = np.random.default_rng(9)
     X = rand_element(rd, rng)
@@ -229,13 +258,15 @@ def test_J_squares_to_minus_one():
     rng = np.random.default_rng(10)
     U = rand_galpha(rd, rng)
     assert (rd.J_on_galpha(rd.J_on_galpha(U)) + U).norm() < 1e-10
-    assert np.abs(rd.J_galpha @ rd.J_galpha + np.eye(2 * rd.n - 2)).max() < 1e-10
+    ga = rd.slices["g_a"]
+    J = np.array([rd.coords(rd.J_on_galpha(E))[ga] for E in rd.block("g_a")]).T
+    assert np.abs(J @ J + np.eye(2 * rd.n - 2)).max() < 1e-10
 
 
 def test_J_fixed_by_JB_equals_Z():
     # 2 i B = (1 - theta) Z under the tangent-space complex structure
     rd = build_root_decomposition(3)
-    lhs = 2.0 * rd.multiply_i_p(rd.B)
+    lhs = 2.0 * times_i(rd, rd.B)
     rhs = rd.Z - theta(rd.Z)
     assert (lhs - rhs).norm() < 1e-12
 
@@ -285,7 +316,7 @@ def test_equivariance_isometry_and_complex_linearity():
         # complex linearity on g_a
         JU = rd.J_on_galpha(U)
         lhs2 = 0.5 * (JU - theta(JU))
-        rhs2 = rd.multiply_i_p(0.5 * (U - theta(U)))
+        rhs2 = times_i(rd, 0.5 * (U - theta(U)))
         assert (lhs2 - rhs2).norm() < 1e-10
 
 
@@ -336,13 +367,28 @@ def test_k0_bridge_roundtrip_and_action():
     T = rd.k0_matrix(N)
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     assert (bracket(T, rd.galpha_matrix(u)) - rd.galpha_matrix(N @ u)).norm() < 1e-10
-    assert np.abs(rd.k0_action(T) - N).max() < 1e-10
 
 
-def test_galpha_coords_roundtrip():
-    rd = build_root_decomposition(3)
-    u = np.array([0.3 - 0.2j, 1.5 + 0.4j])
-    assert np.abs(rd.galpha_coords(rd.galpha_matrix(u)) - u).max() < 1e-12
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_galpha_matrix_matches_the_frame_sum(n):
+    # the reference: u -> sum_j Re u_j F_j + Im u_j J F_j over the
+    # AN-orthonormal frame F_j = X(e_j)/2, J F_j = X(i e_j)/2, which is
+    # sqrt(2) times the g_a block
+    rd = build_root_decomposition(n)
+    frame = np.zeros((2 * n - 2, n + 1, n + 1), complex)
+    for j in range(n - 1):
+        for row, z in ((2 * j, 1.0), (2 * j + 1, 1j)):
+            frame[row, 0, 2 + j] = frame[row, 1, 2 + j] = np.conj(z) / 2
+            frame[row, 2 + j, 0] = z / 2
+            frame[row, 2 + j, 1] = -z / 2
+    assert np.array_equal(np.sqrt(2) * rd._mats[rd.slices["g_a"]], frame)
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        u = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+        mat = np.zeros((n + 1, n + 1), dtype=complex)
+        for j, z in enumerate(u):
+            mat = mat + z.real * frame[2 * j] + z.imag * frame[2 * j + 1]
+        assert np.array_equal(rd.galpha_matrix(u).matrix, mat)
 
 
 # --- the closed form against the eigenspace construction ---------------------------
@@ -434,7 +480,7 @@ def test_closed_form_blocks_span_the_ad_B_eigenspaces(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_theta_matrix_is_coords_of_theta_of_basis(n):
     rd = build_root_decomposition(n)
-    for j, E in enumerate(rd.onb):
+    for j, E in enumerate(onb(rd)):
         assert np.abs(rd.theta_matrix[:, j] - rd.coords(theta(E))).max() < 1e-12
     # a signed permutation
     assert np.array_equal(np.abs(rd.theta_matrix).sum(axis=0), np.ones(rd.dim))
