@@ -26,7 +26,6 @@ from .kahler import (
     ominus,
 )
 from .su1n import (
-    AlgElement,
     ConsistencyError,
     RootDecomposition,
     ad_exp,
@@ -64,7 +63,6 @@ from .polar import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgElement",
     "ANVector",
     "ConsistencyError",
     "KahlerDecomposition",

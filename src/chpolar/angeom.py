@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import left_nullspace, orthonormal_rows, unit_rows
-from .su1n import ConsistencyError, bracket_stack, build_root_decomposition
+from .su1n import ConsistencyError, ad_exp, bracket, build_root_decomposition, galpha_matrices
 
 
 @dataclass(frozen=True)
@@ -332,49 +332,49 @@ def isotropy_at(n, q_basis, xi):
 
     q_basis holds skew-Hermitian matrices acting on C^{n-1} (embedded in
     k_0 by ``k0_matrix``) and xi is a vector of C^{n-1} ~ g_a.  Returns an
-    orthonormal basis of {T in span(q) : [T, xi] = 0} as algebra elements.
-    Neither the scale of q nor that of xi changes the answer.
+    orthonormal basis of {T in span(q) : [T, xi] = 0} as a (k, n+1, n+1)
+    stack, (0, n+1, n+1) when it is zero.  Neither the scale of q nor that
+    of xi changes the answer.
     """
     rd = build_root_decomposition(n)
     if not len(q_basis):
-        return []
-    q = np.array([rd.k0_matrix(N).matrix for N in q_basis])
+        return np.zeros((0, n + 1, n + 1), dtype=complex)
+    q = np.array([rd.k0_matrix(N) for N in q_basis])
     q_rows = orthonormal_rows(unit_rows(rd.coords_many(q)))
-    xi_c = rd.coords(rd.galpha_matrix(xi))
+    xi = np.asarray(xi, dtype=complex).reshape(-1)
+    if xi.shape != (n - 1,):
+        raise ValueError(f"expected vector in C^{n - 1}")
+    xi_c = rd.coords_many(galpha_matrices(xi[None]))[0]
     if not xi_c.any():
-        return [rd.from_coords(r) for r in q_rows]  # every T fixes xi = 0
+        return rd.from_coords_many(q_rows)  # every T fixes xi = 0
     xi_m = rd.from_coords_many(xi_c / np.linalg.norm(xi_c))[0]
-    moved = rd.coords_many(bracket_stack(xi_m, rd.from_coords_many(q_rows)))  # [xi, T]
-    return [rd.from_coords(r) for r in left_nullspace(moved) @ q_rows]
+    moved = rd.coords_many(bracket(xi_m, rd.from_coords_many(q_rows)))  # [xi, T]
+    return rd.from_coords_many(left_nullspace(moved) @ q_rows)
 
 
 def conjugate_subalgebra(n, h_basis, g_exponent, tol=1e-9):
-    """Push a subalgebra h of k_0 + a + n forward by Ad(exp(g_exponent)).
+    """Push a subalgebra h of k_0 + a + n, a (k, n+1, n+1) stack, forward
+    by Ad(exp(g_exponent)).
 
-    g_exponent is an ANVector.  The image is re-orthonormalized and checked
-    to stay inside k_0 + a + n (it must, since AN normalizes the parabolic
-    subalgebra); violation raises ConsistencyError.
+    g_exponent is an ANVector.  The image is re-orthonormalized, returned
+    as a stack, and checked to stay inside k_0 + a + n (it must, since AN
+    normalizes the parabolic subalgebra); a part outside above tol relative
+    to |X| raises ConsistencyError.
     """
-    from .su1n import ad_exp
-
-    if not h_basis:
-        return []
     rd = build_root_decomposition(n)
+    if not len(h_basis):
+        return np.zeros((0, n + 1, n + 1), dtype=complex)
     g_mat = (
         g_exponent.a * rd.B
-        + rd.galpha_matrix(g_exponent.u)
+        + galpha_matrices(g_exponent.u[None])[0]
         + g_exponent.x * rd.Z
     )
-    Ad = ad_exp(g_mat)
-    rows = unit_rows(rd.coords_many(np.array([h.matrix for h in h_basis])))
-    rows = orthonormal_rows(rows @ Ad.T, 1e-12)
-    out = []
-    for r in rows:
-        el = rd.from_coords(r)
-        inside = rd.project_block(el, ["k_0", "a", "g_a", "g_2a"])
-        outside = (el - inside).norm() / max(1.0, el.norm())
-        if outside > tol:
-            raise ConsistencyError(f"conjugated algebra left k_0 + a + n "
-                                   f"(part outside / max(1, |X|) = {outside:.3g} > {tol:g})")
-        out.append(el)
-    return out
+    rows = unit_rows(rd.coords_many(np.asarray(h_basis)))
+    rows = orthonormal_rows(rows @ ad_exp(g_mat).T, 1e-12)
+    # g_{-2a} + g_{-a} is the leading run of coordinates, before k_0
+    outside = np.linalg.norm(rows[:, :rd.slices["k_0"].start], axis=1)
+    part = (outside / np.linalg.norm(rows, axis=1)).max(initial=0.0)
+    if part > tol:
+        raise ConsistencyError(f"conjugated algebra left k_0 + a + n "
+                               f"(part outside / |X| = {part:.3g} > {tol:g})")
+    return rd.from_coords_many(rows)

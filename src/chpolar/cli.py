@@ -200,7 +200,8 @@ def cmd_selfcheck(args, config):
 def identity_suite(n, seed=0, trials=100):
     """Residuals of the structural identities of the Lie model.
 
-    Covers the two auxiliary bracket identities of the root-space model, the
+    Covers the two auxiliary bracket identities of the root-space model
+    (J X(u) = -[theta X(u), Z] is X(iu) on g_a, and the k_0 pairing), the
     a+n bracket formula against the matrix commutator, metric normalization,
     and constant holomorphic sectional curvature -1.
     """
@@ -210,28 +211,31 @@ def identity_suite(n, seed=0, trials=100):
     def rand_galpha():
         return rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
 
+    def galpha(u):
+        return su1n.galpha_matrices(u[None])[0]
+
     res_a = 0.0
     res_b = 0.0
     res_br = 0.0
     res_curv = 0.0
     k0_gens = kahler.skew_hermitian_basis(n - 1)
     for _ in range(trials):
-        X = rd.galpha_matrix(rand_galpha())
-        Y = rd.galpha_matrix(rand_galpha())
+        u = rand_galpha()
+        X = galpha(u)
+        Y = galpha(rand_galpha())
         T = rd.k0_matrix(sum(rng.standard_normal() * g for g in k0_gens))
-        lhs = su1n.bracket(su1n.theta(X), rd.Z) + rd.J_on_galpha(X)
-        res_a = max(res_a, lhs.norm())
+        res_a = max(res_a, su1n.norm(su1n.bracket(su1n.theta(X), rd.Z) + galpha(1j * u)))
         val1 = su1n.inner(T, su1n.bracket(su1n.theta(X), Y) + su1n.theta(su1n.bracket(su1n.theta(X), Y)))
         val2 = 2.0 * su1n.inner(su1n.bracket(T, X), Y)
         res_b = max(res_b, abs(val1 - val2))
 
         v1 = angeom.ANVector(rng.standard_normal(), rand_galpha(), rng.standard_normal())
         v2 = angeom.ANVector(rng.standard_normal(), rand_galpha(), rng.standard_normal())
-        m1 = v1.a * rd.B + rd.galpha_matrix(v1.u) + v1.x * rd.Z
-        m2 = v2.a * rd.B + rd.galpha_matrix(v2.u) + v2.x * rd.Z
+        m1 = v1.a * rd.B + galpha(v1.u) + v1.x * rd.Z
+        m2 = v2.a * rd.B + galpha(v2.u) + v2.x * rd.Z
         br = angeom.an_bracket(v1, v2)
-        m_br = br.a * rd.B + rd.galpha_matrix(br.u) + br.x * rd.Z
-        res_br = max(res_br, (su1n.bracket(m1, m2) - m_br).norm())
+        m_br = br.a * rd.B + galpha(br.u) + br.x * rd.Z
+        res_br = max(res_br, su1n.norm(su1n.bracket(m1, m2) - m_br))
 
         res_curv = max(
             res_curv, abs(angeom.holomorphic_sectional_curvature(v1) + 1.0)

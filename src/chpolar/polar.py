@@ -48,7 +48,7 @@ from ._linalg import (
 from .kahler import RealSubspace
 from .su1n import (
     TOL_ALG,
-    bracket_stack,
+    bracket,
     build_root_decomposition,
     galpha_matrices,
     membership_residual,
@@ -78,7 +78,7 @@ def _bracket_values(rows, functionals):
     never the whole (k^2, n+1, n+1) array of brackets."""
     if functionals.shape[0]:
         for X, Ys in rows:
-            yield real_rows(bracket_stack(X, Ys)) @ functionals.T
+            yield real_rows(bracket(X, Ys)) @ functionals.T
 
 
 def _pair_norm(blocks):
@@ -354,10 +354,10 @@ def build_family_II(spec):
     _checked_inputs(n, n - 1, spec.q_basis, spec.q_section, spec.w)
     rd = build_root_decomposition(n)
     q = np.array(spec.q_basis, dtype=complex).reshape(len(spec.q_basis), n - 1, n - 1)
-    h = [traceless_block(n, q), galpha_matrices(spec.w.basis), rd.Z.matrix[None]]
+    h = [traceless_block(n, q), galpha_matrices(spec.w.basis), rd.Z[None]]
     lead = []
     if spec.b_flag == "full":
-        h.insert(1, rd.B.matrix[None])
+        h.insert(1, rd.B[None])
     else:
         lead.append(np.eye(n)[0] / 2)  # B = p(e_0 / 2)
     return np.concatenate(h), _section_stack(n, lead, spec.q_section)
@@ -527,7 +527,7 @@ def check_polarity(n, h, sigma, seed=0, tol_rank=TOL_RANK):
     ho_mats = rd.from_coords_many(left_nullspace(h_rows @ P_p) @ h_rows)
 
     def act(xi):  # coordinate rows [T, xi] over T in h_o
-        return rd.coords_many(-bracket_stack(rd.from_coords_many(xi)[0], ho_mats))
+        return rd.coords_many(-bracket(rd.from_coords_many(xi)[0], ho_mats))
 
     residuals = (_closure_residual(rd, h_rows), _section_residual(sig_rows, nu_rows),
                  br_resid, _slice_orthogonality(sig_rows, act))

@@ -20,9 +20,10 @@ Distinguished generators: Z spans g_{2a} with <Z, Z> = 2 and sign fixed
 by J B = Z, where J is the complex structure of the solvable model; J on
 g_a is J X = -[theta(X), Z].
 
-Brackets and coordinates also come stacked: ``bracket_stack`` brackets
-one matrix with a (k, n+1, n+1) stack and ``RootDecomposition.coords_many``
-takes coordinates of a whole stack in one matmul.
+Elements are plain numpy matrices.  ``bracket`` and ``theta`` broadcast,
+so they take a matrix or a (k, n+1, n+1) stack alike, and
+``RootDecomposition.coords_many`` takes coordinates of a whole stack in one
+matmul.
 """
 
 from __future__ import annotations
@@ -46,66 +47,13 @@ def _signature(n):
     return np.diag([-1.0] + [1.0] * n).astype(complex)
 
 
-@dataclass(frozen=True)
-class AlgElement:
-    """An element of su(1, n) in the matrix model."""
-
-    n: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __init__(self, n, matrix, validate=True):
-        n = int(n)
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (n + 1, n + 1):
-            raise ValueError(f"matrix must be {(n + 1, n + 1)}, got {mat.shape}")
-        if validate:
-            resid = membership_residual(mat[None])[0]
-            if resid > TOL_ALG:
-                raise ValueError(
-                    f"matrix is not in su(1, {n}) (relative residual {resid:.3g} > {TOL_ALG:g})"
-                )
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "matrix", mat)
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgElement(self.n, self.matrix + other.matrix, validate=False)
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgElement(self.n, self.matrix - other.matrix, validate=False)
-
-    def __rmul__(self, scalar):
-        return AlgElement(self.n, float(scalar) * self.matrix, validate=False)
-
-    def __neg__(self):
-        return AlgElement(self.n, -self.matrix, validate=False)
-
-    def _check(self, other):
-        if not isinstance(other, AlgElement) or other.n != self.n:
-            raise ValueError("dimension mismatch between algebra elements")
-
-    def norm(self):
-        return float(np.sqrt(max(0.0, inner(self, self))))
-
-    def to_json(self):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in self.matrix]
-
-    @classmethod
-    def from_json(cls, n, data):
-        mat = np.array([[complex(re, im) for re, im in row] for row in data])
-        return cls(n, mat)
-
-
 def membership_residual(mats):
     """How far each matrix X of a (k, n+1, n+1) stack is from su(1, n),
     relative to max|X| (0 for X = 0):
 
         max(|tr X| / (n + 1), max|X* I + I X| / 10) / max|X|.
 
-    The one membership test: AlgElement, the root decomposition and
+    The one membership test: the root decomposition, k0_matrix and
     check_polarity compare it with TOL_ALG, at any scale of X."""
     n = mats.shape[-1] - 1
     I = _signature(n)
@@ -116,15 +64,9 @@ def membership_residual(mats):
 
 
 def bracket(X, Y):
-    """Lie bracket, the matrix commutator."""
-    X._check(Y)
-    return AlgElement(X.n, X.matrix @ Y.matrix - Y.matrix @ X.matrix, validate=False)
-
-
-def bracket_stack(X, Ys):
-    """Row-wise stacked commutator: the stack of [X, Y_j] for a matrix X
-    and a (k, n+1, n+1) stack Ys."""
-    return X @ Ys - Ys @ X
+    """Lie bracket, the matrix commutator; it broadcasts, so a matrix and a
+    (k, n+1, n+1) stack give the stack of brackets."""
+    return X @ Y - Y @ X
 
 
 def real_rows(stack):
@@ -136,9 +78,11 @@ def real_rows(stack):
 
 
 def theta(X):
-    """Cartan involution theta(X) = I X I."""
-    I = _signature(X.n)
-    return AlgElement(X.n, I @ X.matrix @ I, validate=False)
+    """Cartan involution theta(X) = I X I: entry (i, j) times eps_i eps_j,
+    on a matrix or a stack."""
+    eps = np.ones(X.shape[-1])
+    eps[0] = -1.0
+    return X * np.outer(eps, eps)
 
 
 _METRIC_SCALE = 2.0  # solved once from <B, B> = 1; see build_root_decomposition
@@ -149,9 +93,12 @@ def inner(X, Y):
 
     Satisfies the skew-adjointness <ad(X)Y, W> = -<Y, ad(theta X) W>.
     """
-    X._check(Y)
-    I = _signature(X.n)
-    return -_METRIC_SCALE * float(np.real(np.trace(I @ X.matrix @ I @ Y.matrix)))
+    return -_METRIC_SCALE * float(np.real(np.trace(theta(X) @ Y)))
+
+
+def norm(X):
+    """|X| = sqrt<X, X>."""
+    return float(np.sqrt(max(0.0, inner(X, X))))
 
 
 def inner_an(X, Y, tol=1e-9):
@@ -159,7 +106,7 @@ def inner_an(X, Y, tol=1e-9):
 
     Both arguments must lie in a + n (to tolerance), else ValueError.
     """
-    rd = build_root_decomposition(X.n)
+    rd = build_root_decomposition(X.shape[-1] - 1)
     Xa, Xn = rd.split_a_n(X, tol)
     Ya, Yn = rd.split_a_n(Y, tol)
     return inner(Xa, Ya) + 0.5 * inner(Xn, Yn)
@@ -167,8 +114,8 @@ def inner_an(X, Y, tol=1e-9):
 
 def ad(X):
     """The linear map ad(X) = [X, .] as a matrix in the root-space ONB of g."""
-    rd = build_root_decomposition(X.n)
-    return rd.coords_many(bracket_stack(X.matrix, rd._mats)).T
+    rd = build_root_decomposition(X.shape[-1] - 1)
+    return rd.coords_many(bracket(X, rd._mats)).T
 
 
 def ad_exp(X):
@@ -179,10 +126,10 @@ def ad_exp(X):
     """
     import scipy.linalg  # only here, so that importing the package skips it
 
-    rd = build_root_decomposition(X.n)
+    rd = build_root_decomposition(X.shape[-1] - 1)
     via_ad = scipy.linalg.expm(ad(X))
-    g = scipy.linalg.expm(X.matrix)
-    ginv = scipy.linalg.expm(-X.matrix)
+    g = scipy.linalg.expm(X)
+    ginv = scipy.linalg.expm(-X)
     via_conj = rd.coords_many(g @ rd._mats @ ginv).T
     scale = max(1.0, np.abs(via_conj).max())
     err = np.abs(via_ad - via_conj).max()
@@ -204,14 +151,15 @@ class RootDecomposition:
     and index ranges for each block are exposed.  The g_a block is the
     adapted frame F_1, J F_1, F_2, J F_2, ..., which realizes the complex
     identification g_a ~ C^{n-1}; all of these are <,>-orthonormal (the
-    AN-orthonormal frame, ``galpha_matrix`` of the unit vectors, is
-    sqrt(2) times it).
+    AN-orthonormal frame, ``galpha_matrices`` of the unit vectors, is
+    sqrt(2) times it).  Elements are (n+1) x (n+1) matrices and
+    coordinates go stacked, one row per matrix.
     """
 
     n: int
     slices: dict                  # block name -> slice into the basis
-    B: AlgElement                 # unit vector spanning a
-    Z: AlgElement                 # generator of g_2a, <Z,Z> = 2, J B = Z
+    B: np.ndarray                 # unit vector spanning a
+    Z: np.ndarray                 # generator of g_2a, <Z,Z> = 2, J B = Z
     theta_matrix: np.ndarray      # theta in basis coordinates, a signed permutation
     _dual: np.ndarray = field(repr=False)   # coordinate functionals, see _functionals
     _mats: np.ndarray = field(repr=False)   # stacked orthonormal basis matrices
@@ -222,23 +170,16 @@ class RootDecomposition:
     def dim(self):
         return len(self._mats)
 
-    def coords(self, X):
-        """Coordinates of X in the global ONB (Euclidean for <,>)."""
-        return self.coords_many(X.matrix[None])[0]
-
     def coords_many(self, stack):
-        """Coordinates of a (k, n+1, n+1) stack, one row per matrix:
-        Re(stack.reshape(k, -1) @ _dual.T) as one real matmul."""
+        """Coordinates of a (k, n+1, n+1) stack in the global ONB (Euclidean
+        for <,>), one row per matrix: Re(stack.reshape(k, -1) @ _dual.T) as
+        one real matmul."""
         return real_rows(stack) @ self._dual.T
 
     def dual_rows(self, rows):
         """Functionals X -> rows @ coords(X): dotted with ``real_rows(X)``,
         they give the coordinates of X along other orthonormal rows."""
         return np.asarray(rows, dtype=float).reshape(-1, self.dim) @ self._dual
-
-    def from_coords(self, v):
-        mat = self.from_coords_many(v)[0]
-        return AlgElement(self.n, mat, validate=False)
 
     def from_coords_many(self, rows):
         """The (k, n+1, n+1) stack of matrices with the given coordinate rows."""
@@ -247,40 +188,29 @@ class RootDecomposition:
         return flat.view(complex).reshape(len(rows), self.n + 1, self.n + 1)
 
     def block(self, name):
-        """The ONB elements of a root-space block."""
-        return [AlgElement(self.n, M, validate=False) for M in self._mats[self.slices[name]]]
+        """The ONB elements of a root-space block, as a read-only stack."""
+        return self._mats[self.slices[name]]
 
     def project_block(self, X, names):
-        """Projection of X onto the direct sum of the named blocks."""
-        v = self.coords(X)
+        """Projection of the matrix X onto the direct sum of the named blocks."""
+        v = self.coords_many(X[None])[0]
         mask = np.zeros(self.dim)
         for name in names:
             mask[self.slices[name]] = 1.0
-        return self.from_coords(v * mask)
+        return self.from_coords_many(v * mask)[0]
 
     def split_a_n(self, X, tol=1e-9):
-        """Split X = X_a + X_n; raise if X is not in a + n."""
+        """Split X = X_a + X_n; raise if the part of X outside a + n exceeds
+        tol relative to |X|, so at any scale of X."""
         Xa = self.project_block(X, ["a"])
         Xn = self.project_block(X, ["g_a", "g_2a"])
-        rest = (X - Xa - Xn).norm() / max(1.0, X.norm())
+        size = norm(X)
+        rest = norm(X - Xa - Xn) / size if size else 0.0
         if rest > tol:
             raise ValueError(
-                f"element does not lie in a + n (part outside / max(1, |X|) = {rest:.3g} > {tol:g})"
+                f"element does not lie in a + n (part outside / |X| = {rest:.3g} > {tol:g})"
             )
         return Xa, Xn
-
-    # -- the complex identification g_a ~ C^{n-1} ---------------------------
-
-    def galpha_matrix(self, u):
-        """Embed u in C^{n-1} as an element of g_a (AN-isometric, J -> i)."""
-        u = np.asarray(u, dtype=complex).reshape(-1)
-        if u.shape != (self.n - 1,):
-            raise ValueError(f"expected vector in C^{self.n - 1}")
-        return AlgElement(self.n, galpha_matrices(u[None])[0], validate=False)
-
-    def J_on_galpha(self, X):
-        """The complex structure on g_a: J X = -[theta X, Z]."""
-        return -bracket(theta(X), self.Z)
 
     # -- the bridge k_0 ~ u(n-1) --------------------------------------------
 
@@ -296,17 +226,12 @@ class RootDecomposition:
         resid = np.abs(N + N.conj().T).max()
         if resid > 1e-9 * np.abs(N).max():  # relative: N at any scale
             raise ValueError(f"matrix is not skew-Hermitian (residual {resid:.3g})")
-        return AlgElement(self.n, traceless_block(self.n, N))
-
-    # -- tangent space model at the base point -------------------------------
-
-    def p_matrix(self, z):
-        """Tangent vector at o: the p-matrix with first row (0, conj(z)) and
-        first column (0, z)."""
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        if z.shape != (self.n,):
-            raise ValueError(f"expected vector in C^{self.n}")
-        return AlgElement(self.n, p_matrices(z[None])[0], validate=False)
+        X = traceless_block(self.n, N)
+        member = membership_residual(X[None])[0]
+        if member > TOL_ALG:
+            raise ValueError(f"matrix is not in su(1, {self.n}) "
+                             f"(relative residual {member:.3g} > {TOL_ALG:g})")
+        return X
 
 
 def galpha_matrices(u):
@@ -333,17 +258,10 @@ def p_matrices(z):
 ROOT_VALUES = {"g_m2a": -1.0, "g_ma": -0.5, "k_0": 0.0, "a": 0.0, "g_a": 0.5, "g_2a": 1.0}
 
 
-def _theta_stack(mats):
-    """theta on a stack of matrices: entry (i, j) times eps_i eps_j."""
-    eps = np.ones(mats.shape[-1])
-    eps[0] = -1.0
-    return mats * np.outer(eps, eps)
-
-
 def _functionals(mats, c):
     """Coordinate functionals of a stack: row i, dotted with ``real_rows(X)``,
     gives <E_i, X> = -c Re(vec(theta(E_i)^T) . vec(X))."""
-    d = (-c * _theta_stack(mats).transpose(0, 2, 1)).reshape(len(mats), -1)
+    d = (-c * theta(mats).transpose(0, 2, 1)).reshape(len(mats), -1)
     out = np.empty((len(mats), 2 * d.shape[1]))
     out[:, 0::2] = d.real
     out[:, 1::2] = -d.imag
@@ -419,7 +337,6 @@ def build_root_decomposition(n):
         raise ValueError("need n >= 2")
     N1 = n + 1
     m = n - 1
-    I = _signature(n)
 
     Bmat = np.zeros((N1, N1), complex)
     Bmat[0, 1] = Bmat[1, 0] = 0.5  # B = H0 / 2
@@ -434,7 +351,7 @@ def build_root_decomposition(n):
     Zmat[0, 0], Zmat[0, 1], Zmat[1, 0], Zmat[1, 1] = 0.5j, -0.5j, 0.5j, -0.5j
     iB = np.zeros((N1, N1), complex)
     iB[0, 1], iB[1, 0] = -0.5j, 0.5j
-    sign_err = np.abs(2 * iB - (Zmat - I @ Zmat @ I)).max()
+    sign_err = np.abs(2 * iB - (Zmat - theta(Zmat))).max()
     if sign_err > 1e-12:
         raise ConsistencyError(f"sign of Z violates J B = Z (residual {sign_err:.3g})")
 
@@ -452,8 +369,8 @@ def build_root_decomposition(n):
     galpha_unit = frame / np.sqrt(2)
     g2a = Zmat[None] / np.sqrt(2)
     blocks = [
-        ("g_m2a", _theta_stack(g2a)),
-        ("g_ma", _theta_stack(galpha_unit)),
+        ("g_m2a", theta(g2a)),
+        ("g_ma", theta(galpha_unit)),
         ("k_0", k0),
         ("a", Bmat[None]),
         ("g_a", galpha_unit),
@@ -469,13 +386,13 @@ def build_root_decomposition(n):
     mats = np.concatenate([block for _, block in blocks])
     dual = _functionals(mats, c)
     theta_mat = _theta_permutation(slices, start)
-    for arr in (mats, dual, theta_mat):
+    for arr in (Bmat, Zmat, mats, dual, theta_mat):
         arr.flags.writeable = False  # shared by every caller through the cache
     rd = RootDecomposition(
         n=n,
         slices=slices,
-        B=AlgElement(n, Bmat, validate=False),
-        Z=AlgElement(n, Zmat, validate=False),
+        B=Bmat,
+        Z=Zmat,
         theta_matrix=theta_mat,
         _dual=dual,
         _mats=mats,
@@ -495,7 +412,7 @@ def _verify_root_decomposition(rd, tol=1e-10):
     gram_err = np.abs(_gram(mats, mats, c) - np.eye(N)).max()
     if gram_err > 1e-9:
         raise ConsistencyError(f"global basis is not orthonormal (max |G - 1| = {gram_err:.3g})")
-    BZ = _gram(np.array([rd.B.matrix, rd.Z.matrix]), np.array([rd.B.matrix, rd.Z.matrix]), c)
+    BZ = _gram(np.array([rd.B, rd.Z]), np.array([rd.B, rd.Z]), c)
     if abs(BZ[0, 0] - 1.0) > 1e-12:
         raise ConsistencyError(f"<B, B> = {BZ[0, 0]!r} != 1")
     if abs(BZ[1, 1] - 2.0) > 1e-12:
@@ -507,7 +424,7 @@ def _verify_root_decomposition(rd, tol=1e-10):
     lam = np.zeros(N)
     for name, value in ROOT_VALUES.items():
         lam[rd.slices[name]] = value
-    adB_mats = bracket_stack(rd.B.matrix, mats)
+    adB_mats = bracket(rd.B, mats)
     adB = rd.coords_many(adB_mats).T
     dev = np.abs(adB - np.diag(lam)).max()
     if dev > TOL_SNAP:
@@ -526,7 +443,7 @@ def _verify_root_decomposition(rd, tol=1e-10):
     # theta g_lambda = g_{-lambda}: theta in coordinates is the stored
     # signed permutation, column by column
     theta_err = np.linalg.norm(
-        rd.coords_many(_theta_stack(mats)).T - rd.theta_matrix, axis=0
+        rd.coords_many(theta(mats)).T - rd.theta_matrix, axis=0
     ).max()
     if theta_err > tol:
         raise ConsistencyError(f"theta does not map g_lambda onto g_-lambda ({theta_err:.3g})")
@@ -534,7 +451,7 @@ def _verify_root_decomposition(rd, tol=1e-10):
     # J on g_a, J E = -[theta E, Z] in coordinates: J F_j = J-frame partner,
     # which also makes J^2 = -1
     ga = rd.slices["g_a"]
-    J = rd.coords_many(bracket_stack(rd.Z.matrix, _theta_stack(mats[ga])))[:, ga].T
+    J = rd.coords_many(bracket(rd.Z, theta(mats[ga])))[:, ga].T
     J_std = np.kron(np.eye(rd.n - 1), np.array([[0.0, -1.0], [1.0, 0.0]]))
     J_err = np.abs(J - J_std).max()
     if J_err > tol:

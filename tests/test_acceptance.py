@@ -16,7 +16,7 @@ from chpolar.angeom import ANVector, OrbitModel
 from chpolar.cli import main as cli_main
 from chpolar.kahler import RealSubspace
 from chpolar.polar import PolarActionSpec, build_action, check_polarity, normalizer_section
-from chpolar.su1n import bracket, build_root_decomposition, inner, theta
+from chpolar.su1n import bracket, build_root_decomposition, galpha_matrices, inner, norm, theta
 
 
 def _report(num, desc):
@@ -51,8 +51,13 @@ def normalizer_dim_oracle(V):
     return len(gens) - rank
 
 
+def galpha(u):
+    """X(u)/2 in g_a for u in C^{n-1}."""
+    return galpha_matrices(np.asarray(u, dtype=complex)[None])[0]
+
+
 def isotropy_dim_oracle(rd, q_mats, xi_mat):
-    A = np.array([rd.coords(T) for T in q_mats])
+    A = rd.coords_many(np.array(q_mats))
     sA = np.linalg.svd(A, compute_uv=False)
     dim_a = int(np.sum(sA > 1e-9 * max(1.0, sA[0])))
     M = su1n.ad(xi_mat)
@@ -143,9 +148,9 @@ def test_criterion_02_lie_model_identities():
         for _ in range(100):
             u = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
             v = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-            X, Y = rd.galpha_matrix(u), rd.galpha_matrix(v)
+            X, Y = galpha(u), galpha(v)
             T = rd.k0_matrix(sum(rng.standard_normal() * g for g in k0_gens))
-            res_a = max(res_a, (bracket(theta(X), rd.Z) + rd.J_on_galpha(X)).norm())
+            res_a = max(res_a, norm(bracket(theta(X), rd.Z) + galpha(1j * u)))
             M = bracket(theta(X), Y)
             res_b = max(res_b, abs(inner(T, M + theta(M)) - 2 * inner(bracket(T, X), Y)))
         assert res_a <= 1e-10, f"n={n}: {res_a}"
@@ -168,9 +173,9 @@ def test_criterion_03_an_bracket_formula():
                 )
             v1, v2 = rand_an(), rand_an()
             def to_mat(v):
-                return v.a * rd.B + rd.galpha_matrix(v.u) + v.x * rd.Z
+                return v.a * rd.B + galpha(v.u) + v.x * rd.Z
             br = angeom.an_bracket(v1, v2)
-            worst = max(worst, (bracket(to_mat(v1), to_mat(v2)) - to_mat(br)).norm())
+            worst = max(worst, norm(bracket(to_mat(v1), to_mat(v2)) - to_mat(br)))
     assert worst <= 1e-10, worst
     _report(3, f"a+n bracket formula vs commutator, residual {worst:.2e}")
 
@@ -295,8 +300,8 @@ def test_criterion_06_polarity_soundness():
         assert report.verdict, (label, report.to_json())
         assert report.bracket_residual <= 1e-9, label
     rd = build_root_decomposition(3)
-    h = np.array([rd.B.matrix, rd.Z.matrix])
-    sigma = np.array([(E - theta(E)).matrix for E in rd.block("g_a")])
+    h = np.array([rd.B, rd.Z])
+    sigma = rd.block("g_a") - theta(rd.block("g_a"))
     neg = check_polarity(3, h, sigma, seed=7)
     assert not neg.verdict
     assert neg.bracket_residual >= 0.1
@@ -318,7 +323,7 @@ def test_criterion_07_isotropy_dimensions():
         q = [sum(c * gens[i] for c, i in zip(row, picks)) for row in coeffs]
         u = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
         got = len(angeom.isotropy_at(n, q, u))
-        assert got == isotropy_dim_oracle(rd, [rd.k0_matrix(N) for N in q], rd.galpha_matrix(u))
+        assert got == isotropy_dim_oracle(rd, [rd.k0_matrix(N) for N in q], galpha(u))
     _report(7, "isotropy dimensions match the nullspace oracle on 50 pairs")
 
 

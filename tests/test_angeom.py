@@ -21,7 +21,8 @@ from chpolar.angeom import (
     sectional_curvature,
     shape_operator,
 )
-from chpolar.su1n import ConsistencyError, bracket, build_root_decomposition, theta
+from chpolar.su1n import ConsistencyError, bracket, build_root_decomposition, galpha_matrices, theta
+from chpolar.su1n import norm as su_norm
 
 
 def rand_vec(n, rng):
@@ -32,8 +33,17 @@ def rand_vec(n, rng):
     )
 
 
+def galpha(u):
+    """X(u)/2 in g_a for u in C^{n-1}."""
+    return galpha_matrices(np.asarray(u, dtype=complex)[None])[0]
+
+
+def coords(rd, X):
+    return rd.coords_many(X[None])[0]
+
+
 def to_matrix(rd, v):
-    return v.a * rd.B + rd.galpha_matrix(v.u) + v.x * rd.Z
+    return v.a * rd.B + galpha(v.u) + v.x * rd.Z
 
 
 # --- connection -----------------------------------------------------------------
@@ -84,7 +94,7 @@ def test_an_bracket_matches_ambient_commutator():
         X, Y = rand_vec(3, rng), rand_vec(3, rng)
         lhs = to_matrix(rd, an_bracket(X, Y))
         rhs = bracket(to_matrix(rd, X), to_matrix(rd, Y))
-        assert (lhs - rhs).norm() < 1e-10
+        assert su_norm(lhs - rhs) < 1e-10
 
 
 # --- curvature -----------------------------------------------------------------
@@ -205,8 +215,8 @@ def test_errors_name_the_residual_and_the_bound():
         orb._check_subalgebra()
     rd = build_root_decomposition(3)
     origin = ANVector(0.0, np.zeros(2, dtype=complex), 0.0)
-    with pytest.raises(ConsistencyError, match=r"n \(part outside / max\(1, \|X\|\) = 1 > 1e-09\)"):
-        conjugate_subalgebra(3, [theta(rd.Z)], origin)
+    with pytest.raises(ConsistencyError, match=r"n \(part outside / \|X\| = 1 > 1e-09\)"):
+        conjugate_subalgebra(3, theta(rd.Z)[None], origin)
 
 
 def test_totally_geodesic_case_has_zero_shape_trace():
@@ -283,7 +293,7 @@ def isotropy_dim_oracle(rd, q_mats, xi_mat):
     dim(A cap B) = dim A + dim B - dim(A + B)."""
     from chpolar.su1n import ad
 
-    A = np.array([rd.coords(T) for T in q_mats])
+    A = rd.coords_many(np.array(q_mats))
     sA = np.linalg.svd(A, compute_uv=False)
     dim_a = int(np.sum(sA > 1e-9 * max(1.0, sA[0])))
     M = ad(xi_mat)
@@ -310,12 +320,24 @@ def test_isotropy_standard_vector():
         out = isotropy_at(n, kahler.skew_hermitian_basis(n - 1), e1)
         assert len(out) == (n - 2) ** 2
         for T in out:
-            assert bracket(T, rd.galpha_matrix(e1)).norm() < 1e-9
+            assert su_norm(bracket(T, galpha(e1))) < 1e-9
 
 
 def test_isotropy_center_acts_freely():
     out = isotropy_at(3, [1j * np.eye(2)], np.array([1.0 + 0j, 0.0]))
-    assert out == []
+    assert out.shape == (0, 4, 4)
+
+
+def test_isotropy_and_conjugation_return_stacks():
+    rd = build_root_decomposition(3)
+    assert isotropy_at(3, [], np.zeros(2, dtype=complex)).shape == (0, 4, 4)
+    assert conjugate_subalgebra(3, np.zeros((0, 4, 4)), rand_vec(3, np.random.default_rng(0))).shape \
+        == (0, 4, 4)
+    assert conjugate_subalgebra(3, rd.B[None], ANVector.from_galpha(np.zeros(2))).shape == (1, 4, 4)
+    with pytest.raises(ValueError, match=r"expected vector in C\^2"):
+        isotropy_at(3, kahler.skew_hermitian_basis(2), np.zeros(3, dtype=complex))
+    with pytest.raises(ValueError, match="not skew-Hermitian"):
+        isotropy_at(3, [np.eye(2)], np.zeros(2, dtype=complex))
 
 
 def test_isotropy_matches_oracle_on_random_pairs():
@@ -329,7 +351,7 @@ def test_isotropy_matches_oracle_on_random_pairs():
         q = [gens[i] for i in picks]
         xi_vec = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
         got = len(isotropy_at(n, q, xi_vec))
-        want = isotropy_dim_oracle(rd, [rd.k0_matrix(N) for N in q], rd.galpha_matrix(xi_vec))
+        want = isotropy_dim_oracle(rd, [rd.k0_matrix(N) for N in q], galpha(xi_vec))
         assert got == want
 
 
@@ -338,27 +360,27 @@ def test_isotropy_matches_oracle_on_random_pairs():
 
 def test_conjugate_by_identity_fixes_subalgebra():
     rd = build_root_decomposition(3)
-    h = [rd.B, rd.Z]
+    h = np.array([rd.B, rd.Z])
     out = conjugate_subalgebra(3, h, ANVector(0.0, np.zeros(2, dtype=complex), 0.0))
-    before = np.array([rd.coords(x) for x in h])
+    before = rd.coords_many(h)
     u, s, vh = np.linalg.svd(before)
     span = vh[:2]
     for el in out:
-        v = rd.coords(el)
+        v = coords(rd, el)
         assert np.linalg.norm(v - span.T @ (span @ v)) < 1e-10
 
 
 def test_w_plus_center_is_AN_invariant():
     rd = build_root_decomposition(3)
-    h = [rd.galpha_matrix(np.array([0, 1.0 + 0j])), rd.Z]
+    h = np.array([galpha(np.array([0, 1.0 + 0j])), rd.Z])
     rng = np.random.default_rng(9)
     g_exp = rand_vec(3, rng)
     out = conjugate_subalgebra(3, h, g_exp)
-    before = np.array([rd.coords(x) for x in h])
+    before = rd.coords_many(h)
     u, s, vh = np.linalg.svd(before)
     span = vh[:2]
     for el in out:
-        v = rd.coords(el)
+        v = coords(rd, el)
         assert np.linalg.norm(v - span.T @ (span @ v)) < 1e-9
 
 
@@ -368,15 +390,15 @@ def test_conjugating_a_w_g2a_tilts_the_line():
     rd = build_root_decomposition(3)
     w_vec = np.array([0, 1.0 + 0j])
     x0 = np.array([1.0 + 0j, 0])  # orthogonal to w
-    h = [rd.B, rd.galpha_matrix(w_vec), rd.Z]
+    h = np.array([rd.B, galpha(w_vec), rd.Z])
     out = conjugate_subalgebra(3, h, ANVector.from_galpha(x0))
     # direct expansion oracle: Ad(exp X0) B = B - X0/2 exactly (nilpotency)
-    want_lead = rd.B - 0.5 * rd.galpha_matrix(x0)
-    rows = np.array([rd.coords(el) for el in out])
+    want_lead = rd.B - 0.5 * galpha(x0)
+    rows = rd.coords_many(out)
     u, s, vh = np.linalg.svd(rows)
     span = vh[:3]
-    for target in (want_lead, rd.galpha_matrix(w_vec), rd.Z):
-        v = rd.coords(target)
+    for target in (want_lead, galpha(w_vec), rd.Z):
+        v = coords(rd, target)
         assert np.linalg.norm(v - span.T @ (span @ v)) < 1e-9 * max(1.0, np.linalg.norm(v))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -176,7 +177,7 @@ def test_cmd_verify_brackets_no_su1n_element(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("verify reached the su(1, n) model")
 
-    for name in ("build_root_decomposition", "bracket_stack"):
+    for name in ("build_root_decomposition", "bracket"):
         original = getattr(su1n, name)
         for module in (su1n, polar, kahler, angeom, cli):
             if getattr(module, name, None) is original:
@@ -412,8 +413,20 @@ def test_cmd_selfcheck_passes(capsys):
     assert rc == 0 and out["ok"] is True
 
 
+def test_cmd_selfcheck_catches_a_wrong_Z(capsys, monkeypatch):
+    # with Z of the wrong sign, -[theta X(u), Z] is -X(iu): the J identity
+    # must read the error and selfcheck must exit 1
+    original = su1n.build_root_decomposition
+    monkeypatch.setattr(su1n, "build_root_decomposition",
+                        lambda n: dataclasses.replace(original(n), Z=-original(n).Z))
+    assert main(["selfcheck", "--n", "3"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False
+    assert out["max_residuals"]["bracket_with_Z_defines_J"] > 1.0
+
+
 # selfcheck prints rounding-level residuals at 17 digits, so its bytes pin
-# every floating-point operation of galpha_matrix, k0_matrix and the root
+# every floating-point operation of galpha_matrices, k0_matrix and the root
 # decomposition it runs through.
 SELFCHECK_SHA256 = {
     2: "91574523fbb162ab9474960c183da7441318fd7dd82877374a71a6195483cdd0",

@@ -196,7 +196,7 @@ def test_k0_matrix_rejects_a_tiny_hermitian_matrix():
 def test_k0_matrix_accepts_a_tiny_skew_hermitian_matrix():
     rd = build_root_decomposition(3)
     T = rd.k0_matrix(np.diag([1e-12j, 0.0]))
-    assert np.abs(T.matrix + T.matrix.conj().T).max() == 0.0
+    assert np.abs(T + T.conj().T).max() == 0.0
 
 
 # --- one home for SVD rank and null-space decisions ---------------------------------

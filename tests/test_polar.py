@@ -82,7 +82,7 @@ def test_build_family_II_horosphere():
     h, sigma = build_family_II(family_II(n, "zero", w=RealSubspace.full(n - 1)))
     # h = n (the Heisenberg algebra), section tangent = a
     assert len(h) == 2 * (n - 1) + 1
-    assert len(sigma) == 1 and np.abs(sigma[0] - rd.B.matrix).max() < 1e-12
+    assert len(sigma) == 1 and np.abs(sigma[0] - rd.B).max() < 1e-12
 
 
 def test_build_family_II_rejects_non_normalizing_q():
@@ -215,8 +215,8 @@ def test_constructed_examples_are_polar(label, factory):
 def test_crafted_negative_fails_robustly():
     n = 3
     rd = build_root_decomposition(n)
-    h = np.array([rd.B.matrix, rd.Z.matrix])
-    sigma = np.array([(E - theta(E)).matrix for E in rd.block("g_a")])
+    h = np.array([rd.B, rd.Z])
+    sigma = rd.block("g_a") - theta(rd.block("g_a"))
     report = check_polarity(n, h, sigma, seed=1)
     assert not report.verdict
     assert not report.bracket_condition

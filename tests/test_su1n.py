@@ -2,25 +2,45 @@ import numpy as np
 import pytest
 
 from chpolar import su1n
+from chpolar.polar import check_polarity
 from chpolar.su1n import (
-    AlgElement,
     ad,
     ad_exp,
     bracket,
     build_root_decomposition,
+    galpha_matrices,
     inner,
     inner_an,
+    norm,
+    p_matrices,
     theta,
 )
 
 
+def coords(rd, X):
+    return rd.coords_many(X[None])[0]
+
+
+def galpha(u):
+    """X(u)/2 in g_a for u in C^{n-1}."""
+    return galpha_matrices(np.asarray(u, dtype=complex)[None])[0]
+
+
 def rand_element(rd, rng):
-    return rd.from_coords(rng.standard_normal(rd.dim))
+    return rd.from_coords_many(rng.standard_normal(rd.dim))[0]
+
+
+def rand_u(rd, rng):
+    return rng.standard_normal(rd.n - 1) + 1j * rng.standard_normal(rd.n - 1)
 
 
 def rand_galpha(rd, rng):
-    u = rng.standard_normal(rd.n - 1) + 1j * rng.standard_normal(rd.n - 1)
-    return rd.galpha_matrix(u)
+    return galpha(rand_u(rd, rng))
+
+
+def J(rd, X):
+    """The complex structure on g_a: J X = -[theta X, Z]."""
+    return -bracket(theta(X), rd.Z)
 
 
 def onb(rd):
@@ -30,29 +50,18 @@ def onb(rd):
 
 def times_i(rd, X):
     """The complex structure of T_o CH^n = C^n on a p-matrix X: z -> i z."""
-    assert np.abs(X.matrix - rd.p_matrix(X.matrix[1:, 0]).matrix).max() < 1e-12  # X in p
-    return rd.p_matrix(1j * X.matrix[1:, 0])
+    assert np.abs(X - p_matrices(X[1:, 0][None])[0]).max() < 1e-12  # X in p
+    return p_matrices(1j * X[1:, 0][None])[0]
 
 
 def rand_k0(rd, rng):
     v = np.zeros(rd.dim)
     sl = rd.slices["k_0"]
     v[sl] = rng.standard_normal(sl.stop - sl.start)
-    return rd.from_coords(v)
+    return rd.from_coords_many(v)[0]
 
 
-# --- AlgElement ----------------------------------------------------------------
-
-
-def test_algelement_validates_membership():
-    with pytest.raises(ValueError):
-        AlgElement(2, np.eye(3))  # not traceless / wrong constraint
-    bad = np.zeros((3, 3), dtype=complex)
-    bad[0, 1] = 1.0
-    bad[1, 0] = 1.0  # should be +1 with signature, this one is fine; break trace instead
-    AlgElement(2, bad)  # H0 is a valid element
-    with pytest.raises(ValueError):
-        AlgElement(2, np.diag([1.0, -0.5, -0.5]))  # hermitian, violates X* I + I X = 0
+# --- membership ------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-12])
@@ -63,14 +72,7 @@ def test_membership_residual_is_relative(scale):
     good = scale * rd.from_coords_many(np.random.default_rng(0).standard_normal((4, rd.dim)))
     assert su1n.membership_residual(good).max() < 1e-15
     with pytest.raises(ValueError, match=r"relative residual 1 > 1e-12"):
-        AlgElement(2, bad[0])
-
-
-def test_algelement_json_roundtrip():
-    rd = build_root_decomposition(2)
-    X = rand_element(rd, np.random.default_rng(0))
-    Y = AlgElement.from_json(2, X.to_json())
-    assert (X - Y).norm() < 1e-12
+        check_polarity(2, bad[:1], bad[:1])
 
 
 # --- bracket --------------------------------------------------------------------
@@ -80,8 +82,8 @@ def test_bracket_antisymmetric_and_self_zero():
     rd = build_root_decomposition(3)
     rng = np.random.default_rng(1)
     X, Y = rand_element(rd, rng), rand_element(rd, rng)
-    assert bracket(X, X).norm() == pytest.approx(0.0, abs=1e-13)
-    assert (bracket(X, Y) + bracket(Y, X)).norm() == pytest.approx(0.0, abs=1e-12)
+    assert norm(bracket(X, X)) == pytest.approx(0.0, abs=1e-13)
+    assert norm(bracket(X, Y) + bracket(Y, X)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bracket_dimension_mismatch():
@@ -93,15 +95,15 @@ def test_bracket_dimension_mismatch():
 def test_bracket_of_B_with_galpha():
     rd = build_root_decomposition(3)
     U = rand_galpha(rd, np.random.default_rng(2))
-    assert (bracket(rd.B, U) - 0.5 * U).norm() < 1e-12
+    assert norm(bracket(rd.B, U) - 0.5 * U) < 1e-12
 
 
 def test_bracket_U_JU_hits_center():
     rd = build_root_decomposition(3)
     U = rand_galpha(rd, np.random.default_rng(3))
-    JU = rd.J_on_galpha(U)
+    JU = J(rd, U)
     want = 0.5 * inner(JU, JU) * rd.Z
-    assert (bracket(U, JU) - want).norm() < 1e-10
+    assert norm(bracket(U, JU) - want) < 1e-10
 
 
 def test_jacobi_identity():
@@ -109,8 +111,8 @@ def test_jacobi_identity():
     rng = np.random.default_rng(4)
     for _ in range(10):
         X, Y, Z = (rand_element(rd, rng) for _ in range(3))
-        J = bracket(X, bracket(Y, Z)) + bracket(Y, bracket(Z, X)) + bracket(Z, bracket(X, Y))
-        assert J.norm() < 1e-9
+        jac = bracket(X, bracket(Y, Z)) + bracket(Y, bracket(Z, X)) + bracket(Z, bracket(X, Y))
+        assert norm(jac) < 1e-9
 
 
 # --- theta ----------------------------------------------------------------------
@@ -119,17 +121,17 @@ def test_jacobi_identity():
 def test_theta_fixes_k_and_negates_p():
     rd = build_root_decomposition(3)
     T = rand_k0(rd, np.random.default_rng(5))
-    assert (theta(T) - T).norm() < 1e-12
-    assert (theta(rd.B) + rd.B).norm() < 1e-12
+    assert norm(theta(T) - T) < 1e-12
+    assert norm(theta(rd.B) + rd.B) < 1e-12
 
 
 def test_theta_swaps_root_spaces():
     rd = build_root_decomposition(3)
     for E in rd.block("g_a"):
         tE = theta(E)
-        assert (tE - rd.project_block(tE, ["g_ma"])).norm() < 1e-12
+        assert norm(tE - rd.project_block(tE, ["g_ma"])) < 1e-12
     tZ = theta(rd.Z)
-    assert (tZ - rd.project_block(tZ, ["g_m2a"])).norm() < 1e-12
+    assert norm(tZ - rd.project_block(tZ, ["g_m2a"])) < 1e-12
 
 
 # --- metrics --------------------------------------------------------------------
@@ -166,8 +168,19 @@ def test_skew_adjointness_relation():
 def test_inner_an_rejects_elements_outside_a_plus_n():
     rd = build_root_decomposition(2)
     T = rand_k0(rd, np.random.default_rng(8))
-    with pytest.raises(ValueError, match=r"a \+ n \(part outside / max\(1, \|X\|\) = 1 > 1e-09\)"):
+    with pytest.raises(ValueError, match=r"a \+ n \(part outside / \|X\| = 1 > 1e-09\)"):
         inner_an(T, T)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
+def test_inner_an_rejects_k0_at_every_scale(scale):
+    # the part outside a + n is measured relative to |X|, so a small
+    # element of k_0 is as far outside as a large one
+    rd = build_root_decomposition(2)
+    T = scale * rd.block("k_0")[0]
+    with pytest.raises(ValueError, match=r"part outside / \|X\| = 1 > 1e-09"):
+        inner_an(T, T)
+    assert inner_an(scale * rd.Z, scale * rd.Z) == pytest.approx(scale ** 2, rel=1e-12)
 
 
 # --- root decomposition ----------------------------------------------------------
@@ -189,7 +202,7 @@ def test_root_spaces_are_ad_B_eigenspaces():
     lam = {"g_m2a": -1.0, "g_ma": -0.5, "k_0": 0.0, "a": 0.0, "g_a": 0.5, "g_2a": 1.0}
     for name, want in lam.items():
         for E in rd.block(name):
-            assert (bracket(rd.B, E) - want * E).norm() < 1e-10
+            assert norm(bracket(rd.B, E) - want * E) < 1e-10
 
 
 def test_bracket_grading():
@@ -207,9 +220,9 @@ def test_bracket_grading():
                     br = bracket(X, Y)
                     if -2 <= target <= 2:
                         names = [k for k, v in weights.items() if v == target]
-                        resid = (br - rd.project_block(br, names)).norm()
+                        resid = norm(br - rd.project_block(br, names))
                     else:
-                        resid = br.norm()
+                        resid = norm(br)
                     assert resid < 1e-10
 
 
@@ -218,16 +231,16 @@ def test_k_and_p_bases():
     # antisymmetrized ones spans p; (E - theta E)/sqrt 2 is a p-matrix
     rd = build_root_decomposition(3)
     n = rd.n
-    roots = rd.block("g_a") + rd.block("g_2a")
-    kb = rd.block("k_0") + [(1 / np.sqrt(2)) * (E + theta(E)) for E in roots]
-    pb = [rd.B] + [rd.p_matrix(np.sqrt(2) * E.matrix[1:, 0]) for E in roots]
+    roots = np.concatenate([rd.block("g_a"), rd.block("g_2a")])
+    kb = list(rd.block("k_0")) + [(1 / np.sqrt(2)) * (E + theta(E)) for E in roots]
+    pb = [rd.B] + list(p_matrices(np.sqrt(2) * roots[:, 1:, 0]))
     for E, P in zip(roots, pb[1:]):
-        assert ((1 / np.sqrt(2)) * (E - theta(E)) - P).norm() < 1e-12
+        assert norm((1 / np.sqrt(2)) * (E - theta(E)) - P) < 1e-12
     assert len(kb) == n * n and len(pb) == 2 * n
     for X in kb:
-        assert (theta(X) - X).norm() < 1e-12
+        assert norm(theta(X) - X) < 1e-12
     for X in pb:
-        assert (theta(X) + X).norm() < 1e-12
+        assert norm(theta(X) + X) < 1e-12
     gram = np.array([[inner(X, Y) for Y in kb + pb] for X in kb + pb])
     assert np.abs(gram - np.eye(rd.dim)).max() < 1e-10
 
@@ -240,7 +253,7 @@ def test_onb_is_orthonormal_and_projections_sum_to_identity():
     rng = np.random.default_rng(9)
     X = rand_element(rd, rng)
     total = rd.project_block(X, list(rd.slices.keys()))
-    assert (X - total).norm() < 1e-10
+    assert norm(X - total) < 1e-10
 
 
 def test_root_spaces_mutually_orthogonal():
@@ -257,10 +270,10 @@ def test_J_squares_to_minus_one():
     rd = build_root_decomposition(4)
     rng = np.random.default_rng(10)
     U = rand_galpha(rd, rng)
-    assert (rd.J_on_galpha(rd.J_on_galpha(U)) + U).norm() < 1e-10
+    assert norm(J(rd, J(rd, U)) + U) < 1e-10
     ga = rd.slices["g_a"]
-    J = np.array([rd.coords(rd.J_on_galpha(E))[ga] for E in rd.block("g_a")]).T
-    assert np.abs(J @ J + np.eye(2 * rd.n - 2)).max() < 1e-10
+    Jmat = rd.coords_many(J(rd, rd.block("g_a")))[:, ga].T
+    assert np.abs(Jmat @ Jmat + np.eye(2 * rd.n - 2)).max() < 1e-10
 
 
 def test_J_fixed_by_JB_equals_Z():
@@ -268,17 +281,17 @@ def test_J_fixed_by_JB_equals_Z():
     rd = build_root_decomposition(3)
     lhs = 2.0 * times_i(rd, rd.B)
     rhs = rd.Z - theta(rd.Z)
-    assert (lhs - rhs).norm() < 1e-12
+    assert norm(lhs - rhs) < 1e-12
 
 
 def test_bracket_with_center_recovers_J():
-    # [theta X, Z] = -J X on g_a
+    # -[theta X(u), Z] = X(iu) on g_a: J is multiplication by i
     for n in (2, 3, 5):
         rd = build_root_decomposition(n)
         rng = np.random.default_rng(n)
         for _ in range(20):
-            X = rand_galpha(rd, rng)
-            assert (bracket(theta(X), rd.Z) + rd.J_on_galpha(X)).norm() < 1e-10
+            u = rand_u(rd, rng)
+            assert norm(bracket(theta(galpha(u)), rd.Z) + galpha(1j * u)) < 1e-10
 
 
 def test_k0_pairing_identity():
@@ -308,16 +321,16 @@ def test_equivariance_isometry_and_complex_linearity():
         # equivariance
         lhs = 0.5 * (bracket(T, X) - theta(bracket(T, X)))
         rhs = bracket(T, half)
-        assert (lhs - rhs).norm() < 1e-10
+        assert norm(lhs - rhs) < 1e-10
         # isometry onto (p, <,>) from (a+n, <,>_AN)
         Y = rng.standard_normal() * rd.B + rand_galpha(rd, rng) + rng.standard_normal() * rd.Z
         halfY = 0.5 * (Y - theta(Y))
         assert inner(half, halfY) == pytest.approx(inner_an(X, Y), abs=1e-10)
         # complex linearity on g_a
-        JU = rd.J_on_galpha(U)
+        JU = J(rd, U)
         lhs2 = 0.5 * (JU - theta(JU))
         rhs2 = times_i(rd, 0.5 * (U - theta(U)))
-        assert (lhs2 - rhs2).norm() < 1e-10
+        assert norm(lhs2 - rhs2) < 1e-10
 
 
 # --- adjoint maps ------------------------------------------------------------------
@@ -327,14 +340,14 @@ def test_ad_matrix_matches_bracket():
     rd = build_root_decomposition(3)
     rng = np.random.default_rng(12)
     X, Y = rand_element(rd, rng), rand_element(rd, rng)
-    lhs = ad(X) @ rd.coords(Y)
-    rhs = rd.coords(bracket(X, Y))
+    lhs = ad(X) @ coords(rd, Y)
+    rhs = coords(rd, bracket(X, Y))
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_ad_exp_identity_and_inverse():
     rd = build_root_decomposition(3)
-    zero = rd.from_coords(np.zeros(rd.dim))
+    zero = rd.from_coords_many(np.zeros(rd.dim))[0]
     assert np.abs(ad_exp(zero) - np.eye(rd.dim)).max() < 1e-12
     rng = np.random.default_rng(13)
     X = 0.5 * rand_element(rd, rng)
@@ -353,10 +366,10 @@ def test_ad_exp_nilpotent_on_k0_components():
     series = (
         T + t * bracket(xi, T) + 0.5 * t * t * bracket(xi, bracket(xi, T))
     )
-    full = rd.from_coords(ad_exp(t * xi) @ rd.coords(T))
-    assert (full - series).norm() < 1e-10
+    full = rd.from_coords_many(ad_exp(t * xi) @ coords(rd, T))[0]
+    assert norm(full - series) < 1e-10
     cubic = bracket(xi, bracket(xi, bracket(xi, T)))
-    assert cubic.norm() < 1e-10
+    assert norm(cubic) < 1e-10
 
 
 def test_k0_bridge_roundtrip_and_action():
@@ -366,7 +379,7 @@ def test_k0_bridge_roundtrip_and_action():
     N = N - N.conj().T
     T = rd.k0_matrix(N)
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    assert (bracket(T, rd.galpha_matrix(u)) - rd.galpha_matrix(N @ u)).norm() < 1e-10
+    assert norm(bracket(T, galpha(u)) - galpha(N @ u)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -388,7 +401,7 @@ def test_galpha_matrix_matches_the_frame_sum(n):
         mat = np.zeros((n + 1, n + 1), dtype=complex)
         for j, z in enumerate(u):
             mat = mat + z.real * frame[2 * j] + z.imag * frame[2 * j + 1]
-        assert np.array_equal(rd.galpha_matrix(u).matrix, mat)
+        assert np.array_equal(galpha(u), mat)
 
 
 # --- the closed form against the eigenspace construction ---------------------------
@@ -455,7 +468,7 @@ def eigenspace_oracle(n, c=2.0):
 
 
 def _projector(rd, mats):
-    C = np.array([rd.coords(AlgElement(rd.n, M, validate=False)) for M in mats])
+    C = rd.coords_many(np.array(mats))
     # every oracle element is a unit vector fully seen by the coordinates
     assert np.abs(np.linalg.norm(C, axis=1) - 1.0).max() < 1e-10
     return C.T @ C
@@ -481,7 +494,7 @@ def test_closed_form_blocks_span_the_ad_B_eigenspaces(n):
 def test_theta_matrix_is_coords_of_theta_of_basis(n):
     rd = build_root_decomposition(n)
     for j, E in enumerate(onb(rd)):
-        assert np.abs(rd.theta_matrix[:, j] - rd.coords(theta(E))).max() < 1e-12
+        assert np.abs(rd.theta_matrix[:, j] - coords(rd, theta(E))).max() < 1e-12
     # a signed permutation
     assert np.array_equal(np.abs(rd.theta_matrix).sum(axis=0), np.ones(rd.dim))
     assert set(np.unique(rd.theta_matrix)) <= {-1.0, 0.0, 1.0}
@@ -492,14 +505,14 @@ def test_stacked_coords_and_brackets_match_single_ones(n):
     rd = build_root_decomposition(n)
     rng = np.random.default_rng(200 + n)
     els = [rand_element(rd, rng) for _ in range(6)]
-    stack = np.array([X.matrix for X in els])
+    stack = np.array(els)
     many = rd.coords_many(stack)
-    assert np.abs(many - np.array([rd.coords(X) for X in els])).max() < 1e-12
+    assert np.abs(many - np.array([coords(rd, X) for X in els])).max() < 1e-12
     assert np.abs(rd.from_coords_many(many) - stack).max() < 1e-12
     X = els[0]
-    brs = su1n.bracket_stack(X.matrix, stack)
+    brs = bracket(X, stack)
     for Y, br in zip(els, brs):
-        assert np.abs(br - bracket(X, Y).matrix).max() < 1e-12
+        assert np.abs(br - bracket(X, Y)).max() < 1e-12
     rows = np.linalg.qr(rng.standard_normal((rd.dim, 3)))[0].T
     along = su1n.real_rows(stack) @ rd.dual_rows(rows).T
     assert np.abs(along - many @ rows.T).max() < 1e-12
