@@ -36,9 +36,9 @@ from .su1n import (
     theta,
 )
 from .angeom import (
-    ANVector,
     OrbitModel,
     an_bracket,
+    an_vector,
     conjugate_subalgebra,
     curvature,
     isotropy_at,
@@ -63,7 +63,6 @@ from .polar import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANVector",
     "ConsistencyError",
     "KahlerDecomposition",
     "OrbitModel",
@@ -73,6 +72,7 @@ __all__ = [
     "RootDecomposition",
     "ad_exp",
     "an_bracket",
+    "an_vector",
     "bracket",
     "build_action",
     "build_family_I",

@@ -41,6 +41,18 @@ def unit_rows(A):
     return A[keep] / norms[keep, None]
 
 
+def scaled_norm(inner, X):
+    """sqrt(inner(X, X)) for a real-bilinear inner product on complex
+    arrays, with X first scaled by the power of two nearest its largest
+    entry, so that the square neither underflows nor overflows (an X of
+    1e-200 keeps its norm).  Scaling by a power of two is exact, so an X
+    whose square is representable gives the same bits as without it."""
+    r = np.ascontiguousarray(X, dtype=complex).view(float)
+    _, exp = np.frexp(np.abs(r).max(initial=0.0))
+    scaled = np.ldexp(r, -exp).view(complex)
+    return float(np.ldexp(np.sqrt(max(0.0, inner(scaled, scaled))), exp))
+
+
 def orthonormal_rows(A, tol=1e-10):
     """Orthonormal rows spanning the rows of A (its leading right singular
     vectors).  For complex A they span the complex row space and are

@@ -1,15 +1,17 @@
 """Left-invariant geometry of the solvable model AN of complex hyperbolic space.
 
-Vectors live in the coordinate model a + g_a + g_2a: a scalar multiple of
-the unit vector B, a vector u in C^{n-1} identified with g_a (the complex
-structure is multiplication by i), and a scalar multiple of Z = J B.  The
-metric used throughout this module is the AN metric, under which the model
-is Euclidean:
+A vector aB + U + xZ of a + n = a + g_a + g_2a is the vector
 
-    <(a, u, x), (b, v, y)>_AN = a b + Re<u, v> + x y.
+    z = (a + i x, u)  of C^n,
 
-The Lie bracket keeps the structure constant <J U, V> of the ambient
-algebra's metric, which is twice the AN one on g_a:
+u in C^{n-1} identified with g_a, and a set of them is a (k, n) stack.
+This is an isometry for the AN metric, which is Euclidean in the model,
+
+    <(a, u, x), (b, v, y)>_AN = a b + Re<u, v> + x y = Re<z, w>,
+
+and the complex structure J (J B = Z, J U = iU on g_a) is multiplication
+by i.  The Lie bracket keeps the structure constant <J U, V> of the
+ambient algebra's metric, which is twice the AN one on g_a:
 
     [aB + U + xZ, bB + V + yZ]
         = -(b/2) U + (a/2) V + (-bx + ay + Re<iu, v>) Z.
@@ -21,109 +23,52 @@ sectional curvature -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ._linalg import left_nullspace, orthonormal_rows, unit_rows
-from .su1n import ConsistencyError, ad_exp, bracket, build_root_decomposition, galpha_matrices
+from ._linalg import left_nullspace, orthonormal_rows, scaled_norm, unit_rows
+from .su1n import (ConsistencyError, ad_exp, bracket, build_root_decomposition,
+                   galpha_matrices, real_rows)
 
 
-@dataclass(frozen=True)
-class ANVector:
-    """Element a B + U + x Z of a + g_a + g_2a, with U given by u in C^{n-1}."""
+def an_vector(a, u, x):
+    """The vector aB + U + xZ, U given by u in C^{n-1}: z = (a + ix, u)."""
+    return np.concatenate([[complex(a, x)], np.asarray(u, dtype=complex).reshape(-1)])
 
-    a: float
-    u: np.ndarray = field(repr=False)
-    x: float
 
-    def __init__(self, a, u, x):
-        u = np.asarray(u, dtype=complex).reshape(-1)
-        u = u.copy()
-        u.flags.writeable = False
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "x", float(x))
+def an_json(X):
+    """X as the JSON {"a_part": a, "u_part": [[Re u_j, Im u_j], ...], "z_part": x}."""
+    return {"a_part": float(X[0].real), "u_part": [[float(z.real), float(z.imag)] for z in X[1:]],
+            "z_part": float(X[0].imag)}
 
-    @property
-    def n(self):
-        return self.u.shape[0] + 1
 
-    def __add__(self, other):
-        return ANVector(self.a + other.a, self.u + other.u, self.x + other.x)
-
-    def __sub__(self, other):
-        return ANVector(self.a - other.a, self.u - other.u, self.x - other.x)
-
-    def __rmul__(self, t):
-        t = float(t)
-        return ANVector(t * self.a, t * self.u, t * self.x)
-
-    def __neg__(self):
-        return ANVector(-self.a, -self.u, -self.x)
-
-    def to_real(self):
-        """Coordinates (a, Re u_1, Im u_1, ..., x) in which the AN metric is
-        the standard Euclidean one."""
-        out = np.empty(2 * self.n)
-        out[0] = self.a
-        out[1:-1:2] = self.u.real
-        out[2:-1:2] = self.u.imag
-        out[-1] = self.x
-        return out
-
-    @classmethod
-    def from_real(cls, v):
-        v = np.asarray(v, dtype=float).reshape(-1)
-        return cls(v[0], v[1:-1:2] + 1j * v[2:-1:2], v[-1])
-
-    @classmethod
-    def basis_B(cls, n):
-        return cls(1.0, np.zeros(n - 1, dtype=complex), 0.0)
-
-    @classmethod
-    def basis_Z(cls, n):
-        return cls(0.0, np.zeros(n - 1, dtype=complex), 1.0)
-
-    @classmethod
-    def from_galpha(cls, u):
-        u = np.asarray(u, dtype=complex).reshape(-1)
-        return cls(0.0, u, 0.0)
-
-    def to_json(self):
-        return {
-            "a_part": self.a,
-            "u_part": [[float(z.real), float(z.imag)] for z in self.u],
-            "z_part": self.x,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        u = np.array([complex(re, im) for re, im in data["u_part"]])
-        return cls(data["a_part"], u, data["z_part"])
+def an_matrix(X):
+    """The element Re z_0 B + X(u)/2 + Im z_0 Z of su(1, n) that X names."""
+    rd = build_root_decomposition(len(X))
+    return X[0].real * rd.B + galpha_matrices(X[None, 1:])[0] + X[0].imag * rd.Z
 
 
 def inner_product(X, Y):
-    """The AN metric."""
-    return X.a * Y.a + float(np.real(np.vdot(Y.u, X.u))) + X.x * Y.x
+    """The AN metric: Re<X, Y>, the real part of the Hermitian product."""
+    return X[0].real * Y[0].real + float(np.real(np.vdot(Y[1:], X[1:]))) + X[0].imag * Y[0].imag
 
 
 def norm(X):
-    return float(np.sqrt(max(0.0, inner_product(X, X))))
+    """|X| in the AN metric, at any scale of X (``scaled_norm``)."""
+    return scaled_norm(inner_product, X)
 
 
 def complex_structure(X):
     """J on a + n: B -> Z, Z -> -B, u -> i u."""
-    return ANVector(-X.x, 1j * X.u, X.a)
+    return 1j * X
 
 
 def an_bracket(X, Y):
     """Lie bracket of a + n (Heisenberg extension of the real line a)."""
     _same_model(X, Y)
-    a, b = X.a, Y.a
-    x, y = X.x, Y.x
-    zcoef = -b * x + a * y + float(np.real(np.vdot(Y.u, 1j * X.u)))
-    return ANVector(0.0, -0.5 * b * X.u + 0.5 * a * Y.u, zcoef)
+    a, b = X[0].real, Y[0].real
+    x, y = X[0].imag, Y[0].imag
+    zcoef = -b * x + a * y + float(np.real(np.vdot(Y[1:], 1j * X[1:])))
+    return an_vector(0.0, -0.5 * b * X[1:] + 0.5 * a * Y[1:], zcoef)
 
 
 def levi_civita(X, Y):
@@ -136,13 +81,14 @@ def levi_civita(X, Y):
     with all inner products in the AN metric.
     """
     _same_model(X, Y)
-    a, b = X.a, Y.a
-    x, y = X.x, Y.x
-    uv = float(np.real(np.vdot(Y.u, X.u)))
-    juv = float(np.real(np.vdot(Y.u, 1j * X.u)))
-    return ANVector(
+    a, b = X[0].real, Y[0].real
+    x, y = X[0].imag, Y[0].imag
+    U, V = X[1:], Y[1:]
+    uv = float(np.real(np.vdot(V, U)))
+    juv = float(np.real(np.vdot(V, 1j * U)))
+    return an_vector(
         0.5 * uv + x * y,
-        -0.5 * (b * X.u + y * (1j * X.u) + x * (1j * Y.u)),
+        -0.5 * (b * U + y * (1j * U) + x * (1j * V)),
         0.5 * juv - b * x,
     )
 
@@ -173,7 +119,7 @@ def holomorphic_sectional_curvature(X):
 
 
 def _same_model(X, Y):
-    if X.u.shape != Y.u.shape:
+    if X.shape != Y.shape:
         raise ValueError("vectors belong to different models")
 
 
@@ -186,7 +132,8 @@ class OrbitModel:
     - line type:  R(aB + X) + w + g_2a   with X in g_a orthogonal to w,
     - flag type:  b + w + g_2a           with b either 0 or all of a.
 
-    ``normal`` is the AN-orthogonal complement of the tangent in a + n.
+    ``tangent`` and ``normal`` are AN-orthonormal (k, n) stacks; ``normal``
+    spans the AN-orthogonal complement of the tangent in a + n.
     """
 
     def __init__(self, n, kind, a, x_vec, w_basis):
@@ -199,37 +146,38 @@ class OrbitModel:
         w_rows = [np.asarray(b, dtype=complex).reshape(-1) for b in w_basis]
         if any(r.shape != (self.n - 1,) for r in w_rows) or self.x_vec.shape != (self.n - 1,):
             raise ValueError("g_a data must live in C^{n-1}")
-        x_norm = np.linalg.norm(self.x_vec)
+        x_norm = norm(self.x_vec)
         for r in w_rows:  # relative, so that X and w may have any scale
-            if abs(np.real(np.vdot(r, self.x_vec))) > 1e-9 * np.linalg.norm(r) * x_norm:
-                raise ValueError("X must be orthogonal to w")
+            dot = abs(np.real(np.vdot(r, self.x_vec)))
+            if dot > 1e-9 * norm(r) * x_norm:
+                raise ValueError(f"X must be orthogonal to w "
+                                 f"(|Re<w, X>| / (|w||X|) = {dot / norm(r) / x_norm:.3g} > 1e-9)")
         self.w_basis = w_rows
 
+        zeros = np.zeros(self.n - 1, dtype=complex)
         tangent = []
         if kind == "line":
-            lead = ANVector(self.a, self.x_vec, 0.0)
+            lead = an_vector(self.a, self.x_vec, 0.0)
             if norm(lead) == 0.0:
                 raise ValueError("line-type orbit needs aB + X nonzero")
             tangent.append((1.0 / norm(lead)) * lead)
         elif kind == "flag_full":
-            tangent.append(ANVector.basis_B(self.n))
-        for r in w_rows:
-            tangent.append(ANVector.from_galpha(r))
-        tangent.append(ANVector.basis_Z(self.n))
-        self.tangent = tangent
-        T = np.array([t.to_real() for t in tangent])
-        gram = T @ T.T
-        gram_err = np.abs(gram - np.eye(len(tangent))).max()
+            tangent.append(an_vector(1.0, zeros, 0.0))
+        tangent += [an_vector(0.0, r, 0.0) for r in w_rows]
+        tangent.append(an_vector(0.0, zeros, 1.0))
+        self.tangent = np.array(tangent)
+        T = real_rows(self.tangent)
+        gram_err = np.abs(T @ T.T - np.eye(len(T))).max()
         if gram_err > 1e-9:
             raise ValueError(
                 f"tangent basis failed to orthonormalize (max |G - 1| = {gram_err:.3g} > 1e-9)"
             )
-        # normal: AN-orthogonal complement inside a + n
-        full = np.eye(2 * self.n)
-        proj = full - T.T @ T
-        self.normal = [ANVector.from_real(r) for r in orthonormal_rows(proj, 1e-9)]
+        normal = orthonormal_rows(np.eye(2 * self.n) - T.T @ T, 1e-9)
+        self.normal = np.ascontiguousarray(normal).view(complex)
         if len(self.normal) + len(self.tangent) != 2 * self.n:
-            raise ConsistencyError("tangent and normal do not fill a + n")
+            raise ConsistencyError(
+                f"tangent and normal do not fill a + n (dimensions {len(self.tangent)} + "
+                f"{len(self.normal)} != 2n = {2 * self.n})")
         self._check_subalgebra()
 
     @classmethod
@@ -250,43 +198,36 @@ class OrbitModel:
         return len(self.w_basis)
 
     def project_tangent(self, X):
-        coeffs = [inner_product(X, t) for t in self.tangent]
-        out = ANVector(0.0, np.zeros(self.n - 1, dtype=complex), 0.0)
-        for c, t in zip(coeffs, self.tangent):
-            out = out + c * t
-        return out
+        T = real_rows(self.tangent)
+        return (real_rows(X[None]) @ T.T @ T).view(complex)[0]
 
-    def _check_subalgebra(self, tol=1e-10):
+    def _check_subalgebra(self):
         for i, s in enumerate(self.tangent):
             for t in self.tangent[i:]:
                 br = an_bracket(s, t)
                 resid = norm(br - self.project_tangent(br))
-                if resid > tol:
+                if resid > 1e-10:
                     raise ValueError(
                         f"tangent space is not a subalgebra of a + n "
-                        f"(bracket part outside {resid:.3g} > {tol:g})"
+                        f"(bracket part outside {resid:.3g} > 1e-10)"
                     )
 
 
-def shape_operator(orbit, xi, tol=1e-9):
-    """Matrix of S_xi = -(grad_. xi)^T in the orbit's orthonormal tangent basis.
+def shape_operator(orbit, xi):
+    """Matrix of S_xi = -(grad_. xi)^T in the orbit's orthonormal tangent
+    basis: S[i, j] = <t_i, -grad_{t_j} xi>.
 
     xi must be a unit normal vector; the result is symmetric (checked)."""
     off_unit = abs(norm(xi) - 1.0)
-    if off_unit > tol:
+    if off_unit > 1e-9:
         raise ValueError(
-            f"shape operator needs a unit normal vector (||xi| - 1| = {off_unit:.3g} > {tol:g})")
+            f"shape operator needs a unit normal vector (||xi| - 1| = {off_unit:.3g} > 1e-09)")
     tangential = norm(orbit.project_tangent(xi))
-    if tangential > tol:
+    if tangential > 1e-9:
         raise ValueError(
-            f"vector is not normal to the orbit (tangential part {tangential:.3g} > {tol:g})")
-    k = len(orbit.tangent)
-    S = np.empty((k, k))
-    for j, t in enumerate(orbit.tangent):
-        col = -1.0 * levi_civita(t, xi)
-        colT = orbit.project_tangent(col)
-        for i, s in enumerate(orbit.tangent):
-            S[i, j] = inner_product(colT, s)
+            f"vector is not normal to the orbit (tangential part {tangential:.3g} > 1e-09)")
+    cols = np.array([-levi_civita(t, xi) for t in orbit.tangent])
+    S = real_rows(orbit.tangent) @ real_rows(cols).T
     asym = np.abs(S - S.T).max()
     if asym > 1e-9:
         raise ConsistencyError(
@@ -297,10 +238,8 @@ def shape_operator(orbit, xi, tol=1e-9):
 def mean_curvature(orbit):
     """Mean curvature vector: sum over an orthonormal normal basis of
     tr(S_eta) eta.  Computed numerically from shape operators."""
-    out = ANVector(0.0, np.zeros(orbit.n - 1, dtype=complex), 0.0)
-    for eta in orbit.normal:
-        out = out + float(np.trace(shape_operator(orbit, eta))) * eta
-    return out
+    traces = np.array([np.trace(shape_operator(orbit, eta)) for eta in orbit.normal])
+    return traces @ orbit.normal
 
 
 def mean_curvature_closed_form(orbit):
@@ -314,13 +253,14 @@ def mean_curvature_closed_form(orbit):
     n, m = orbit.n, orbit.dim_w
     zeros = np.zeros(n - 1, dtype=complex)
     if orbit.kind == "flag_full":
-        return ANVector(0.0, zeros, 0.0)
+        return an_vector(0.0, zeros, 0.0)
     if orbit.kind == "flag_zero":
-        return ANVector(0.5 * (2 + m), zeros, 0.0)
-    a = orbit.a
-    xsq = float(np.real(np.vdot(orbit.x_vec, orbit.x_vec)))
+        return an_vector(0.5 * (2 + m), zeros, 0.0)
+    size = norm(an_vector(orbit.a, orbit.x_vec, 0.0))  # H is the same for every t(aB + X)
+    a, x_vec = orbit.a / size, orbit.x_vec / size
+    xsq = float(np.real(np.vdot(x_vec, x_vec)))
     coef = (3 + m) / (2 * (a * a + xsq))
-    return ANVector(coef * xsq, -coef * a * orbit.x_vec, 0.0)
+    return an_vector(coef * xsq, -coef * a * x_vec, 0.0)
 
 
 # -- operations that live in the ambient matrix model ----------------------
@@ -352,29 +292,24 @@ def isotropy_at(n, q_basis, xi):
     return rd.from_coords_many(left_nullspace(moved) @ q_rows)
 
 
-def conjugate_subalgebra(n, h_basis, g_exponent, tol=1e-9):
+def conjugate_subalgebra(n, h_basis, g_exponent):
     """Push a subalgebra h of k_0 + a + n, a (k, n+1, n+1) stack, forward
     by Ad(exp(g_exponent)).
 
-    g_exponent is an ANVector.  The image is re-orthonormalized, returned
-    as a stack, and checked to stay inside k_0 + a + n (it must, since AN
-    normalizes the parabolic subalgebra); a part outside above tol relative
-    to |X| raises ConsistencyError.
+    g_exponent is a vector of a + n, in C^n.  The image is
+    re-orthonormalized, returned as a stack, and checked to stay inside
+    k_0 + a + n (it must, since AN normalizes the parabolic subalgebra); a
+    part outside above 1e-9 relative to |X| raises ConsistencyError.
     """
     rd = build_root_decomposition(n)
     if not len(h_basis):
         return np.zeros((0, n + 1, n + 1), dtype=complex)
-    g_mat = (
-        g_exponent.a * rd.B
-        + galpha_matrices(g_exponent.u[None])[0]
-        + g_exponent.x * rd.Z
-    )
     rows = unit_rows(rd.coords_many(np.asarray(h_basis)))
-    rows = orthonormal_rows(rows @ ad_exp(g_mat).T, 1e-12)
+    rows = orthonormal_rows(rows @ ad_exp(an_matrix(g_exponent)).T, 1e-12)
     # g_{-2a} + g_{-a} is the leading run of coordinates, before k_0
     outside = np.linalg.norm(rows[:, :rd.slices["k_0"].start], axis=1)
     part = (outside / np.linalg.norm(rows, axis=1)).max(initial=0.0)
-    if part > tol:
+    if part > 1e-9:
         raise ConsistencyError(f"conjugated algebra left k_0 + a + n "
-                               f"(part outside / |X| = {part:.3g} > {tol:g})")
+                               f"(part outside / |X| = {part:.3g} > 1e-09)")
     return rd.from_coords_many(rows)

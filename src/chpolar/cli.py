@@ -183,8 +183,8 @@ def cmd_curvature(args, config):
     numeric = angeom.mean_curvature(orbit)
     closed = angeom.mean_curvature_closed_form(orbit)
     payload = {
-        "mean_curvature": numeric.to_json(),
-        "closed_form": closed.to_json(),
+        "mean_curvature": angeom.an_json(numeric),
+        "closed_form": angeom.an_json(closed),
         "max_deviation": angeom.norm(numeric - closed),
     }
     _emit(payload, config)
@@ -229,12 +229,10 @@ def identity_suite(n, seed=0, trials=100):
         val2 = 2.0 * su1n.inner(su1n.bracket(T, X), Y)
         res_b = max(res_b, abs(val1 - val2))
 
-        v1 = angeom.ANVector(rng.standard_normal(), rand_galpha(), rng.standard_normal())
-        v2 = angeom.ANVector(rng.standard_normal(), rand_galpha(), rng.standard_normal())
-        m1 = v1.a * rd.B + galpha(v1.u) + v1.x * rd.Z
-        m2 = v2.a * rd.B + galpha(v2.u) + v2.x * rd.Z
-        br = angeom.an_bracket(v1, v2)
-        m_br = br.a * rd.B + galpha(br.u) + br.x * rd.Z
+        v1 = angeom.an_vector(rng.standard_normal(), rand_galpha(), rng.standard_normal())
+        v2 = angeom.an_vector(rng.standard_normal(), rand_galpha(), rng.standard_normal())
+        m1, m2 = angeom.an_matrix(v1), angeom.an_matrix(v2)
+        m_br = angeom.an_matrix(angeom.an_bracket(v1, v2))
         res_br = max(res_br, su1n.norm(su1n.bracket(m1, m2) - m_br))
 
         res_curv = max(

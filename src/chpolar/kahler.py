@@ -99,20 +99,20 @@ class RealSubspace:
         v = real_rows(np.asarray(v, dtype=complex).reshape(1, -1))
         return _complex_rows(v - self._outside(v), self.ambient_complex_dim)[0]
 
-    def contains(self, v, tol=TOL_MEMBER):
+    def contains(self, v):
         v = real_rows(np.asarray(v, dtype=complex).reshape(1, -1))
-        return np.linalg.norm(self._outside(v)) <= tol * np.linalg.norm(v)
+        return np.linalg.norm(self._outside(v)) <= TOL_MEMBER * np.linalg.norm(v)
 
-    def contains_subspace(self, other, tol=TOL_MEMBER):
+    def contains_subspace(self, other):
         """Whether every (unit) basis row of other lies in this subspace."""
         resid = self._outside(real_rows(other.basis))
-        return bool(np.linalg.norm(resid, axis=1).max(initial=0.0) <= tol)
+        return bool(np.linalg.norm(resid, axis=1).max(initial=0.0) <= TOL_MEMBER)
 
-    def same_span(self, other, tol=TOL_MEMBER):
+    def same_span(self, other):
         return (
             self.dim == other.dim
-            and self.contains_subspace(other, tol)
-            and other.contains_subspace(self, tol)
+            and self.contains_subspace(other)
+            and other.contains_subspace(self)
         )
 
     def perp(self):
@@ -164,7 +164,7 @@ class KahlerDecomposition:
         )
 
 
-def kahler_angle(V, v, tol_member=TOL_MEMBER):
+def kahler_angle(V, v):
     """Kahler angle of the vector v with respect to V, in [0, pi/2].
 
     Defined by |pi_V J v| = cos(phi) |v|.  Requires v in V, v != 0.
@@ -173,7 +173,7 @@ def kahler_angle(V, v, tol_member=TOL_MEMBER):
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
         raise ValueError("Kahler angle of the zero vector is undefined")
-    if not V.contains(v, tol_member):
+    if not V.contains(v):
         raise ValueError("vector is not a member of the subspace")
     cosphi = np.linalg.norm(V.project(1j * v)) / nrm
     return float(np.arccos(min(1.0, max(0.0, cosphi))))
@@ -355,11 +355,11 @@ def complex_span(V):
     return RealSubspace(V.ambient_complex_dim, np.vstack([V.basis, 1j * V.basis]))
 
 
-def ominus(V, U, tol=TOL_MEMBER):
+def ominus(V, U):
     """Orthogonal complement of U inside V.  Requires U <= V."""
     if U.ambient_complex_dim != V.ambient_complex_dim:
         raise ValueError("ambient dimensions differ")
-    if not V.contains_subspace(U, tol):
+    if not V.contains_subspace(U):
         raise ValueError("ominus requires U to be contained in V")
     # the residuals are orthonormal or rounding noise: rank them as they are
     rows = orthonormal_rows(U._outside(real_rows(V.basis)))
@@ -424,17 +424,17 @@ def _adapted_frame(sub, phi):
     return frame
 
 
-def same_moduli(m1, m2, tol_angle=TOL_ANGLE):
+def same_moduli(m1, m2):
     """The congruence rule on Kahler moduli (KahlerDecomposition.moduli()):
     the same number of factors, equal dimensions and angles within
-    tol_angle, factor by factor."""
+    TOL_ANGLE, factor by factor."""
     return len(m1) == len(m2) and all(
-        d1 == d2 and abs(phi1 - phi2) <= tol_angle
+        d1 == d2 and abs(phi1 - phi2) <= TOL_ANGLE
         for (phi1, d1), (phi2, d2) in zip(m1, m2)
     )
 
 
-def congruent(V, W, tol_angle=TOL_ANGLE):
+def congruent(V, W):
     """Decide U(m)-congruence of two real subspaces; build a witness if so.
 
     Returns (True, A) with A unitary and A.V = W when the Kahler moduli
@@ -443,7 +443,7 @@ def congruent(V, W, tol_angle=TOL_ANGLE):
     if V.ambient_complex_dim != W.ambient_complex_dim:
         raise ValueError("ambient dimensions differ")
     dv, dw = decompose(V), decompose(W)
-    if not same_moduli(dv.moduli(), dw.moduli(), tol_angle):
+    if not same_moduli(dv.moduli(), dw.moduli()):
         return False, None
     return True, congruence_witness(dv, dw, V.ambient_complex_dim)
 

@@ -649,7 +649,7 @@ def _principal_orbit_dim(q_basis, sub, rng):
     return max((d for _, d, _ in ranks), default=0)
 
 
-def _same_matrix_span(mats1, mats2, tol=1e-7):
+def _same_matrix_span(mats1, mats2):
     if not len(mats1) or not len(mats2):
         return len(mats1) == len(mats2)
     m = len(mats1[0])
@@ -658,7 +658,7 @@ def _same_matrix_span(mats1, mats2, tol=1e-7):
         return False
     # each orthonormal row lies in the other span
     return all(
-        np.linalg.norm(a - (a @ b.T) @ b, axis=1).max(initial=0.0) <= tol
+        np.linalg.norm(a - (a @ b.T) @ b, axis=1).max(initial=0.0) <= 1e-7
         for a, b in ((r1, r2), (r2, r1))
     )
 

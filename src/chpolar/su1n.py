@@ -34,6 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._linalg import scaled_norm
+
 TOL_ALG = 1e-12     # membership tolerances for su(1, n)
 TOL_SNAP = 1e-8     # ad(B) against diag(root values) in the basis
 TOL_CONSIST = 1e-9  # agreement of redundant computations
@@ -97,18 +99,18 @@ def inner(X, Y):
 
 
 def norm(X):
-    """|X| = sqrt<X, X>."""
-    return float(np.sqrt(max(0.0, inner(X, X))))
+    """|X| = sqrt<X, X>, at any scale of X (``scaled_norm``)."""
+    return scaled_norm(inner, X)
 
 
-def inner_an(X, Y, tol=1e-9):
+def inner_an(X, Y):
     """Left-invariant metric of AN: <X, Y> on a, halved on n = g_a + g_2a.
 
-    Both arguments must lie in a + n (to tolerance), else ValueError.
+    Both arguments must lie in a + n (``split_a_n``), else ValueError.
     """
     rd = build_root_decomposition(X.shape[-1] - 1)
-    Xa, Xn = rd.split_a_n(X, tol)
-    Ya, Yn = rd.split_a_n(Y, tol)
+    Xa, Xn = rd.split_a_n(X)
+    Ya, Yn = rd.split_a_n(Y)
     return inner(Xa, Ya) + 0.5 * inner(Xn, Yn)
 
 
@@ -199,16 +201,16 @@ class RootDecomposition:
             mask[self.slices[name]] = 1.0
         return self.from_coords_many(v * mask)[0]
 
-    def split_a_n(self, X, tol=1e-9):
+    def split_a_n(self, X):
         """Split X = X_a + X_n; raise if the part of X outside a + n exceeds
-        tol relative to |X|, so at any scale of X."""
+        1e-9 relative to |X|, so at any scale of X."""
         Xa = self.project_block(X, ["a"])
         Xn = self.project_block(X, ["g_a", "g_2a"])
         size = norm(X)
         rest = norm(X - Xa - Xn) / size if size else 0.0
-        if rest > tol:
+        if rest > 1e-9:
             raise ValueError(
-                f"element does not lie in a + n (part outside / |X| = {rest:.3g} > {tol:g})"
+                f"element does not lie in a + n (part outside / |X| = {rest:.3g} > 1e-09)"
             )
         return Xa, Xn
 
@@ -401,7 +403,7 @@ def build_root_decomposition(n):
     return rd
 
 
-def _verify_root_decomposition(rd, tol=1e-10):
+def _verify_root_decomposition(rd):
     """Structural invariants checked once per construction, each on the
     whole stacked basis at once."""
     mats, c, N = rd._mats, _METRIC_SCALE, rd.dim
@@ -434,8 +436,8 @@ def _verify_root_decomposition(rd, tol=1e-10):
         raise ConsistencyError(f"ad(B) is not symmetric in the orthonormal basis ({asym:.3g})")
     R = adB_mats - lam[:, None, None] * mats
     resid = np.sqrt(np.maximum(0.0, np.einsum("ij,ij->i", real_rows(R), _functionals(R, c))))
-    if resid.max() > tol:
-        name = next(k for k, s in rd.slices.items() if resid[s].max() > tol)
+    if resid.max() > 1e-10:
+        name = next(k for k, s in rd.slices.items() if resid[s].max() > 1e-10)
         raise ConsistencyError(
             f"block {name} is not an ad(B) eigenspace (residual {resid.max():.3g})"
         )
@@ -445,7 +447,7 @@ def _verify_root_decomposition(rd, tol=1e-10):
     theta_err = np.linalg.norm(
         rd.coords_many(theta(mats)).T - rd.theta_matrix, axis=0
     ).max()
-    if theta_err > tol:
+    if theta_err > 1e-10:
         raise ConsistencyError(f"theta does not map g_lambda onto g_-lambda ({theta_err:.3g})")
 
     # J on g_a, J E = -[theta E, Z] in coordinates: J F_j = J-frame partner,
@@ -454,5 +456,5 @@ def _verify_root_decomposition(rd, tol=1e-10):
     J = rd.coords_many(bracket(rd.Z, theta(mats[ga])))[:, ga].T
     J_std = np.kron(np.eye(rd.n - 1), np.array([[0.0, -1.0], [1.0, 0.0]]))
     J_err = np.abs(J - J_std).max()
-    if J_err > tol:
+    if J_err > 1e-10:
         raise ConsistencyError(f"J = -[theta(.), Z] disagrees with the adapted frame ({J_err:.3g})")

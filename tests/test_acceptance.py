@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from chpolar import angeom, kahler, polar, su1n
-from chpolar.angeom import ANVector, OrbitModel
+from chpolar.angeom import OrbitModel, an_vector
 from chpolar.cli import main as cli_main
 from chpolar.kahler import RealSubspace
 from chpolar.polar import PolarActionSpec, build_action, check_polarity, normalizer_section
@@ -166,14 +166,14 @@ def test_criterion_03_an_bracket_formula():
         rng = np.random.default_rng(10 * n)
         for _ in range(40):
             def rand_an():
-                return ANVector(
+                return an_vector(
                     rng.standard_normal(),
                     rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1),
                     rng.standard_normal(),
                 )
             v1, v2 = rand_an(), rand_an()
             def to_mat(v):
-                return v.a * rd.B + galpha(v.u) + v.x * rd.Z
+                return v[0].real * rd.B + galpha(v[1:]) + v[0].imag * rd.Z
             br = angeom.an_bracket(v1, v2)
             worst = max(worst, norm(bracket(to_mat(v1), to_mat(v2)) - to_mat(br)))
     assert worst <= 1e-10, worst
@@ -188,7 +188,7 @@ def test_criterion_04_curvature_normalization():
     for _ in range(100):
         n = int(rng.integers(2, 5))
         def rand_an():
-            return ANVector(
+            return an_vector(
                 rng.standard_normal(),
                 rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1),
                 rng.standard_normal(),
@@ -235,7 +235,7 @@ def test_criterion_05_mean_curvature():
             flat = OrbitModel.from_flag(n, "full", w)
             assert angeom.norm(angeom.mean_curvature(flat)) <= 1e-10
             horo = OrbitModel.from_flag(n, "zero", w)
-            want = ANVector(0.5 * (2 + m), np.zeros(n - 1, dtype=complex), 0.0)
+            want = an_vector(0.5 * (2 + m), np.zeros(n - 1, dtype=complex), 0.0)
             assert angeom.norm(angeom.mean_curvature(horo) - want) <= 1e-10
     _report(5, f"mean curvature trace vs closed form, worst {worst:.2e}")
 

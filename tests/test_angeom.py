@@ -5,9 +5,10 @@ import pytest
 
 from chpolar import angeom, kahler
 from chpolar.angeom import (
-    ANVector,
     OrbitModel,
     an_bracket,
+    an_json,
+    an_vector,
     complex_structure,
     conjugate_subalgebra,
     curvature,
@@ -26,7 +27,7 @@ from chpolar.su1n import norm as su_norm
 
 
 def rand_vec(n, rng):
-    return ANVector(
+    return an_vector(
         rng.standard_normal(),
         rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1),
         rng.standard_normal(),
@@ -43,7 +44,19 @@ def coords(rd, X):
 
 
 def to_matrix(rd, v):
-    return v.a * rd.B + galpha(v.u) + v.x * rd.Z
+    return v[0].real * rd.B + galpha(v[1:]) + v[0].imag * rd.Z
+
+
+def basis_B(n):
+    return an_vector(1.0, np.zeros(n - 1), 0.0)
+
+
+def basis_Z(n):
+    return an_vector(0.0, np.zeros(n - 1), 1.0)
+
+
+def from_galpha(u):
+    return an_vector(0.0, u, 0.0)
 
 
 # --- connection -----------------------------------------------------------------
@@ -51,24 +64,24 @@ def to_matrix(rd, v):
 
 def test_connection_B_B_vanishes():
     n = 3
-    B = ANVector.basis_B(n)
+    B = basis_B(n)
     assert norm(levi_civita(B, B)) == 0.0
 
 
 def test_connection_Z_Z_is_B():
     n = 3
-    Z = ANVector.basis_Z(n)
+    Z = basis_Z(n)
     out = levi_civita(Z, Z)
-    assert out.a == pytest.approx(1.0) and norm(out - ANVector.basis_B(n)) < 1e-14
+    assert out[0].real == pytest.approx(1.0) and norm(out - basis_B(n)) < 1e-14
 
 
 def test_connection_U_U():
     n = 4
     u = np.array([1.0 + 2.0j, 0.5j, -1.0])
-    U = ANVector.from_galpha(u)
+    U = from_galpha(u)
     out = levi_civita(U, U)
-    assert out.a == pytest.approx(0.5 * inner_product(U, U))
-    assert np.abs(out.u).max() < 1e-14 and out.x == 0.0
+    assert out[0].real == pytest.approx(0.5 * inner_product(U, U))
+    assert np.abs(out[1:]).max() < 1e-14 and out[0].imag == 0.0
 
 
 def test_torsion_free():
@@ -102,7 +115,7 @@ def test_an_bracket_matches_ambient_commutator():
 
 def test_sectional_curvature_of_B_Z_plane():
     n = 3
-    B, Z = ANVector.basis_B(n), ANVector.basis_Z(n)
+    B, Z = basis_B(n), basis_Z(n)
     assert sectional_curvature(B, Z) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -153,6 +166,30 @@ def test_line_orbit_at_any_scale(a, x_scale):
     assert norm(mean_curvature(orb) - closed) <= 1e-12 * max(1.0, norm(closed))
 
 
+@pytest.mark.parametrize("x_scale", [0.0, 1.0])
+def test_line_orbit_below_the_square_root_of_the_smallest_double(x_scale):
+    # a^2 underflows at a = 1e-170; norm scales by a power of two first
+    a = 1e-170
+    orb = OrbitModel.from_line(3, a, np.array([0.0, x_scale * a], dtype=complex))
+    lead = an_vector(1.0, [0.0, x_scale], 0.0) / math.hypot(1.0, x_scale)
+    assert norm(orb.tangent[0] - lead) < 1e-15
+    closed = mean_curvature_closed_form(orb)
+    assert norm(mean_curvature(orb) - closed) <= 1e-12 * max(1.0, norm(closed))
+
+
+def test_orbit_errors_name_the_measured_number(monkeypatch):
+    with pytest.raises(ValueError,
+                       match=r"orthogonal to w \(\|Re<w, X>\| / \(\|w\|\|X\|\) = 0.707 > 1e-9\)"):
+        OrbitModel.from_line(3, 1.0, np.array([1.0, 1.0], dtype=complex),
+                             [np.array([2.0 + 0j, 0.0])])
+    # a normal space one short of the complement
+    full = angeom.orthonormal_rows
+    monkeypatch.setattr(angeom, "orthonormal_rows", lambda A, tol: full(A, tol)[1:])
+    with pytest.raises(ConsistencyError,
+                       match=r"do not fill a \+ n \(dimensions 3 \+ 2 != 2n = 6\)"):
+        line_orbit(3, a=1.0, m=1)
+
+
 def test_orbit_rejects_non_orthogonal_X_at_small_scale():
     with pytest.raises(ValueError, match="orthogonal"):
         OrbitModel.from_line(3, 1e-11, np.array([1e-11, 1e-11], dtype=complex),
@@ -171,7 +208,7 @@ def test_shape_operator_leading_direction():
     n, a = 3, 1.3
     orb = line_orbit(n, a=a, m=1)
     xsq = 1.0
-    xi = ANVector(xsq, -a * orb.x_vec, 0.0)
+    xi = an_vector(xsq, -a * orb.x_vec, 0.0)
     xi = (1.0 / norm(xi)) * xi
     S = shape_operator(orb, xi)
     lead = orb.tangent[0]
@@ -186,7 +223,7 @@ def test_shape_operator_trace_for_galpha_normals_vanishes():
     orb = line_orbit(n, a=0.9, m=1)
     # normals inside g_a minus (w + R X)
     for eta in orb.normal:
-        if abs(eta.a) < 1e-12 and abs(eta.x) < 1e-12:
+        if abs(eta[0].real) < 1e-12 and abs(eta[0].imag) < 1e-12:
             S = shape_operator(orb, eta)
             assert abs(np.trace(S)) < 1e-10
 
@@ -210,11 +247,11 @@ def test_errors_name_the_residual_and_the_bound():
     with pytest.raises(ValueError, match=r"orthonormalize \(max \|G - 1\| = 3 > 1e-9\)"):
         OrbitModel.from_flag(3, "zero", [np.array([0, 2.0 + 0j])])
     e1 = np.array([1.0 + 0j, 0.0])
-    orb.tangent = [ANVector.from_galpha(e1), ANVector.from_galpha(1j * e1)]  # [U, JU] = Z
+    orb.tangent = np.array([from_galpha(e1), from_galpha(1j * e1)])  # [U, JU] = Z
     with pytest.raises(ValueError, match=r"a \+ n \(bracket part outside 1 > 1e-10\)"):
         orb._check_subalgebra()
     rd = build_root_decomposition(3)
-    origin = ANVector(0.0, np.zeros(2, dtype=complex), 0.0)
+    origin = an_vector(0.0, np.zeros(2, dtype=complex), 0.0)
     with pytest.raises(ConsistencyError, match=r"n \(part outside / \|X\| = 1 > 1e-09\)"):
         conjugate_subalgebra(3, theta(rd.Z)[None], origin)
 
@@ -242,7 +279,7 @@ def test_mean_curvature_b_zero_formula():
         eye = np.eye(3, dtype=complex)
         orb = OrbitModel.from_flag(4, "zero", [eye[j] for j in range(m)])
         H = mean_curvature(orb)
-        want = ANVector(0.5 * (2 + m), np.zeros(3, dtype=complex), 0.0)
+        want = an_vector(0.5 * (2 + m), np.zeros(3, dtype=complex), 0.0)
         assert norm(H - want) < 1e-10
         assert norm(mean_curvature_closed_form(orb) - want) == 0.0
 
@@ -253,7 +290,7 @@ def test_mean_curvature_generic_line_case():
     for m in (0, 1, 2):
         orb = line_orbit(n, a=1.0, m=m)
         H = mean_curvature(orb)
-        want = ANVector((3 + m) / 4.0, -(3 + m) / 4.0 * orb.x_vec, 0.0)
+        want = an_vector((3 + m) / 4.0, -(3 + m) / 4.0 * orb.x_vec, 0.0)
         assert norm(H - want) < 1e-9
         assert norm(mean_curvature_closed_form(orb) - want) < 1e-12
 
@@ -333,7 +370,7 @@ def test_isotropy_and_conjugation_return_stacks():
     assert isotropy_at(3, [], np.zeros(2, dtype=complex)).shape == (0, 4, 4)
     assert conjugate_subalgebra(3, np.zeros((0, 4, 4)), rand_vec(3, np.random.default_rng(0))).shape \
         == (0, 4, 4)
-    assert conjugate_subalgebra(3, rd.B[None], ANVector.from_galpha(np.zeros(2))).shape == (1, 4, 4)
+    assert conjugate_subalgebra(3, rd.B[None], from_galpha(np.zeros(2))).shape == (1, 4, 4)
     with pytest.raises(ValueError, match=r"expected vector in C\^2"):
         isotropy_at(3, kahler.skew_hermitian_basis(2), np.zeros(3, dtype=complex))
     with pytest.raises(ValueError, match="not skew-Hermitian"):
@@ -361,7 +398,7 @@ def test_isotropy_matches_oracle_on_random_pairs():
 def test_conjugate_by_identity_fixes_subalgebra():
     rd = build_root_decomposition(3)
     h = np.array([rd.B, rd.Z])
-    out = conjugate_subalgebra(3, h, ANVector(0.0, np.zeros(2, dtype=complex), 0.0))
+    out = conjugate_subalgebra(3, h, an_vector(0.0, np.zeros(2, dtype=complex), 0.0))
     before = rd.coords_many(h)
     u, s, vh = np.linalg.svd(before)
     span = vh[:2]
@@ -391,7 +428,7 @@ def test_conjugating_a_w_g2a_tilts_the_line():
     w_vec = np.array([0, 1.0 + 0j])
     x0 = np.array([1.0 + 0j, 0])  # orthogonal to w
     h = np.array([rd.B, galpha(w_vec), rd.Z])
-    out = conjugate_subalgebra(3, h, ANVector.from_galpha(x0))
+    out = conjugate_subalgebra(3, h, from_galpha(x0))
     # direct expansion oracle: Ad(exp X0) B = B - X0/2 exactly (nilpotency)
     want_lead = rd.B - 0.5 * galpha(x0)
     rows = rd.coords_many(out)
@@ -403,6 +440,9 @@ def test_conjugating_a_w_g2a_tilts_the_line():
 
 
 def test_json_roundtrip():
-    v = ANVector(0.5, np.array([1.0 - 2.0j]), -0.25)
-    w = ANVector.from_json(v.to_json())
+    # the keys that `chpolar curvature` prints, and the vector read back from them
+    v = an_vector(0.5, np.array([1.0 - 2.0j]), -0.25)
+    data = an_json(v)
+    assert data == {"a_part": 0.5, "u_part": [[1.0, -2.0]], "z_part": -0.25}
+    w = an_vector(data["a_part"], [complex(re, im) for re, im in data["u_part"]], data["z_part"])
     assert norm(v - w) < 1e-15

@@ -386,7 +386,7 @@ def test_normalizer_closed_under_action():
     V = kahler.random_subspace(3, [(math.pi / 3, 2)], rng)
     for T in kahler.normalizer_algebra(V):
         for b in V.basis:
-            assert V.contains(T @ b, 1e-8)
+            assert V.contains(T @ b)
 
 
 def test_normalizer_formula_matches_oracle_on_random_subspaces():

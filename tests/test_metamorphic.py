@@ -1,10 +1,11 @@
-"""Metamorphic properties of the polarity criterion.
+"""Metamorphic properties of the polarity criterion and of compare.
 
 Verdict, dim_normal and cohomogeneity of check_spec do not change under a
 unitary conjugation of a family II spec, a positive rescaling and invertible
 real change of basis of q_basis, w and the section, or a change of seed; and
 the residuals of the flat check_polarity do not depend on the bases of h
-and sigma it is given.
+and sigma it is given.  The compare answer is symmetric, and never 'no'
+for a spec against its Haar-conjugated copy with q rescaled.
 """
 
 import math
@@ -15,7 +16,13 @@ from hypothesis import strategies as st
 
 from chpolar import kahler, polar
 from chpolar.kahler import RealSubspace
-from chpolar.polar import PolarActionSpec, build_action, check_polarity, check_spec
+from chpolar.polar import (
+    PolarActionSpec,
+    build_action,
+    check_polarity,
+    check_spec,
+    orbit_equivalence_invariants,
+)
 
 
 def _false_claims():
@@ -34,9 +41,11 @@ def _false_claims():
     ]
 
 
-POOL = ([entry.spec for entry in polar.enumerate_moduli(3, (0.4, 1.0))]
-        + [entry.spec for entry in polar.enumerate_moduli(4, (0.4,))]
-        + _false_claims())
+# angles well apart: compare cannot tell q = normalizer(w) from its Haar
+# image when w has two angles within 1e-8 of each other below 0.1
+CATALOG = ([entry.spec for entry in polar.enumerate_moduli(3, (0.4, 1.0))]
+           + [entry.spec for entry in polar.enumerate_moduli(4, (0.4,))])
+POOL = CATALOG + _false_claims()
 FAMILY_II = [i for i, spec in enumerate(POOL) if spec.family == "II"]
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -57,19 +66,24 @@ def orthogonal(rng, k):
     return np.linalg.qr(rng.standard_normal((k, k)))[0]
 
 
+def haar_copy(spec, seed, scale):
+    """spec conjugated by a Haar unitary of the block q acts on, with its
+    q_basis multiplied by scale."""
+    m = spec.q_section.ambient_complex_dim
+    A = kahler.haar_unitary(m, np.random.default_rng(seed))
+    return PolarActionSpec(
+        n=spec.n, family=spec.family, k=spec.k, b_flag=spec.b_flag,
+        w=None if spec.w is None else RealSubspace(m, spec.w.basis @ A.T),
+        q_basis=[scale * (A @ N @ A.conj().T) for N in spec.q_basis],
+        q_section=RealSubspace(m, spec.q_section.basis @ A.T),
+    )
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(FAMILY_II), SEEDS)
 def test_unitary_conjugation_keeps_the_invariants(index, seed):
     spec = POOL[index]
-    m = spec.n - 1
-    A = kahler.haar_unitary(m, np.random.default_rng(seed))
-    moved = PolarActionSpec(
-        n=spec.n, family="II", b_flag=spec.b_flag,
-        w=RealSubspace(m, spec.w.basis @ A.T),
-        q_basis=[A @ N @ A.conj().T for N in spec.q_basis],
-        q_section=RealSubspace(m, spec.q_section.basis @ A.T),
-    )
-    assert invariants(moved) == invariants(spec)
+    assert invariants(haar_copy(spec, seed, 1.0)) == invariants(spec)
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,3 +130,28 @@ def test_flat_residuals_do_not_depend_on_the_bases_of_h_and_sigma(index, seed):
     for key in RESIDUALS:
         # 1e-12 relative, above a rounding floor four decades below the bounds
         assert math.isclose(moved[key], base[key], rel_tol=1e-12, abs_tol=1e-13), (key, base, moved)
+
+
+# -- compare -----------------------------------------------------------------
+
+SAME_N = [(i, j) for i, a in enumerate(CATALOG) for j, b in enumerate(CATALOG) if a.n == b.n]
+
+
+def answer(spec1, spec2):
+    return orbit_equivalence_invariants(spec1, spec2)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SAME_N), SEEDS, st.floats(min_value=-6.0, max_value=6.0))
+def test_compare_is_symmetric(pair, seed, log_scale):
+    spec1, spec2 = CATALOG[pair[0]], haar_copy(CATALOG[pair[1]], seed, 10.0 ** log_scale)
+    assert answer(spec1, spec2) == answer(spec2, spec1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=len(CATALOG) - 1), SEEDS,
+       st.floats(min_value=-6.0, max_value=6.0))
+def test_compare_never_says_no_to_a_haar_conjugated_rescaled_copy(index, seed, log_scale):
+    spec = CATALOG[index]
+    # 'undetermined' is allowed: family I q-data are compared by span only
+    assert answer(spec, haar_copy(spec, seed, 10.0 ** log_scale)) in ("yes", "undetermined")

@@ -183,6 +183,20 @@ def test_inner_an_rejects_k0_at_every_scale(scale):
     assert inner_an(scale * rd.Z, scale * rd.Z) == pytest.approx(scale ** 2, rel=1e-12)
 
 
+def test_norm_does_not_underflow():
+    # the square of 1e-200 underflows; norm scales by a power of two first,
+    # which is exact, so it is the plain sqrt<X, X> wherever that is representable
+    rd = build_root_decomposition(2)
+    assert norm(1e-200 * rd.B) == pytest.approx(1e-200, rel=1e-15)
+    rng = np.random.default_rng(11)
+    for scale in (1e-150, 1.0, 1e150):
+        X = scale * rand_element(build_root_decomposition(3), rng)
+        assert norm(X) == np.sqrt(inner(X, X))
+    T = 1e-200 * rd.block("k_0")[0]
+    with pytest.raises(ValueError, match=r"part outside / \|X\| = 1 > 1e-09"):
+        inner_an(T, T)
+
+
 # --- root decomposition ----------------------------------------------------------
 
 
