@@ -19,6 +19,11 @@ ambient algebra's metric, which is twice the AN one on g_a:
 The Levi-Civita connection below is the unique torsion-free metric
 connection for this data; the resulting space has constant holomorphic
 sectional curvature -1.
+
+Isotropy stays in the same model: q in k_0 ~ u(n-1) acts on g_a ~ C^{n-1}
+by u -> N u, so ``isotropy_at`` is a null space in C^{n-1} and forms the
+k_0 matrices only for its answer.  ``conjugate_subalgebra`` alone works in
+the matrix model of su(1, n), through Ad(exp X).
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import left_nullspace, orthonormal_rows, scaled_norm, unit_rows
-from .su1n import (ConsistencyError, ad_exp, bracket, build_root_decomposition,
-                   galpha_matrices, real_rows)
+from .su1n import (ConsistencyError, ad_exp, build_root_decomposition, galpha_matrices,
+                   real_rows, traceless_block, u_frame, u_matrices)
 
 
 def an_vector(a, u, x):
@@ -263,33 +268,34 @@ def mean_curvature_closed_form(orbit):
     return an_vector(coef * xsq, -coef * a * x_vec, 0.0)
 
 
-# -- operations that live in the ambient matrix model ----------------------
+# -- isotropy and conjugation ----------------------------------------------
 
 
 def isotropy_at(n, q_basis, xi):
     """Isotropy subalgebra at the point Exp(lambda xi)(o): q cut down to
     ker ad(xi).
 
-    q_basis holds skew-Hermitian matrices acting on C^{n-1} (embedded in
-    k_0 by ``k0_matrix``) and xi is a vector of C^{n-1} ~ g_a.  Returns an
-    orthonormal basis of {T in span(q) : [T, xi] = 0} as a (k, n+1, n+1)
-    stack, (0, n+1, n+1) when it is zero.  Neither the scale of q nor that
-    of xi changes the answer.
+    q_basis holds skew-Hermitian matrices acting on C^{n-1} and xi is a
+    vector of C^{n-1} ~ g_a.  The k_0 image of N (``su1n.traceless_block``)
+    acts on g_a as u -> N u, so the answer is {N in span(q) : N xi = 0},
+    computed on the orthonormal frame ``su1n.u_frame`` of q.  Returns an
+    orthonormal basis of it in k_0 as a (k, n+1, n+1) stack, (0, n+1, n+1)
+    when it is zero.  Neither the scale of q nor that of xi changes the
+    answer.
     """
-    rd = build_root_decomposition(n)
+    if n < 2:
+        raise ValueError("need n >= 2")
     if not len(q_basis):
         return np.zeros((0, n + 1, n + 1), dtype=complex)
-    q = np.array([rd.k0_matrix(N) for N in q_basis])
-    q_rows = orthonormal_rows(unit_rows(rd.coords_many(q)))
+    rows = u_frame(np.asarray(q_basis, dtype=complex), n)
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     if xi.shape != (n - 1,):
         raise ValueError(f"expected vector in C^{n - 1}")
-    xi_c = rd.coords_many(galpha_matrices(xi[None]))[0]
-    if not xi_c.any():
-        return rd.from_coords_many(q_rows)  # every T fixes xi = 0
-    xi_m = rd.from_coords_many(xi_c / np.linalg.norm(xi_c))[0]
-    moved = rd.coords_many(bracket(xi_m, rd.from_coords_many(q_rows)))  # [xi, T]
-    return rd.from_coords_many(left_nullspace(moved) @ q_rows)
+    xi_hat = unit_rows(real_rows(xi[None]))  # none when xi = 0, which every N fixes
+    if len(xi_hat):
+        moved = real_rows(u_matrices(rows, n - 1, n) @ xi_hat.view(complex)[0])  # N xi
+        rows = left_nullspace(moved) @ rows
+    return traceless_block(n, u_matrices(rows, n - 1, n))
 
 
 def conjugate_subalgebra(n, h_basis, g_exponent):

@@ -223,7 +223,7 @@ def identity_suite(n, seed=0, trials=100):
         u = rand_galpha()
         X = galpha(u)
         Y = galpha(rand_galpha())
-        T = rd.k0_matrix(sum(rng.standard_normal() * g for g in k0_gens))
+        T = su1n.traceless_block(n, sum(rng.standard_normal() * g for g in k0_gens))
         res_a = max(res_a, su1n.norm(su1n.bracket(su1n.theta(X), rd.Z) + galpha(1j * u)))
         val1 = su1n.inner(T, su1n.bracket(su1n.theta(X), Y) + su1n.theta(su1n.bracket(su1n.theta(X), Y)))
         val2 = 2.0 * su1n.inner(su1n.bracket(T, X), Y)

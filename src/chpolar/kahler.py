@@ -100,8 +100,10 @@ class RealSubspace:
         return _complex_rows(v - self._outside(v), self.ambient_complex_dim)[0]
 
     def contains(self, v):
-        v = real_rows(np.asarray(v, dtype=complex).reshape(1, -1))
-        return np.linalg.norm(self._outside(v)) <= TOL_MEMBER * np.linalg.norm(v)
+        """Whether v lies in this subspace, at any scale of v: the part of
+        the unit vector along v outside it is at most TOL_MEMBER."""
+        u = unit_rows(real_rows(np.asarray(v, dtype=complex).reshape(1, -1)))
+        return bool(np.linalg.norm(self._outside(u)) <= TOL_MEMBER)
 
     def contains_subspace(self, other):
         """Whether every (unit) basis row of other lies in this subspace."""
@@ -167,15 +169,15 @@ class KahlerDecomposition:
 def kahler_angle(V, v):
     """Kahler angle of the vector v with respect to V, in [0, pi/2].
 
-    Defined by |pi_V J v| = cos(phi) |v|.  Requires v in V, v != 0.
+    Defined by |pi_V J v| = cos(phi) |v|.  Requires v in V, v != 0; v is
+    scaled to unit length first, so any nonzero scale of v gives the angle.
     """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
+    u = unit_rows(real_rows(np.asarray(v, dtype=complex).reshape(1, -1)))
+    if not len(u):
         raise ValueError("Kahler angle of the zero vector is undefined")
-    if not V.contains(v):
+    if not V.contains(u.view(complex)):
         raise ValueError("vector is not a member of the subspace")
-    cosphi = np.linalg.norm(V.project(1j * v)) / nrm
+    cosphi = np.linalg.norm(V.project(1j * u.view(complex)))
     return float(np.arccos(min(1.0, max(0.0, cosphi))))
 
 
@@ -481,20 +483,16 @@ def congruence_witness(dv, dw, m):
 
 
 def skew_hermitian_basis(m):
-    """Real basis of u(m): i e_jj, (e_jk - e_kj), i (e_jk + e_kj)."""
-    out = []
-    for j in range(m):
-        E = np.zeros((m, m), dtype=complex)
-        E[j, j] = 1j
-        out.append(E)
+    """Real basis of u(m) as an (m^2, m, m) stack: i e_jj, then for each
+    j < k in turn e_jk - e_kj and i (e_jk + e_kj)."""
+    out = np.zeros((m * m, m, m), dtype=complex)
+    out[np.arange(m), np.arange(m), np.arange(m)] = 1j
+    i = m
     for j in range(m):
         for k in range(j + 1, m):
-            E = np.zeros((m, m), dtype=complex)
-            E[j, k], E[k, j] = 1.0, -1.0
-            out.append(E)
-            E = np.zeros((m, m), dtype=complex)
-            E[j, k], E[k, j] = 1j, 1j
-            out.append(E)
+            out[i, j, k], out[i, k, j] = 1.0, -1.0
+            out[i + 1, j, k] = out[i + 1, k, j] = 1j
+            i += 2
     return out
 
 
@@ -509,14 +507,14 @@ def normalizer_residual(V, mats):
 
 
 def normalizer_algebra(V):
-    """Basis of {T in u(m) : T.V <= V}: the left null space of the stacked
-    residuals of the generators of u(m)."""
+    """Basis of {T in u(m) : T.V <= V} as an (r, m, m) stack: the left null
+    space of the stacked residuals of the generators of u(m)."""
     m = V.ambient_complex_dim
     gens = skew_hermitian_basis(m)
     if V.dim == 0 or V.dim == 2 * m:
         return gens
     null = left_nullspace(normalizer_residual(V, gens).reshape(len(gens), -1))
-    return list(np.tensordot(null, gens, axes=1))
+    return np.tensordot(null, gens, axes=1)
 
 
 def normalizer_dimension_formula(V):

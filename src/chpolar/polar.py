@@ -27,12 +27,16 @@ the isotropy algebra h cap k acts by m x m blocks: every bracket the
 root-space structure fixes is written in closed form, and only q is
 measured.  Both report the same residuals, Frobenius norms of basis-free
 maps (see PolarityReport).
+
+In both families q is one (r, m, m) stack of u(m), m = n - k or n - 1,
+and its k_0 image is ``su1n.traceless_block``; it is measured in the one
+frame of u(m), ``su1n.u_frame``, which the metric of su(1, n) fixes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,6 +59,9 @@ from .su1n import (
     p_matrices,
     real_rows,
     traceless_block,
+    u_coords,
+    u_frame,
+    u_matrices,
 )
 
 TOL_RANK = 1e-8
@@ -91,61 +98,14 @@ def _pair_norm(blocks):
 def _q_rows(q_basis, m):
     """An orthonormal basis of span q in the Frobenius metric, as a (r, m, m)
     stack: it spans what q spans and ranks what q ranks, at any scale of q."""
-    rows = orthonormal_rows(unit_rows(real_rows(np.array(q_basis))))
+    rows = orthonormal_rows(unit_rows(real_rows(q_basis)))
     return np.ascontiguousarray(rows).view(complex).reshape(-1, m, m)
 
 
-# ---------------------------------------------------------------------------
-# u(m) in the metric of su(1, n)
-# ---------------------------------------------------------------------------
-
-
-def _trace_shift(m, n):
-    """alpha with (1 - alpha)^2 = 1 - m / (n + 1): the shift along the trace
-    that makes _u_coords an isometry."""
-    return 1.0 - math.sqrt((n + 1 - m) / (n + 1))
-
-
-def _u_coords(N, n):
-    """Coordinates of the skew-Hermitian parts of the (r, m, m) stack N in an
-    orthonormal frame of u(m) for the metric su(1, n) puts on it through
-    ``traceless_block``,
-
-        <N, M> = 2 (Re tr(N* M) - Im tr N Im tr M / (n + 1)):
-
-    the Frobenius frame i E_jj, (E_jk - E_kj)/sqrt 2, i (E_jk + E_kj)/sqrt 2,
-    its diagonal part shifted along the trace.  Orthonormal rows here are
-    orthonormal elements of h, so a figure measured on them is the figure
-    check_polarity measures in su(1, n)."""
-    m = N.shape[-1]
-    S = 0.5 * (N - N.conj().transpose(0, 2, 1))
-    diag = S.diagonal(axis1=1, axis2=2).imag
-    diag = diag - (_trace_shift(m, n) / m) * diag.sum(axis=1, keepdims=True)
-    iu = np.triu_indices(m, 1)
-    off = math.sqrt(2.0) * S[:, iu[0], iu[1]]
-    return math.sqrt(2.0) * np.hstack([diag, off.real, off.imag])
-
-
-def _u_matrices(rows, m, n):
-    """The (r, m, m) stack of u(m) matrices with the given _u_coords rows."""
-    rows = np.asarray(rows, dtype=float) / math.sqrt(2.0)
-    alpha = _trace_shift(m, n)
-    diag = rows[:, :m]
-    diag = diag + (alpha / (m * (1.0 - alpha))) * diag.sum(axis=1, keepdims=True)
-    p = m * (m - 1) // 2
-    off = (rows[:, m:m + p] + 1j * rows[:, m + p:]) / math.sqrt(2.0)
-    out = np.zeros((len(rows), m, m), dtype=complex)
-    out[:, np.arange(m), np.arange(m)] = 1j * diag
-    iu = np.triu_indices(m, 1)
-    out[:, iu[0], iu[1]] = off
-    out[:, iu[1], iu[0]] = -off.conj()
-    return out
-
-
 def _checked_inputs(n, m, q_basis, section, w=None):
-    """The input checks of the builders and of check_spec: q_basis is a list
-    of skew-Hermitian m x m matrices, the section (and w) live in C^m,
-    [q, q] <= q and [q, w] <= w.
+    """The input checks of the builders and of check_spec: q_basis is an
+    (r, m, m) stack of skew-Hermitian matrices (``su1n.u_frame``), the
+    section (and w) live in C^m, [q, q] <= q and [q, w] <= w.
 
     h is closed exactly except for those two brackets: every other one is
     fixed by the root-space structure.  Their parts outside h, over
@@ -160,21 +120,14 @@ def _checked_inputs(n, m, q_basis, section, w=None):
     su(1, n), as an (r, m, m) stack, and the closure residual of h."""
     if section.ambient_complex_dim != m or (w is not None and w.ambient_complex_dim != m):
         raise ValueError(f"q_section{'' if w is None else ' and w'} must live in C^{m}")
-    for N in q_basis:
-        if np.shape(N) != (m, m):
-            raise ValueError(f"q_basis must act on C^{m}")
-    if not len(q_basis):
-        return np.zeros((0, m, m), dtype=complex), 0.0
-    mats = np.array(q_basis, dtype=complex)
-    skew = np.abs(mats + mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if (skew > 1e-9 * np.abs(mats).max(axis=(1, 2))).any():
-        raise ValueError(f"q_basis matrices must be skew-Hermitian (|N + N*| = {skew.max():.3g})")
-    rows = orthonormal_rows(unit_rows(_u_coords(mats, n)))  # q at any scale
-    q = _u_matrices(rows, m, n)
+    if not len(q_basis):  # also m = 0, where u_matrices has no frame
+        return q_basis, 0.0
+    rows = u_frame(q_basis, n)  # q at any scale
+    q = u_matrices(rows, m, n)
     closure = 0.0
     if len(rows) < m * m:
         perp = complement_rows(rows, m * m)
-        closure = _pair_norm(_u_coords(X @ Ys - Ys @ X, n) @ perp.T for X, Ys in _upper_pairs(q))
+        closure = _pair_norm(u_coords(X @ Ys - Ys @ X, n) @ perp.T for X, Ys in _upper_pairs(q))
     if closure > TOL_Q_CLOSED:
         raise ValueError(
             f"q_basis is not closed under the bracket (residual {closure:.3g} > {TOL_Q_CLOSED:g})"
@@ -204,6 +157,10 @@ class PolarActionSpec:
     family 'II': b_flag in {'zero', 'full'}; w a real subspace of C^{n-1};
     q_basis skew-Hermitian on C^{n-1} normalizing w; q_section a totally
     real subspace of C^{n-1} orthogonal to w.
+
+    q_basis may be given as any sequence of m x m matrices and is stored as
+    one complex (r, m, m) stack; the algebra checks run when the spec is
+    used (the builders and check_spec).
     """
 
     n: int
@@ -211,7 +168,7 @@ class PolarActionSpec:
     k: int | None = None
     b_flag: str | None = None
     w: RealSubspace | None = None
-    q_basis: list = field(default_factory=list)
+    q_basis: np.ndarray = ()
     q_section: RealSubspace | None = None
     seed: int = 0
 
@@ -224,16 +181,19 @@ class PolarActionSpec:
             if self.k is None or not (0 <= self.k <= self.n):
                 raise ValueError("family I needs k in {0..n}")
             m = self.n - self.k
-            if self.q_section is None:
-                self.q_section = RealSubspace.zero(m)
         else:
             if self.b_flag not in ("zero", "full"):
                 raise ValueError("family II needs b_flag 'zero' or 'full'")
+            m = self.n - 1
             if self.w is None:
-                self.w = RealSubspace.zero(self.n - 1)
-            if self.q_section is None:
-                self.q_section = RealSubspace.zero(self.n - 1)
-        self.q_basis = [np.asarray(N, dtype=complex) for N in self.q_basis]
+                self.w = RealSubspace.zero(m)
+        if self.q_section is None:
+            self.q_section = RealSubspace.zero(m)
+        q = np.asarray(self.q_basis, dtype=complex)
+        q = q.reshape(0, m, m) if not q.size else q  # no entries, as in from_json
+        if q.ndim != 3 or q.shape[1:] != (m, m):
+            raise ValueError(f"q_basis must act on C^{m}")
+        self.q_basis = np.ascontiguousarray(q)
 
     def to_json(self):
         out = {"n": self.n, "family": self.family, "seed": self.seed}
@@ -242,8 +202,8 @@ class PolarActionSpec:
         else:
             out["b"] = self.b_flag
             out["w"] = self.w.to_json()
-        # each entry as its [re, im] pair: a complex stack viewed as floats
-        q = np.array(self.q_basis, dtype=complex)
+        # each entry as its [re, im] pair: the complex stack viewed as floats
+        q = self.q_basis
         out["q_basis"] = q.view(float).reshape(*q.shape, 2).tolist() if q.size else []
         out["q_section"] = self.q_section.to_json()
         return out
@@ -353,8 +313,7 @@ def build_family_II(spec):
     n = spec.n
     _checked_inputs(n, n - 1, spec.q_basis, spec.q_section, spec.w)
     rd = build_root_decomposition(n)
-    q = np.array(spec.q_basis, dtype=complex).reshape(len(spec.q_basis), n - 1, n - 1)
-    h = [traceless_block(n, q), galpha_matrices(spec.w.basis), rd.Z[None]]
+    h = [traceless_block(n, spec.q_basis), galpha_matrices(spec.w.basis), rd.Z[None]]
     lead = []
     if spec.b_flag == "full":
         h.insert(1, rd.B[None])
@@ -383,9 +342,9 @@ def build_family_I(spec):
     so = np.zeros((len(i), n + 1, n + 1), dtype=complex)
     so[np.arange(len(i)), i, j] = 1.0
     so[np.arange(len(i)), j, i] = np.where(i == 0, 1.0, -1.0)  # -eps_i eps_j
-    q = np.array(spec.q_basis, dtype=complex).reshape(len(spec.q_basis), m, m)
     lead = [0.5j * np.eye(n)[0]] if k >= 1 else []  # i B, normal to T_o RH^k in T_o CH^k
-    return np.concatenate([so, traceless_block(n, q)]), _section_stack(n, lead, spec.q_section)
+    h = np.concatenate([so, traceless_block(n, spec.q_basis)])
+    return h, _section_stack(n, lead, spec.q_section)
 
 
 def _closure_residual(rd, h_rows):
@@ -639,7 +598,7 @@ def regular_vectors(q_basis, w, s, samples=100, seed=0):
 
 def _principal_orbit_dim(q_basis, sub, rng):
     """Largest sampled orbit dimension of the q-action restricted to sub."""
-    if sub.dim == 0 or not q_basis:
+    if sub.dim == 0 or not len(q_basis):
         return 0
     q = _q_rows(q_basis, sub.ambient_complex_dim)
     # coordinates of N v along the orthonormal basis of sub: the orbit stays
@@ -720,9 +679,9 @@ def orbit_equivalence_invariants(spec1, spec2, seed=0):
         report["reason"] = "q-actions on w-perp have different principal orbit dimensions"
         return "no", report
     witness = kahler.congruence_witness(dec1, dec2, spec1.w.ambient_complex_dim)
-    moved = [witness @ N @ witness.conj().T for N in spec1.q_basis]
+    moved = witness @ spec1.q_basis @ witness.conj().T
     conj_match = _same_matrix_span(moved, spec2.q_basis)
-    back = [witness.conj().T @ N @ witness for N in spec2.q_basis]
+    back = witness.conj().T @ spec2.q_basis @ witness
     conj_match = conj_match and _same_matrix_span(back, spec1.q_basis)
     report["witness_unitarity"] = float(
         np.abs(witness @ witness.conj().T - np.eye(spec1.w.ambient_complex_dim)).max()

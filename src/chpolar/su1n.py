@@ -12,10 +12,14 @@ holomorphic sectional curvature of the associated symmetric space -1).
 
 Every root space is written in closed form (arXiv 1208.2823, section 2):
 g_{+-2a} spanned by Z and theta(Z), g_{+-a} by an adapted frame and its
-theta-image, and k_0 = {diag(ia, ia, N) traceless, N in u(n-1)}.  The
+theta-image, and k_0 = {diag(ia, ia, N) traceless, N in u(n-1)}, the
+image of u(n-1) under ``traceless_block``.  u(m) has one orthonormal
+frame for the metric of su(1, n), ``u_coords``: the k_0 block is its
+image, and every q given from outside enters through ``u_frame``.  The
 construction checks that ad(B) is diagonal in the resulting basis with
-the root values {-1, -1/2, 0, 1/2, 1}; the numerical construction of the
-root spaces as ad(B) eigenspaces is a test oracle (tests/test_su1n.py).
+the root values {-1, -1/2, 0, 1/2, 1}; the numerical constructions of the
+root spaces as ad(B) eigenspaces and of k_0 by orthonormalizing its
+generators are test oracles (tests/test_su1n.py).
 Distinguished generators: Z spans g_{2a} with <Z, Z> = 2 and sign fixed
 by J B = Z, where J is the complex structure of the solvable model; J on
 g_a is J X = -[theta(X), Z].
@@ -34,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import scaled_norm
+from ._linalg import orthonormal_rows, scaled_norm, unit_rows
 
 TOL_ALG = 1e-12     # membership tolerances for su(1, n)
 TOL_SNAP = 1e-8     # ad(B) against diag(root values) in the basis
@@ -55,8 +59,8 @@ def membership_residual(mats):
 
         max(|tr X| / (n + 1), max|X* I + I X| / 10) / max|X|.
 
-    The one membership test: the root decomposition, k0_matrix and
-    check_polarity compare it with TOL_ALG, at any scale of X."""
+    The one membership test: the root decomposition and check_polarity
+    compare it with TOL_ALG, at any scale of X."""
     n = mats.shape[-1] - 1
     I = _signature(n)
     trace = np.abs(np.trace(mats, axis1=1, axis2=2)) / (n + 1)
@@ -214,27 +218,6 @@ class RootDecomposition:
             )
         return Xa, Xn
 
-    # -- the bridge k_0 ~ u(n-1) --------------------------------------------
-
-    def k0_matrix(self, N):
-        """Embed skew-Hermitian N acting on C^{n-1} as an element of k_0.
-
-        The embedding diag(0, 0, N) - (tr N / (n+1)) Id is the unique element
-        of k_0 whose adjoint action on g_a is u -> N u in the adapted frame.
-        """
-        N = np.asarray(N, dtype=complex)
-        if N.shape != (self.n - 1, self.n - 1):
-            raise ValueError(f"expected matrix on C^{self.n - 1}")
-        resid = np.abs(N + N.conj().T).max()
-        if resid > 1e-9 * np.abs(N).max():  # relative: N at any scale
-            raise ValueError(f"matrix is not skew-Hermitian (residual {resid:.3g})")
-        X = traceless_block(self.n, N)
-        member = membership_residual(X[None])[0]
-        if member > TOL_ALG:
-            raise ValueError(f"matrix is not in su(1, {self.n}) "
-                             f"(relative residual {member:.3g} > {TOL_ALG:g})")
-        return X
-
 
 def galpha_matrices(u):
     """The g_a elements X(u)/2 of the rows u of a (k, n-1) array: first row
@@ -280,8 +263,9 @@ def traceless_block(n, N):
     matrix, minus (tr N / (n+1)) Id: diag(0, 0, N) - trace for the k_0
     embedding of u(n-1), and the q-block of family I for m = n - k.  The
     subtracted scalar is central in u(1, n), so this is an injective Lie
-    homomorphism u(m) -> su(1, n).  A (k, m, m) stack N gives the stack of
-    images."""
+    homomorphism u(m) -> su(1, n); for m = n - 1 its image is k_0, and the
+    image of N acts on g_a as u -> N u in the adapted frame.  A (k, m, m)
+    stack N gives the stack of images."""
     m = N.shape[-1]
     mat = np.zeros(N.shape[:-2] + (n + 1, n + 1), dtype=complex)
     mat[..., n + 1 - m:, n + 1 - m:] = N
@@ -289,22 +273,62 @@ def traceless_block(n, N):
     return mat
 
 
-def _k0_generators(n):
-    """u(n-1) embedded in k_0 by ``traceless_block``: the real and imaginary
-    off-diagonal generators, then i E_jj."""
-    m = n - 1
-    basis = []
-    for j in range(m):
-        for k in range(j + 1, m):
-            for val in (1.0, 1j):
-                N = np.zeros((m, m), complex)
-                N[j, k], N[k, j] = val, -np.conj(val)
-                basis.append(N)
-    for j in range(m):
-        N = np.zeros((m, m), complex)
-        N[j, j] = 1j
-        basis.append(N)
-    return np.array([traceless_block(n, N) for N in basis])
+# -- u(m) in the metric of su(1, n) --------------------------------------------
+
+
+def _trace_shift(m, n):
+    """alpha with (1 - alpha)^2 = 1 - m / (n + 1): the shift along the trace
+    that makes u_coords an isometry."""
+    return 1.0 - math.sqrt((n + 1 - m) / (n + 1))
+
+
+def u_coords(N, n):
+    """Coordinates of the skew-Hermitian parts of the (r, m, m) stack N in an
+    orthonormal frame of u(m) for the metric su(1, n) puts on it through
+    ``traceless_block``,
+
+        <N, M> = 2 (Re tr(N* M) - Im tr N Im tr M / (n + 1)):
+
+    the Frobenius frame i E_jj, (E_jk - E_kj)/sqrt 2, i (E_jk + E_kj)/sqrt 2,
+    its diagonal part shifted along the trace.  Orthonormal rows here are
+    orthonormal elements of su(1, n) under ``traceless_block``, so a figure
+    measured on them is the figure measured in su(1, n)."""
+    m = N.shape[-1]
+    S = 0.5 * (N - N.conj().transpose(0, 2, 1))
+    diag = S.diagonal(axis1=1, axis2=2).imag
+    diag = diag - (_trace_shift(m, n) / m) * diag.sum(axis=1, keepdims=True)
+    iu = np.triu_indices(m, 1)
+    off = math.sqrt(2.0) * S[:, iu[0], iu[1]]
+    return math.sqrt(2.0) * np.hstack([diag, off.real, off.imag])
+
+
+def u_matrices(rows, m, n):
+    """The (r, m, m) stack of u(m) matrices with the given u_coords rows;
+    ``traceless_block(n, u_matrices(np.eye(m * m), m, n))`` is the
+    orthonormal k_0 block of the root-space basis for m = n - 1."""
+    rows = np.asarray(rows, dtype=float) / math.sqrt(2.0)
+    alpha = _trace_shift(m, n)
+    diag = rows[:, :m]
+    diag = diag + (alpha / (m * (1.0 - alpha))) * diag.sum(axis=1, keepdims=True)
+    p = m * (m - 1) // 2
+    off = (rows[:, m:m + p] + 1j * rows[:, m + p:]) / math.sqrt(2.0)
+    out = np.zeros((len(rows), m, m), dtype=complex)
+    out[:, np.arange(m), np.arange(m)] = 1j * diag
+    iu = np.triu_indices(m, 1)
+    out[:, iu[0], iu[1]] = off
+    out[:, iu[1], iu[0]] = -off.conj()
+    return out
+
+
+def u_frame(mats, n):
+    """Orthonormal u_coords rows spanning the nonempty (r, m, m) stack mats
+    of skew-Hermitian matrices, at any scale of mats: the one way a q given
+    from outside enters u(m).  A matrix whose Hermitian part exceeds 1e-9
+    of its largest entry is a ValueError."""
+    skew = np.abs(mats + mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    if (skew > 1e-9 * np.abs(mats).max(axis=(1, 2))).any():
+        raise ValueError(f"q_basis matrices are not skew-Hermitian (|N + N*| = {skew.max():.3g})")
+    return orthonormal_rows(unit_rows(u_coords(mats, n)))
 
 
 def _theta_permutation(slices, dim):
@@ -329,8 +353,8 @@ def build_root_decomposition(n):
     that ad(B) has eigenvalue 1/2 on g_a.  Every block is written in closed
     form: Z, the adapted g_a frame X(u)/2 (first row and column
     (0, conj u | u), second (0, conj u | -u)), the theta-images of both,
-    and k_0 = {diag(ia, ia, N) traceless, N in u(n-1)}, orthonormalized
-    through the Cholesky factor of its Gram matrix.
+    and k_0 = {diag(ia, ia, N) traceless, N in u(n-1)} in the orthonormal
+    frame of ``u_coords``.
     ``_verify_root_decomposition`` then checks that ad(B) is diagonal with
     the root values in the assembled basis.
     """
@@ -360,12 +384,7 @@ def build_root_decomposition(n):
     # adapted AN-orthonormal frame of g_a: F_j = X(e_j)/2 and J F_j = X(i e_j)/2
     frame = galpha_matrices(np.kron(np.eye(m), [[1.0], [1j]]))
 
-    raw = _k0_generators(n)
-    try:
-        L = np.linalg.cholesky(_gram(raw, raw, c))
-    except np.linalg.LinAlgError as exc:
-        raise ConsistencyError(f"k_0 Gram matrix is not positive definite: {exc}") from exc
-    k0 = np.linalg.solve(L, raw.reshape(len(raw), -1)).reshape(raw.shape)
+    k0 = traceless_block(n, u_matrices(np.eye(m * m), m, n))
 
     # assemble the global ONB; g_a frame rescaled to <,>-unit
     galpha_unit = frame / np.sqrt(2)

@@ -149,7 +149,7 @@ def test_criterion_02_lie_model_identities():
             u = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
             v = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
             X, Y = galpha(u), galpha(v)
-            T = rd.k0_matrix(sum(rng.standard_normal() * g for g in k0_gens))
+            T = su1n.traceless_block(n, sum(rng.standard_normal() * g for g in k0_gens))
             res_a = max(res_a, norm(bracket(theta(X), rd.Z) + galpha(1j * u)))
             M = bracket(theta(X), Y)
             res_b = max(res_b, abs(inner(T, M + theta(M)) - 2 * inner(bracket(T, X), Y)))
@@ -323,7 +323,7 @@ def test_criterion_07_isotropy_dimensions():
         q = [sum(c * gens[i] for c, i in zip(row, picks)) for row in coeffs]
         u = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
         got = len(angeom.isotropy_at(n, q, u))
-        assert got == isotropy_dim_oracle(rd, [rd.k0_matrix(N) for N in q], galpha(u))
+        assert got == isotropy_dim_oracle(rd, su1n.traceless_block(n, np.array(q)), galpha(u))
     _report(7, "isotropy dimensions match the nullspace oracle on 50 pairs")
 
 

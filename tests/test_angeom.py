@@ -22,7 +22,8 @@ from chpolar.angeom import (
     sectional_curvature,
     shape_operator,
 )
-from chpolar.su1n import ConsistencyError, bracket, build_root_decomposition, galpha_matrices, theta
+from chpolar.su1n import (ConsistencyError, bracket, build_root_decomposition, galpha_matrices,
+                          theta, traceless_block)
 from chpolar.su1n import norm as su_norm
 
 
@@ -375,6 +376,8 @@ def test_isotropy_and_conjugation_return_stacks():
         isotropy_at(3, kahler.skew_hermitian_basis(2), np.zeros(3, dtype=complex))
     with pytest.raises(ValueError, match="not skew-Hermitian"):
         isotropy_at(3, [np.eye(2)], np.zeros(2, dtype=complex))
+    with pytest.raises(ValueError, match="need n >= 2"):
+        isotropy_at(1, [], np.zeros(0, dtype=complex))
 
 
 def test_isotropy_matches_oracle_on_random_pairs():
@@ -388,7 +391,7 @@ def test_isotropy_matches_oracle_on_random_pairs():
         q = [gens[i] for i in picks]
         xi_vec = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
         got = len(isotropy_at(n, q, xi_vec))
-        want = isotropy_dim_oracle(rd, [rd.k0_matrix(N) for N in q], galpha(xi_vec))
+        want = isotropy_dim_oracle(rd, traceless_block(n, np.array(q)), galpha(xi_vec))
         assert got == want
 
 

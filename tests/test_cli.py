@@ -426,8 +426,8 @@ def test_cmd_selfcheck_catches_a_wrong_Z(capsys, monkeypatch):
 
 
 # selfcheck prints rounding-level residuals at 17 digits, so its bytes pin
-# every floating-point operation of galpha_matrices, k0_matrix and the root
-# decomposition it runs through.
+# every floating-point operation of galpha_matrices, traceless_block and the
+# root decomposition it runs through.
 SELFCHECK_SHA256 = {
     2: "91574523fbb162ab9474960c183da7441318fd7dd82877374a71a6195483cdd0",
     3: "36131b39bde923ebd0e09db68fc7e8780819f5c35147783a9c200b45e8cd4047",

@@ -105,6 +105,17 @@ def test_angle_rejects_zero_and_nonmembers():
         kahler.kahler_angle(V, np.array([0, 1.0]))
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-150, 1e-170, 1e-300, 1e150])
+def test_membership_and_angle_do_not_depend_on_the_scale_of_v(s):
+    e1, e2 = np.eye(2, dtype=complex)
+    V = RealSubspace(2, [e1])
+    assert V.contains(s * e1)
+    assert not V.contains(s * e2) and not V.contains(s * 1j * e1)
+    assert kahler.kahler_angle(V, s * e1) == pytest.approx(math.pi / 2, abs=1e-12)
+    line = RealSubspace(2, [e1, 1j * e1])
+    assert kahler.kahler_angle(line, s * e1) == pytest.approx(0.0, abs=1e-12)
+
+
 # --- decompose ----------------------------------------------------------------
 
 
@@ -355,6 +366,20 @@ def test_congruent_is_equivalence_on_sample_family():
 
 
 # --- normalizers ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_skew_hermitian_basis_is_the_generator_loop_as_one_stack(m):
+    gens = [1j * np.outer(e, e) for e in np.eye(m)]
+    for j in range(m):
+        for k in range(j + 1, m):
+            for val in (1.0, 1j):
+                E = np.zeros((m, m), dtype=complex)
+                E[j, k], E[k, j] = val, -np.conj(val)
+                gens.append(E)
+    got = kahler.skew_hermitian_basis(m)
+    assert got.shape == (m * m, m, m) and got.dtype == complex
+    assert np.array_equal(got, np.array(gens).reshape(m * m, m, m))
 
 
 def test_normalizer_totally_real():

@@ -24,7 +24,8 @@ from chpolar.polar import (
     orbit_equivalence_invariants,
     regular_vectors,
 )
-from chpolar.su1n import build_root_decomposition
+from chpolar.su1n import inner as su1n_inner
+from chpolar.su1n import traceless_block, u_frame, u_matrices
 
 SCALES = (1e-13, 1e-11, 1e-6, 1.0, 1e6)
 
@@ -184,19 +185,32 @@ def test_family_II_with_rescaled_w_and_section_at_every_scale(scale):
     assert (report.verdict, report.dim_normal) == (reference.verdict, reference.dim_normal)
 
 
-def test_k0_matrix_rejects_a_tiny_hermitian_matrix():
-    rd = build_root_decomposition(3)
+def test_u_frame_rejects_a_tiny_hermitian_matrix():
     hermitian = np.diag([1e-12, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="not skew-Hermitian"):
-        rd.k0_matrix(hermitian)
+        u_frame(hermitian[None], 3)
     with pytest.raises(ValueError, match="not skew-Hermitian"):
         isotropy_at(3, [hermitian], np.array([1.0, 0.0], dtype=complex))
 
 
-def test_k0_matrix_accepts_a_tiny_skew_hermitian_matrix():
-    rd = build_root_decomposition(3)
-    T = rd.k0_matrix(np.diag([1e-12j, 0.0]))
+def test_u_frame_accepts_a_tiny_skew_hermitian_matrix():
+    rows = u_frame(np.diag([1e-12j, 0.0])[None], 3)
+    assert rows.shape == (1, 4)
+    T = traceless_block(3, u_matrices(rows, 2, 3))[0]
     assert np.abs(T + T.conj().T).max() == 0.0
+
+
+@pytest.mark.parametrize("scale", (1e-12, 1e-6, 1.0, 1e6))
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_u_frame_rows_are_orthonormal_in_su1n_at_every_scale(n, scale):
+    m = n - 1
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((m * m, m, m)) + 1j * rng.standard_normal((m * m, m, m))
+    q = scale * (A - A.conj().transpose(0, 2, 1))[:max(1, m * m - 1)]
+    X = traceless_block(n, u_matrices(u_frame(q, n), m, n))
+    assert len(X) == len(q)
+    gram = np.array([[su1n_inner(a, b) for b in X] for a in X])
+    assert np.abs(gram - np.eye(len(X))).max() <= 1e-12
 
 
 # --- one home for SVD rank and null-space decisions ---------------------------------

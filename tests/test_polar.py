@@ -508,6 +508,20 @@ def test_spec_json_roundtrip_family_I():
     assert check_polarity(n, h, sigma).verdict
 
 
+def test_spec_holds_q_as_one_stack_and_rejects_other_shapes():
+    eye = np.eye(2, dtype=complex)
+    spec = PolarActionSpec(n=3, family="I", k=1, q_basis=[1j * np.outer(e, e) for e in eye])
+    assert spec.q_basis.shape == (2, 2, 2) and spec.q_basis.dtype == complex
+    assert PolarActionSpec(n=3, family="II", b_flag="zero").q_basis.shape == (0, 2, 2)
+    # matrices with no entries are the zero algebra, as in from_json
+    empty = PolarActionSpec(n=2, family="I", k=2, q_basis=np.zeros((1, 0, 0)))
+    assert empty.q_basis.shape == (0, 0, 0)
+    assert check_spec(empty) == check_spec(PolarActionSpec(n=2, family="I", k=2))
+    for bad in ([np.eye(3)], np.zeros((2, 2)), [np.zeros((2, 3))]):
+        with pytest.raises(ValueError, match=r"q_basis must act on C\^2"):
+            PolarActionSpec(n=3, family="I", k=1, q_basis=bad)
+
+
 def test_report_json_has_all_residuals():
     spec = canonical_family_II(2, "full", [])
     n, h, sigma = build_action(spec)

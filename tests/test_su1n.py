@@ -386,12 +386,44 @@ def test_ad_exp_nilpotent_on_k0_components():
     assert norm(cubic) < 1e-10
 
 
+def _k0_cholesky_oracle(n):
+    """k_0 built numerically: the u(n-1) generators (real and imaginary
+    off-diagonal ones, then i E_jj) embedded by traceless_block, then
+    orthonormalized through the Cholesky factor of their Gram matrix."""
+    m = n - 1
+    gens = []
+    for j in range(m):
+        for k in range(j + 1, m):
+            for val in (1.0, 1j):
+                N = np.zeros((m, m), complex)
+                N[j, k], N[k, j] = val, -np.conj(val)
+                gens.append(N)
+    for j in range(m):
+        N = np.zeros((m, m), complex)
+        N[j, j] = 1j
+        gens.append(N)
+    raw = su1n.traceless_block(n, np.array(gens))
+    L = np.linalg.cholesky(np.array([[inner(a, b) for b in raw] for a in raw]))
+    return np.linalg.solve(L, raw.reshape(len(raw), -1)).reshape(raw.shape)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_closed_form_k0_block_matches_the_cholesky_oracle(n):
+    closed, oracle = build_root_decomposition(n).block("k_0"), _k0_cholesky_oracle(n)
+    eye = np.eye((n - 1) ** 2)
+    for basis in (closed, oracle):
+        assert np.abs(np.array([[inner(a, b) for b in basis] for a in basis]) - eye).max() <= 1e-12
+    # two orthonormal bases span the same space iff their pairing is orthogonal
+    P = np.array([[inner(a, b) for b in closed] for a in oracle])
+    assert np.abs(P @ P.T - eye).max() <= 1e-12
+    assert np.abs(oracle - np.einsum("ij,jkl->ikl", P, closed)).max() <= 1e-12
+
+
 def test_k0_bridge_roundtrip_and_action():
-    rd = build_root_decomposition(4)
     rng = np.random.default_rng(15)
     N = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     N = N - N.conj().T
-    T = rd.k0_matrix(N)
+    T = su1n.traceless_block(4, N)
     u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     assert norm(bracket(T, galpha(u)) - galpha(N @ u)) < 1e-10
 
