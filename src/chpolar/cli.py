@@ -131,12 +131,17 @@ def cmd_decompose(args, config):
     return 0
 
 
-def cmd_verify(args, config):
-    data = _read_json(args.input)
+def _read_spec(path):
+    """The PolarActionSpec of a JSON file, with the JSON it was read from."""
+    data = _read_json(path)
     try:
-        spec = polar.PolarActionSpec.from_json(data)
+        return polar.PolarActionSpec.from_json(data), data
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed PolarActionSpec JSON: {exc}") from exc
+
+
+def cmd_verify(args, config):
+    spec, data = _read_spec(args.input)
     # the spec's own seed wins whenever the spec has one, 0 included
     seed = spec.seed if "seed" in data else config.seed
     report = polar.check_spec(spec, seed=seed, tol_rank=config.tol_rank)
@@ -145,12 +150,10 @@ def cmd_verify(args, config):
 
 
 def cmd_compare(args, config):
-    try:
-        spec_a = polar.PolarActionSpec.from_json(_read_json(args.input_a))
-        spec_b = polar.PolarActionSpec.from_json(_read_json(args.input_b))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed PolarActionSpec JSON: {exc}") from exc
-    answer, report = polar.orbit_equivalence_invariants(spec_a, spec_b, seed=config.seed)
+    specs = [_read_spec(path)[0] for path in (args.input_a, args.input_b)]
+    for spec in specs:
+        polar._checked_inputs(spec)  # the input check of verify
+    answer, report = polar.orbit_equivalence_invariants(*specs, seed=config.seed)
     payload = {"equivalent": answer, "report": report}
     _emit(payload, config)
     return 0 if answer == "yes" else 1
@@ -172,11 +175,8 @@ def cmd_enumerate(args, config):
 
 
 def cmd_curvature(args, config):
-    data = _read_json(args.input)
-    try:
-        spec = polar.PolarActionSpec.from_json(data)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed PolarActionSpec JSON: {exc}") from exc
+    spec, _ = _read_spec(args.input)
+    polar._checked_inputs(spec)  # the input check of verify
     if spec.family != "II":
         raise ValueError("mean curvature of the core orbit is a family II quantity")
     orbit = angeom.OrbitModel.from_flag(spec.n, spec.b_flag, list(spec.w.basis))

@@ -28,6 +28,14 @@ TOL_ANGLE = 1e-6    # angle comparisons, radians
 TOL_MEMBER = 1e-8   # membership tests
 
 
+def json_int(value, name):
+    """An integer read from JSON, as int: a bool, a string, or a number
+    that int() would change is a ValueError."""
+    if not (type(value) is int or (type(value) is float and value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _complex_rows(rows, m):
     """Real rows (re, im interleaved) viewed back as complex vectors of C^m."""
     return np.ascontiguousarray(rows).view(complex).reshape(len(rows), m)
@@ -63,13 +71,14 @@ class RealSubspace:
 
     @classmethod
     def from_real_vectors(cls, ambient_complex_dim, vectors):
-        """Build from vectors in interleaved [re_1, im_1, ..., re_m, im_m] layout."""
-        m = int(ambient_complex_dim)
+        """Build from vectors in interleaved [re_1, im_1, ..., re_m, im_m]
+        layout, as JSON holds them; m must be an integer, entries finite."""
+        m = json_int(ambient_complex_dim, "ambient_complex_dim")
         rows = []
         for v in vectors:
             arr = np.asarray(v, dtype=float).reshape(-1)
-            if arr.shape != (2 * m,):
-                raise ValueError("real vector must have length 2m")
+            if arr.shape != (2 * m,) or not np.isfinite(arr).all():
+                raise ValueError(f"a basis vector must be 2m = {2 * m} finite numbers, got {v}")
             rows.append(arr[0::2] + 1j * arr[1::2])
         return cls(m, rows)
 

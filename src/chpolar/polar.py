@@ -49,7 +49,7 @@ from ._linalg import (
     sample_ranks,
     unit_rows,
 )
-from .kahler import RealSubspace
+from .kahler import RealSubspace, json_int
 from .su1n import (
     TOL_ALG,
     bracket,
@@ -95,17 +95,21 @@ def _pair_norm(blocks):
     return math.sqrt(2.0 * sum(float(np.sum(vals * vals)) for vals in blocks))
 
 
-def _q_rows(q_basis, m):
-    """An orthonormal basis of span q in the Frobenius metric, as a (r, m, m)
-    stack: it spans what q spans and ranks what q ranks, at any scale of q."""
-    rows = orthonormal_rows(unit_rows(real_rows(q_basis)))
-    return np.ascontiguousarray(rows).view(complex).reshape(-1, m, m)
+def _q_frame(q_basis, m, n):
+    """q through ``su1n.u_frame``, the one way a q enters u(m): orthonormal
+    u_coords rows (metric of su(1, n)) and their (r, m, m) stack, both empty
+    for an empty q."""
+    if not len(q_basis):  # also m = 0, where u_matrices has no frame
+        return np.zeros((0, m * m)), np.zeros((0, m, m), dtype=complex)
+    rows = u_frame(q_basis, n)  # q at any scale
+    return rows, u_matrices(rows, m, n)
 
 
-def _checked_inputs(n, m, q_basis, section, w=None):
-    """The input checks of the builders and of check_spec: q_basis is an
-    (r, m, m) stack of skew-Hermitian matrices (``su1n.u_frame``), the
-    section (and w) live in C^m, [q, q] <= q and [q, w] <= w.
+def _checked_inputs(spec):
+    """The one input check of a spec, run by the builders, check_spec and
+    the compare and curvature commands: q_basis is skew-Hermitian
+    (``su1n.u_frame``), the section and w live in C^m, [q, q] <= q and
+    [q, w] <= w.
 
     h is closed exactly except for those two brackets: every other one is
     fixed by the root-space structure.  Their parts outside h, over
@@ -118,12 +122,13 @@ def _checked_inputs(n, m, q_basis, section, w=None):
 
     Returns (q, residual): an orthonormal basis of q in the metric of
     su(1, n), as an (r, m, m) stack, and the closure residual of h."""
-    if section.ambient_complex_dim != m or (w is not None and w.ambient_complex_dim != m):
+    n, m = spec.n, spec.m
+    w = spec.w if spec.family == "II" else None
+    if spec.q_section.ambient_complex_dim != m or (w is not None and w.ambient_complex_dim != m):
         raise ValueError(f"q_section{'' if w is None else ' and w'} must live in C^{m}")
-    if not len(q_basis):  # also m = 0, where u_matrices has no frame
-        return q_basis, 0.0
-    rows = u_frame(q_basis, n)  # q at any scale
-    q = u_matrices(rows, m, n)
+    rows, q = _q_frame(spec.q_basis, m, n)
+    if not len(q):
+        return q, 0.0
     closure = 0.0
     if len(rows) < m * m:
         perp = complement_rows(rows, m * m)
@@ -159,8 +164,7 @@ class PolarActionSpec:
     real subspace of C^{n-1} orthogonal to w.
 
     q_basis may be given as any sequence of m x m matrices and is stored as
-    one complex (r, m, m) stack; the algebra checks run when the spec is
-    used (the builders and check_spec).
+    one complex (r, m, m) stack; _checked_inputs checks its algebra.
     """
 
     n: int
@@ -172,21 +176,23 @@ class PolarActionSpec:
     q_section: RealSubspace | None = None
     seed: int = 0
 
+    @property
+    def m(self):
+        """q acts on C^m: m = n - 1 for family II, n - k for family I."""
+        return self.n - 1 if self.family == "II" else self.n - self.k
+
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need n >= 2")
         if self.family not in ("I", "II"):
             raise ValueError("family must be 'I' or 'II'")
-        if self.family == "I":
-            if self.k is None or not (0 <= self.k <= self.n):
-                raise ValueError("family I needs k in {0..n}")
-            m = self.n - self.k
-        else:
-            if self.b_flag not in ("zero", "full"):
-                raise ValueError("family II needs b_flag 'zero' or 'full'")
-            m = self.n - 1
-            if self.w is None:
-                self.w = RealSubspace.zero(m)
+        if self.family == "I" and (self.k is None or not (0 <= self.k <= self.n)):
+            raise ValueError("family I needs k in {0..n}")
+        if self.family == "II" and self.b_flag not in ("zero", "full"):
+            raise ValueError("family II needs b_flag 'zero' or 'full'")
+        m = self.m
+        if self.family == "II" and self.w is None:
+            self.w = RealSubspace.zero(m)
         if self.q_section is None:
             self.q_section = RealSubspace.zero(m)
         q = np.asarray(self.q_basis, dtype=complex)
@@ -210,16 +216,16 @@ class PolarActionSpec:
 
     @classmethod
     def from_json(cls, data):
+        def subspace(key):
+            return RealSubspace.from_json(data[key]) if key in data else None
+
         family = data["family"]
-        q_section = (
-            RealSubspace.from_json(data["q_section"]) if "q_section" in data else None
-        )
-        common = dict(n=int(data["n"]), q_basis=_q_basis_from_json(data.get("q_basis", [])),
-                      q_section=q_section, seed=int(data.get("seed", 0)))
+        common = dict(n=json_int(data["n"], "n"), q_section=subspace("q_section"),
+                      q_basis=_q_basis_from_json(data.get("q_basis", [])),
+                      seed=json_int(data.get("seed", 0), "seed"))
         if family == "I":
-            return cls(family="I", k=int(data["k"]), **common)
-        w = RealSubspace.from_json(data["w"]) if "w" in data else None
-        return cls(family="II", b_flag=data["b"], w=w, **common)
+            return cls(family="I", k=json_int(data["k"], "k"), **common)
+        return cls(family="II", b_flag=data["b"], w=subspace("w"), **common)
 
 
 def _q_basis_from_json(data):
@@ -231,13 +237,12 @@ def _q_basis_from_json(data):
         raise ValueError(f"q_basis is not a regular array: {exc}") from exc
     if arr.size == 0:
         return []
-    if arr.dtype.kind not in "biuf" or arr.ndim != 4 or arr.shape[-1] != 2:
+    if (arr.dtype.kind not in "biuf" or arr.ndim != 4 or arr.shape[-1] != 2
+            or not np.isfinite(arr).all()):
         raise ValueError(
-            "q_basis must be a list of matrices of [re, im] number pairs "
+            "q_basis must be a list of matrices of [re, im] pairs of finite numbers "
             f"(read an array of shape {arr.shape} and dtype {arr.dtype})"
         )
-    if not np.isfinite(arr).all():
-        raise ValueError("q_basis entries must be finite numbers")
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
@@ -285,14 +290,14 @@ class PolarityReport:
 # ---------------------------------------------------------------------------
 
 
-def _section_stack(n, lead, section):
+def _section_stack(spec, lead):
     """The claimed section tangent as p-matrices (``su1n.p_matrices``): the
     rows ``lead`` of C^n, then the section vectors of C^m in the trailing
     coordinates."""
-    m = section.ambient_complex_dim
+    n, section = spec.n, spec.q_section
     z = np.zeros((len(lead) + section.dim, n), dtype=complex)
     z[:len(lead)] = np.reshape(lead, (len(lead), n))
-    z[len(lead):, n - m:] = section.basis
+    z[len(lead):, n - spec.m:] = section.basis
     return p_matrices(z)
 
 
@@ -311,7 +316,7 @@ def build_family_II(spec):
     (0, s).
     """
     n = spec.n
-    _checked_inputs(n, n - 1, spec.q_basis, spec.q_section, spec.w)
+    _checked_inputs(spec)
     rd = build_root_decomposition(n)
     h = [traceless_block(n, spec.q_basis), galpha_matrices(spec.w.basis), rd.Z[None]]
     lead = []
@@ -319,7 +324,7 @@ def build_family_II(spec):
         h.insert(1, rd.B[None])
     else:
         lead.append(np.eye(n)[0] / 2)  # B = p(e_0 / 2)
-    return np.concatenate(h), _section_stack(n, lead, spec.q_section)
+    return np.concatenate(h), _section_stack(spec, lead)
 
 
 def build_family_I(spec):
@@ -336,15 +341,14 @@ def build_family_I(spec):
     u(n - k) (see _checked_inputs).
     """
     n, k = spec.n, spec.k
-    m = n - k
-    _checked_inputs(n, m, spec.q_basis, spec.q_section)
+    _checked_inputs(spec)
     i, j = np.triu_indices(k + 1, 1)
     so = np.zeros((len(i), n + 1, n + 1), dtype=complex)
     so[np.arange(len(i)), i, j] = 1.0
     so[np.arange(len(i)), j, i] = np.where(i == 0, 1.0, -1.0)  # -eps_i eps_j
     lead = [0.5j * np.eye(n)[0]] if k >= 1 else []  # i B, normal to T_o RH^k in T_o CH^k
     h = np.concatenate([so, traceless_block(n, spec.q_basis)])
-    return h, _section_stack(n, lead, spec.q_section)
+    return h, _section_stack(spec, lead)
 
 
 def _closure_residual(rd, h_rows):
@@ -402,11 +406,6 @@ def _report(residuals, sig, nu, act, seed, tol_rank):
     dim_joint = rank(np.vstack([sig, best_stack]), tol_rank)
     slice_condition = (ortho_resid <= TOL_SLICE) and (dim_joint == dim_nu)
 
-    transitive = dim_nu == 0
-    if transitive:
-        slice_condition = True
-        section_in_normal = True
-
     verdict = bool(
         is_subalgebra and section_in_normal and bracket_condition and slice_condition
     )
@@ -428,7 +427,7 @@ def _report(residuals, sig, nu, act, seed, tol_rank):
         dim_section=int(k_sec),
         dim_isotropy_orbit=dim_orbit_xi,
         cohomogeneity=int(cohomogeneity),
-        transitive=transitive,
+        transitive=dim_nu == 0,
         verdict=verdict,
     )
 
@@ -464,9 +463,9 @@ def check_polarity(n, h, sigma, seed=0, tol_rank=TOL_RANK):
        dim[h_o, xi]) the span sigma + [h_o, xi] fills nu.
 
     The residuals are the Frobenius norms PolarityReport describes.  The
-    verdict is the conjunction.  A transitive action (empty normal space)
-    is reported as vacuously polar with cohomogeneity 0.  The cohomogeneity
-    of a polar action is dim sigma; otherwise it is dim nu minus the largest
+    verdict is the conjunction; a transitive action (empty normal space)
+    passes with the empty section only.  The cohomogeneity of a polar
+    action is dim sigma; otherwise it is dim nu minus the largest
     dim[h_o, xi] over xi sampled in nu.
     """
     rd = build_root_decomposition(n)
@@ -522,10 +521,8 @@ def check_spec(spec, seed=0, tol_rank=TOL_RANK):
     (which are taken in a different basis of the same sigma).
     """
     n, fam_II = spec.n, spec.family == "II"
-    m = n - 1 if fam_II else n - spec.k
-    q, sub_resid = _checked_inputs(n, m, spec.q_basis, spec.q_section,
-                                   spec.w if fam_II else None)
-    lead = n - m
+    q, sub_resid = _checked_inputs(spec)
+    lead = n - spec.m
     e0 = np.eye(1, n, dtype=complex)
 
     def trailing(vectors):
@@ -578,8 +575,9 @@ def regular_vectors(q_basis, w, s, samples=100, seed=0):
     g_a minus (w + s), i.e. the rank of {N xi} equals
     dim g_a - dim w - dim s.
 
-    Everything happens in the C^{n-1} model of g_a.  Returns a list of
-    (xi, flag) pairs.
+    Everything happens in the C^{n-1} model of g_a, so q enters through
+    ``_q_frame`` with n = m + 1: a q_basis outside u(m) is a ValueError.
+    Returns a list of (xi, flag) pairs.
     """
     m = w.ambient_complex_dim
     if s.ambient_complex_dim != m:
@@ -590,17 +588,17 @@ def regular_vectors(q_basis, w, s, samples=100, seed=0):
     if s.dim == 0:
         return []
     target = 2 * m - w.dim - s.dim
-    q = _q_rows(q_basis, m)
+    _, q = _q_frame(np.asarray(q_basis, dtype=complex).reshape(len(q_basis), m, m), m, m + 1)
     ranks = sample_ranks(np.random.default_rng(seed), s.basis,
                          lambda xi: real_rows(q @ xi), samples, TOL_RANK)
     return [(xi, d == target) for xi, d, _ in ranks]
 
 
-def _principal_orbit_dim(q_basis, sub, rng):
-    """Largest sampled orbit dimension of the q-action restricted to sub."""
-    if sub.dim == 0 or not len(q_basis):
+def _principal_orbit_dim(q, sub, rng):
+    """Largest sampled orbit dimension of the action of the orthonormal
+    (r, m, m) stack q restricted to sub."""
+    if sub.dim == 0 or not len(q):
         return 0
-    q = _q_rows(q_basis, sub.ambient_complex_dim)
     # coordinates of N v along the orthonormal basis of sub: the orbit stays
     # in sub when q normalizes it, and this is its projection otherwise
     ranks = sample_ranks(rng, sub.basis,
@@ -608,14 +606,13 @@ def _principal_orbit_dim(q_basis, sub, rng):
     return max((d for _, d, _ in ranks), default=0)
 
 
-def _same_matrix_span(mats1, mats2):
-    if not len(mats1) or not len(mats2):
-        return len(mats1) == len(mats2)
-    m = len(mats1[0])
-    r1, r2 = real_rows(_q_rows(mats1, m)), real_rows(_q_rows(mats2, m))
-    if r1.shape[0] != r2.shape[0]:
-        return False
-    # each orthonormal row lies in the other span
+def _same_matrix_span(q1, q2, n):
+    """Whether the orthonormal (r, m, m) stacks q1 and q2 of ``_q_frame``
+    span one space: each u_coords row of one lies in the other's span to
+    1e-7.  W q W* stays orthonormal, as the metric is Ad(U(m))-invariant."""
+    if len(q1) != len(q2) or not len(q1):
+        return len(q1) == len(q2)
+    r1, r2 = u_coords(q1, n), u_coords(q2, n)
     return all(
         np.linalg.norm(a - (a @ b.T) @ b, axis=1).max(initial=0.0) <= 1e-7
         for a, b in ((r1, r2), (r2, r1))
@@ -632,9 +629,11 @@ def orbit_equivalence_invariants(spec1, spec2, seed=0):
     obstructions; matching invariants plus conjugate q-data (checked via
     the congruence witness) give 'yes'; otherwise the comparison of the
     q-representations is left 'undetermined', since sampling alone cannot
-    certify orbit equivalence of arbitrary polar representations.
+    certify orbit equivalence of arbitrary polar representations.  Each q
+    enters through ``_q_frame`` once; the caller runs ``_checked_inputs``.
     """
-    if spec1.n != spec2.n:
+    n = spec1.n
+    if spec2.n != n:
         raise ValueError("actions live on different spaces")
     report = {"family": (spec1.family, spec2.family)}
     rng = np.random.default_rng(seed)
@@ -643,51 +642,42 @@ def orbit_equivalence_invariants(spec1, spec2, seed=0):
         report["reason"] = "family mismatch (mean curvature separates the families)"
         return "no", report
 
-    if spec1.family == "I":
+    fam_I = spec1.family == "I"
+    if fam_I:
         report["k"] = (spec1.k, spec2.k)
         if spec1.k != spec2.k:
             report["reason"] = "different totally geodesic real hyperbolic cores"
             return "no", report
-        m = spec1.n - spec1.k
-        amb = RealSubspace.full(m)
-        d1 = _principal_orbit_dim(spec1.q_basis, amb, rng)
-        d2 = _principal_orbit_dim(spec2.q_basis, amb, rng)
-        report["principal_orbit_dims"] = (d1, d2)
-        if d1 != d2:
-            report["reason"] = "q-actions have different principal orbit dimensions"
+    else:
+        report["b"] = (spec1.b_flag, spec2.b_flag)
+        if spec1.b_flag != spec2.b_flag:
+            report["reason"] = "b-flags differ (mean curvature of the core orbits)"
             return "no", report
-        if _same_matrix_span(spec1.q_basis, spec2.q_basis):
-            report["reason"] = "identical q-data"
-            return "yes", report
-        report["reason"] = "q-representations not certified equivalent by sampling"
-        return "undetermined", report
-
-    # family II
-    report["b"] = (spec1.b_flag, spec2.b_flag)
-    if spec1.b_flag != spec2.b_flag:
-        report["reason"] = "b-flags differ (mean curvature of the core orbits)"
-        return "no", report
-    dec1, dec2 = kahler.decompose(spec1.w), kahler.decompose(spec2.w)
-    report["w_moduli"] = (dec1.moduli(), dec2.moduli())
-    if not kahler.same_moduli(*report["w_moduli"]):
-        report["reason"] = "Kahler moduli of w differ"
-        return "no", report
-    d1 = _principal_orbit_dim(spec1.q_basis, spec1.w.perp(), rng)
-    d2 = _principal_orbit_dim(spec2.q_basis, spec2.w.perp(), rng)
+        dec1, dec2 = kahler.decompose(spec1.w), kahler.decompose(spec2.w)
+        report["w_moduli"] = (dec1.moduli(), dec2.moduli())
+        if not kahler.same_moduli(*report["w_moduli"]):
+            report["reason"] = "Kahler moduli of w differ"
+            return "no", report
+    m = spec1.m
+    q1, q2 = (_q_frame(spec.q_basis, m, n)[1] for spec in (spec1, spec2))
+    sub1, sub2 = (RealSubspace.full(m),) * 2 if fam_I else (spec1.w.perp(), spec2.w.perp())
+    d1, d2 = _principal_orbit_dim(q1, sub1, rng), _principal_orbit_dim(q2, sub2, rng)
     report["principal_orbit_dims"] = (d1, d2)
     if d1 != d2:
-        report["reason"] = "q-actions on w-perp have different principal orbit dimensions"
+        on = "" if fam_I else " on w-perp"
+        report["reason"] = f"q-actions{on} have different principal orbit dimensions"
         return "no", report
-    witness = kahler.congruence_witness(dec1, dec2, spec1.w.ambient_complex_dim)
-    moved = witness @ spec1.q_basis @ witness.conj().T
-    conj_match = _same_matrix_span(moved, spec2.q_basis)
-    back = witness.conj().T @ spec2.q_basis @ witness
-    conj_match = conj_match and _same_matrix_span(back, spec1.q_basis)
-    report["witness_unitarity"] = float(
-        np.abs(witness @ witness.conj().T - np.eye(spec1.w.ambient_complex_dim)).max()
-    )
+    if fam_I:
+        conj_match, why = _same_matrix_span(q1, q2, n), "identical q-data"
+    else:
+        witness = kahler.congruence_witness(dec1, dec2, m)
+        back = witness.conj().T
+        conj_match = (_same_matrix_span(witness @ q1 @ back, q2, n)
+                      and _same_matrix_span(back @ q2 @ witness, q1, n))
+        report["witness_unitarity"] = float(np.abs(witness @ back - np.eye(m)).max())
+        why = "w congruent and q-data conjugate by the witness"
     if conj_match:
-        report["reason"] = "w congruent and q-data conjugate by the witness"
+        report["reason"] = why
         return "yes", report
     report["reason"] = "q-representations not certified equivalent by sampling"
     return "undetermined", report

@@ -231,6 +231,73 @@ def test_cmd_verify_seed_flag_used_without_spec_seed(tmp_path, monkeypatch):
     assert _seed_seen(monkeypatch, tmp_path, payload, ["--seed", "7"]) == [7]
 
 
+def _line_spec(n=2):
+    """A valid family I spec as JSON, for the input readers to break."""
+    return PolarActionSpec(n=n, family="I", k=0, q_basis=kahler.skew_hermitian_basis(n),
+                           q_section=kahler.RealSubspace(n, [np.eye(n)[0]])).to_json()
+
+
+def _with(payload, path, value):
+    """payload with payload[path[0]][path[1]]... set to value."""
+    payload = json.loads(json.dumps(payload))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("decompose", {"ambient_complex_dim": 1, "basis": [[math.nan, 0.0]]}, "finite"),
+    ("decompose", {"ambient_complex_dim": 1, "basis": [[math.inf, 0.0]]}, "finite"),
+    ("decompose", {"ambient_complex_dim": 2.5, "basis": []}, "ambient_complex_dim must be"),
+    ("verify", _with(_line_spec(), ("q_section", "basis", 0, 1), math.nan), "finite"),
+    ("verify", _with(_line_spec(), ("q_section", "basis", 0, 0), -math.inf), "finite"),
+    ("verify", _with(_line_spec(), ("q_section", "ambient_complex_dim"), 2.5),
+     "ambient_complex_dim must be"),
+    ("verify", _with(_line_spec(), ("n",), 2.7), "n must be"),
+    ("verify", _with(_line_spec(), ("k",), True), "k must be"),
+    ("verify", _with(_line_spec(), ("seed",), 1.5), "seed must be"),
+], ids=["nan-row", "inf-row", "half-dim", "nan-section", "inf-section", "half-section-dim",
+        "n-2.7", "k-true", "seed-1.5"])
+def test_numbers_that_json_cannot_mean_exit_2(tmp_path, capsys, command, payload, message):
+    assert main([command, write_json(tmp_path, "in.json", payload)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_whole_floats_still_read_as_integers(tmp_path, capsys):
+    payload = _with(_line_spec(), ("n",), 2.0)
+    assert main(["verify", write_json(tmp_path, "s.json", payload)]) == 0
+
+
+# --- every command that reads a spec runs verify's input check -----------------------
+
+
+def _invalid_spec(name):
+    n = 3
+    line = kahler.RealSubspace(n - 1, [[1.0, 0.0]])
+    if name == "hermitian-q":
+        return PolarActionSpec(n=n, family="II", b_flag="full", q_basis=[np.diag([1.0, 0.0])])
+    if name == "q-leaves-w":  # u(2) does not normalize the real line w
+        return PolarActionSpec(n=n, family="II", b_flag="full", w=line,
+                               q_basis=kahler.skew_hermitian_basis(n - 1))
+    return PolarActionSpec(n=n, family="II", b_flag="full",  # m = 2, section in C^3
+                           q_section=kahler.RealSubspace(n, [np.eye(n)[0]]))
+
+
+@pytest.mark.parametrize("command", ["verify", "compare", "curvature"])
+@pytest.mark.parametrize("name", ["hermitian-q", "q-leaves-w", "section-in-C3"])
+def test_every_spec_command_rejects_what_verify_rejects(tmp_path, capsys, command, name):
+    bad = write_json(tmp_path, "bad.json", _invalid_spec(name).to_json())
+    assert main(["verify", bad]) == 2
+    message = capsys.readouterr().err
+    assert message.startswith("chpolar: input error: ")
+    good = write_json(tmp_path, "good.json", spec_pi3().to_json())
+    argv = ["compare", good, bad] if command == "compare" else [command, bad]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
+
+
 # --- compare ---------------------------------------------------------------------
 
 

@@ -433,8 +433,11 @@ def test_normalizer_formula_matches_oracle_on_random_subspaces():
 
 def _agrees_with_the_loop_oracle(V):
     alg = kahler.normalizer_algebra(V)
+    m = V.ambient_complex_dim  # g_a = C^{n-1}, so n = m + 1
+    frames = [polar._q_frame(np.asarray(q, dtype=complex), m, m + 1)[1]
+              for q in (alg, normalizer_algebra_loop(V))]
     return (len(alg) == kahler.normalizer_dimension_formula(V)
-            and polar._same_matrix_span(alg, normalizer_algebra_loop(V)))
+            and polar._same_matrix_span(*frames, m + 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -254,6 +254,17 @@ def test_transitive_action_reported_vacuously_polar():
     assert report.verdict
 
 
+def test_transitive_action_with_a_section_reads_it_outside_the_normal_space():
+    # b = a and w = g_a at n = 2: the orbit is all of CH^2, so no line of
+    # the section is normal to it, and both evaluators say so
+    spec = canonical_family_II(2, "full", [(0.0, 2)])
+    spec.q_section = RealSubspace(1, [np.ones(1, dtype=complex)])
+    for report in (check_spec(spec), check_polarity(*build_action(spec))):
+        assert report.transitive and not report.verdict
+        assert not report.section_in_normal and not report.slice_condition
+        assert report.section_residual == pytest.approx(1.0)
+
+
 def test_cohomogeneities_in_catalog():
     spec = canonical_family_II(3, "full", [(math.pi / 3, 2)])
     n, h, sigma = build_action(spec)
@@ -288,6 +299,16 @@ def test_regular_vectors_names_the_overlap_of_s_and_w():
     w, s = RealSubspace(2, [e1]), RealSubspace(2, [e1 + np.array([0, 1.0])])
     with pytest.raises(ValueError, match=r"to w \(max \|Re<s_i, w_j>\| = 0.707 > 1e-8\)"):
         regular_vectors([], w, s)
+
+
+@pytest.mark.parametrize("q_basis", [
+    [np.diag([1.0, 0.0])],                  # Hermitian
+    [np.diag([1j, 0, 0, 1j])],              # skew-Hermitian, but on C^4
+], ids=["hermitian", "wrong-size"])
+def test_regular_vectors_rejects_a_q_outside_u2(q_basis):
+    w, s = RealSubspace.zero(2), RealSubspace(2, [np.array([1.0 + 0j, 0.0])])
+    with pytest.raises(ValueError):
+        regular_vectors(q_basis, w, s)
 
 
 def test_regular_vectors_full_k0():
