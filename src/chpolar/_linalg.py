@@ -3,19 +3,34 @@
 Matrices are real, one vector per row; ``orthonormal_rows`` and
 ``complement_rows`` also take complex rows, orthonormal then in the
 Hermitian product (complex vectors are otherwise passed as their real rows,
-``su1n.real_rows``).  A singular value counts toward the
-rank when it exceeds ``tol * max(1, s_0)``, with ``s_0`` the largest one
-(``_rank_of``).  The cutoff is relative at scale 1 and above and absolute
-below it, so that a projection of unit data that is numerically zero (h
-inside k, an empty normal space, [h_o, xi] = 0) keeps rank 0 instead of
-counting rounding noise.  Scale-free answers come from the inputs: spanning
+``real_rows``, and viewed back with ``complex_rows``).  A singular value
+counts toward the rank when it exceeds ``tol * max(1, s_0)``, with ``s_0``
+the largest one (``_rank_of``).  The cutoff is relative at scale 1 and
+above and absolute below it, so that a projection of unit data that is
+numerically zero (h inside k, an empty normal space, [h_o, xi] = 0) keeps
+rank 0 instead of counting rounding noise.  Scale-free answers come from the inputs: spanning
 sets from outside the program pass through ``unit_rows``, and every other
 matrix is built from orthonormal rows.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def real_rows(stack):
+    """A stack of complex matrices or vectors as real rows, (re, im)
+    interleaved, so that Re tr(A* B) (Re<u, v> for vectors) is the dot
+    product of two rows."""
+    stack = np.ascontiguousarray(stack, dtype=complex)
+    return stack.reshape(len(stack), math.prod(stack.shape[1:])).view(float)
+
+
+def complex_rows(rows, m):
+    """Real rows (re, im interleaved) viewed back as complex vectors of C^m."""
+    return np.ascontiguousarray(rows).view(complex).reshape(len(rows), m)
 
 
 def _rank_of(s, tol):

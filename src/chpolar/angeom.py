@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import left_nullspace, orthonormal_rows, scaled_norm, unit_rows
+from ._linalg import left_nullspace, orthonormal_rows, real_rows, scaled_norm, unit_rows
 from .su1n import (ConsistencyError, ad_exp, build_root_decomposition, galpha_matrices,
-                   real_rows, traceless_block, u_frame, u_matrices)
+                   traceless_block, u_frame, u_matrices)
 
 
 def an_vector(a, u, x):

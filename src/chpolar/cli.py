@@ -10,7 +10,11 @@ Subcommands:
     selfcheck   structural identity suite for the Lie model
 
 Each subcommand takes only the flags it reads; argparse rejects any other
-flag with exit code 2.
+flag with exit code 2.  No flag changes a bound: the tolerances are the
+library's constants (``polar.TOL_RANK``, ``kahler.TOL_EIG``, ...), so a
+verdict depends on the input alone.  ``verify`` draws with the spec's own
+``seed`` key (0 when absent); ``--seed`` seeds compare, enumerate and
+selfcheck.
 
 Exit codes: 0 success / verdict true, 1 verdict false or not equivalent
 (this includes 'undetermined' equivalence answers), 2 input error,
@@ -22,33 +26,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import angeom, kahler, polar, su1n
 from .su1n import ConsistencyError
-
-
-@dataclass
-class RunConfig:
-    n: int = 2
-    tol_eig: float = kahler.TOL_EIG
-    tol_rank: float = polar.TOL_RANK
-    seed: int = 0
-    fmt: str = "json"
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        for name in ("tol_eig", "tol_rank"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.fmt not in ("json", "text"):
-            raise ValueError("format must be 'json' or 'text'")
 
 
 def render_json(obj, indent=0):
@@ -76,10 +59,10 @@ def render_json(obj, indent=0):
     return json.dumps(obj)
 
 
-def _emit(payload, config):
-    text = render_json(payload) + "\n" if config.fmt == "json" else _as_text(payload) + "\n"
-    if config.out:
-        with open(config.out, "w") as fh:
+def _emit(payload, args):
+    text = render_json(payload) + "\n" if args.fmt == "json" else _as_text(payload) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -107,75 +90,67 @@ def _as_text(payload, prefix=""):
     return "\n".join(line for line in lines if line)
 
 
-def _read_json(path):
+def _read(path, parse, what):
+    """parse applied to the JSON of a file ('-' for stdin); unreadable JSON,
+    and a key or type that parse misses, are input errors."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read JSON input: {exc}") from exc
+    try:
+        return parse(data)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}") from exc
 
 
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_decompose(args, config):
-    data = _read_json(args.input)
-    try:
-        V = kahler.RealSubspace.from_json(data)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed RealSubspace JSON: {exc}") from exc
-    dec = kahler.decompose(V, tol_eig=config.tol_eig)
-    _emit(dec.to_json(), config)
+def cmd_decompose(args):
+    V = _read(args.input, kahler.RealSubspace.from_json, "RealSubspace")
+    _emit(kahler.decompose(V).to_json(), args)
     return 0
 
 
-def _read_spec(path):
-    """The PolarActionSpec of a JSON file, with the JSON it was read from."""
-    data = _read_json(path)
-    try:
-        return polar.PolarActionSpec.from_json(data), data
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed PolarActionSpec JSON: {exc}") from exc
-
-
-def cmd_verify(args, config):
-    spec, data = _read_spec(args.input)
-    # the spec's own seed wins whenever the spec has one, 0 included
-    seed = spec.seed if "seed" in data else config.seed
-    report = polar.check_spec(spec, seed=seed, tol_rank=config.tol_rank)
-    _emit(report.to_json(), config)
+def cmd_verify(args):
+    spec = _read(args.input, polar.PolarActionSpec.from_json, "PolarActionSpec")
+    report = polar.check_spec(spec, seed=spec.seed)
+    _emit(report.to_json(), args)
     return 0 if report.verdict else 1
 
 
-def cmd_compare(args, config):
-    specs = [_read_spec(path)[0] for path in (args.input_a, args.input_b)]
+def cmd_compare(args):
+    specs = [_read(path, polar.PolarActionSpec.from_json, "PolarActionSpec")
+             for path in (args.input_a, args.input_b)]
     for spec in specs:
         polar._checked_inputs(spec)  # the input check of verify
-    answer, report = polar.orbit_equivalence_invariants(*specs, seed=config.seed)
+    answer, report = polar.orbit_equivalence_invariants(*specs, seed=args.seed)
     payload = {"equivalent": answer, "report": report}
-    _emit(payload, config)
+    _emit(payload, args)
     return 0 if answer == "yes" else 1
 
 
-def cmd_enumerate(args, config):
+def cmd_enumerate(args):
     angles = _parse_angles(args.angles)
-    catalog = polar.enumerate_moduli(config.n, angles, seed=config.seed)
+    catalog = polar.enumerate_moduli(args.n, angles, seed=args.seed)
     payload = {
-        "n": config.n,
+        "n": args.n,
         "angle_grid": list(angles),
         "count": len(catalog),
         "classes": [
             {"label": entry.label, "spec": entry.spec.to_json()} for entry in catalog
         ],
     }
-    _emit(payload, config)
+    _emit(payload, args)
     return 0
 
 
-def cmd_curvature(args, config):
-    spec, _ = _read_spec(args.input)
+def cmd_curvature(args):
+    spec = _read(args.input, polar.PolarActionSpec.from_json, "PolarActionSpec")
     polar._checked_inputs(spec)  # the input check of verify
     if spec.family != "II":
         raise ValueError("mean curvature of the core orbit is a family II quantity")
@@ -187,17 +162,20 @@ def cmd_curvature(args, config):
         "closed_form": angeom.an_json(closed),
         "max_deviation": angeom.norm(numeric - closed),
     }
-    _emit(payload, config)
+    _emit(payload, args)
     return 0
 
 
-def cmd_selfcheck(args, config):
-    payload, ok = identity_suite(config.n, config.seed)
-    _emit(payload, config)
+def cmd_selfcheck(args):
+    payload, ok = identity_suite(args.n, args.seed)
+    _emit(payload, args)
     return 0 if ok else 1
 
 
-def identity_suite(n, seed=0, trials=100):
+IDENTITY_TRIALS = 100  # random draws per identity in identity_suite
+
+
+def identity_suite(n, seed=0):
     """Residuals of the structural identities of the Lie model.
 
     Covers the two auxiliary bracket identities of the root-space model
@@ -219,7 +197,7 @@ def identity_suite(n, seed=0, trials=100):
     res_br = 0.0
     res_curv = 0.0
     k0_gens = kahler.skew_hermitian_basis(n - 1)
-    for _ in range(trials):
+    for _ in range(IDENTITY_TRIALS):
         u = rand_galpha()
         X = galpha(u)
         Y = galpha(rand_galpha())
@@ -263,7 +241,7 @@ def identity_suite(n, seed=0, trials=100):
     ok = all(checks[k] <= thresholds[k] for k in checks)
     payload = {
         "n": n,
-        "trials": trials,
+        "trials": IDENTITY_TRIALS,
         "max_residuals": checks,
         "metric": metric,
         "ok": ok,
@@ -284,16 +262,11 @@ def _parse_angles(text):
         except ValueError as exc:
             raise ValueError(f"bad angle {token!r}") from exc
         out.append(val)
-    for val in out:
-        if not (0.0 < val < math.pi / 2):
-            raise ValueError("angles must lie strictly between 0 and pi/2")
     return out
 
 
 _FLAGS = {
     "--n": dict(type=int, default=2, help="complex dimension, n >= 2"),
-    "--tol-eig": dict(type=float, default=kahler.TOL_EIG, help="grouping of cos^2 angles"),
-    "--tol-rank": dict(type=float, default=polar.TOL_RANK, help="slice-condition rank cutoff"),
     "--seed": dict(type=int, default=0, help="seed of the samplers"),
 }
 
@@ -319,9 +292,9 @@ def build_parser():
         return p
 
     add_flags(with_input(sub.add_parser(
-        "decompose", help="Kahler decomposition of a real subspace")), "--tol-eig")
+        "decompose", help="Kahler decomposition of a real subspace")))
     add_flags(with_input(sub.add_parser(
-        "verify", help="run the polarity criterion on an action spec")), "--tol-rank", "--seed")
+        "verify", help="run the polarity criterion on an action spec (seeded by the spec)")))
     p = sub.add_parser("compare", help="orbit equivalence of two action specs")
     p.add_argument("input_a")
     p.add_argument("input_b")
@@ -350,10 +323,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(**{
-            f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)
-        })
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"chpolar: input error: {exc}", file=sys.stderr)
         return 2

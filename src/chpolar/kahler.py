@@ -3,7 +3,7 @@
 A real subspace of C^m is an R-linear subspace of the realification R^{2m}.
 Everything here works with the Euclidean structure Re<u, v> (real part of the
 standard Hermitian product) and the complex structure J(v) = i*v.  Vectors
-of C^m are handled as their real rows (``su1n.real_rows``: re, im
+of C^m are handled as their real rows (``_linalg.real_rows``: re, im
 interleaved), on which Re<u, v> is the dot product, so projections and Gram
 matrices are matmuls and every orthonormalization and rank decision goes
 through ``_linalg``.  The central operation is the canonical decomposition
@@ -13,16 +13,17 @@ eigenvalues of -(pi_V J)^2 on V.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import complement_rows, left_nullspace, orthonormal_rows, unit_rows
-from .su1n import real_rows
+from ._linalg import (complement_rows, complex_rows, left_nullspace, orthonormal_rows,
+                      real_rows, unit_rows)
 
-# Default tolerances.  Double precision with ambient dimensions up to ~64
-# keeps all of these comfortable.
+# Tolerances; no flag or parameter changes them.  Double precision with
+# ambient dimensions up to ~64 keeps all of these comfortable.
 TOL_EIG = 1e-8      # eigenvalue grouping on cos^2(phi)
 TOL_ANGLE = 1e-6    # angle comparisons, radians
 TOL_MEMBER = 1e-8   # membership tests
@@ -36,9 +37,31 @@ def json_int(value, name):
     return int(value)
 
 
-def _complex_rows(rows, m):
-    """Real rows (re, im interleaved) viewed back as complex vectors of C^m."""
-    return np.ascontiguousarray(rows).view(complex).reshape(len(rows), m)
+def json_array(data, name, ndim, last, what):
+    """A JSON array of numbers as one float array of ndim axes, the last of
+    length ``last``; an empty array passes as it is.  A ragged nesting,
+    another shape, or an entry that is not a finite number (true and false
+    included, which numpy would read as 1 and 0) is a ValueError naming
+    ``name``.  The entries are checked by a walk over the JSON lists, so no
+    second array is built."""
+    bad = f"{name} must be {what}, all finite numbers"
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{bad}: {exc}") from exc
+    if not arr.size:
+        return arr
+    if arr.ndim != ndim or arr.shape[-1] != last:
+        raise ValueError(f"{bad} (read an array of shape {arr.shape})")
+    leaves = data
+    for _ in range(ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    for x in leaves:
+        if type(x) not in (int, float):
+            raise ValueError(f"{bad}, got {x!r}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{bad}, got NaN or Infinity")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -65,22 +88,17 @@ class RealSubspace:
         mat = np.array(rows, dtype=complex).reshape(len(rows), m)
         orth = orthonormal_rows(unit_rows(real_rows(mat)))
         object.__setattr__(self, "ambient_complex_dim", m)
-        object.__setattr__(self, "basis", _complex_rows(orth, m))
+        object.__setattr__(self, "basis", complex_rows(orth, m))
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_real_vectors(cls, ambient_complex_dim, vectors):
         """Build from vectors in interleaved [re_1, im_1, ..., re_m, im_m]
-        layout, as JSON holds them; m must be an integer, entries finite."""
+        layout, as JSON holds them (``json_array``); m must be an integer."""
         m = json_int(ambient_complex_dim, "ambient_complex_dim")
-        rows = []
-        for v in vectors:
-            arr = np.asarray(v, dtype=float).reshape(-1)
-            if arr.shape != (2 * m,) or not np.isfinite(arr).all():
-                raise ValueError(f"a basis vector must be 2m = {2 * m} finite numbers, got {v}")
-            rows.append(arr[0::2] + 1j * arr[1::2])
-        return cls(m, rows)
+        rows = json_array(vectors, "basis", 2, 2 * m, f"a list of vectors of 2m = {2 * m} entries")
+        return cls(m, rows[..., 0::2] + 1j * rows[..., 1::2])
 
     @classmethod
     def zero(cls, ambient_complex_dim):
@@ -106,7 +124,7 @@ class RealSubspace:
     def project(self, v):
         """Orthogonal (real-linear) projection of v onto this subspace."""
         v = real_rows(np.asarray(v, dtype=complex).reshape(1, -1))
-        return _complex_rows(v - self._outside(v), self.ambient_complex_dim)[0]
+        return complex_rows(v - self._outside(v), self.ambient_complex_dim)[0]
 
     def contains(self, v):
         """Whether v lies in this subspace, at any scale of v: the part of
@@ -190,12 +208,12 @@ def kahler_angle(V, v):
     return float(np.arccos(min(1.0, max(0.0, cosphi))))
 
 
-def decompose(V, tol_eig=TOL_EIG):
+def decompose(V):
     """Canonical decomposition of V into factors of constant Kahler angle.
 
     Builds P = pi_V o J on V, eigendecomposes the PSD operator -P^2, groups
-    eigenvalues cos^2(phi) within tol_eig, and returns the factors sorted by
-    strictly increasing angle.  Eigenvalues within tol_eig of 1 (resp. 0)
+    eigenvalues cos^2(phi) within TOL_EIG, and returns the factors sorted by
+    strictly increasing angle.  Eigenvalues within TOL_EIG of 1 (resp. 0)
     are snapped to angle exactly 0 (resp. pi/2).
     """
     k = V.dim
@@ -213,13 +231,13 @@ def decompose(V, tol_eig=TOL_EIG):
     i = 0
     while i < k:
         j = i
-        while j + 1 < k and abs(evals[j + 1] - evals[i]) <= tol_eig:
+        while j + 1 < k and abs(evals[j + 1] - evals[i]) <= TOL_EIG:
             j += 1
         lam2 = float(np.mean(evals[i : j + 1]))
         lam2 = min(1.0, max(0.0, lam2))
-        if lam2 >= 1.0 - tol_eig:
+        if lam2 >= 1.0 - TOL_EIG:
             phi = 0.0
-        elif lam2 <= tol_eig:
+        elif lam2 <= TOL_EIG:
             phi = math.pi / 2
         else:
             phi = float(np.arccos(np.sqrt(lam2)))
@@ -374,7 +392,7 @@ def ominus(V, U):
         raise ValueError("ominus requires U to be contained in V")
     # the residuals are orthonormal or rounding noise: rank them as they are
     rows = orthonormal_rows(U._outside(real_rows(V.basis)))
-    out = RealSubspace(V.ambient_complex_dim, _complex_rows(rows, V.ambient_complex_dim))
+    out = RealSubspace(V.ambient_complex_dim, complex_rows(rows, V.ambient_complex_dim))
     if out.dim != V.dim - U.dim:
         raise ValueError("complement has unexpected dimension")
     return out

@@ -46,10 +46,11 @@ from ._linalg import (
     left_nullspace,
     orthonormal_rows,
     rank,
+    real_rows,
     sample_ranks,
     unit_rows,
 )
-from .kahler import RealSubspace, json_int
+from .kahler import RealSubspace, json_array, json_int
 from .su1n import (
     TOL_ALG,
     bracket,
@@ -57,14 +58,13 @@ from .su1n import (
     galpha_matrices,
     membership_residual,
     p_matrices,
-    real_rows,
     traceless_block,
     u_coords,
     u_frame,
     u_matrices,
 )
 
-TOL_RANK = 1e-8
+TOL_RANK = 1e-8        # rank cutoff of the sampled ranks (slice condition, orbit dims)
 TOL_SUBALGEBRA = 1e-8  # is_subalgebra; also the builders' bound on the closure of h
 TOL_Q_CLOSED = 1e-9    # the builders' bound on the [q, q] part of that closure
 TOL_SECTION = 1e-8     # section_in_normal
@@ -217,33 +217,30 @@ class PolarActionSpec:
     @classmethod
     def from_json(cls, data):
         def subspace(key):
-            return RealSubspace.from_json(data[key]) if key in data else None
+            if key not in data:
+                return None
+            try:
+                return RealSubspace.from_json(data[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from exc
 
-        family = data["family"]
-        common = dict(n=json_int(data["n"], "n"), q_section=subspace("q_section"),
+        family = data["family"]  # __post_init__ rejects all but 'I' and 'II'
+        fields = dict(n=json_int(data["n"], "n"), family=family, q_section=subspace("q_section"),
                       q_basis=_q_basis_from_json(data.get("q_basis", [])),
                       seed=json_int(data.get("seed", 0), "seed"))
         if family == "I":
-            return cls(family="I", k=json_int(data["k"], "k"), **common)
-        return cls(family="II", b_flag=data["b"], w=subspace("w"), **common)
+            fields["k"] = json_int(data["k"], "k")
+        elif family == "II":
+            fields.update(b_flag=data["b"], w=subspace("w"))
+        return cls(**fields)
 
 
 def _q_basis_from_json(data):
     """The (r, m, m) complex stack of a JSON q_basis: r matrices of [re, im]
-    pairs, read as one float array and viewed as complex."""
-    try:
-        arr = np.asarray(data)
-    except ValueError as exc:  # ragged nesting
-        raise ValueError(f"q_basis is not a regular array: {exc}") from exc
-    if arr.size == 0:
-        return []
-    if (arr.dtype.kind not in "biuf" or arr.ndim != 4 or arr.shape[-1] != 2
-            or not np.isfinite(arr).all()):
-        raise ValueError(
-            "q_basis must be a list of matrices of [re, im] pairs of finite numbers "
-            f"(read an array of shape {arr.shape} and dtype {arr.dtype})"
-        )
-    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+    pairs, read as one float array (``kahler.json_array``) and viewed as
+    complex."""
+    arr = json_array(data, "q_basis", 4, 2, "a list of matrices of [re, im] pairs")
+    return arr.view(complex)[..., 0] if arr.size else arr
 
 
 @dataclass
@@ -384,7 +381,7 @@ def _slice_orthogonality(sig, act):
     return math.sqrt(sum(float(np.sum((act(s) @ sig.T) ** 2)) for s in sig))
 
 
-def _report(residuals, sig, nu, act, seed, tol_rank):
+def _report(residuals, sig, nu, act, seed):
     """Step 4 and the verdict, shared by check_polarity and check_spec.
 
     ``residuals`` are (subalgebra, section, bracket, slice orthogonality);
@@ -400,10 +397,10 @@ def _report(residuals, sig, nu, act, seed, tol_rank):
 
     k_sec, dim_nu = sig.shape[0], nu.shape[0]
     dim_orbit_xi, best_stack = 0, np.zeros((0, sig.shape[1]))
-    for _, d, moved in sample_ranks(rng, sig, act, SLICE_SAMPLES if k_sec else 0, tol_rank):
+    for _, d, moved in sample_ranks(rng, sig, act, SLICE_SAMPLES if k_sec else 0, TOL_RANK):
         if d >= dim_orbit_xi:  # the last sample of largest rank
             dim_orbit_xi, best_stack = d, moved
-    dim_joint = rank(np.vstack([sig, best_stack]), tol_rank)
+    dim_joint = rank(np.vstack([sig, best_stack]), TOL_RANK)
     slice_condition = (ortho_resid <= TOL_SLICE) and (dim_joint == dim_nu)
 
     verdict = bool(
@@ -413,7 +410,7 @@ def _report(residuals, sig, nu, act, seed, tol_rank):
     if not verdict:
         # sigma is not certified, so count on all of nu: dim nu minus the
         # principal orbit dimension of the slice representation of h_o
-        ranks = [d for _, d, _ in sample_ranks(rng, nu, act, SLICE_SAMPLES, tol_rank)]
+        ranks = [d for _, d, _ in sample_ranks(rng, nu, act, SLICE_SAMPLES, TOL_RANK)]
         cohomogeneity = dim_nu - max(ranks, default=0)
     return PolarityReport(
         is_subalgebra=is_subalgebra,
@@ -447,7 +444,7 @@ def _member_rows(rd, stack, name):
     return orthonormal_rows(unit_rows(rd.coords_many(stack)))
 
 
-def check_polarity(n, h, sigma, seed=0, tol_rank=TOL_RANK):
+def check_polarity(n, h, sigma, seed=0):
     """Evaluate the polarity criterion for a subalgebra h and claimed
     section tangent sigma inside p.
 
@@ -489,10 +486,10 @@ def check_polarity(n, h, sigma, seed=0, tol_rank=TOL_RANK):
 
     residuals = (_closure_residual(rd, h_rows), _section_residual(sig_rows, nu_rows),
                  br_resid, _slice_orthogonality(sig_rows, act))
-    return _report(residuals, sig_rows, nu_rows, act, seed, tol_rank)
+    return _report(residuals, sig_rows, nu_rows, act, seed)
 
 
-def check_spec(spec, seed=0, tol_rank=TOL_RANK):
+def check_spec(spec, seed=0):
     """check_polarity for a PolarActionSpec, evaluated in the tangent space
     T_o CH^n = C^n; no su(1, n) element is formed.
 
@@ -562,7 +559,7 @@ def check_spec(spec, seed=0, tol_rank=TOL_RANK):
     ortho = _slice_orthogonality(sig, act)
     br_resid = math.sqrt(float(np.sum((sig @ hp.T) ** 2)) + ortho ** 2 + extra)
     residuals = (sub_resid, _section_residual(sig, nu), br_resid, ortho)
-    return _report(residuals, sig, nu, act, seed, tol_rank)
+    return _report(residuals, sig, nu, act, seed)
 
 
 # ---------------------------------------------------------------------------

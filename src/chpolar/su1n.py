@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import orthonormal_rows, scaled_norm, unit_rows
+from ._linalg import orthonormal_rows, real_rows, scaled_norm, unit_rows
 
 TOL_ALG = 1e-12     # membership tolerances for su(1, n)
 TOL_SNAP = 1e-8     # ad(B) against diag(root values) in the basis
@@ -73,14 +73,6 @@ def bracket(X, Y):
     """Lie bracket, the matrix commutator; it broadcasts, so a matrix and a
     (k, n+1, n+1) stack give the stack of brackets."""
     return X @ Y - Y @ X
-
-
-def real_rows(stack):
-    """A stack of complex matrices or vectors as real rows, (re, im)
-    interleaved, so that Re tr(A* B) (Re<u, v> for vectors) is the dot
-    product of two rows."""
-    stack = np.ascontiguousarray(stack, dtype=complex)
-    return stack.reshape(len(stack), math.prod(stack.shape[1:])).view(float)
 
 
 def theta(X):

@@ -206,7 +206,13 @@ def test_cmd_verify_malformed_q_basis_exit_2(tmp_path, capsys, q_basis):
     assert "q_basis" in capsys.readouterr().err
 
 
-def _seed_seen(monkeypatch, tmp_path, payload, argv):
+@pytest.mark.parametrize("spec_seed, drawn", [(7, 7), (None, 0)], ids=["seed-7", "no-seed"])
+def test_cmd_verify_draws_with_the_spec_seed(tmp_path, monkeypatch, spec_seed, drawn):
+    payload = spec_pi3().to_json()
+    if spec_seed is None:
+        del payload["seed"]
+    else:
+        payload["seed"] = spec_seed
     seen = []
     real = polar.check_spec
 
@@ -215,20 +221,8 @@ def _seed_seen(monkeypatch, tmp_path, payload, argv):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(polar, "check_spec", spy)
-    assert main(["verify", write_json(tmp_path, "s.json", payload)] + argv) == 0
-    return seen
-
-
-def test_cmd_verify_spec_seed_zero_beats_seed_flag(tmp_path, monkeypatch):
-    payload = spec_pi3().to_json()
-    payload["seed"] = 0
-    assert _seed_seen(monkeypatch, tmp_path, payload, ["--seed", "7"]) == [0]
-
-
-def test_cmd_verify_seed_flag_used_without_spec_seed(tmp_path, monkeypatch):
-    payload = spec_pi3().to_json()
-    del payload["seed"]
-    assert _seed_seen(monkeypatch, tmp_path, payload, ["--seed", "7"]) == [7]
+    assert main(["verify", write_json(tmp_path, "s.json", payload)]) == 0
+    assert seen == [drawn]
 
 
 def _line_spec(n=2):
@@ -268,6 +262,39 @@ def test_numbers_that_json_cannot_mean_exit_2(tmp_path, capsys, command, payload
 def test_whole_floats_still_read_as_integers(tmp_path, capsys):
     payload = _with(_line_spec(), ("n",), 2.0)
     assert main(["verify", write_json(tmp_path, "s.json", payload)]) == 0
+
+
+def _catalog_spec(label):
+    """The JSON spec of the first n = 3 catalog class whose label starts with label."""
+    return next(e.spec.to_json() for e in polar.enumerate_moduli(3) if e.label.startswith(label))
+
+
+@pytest.mark.parametrize("family", ["banana", 2, None, "i"])
+def test_a_family_other_than_I_or_II_exits_2(tmp_path, capsys, family):
+    payload = _with(_catalog_spec("II:b=full,w=[]"), ("family",), family)
+    assert main(["verify", write_json(tmp_path, "s.json", payload)]) == 2
+    assert "family must be 'I' or 'II'" in capsys.readouterr().err
+
+
+# each bool stands where the spec already holds the number it would read as
+@pytest.mark.parametrize("command, label, path, value, message", [
+    ("verify", "I:k=2", ("q_basis",), [[[[False, True]]]], "q_basis must be"),
+    ("verify", "II:b=zero,w=[]", ("q_basis", 0, 0, 0, 1), True, "q_basis must be"),
+    ("verify", "II:b=full,w=[(1.570796, 1)]", ("w", "basis", 0, 0), True, "w: basis must be"),
+    ("verify", "II:b=zero,w=[]", ("q_section", "basis", 0), [True, False, False, False],
+     "q_section: basis must be"),
+    ("decompose", None, ("basis", 0), [True, False, 0, 0], "basis must be"),
+], ids=["all-bool-q_basis", "mixed-q_basis", "w", "q_section", "decompose"])
+def test_json_booleans_in_number_arrays_exit_2(tmp_path, capsys, command, label, path,
+                                                value, message):
+    line = {"ambient_complex_dim": 2, "basis": [[1, 0, 0, 0]]}
+    payload = _catalog_spec(label) if label else line
+    assert main([command, write_json(tmp_path, "in.json", payload)]) == 0
+    capsys.readouterr()
+    bad = write_json(tmp_path, "bad.json", _with(payload, path, value))
+    assert main([command, bad]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "all finite numbers, got " in err
 
 
 # --- every command that reads a spec runs verify's input check -----------------------
@@ -510,11 +537,11 @@ def test_cmd_selfcheck_output_is_pinned(capsys, n):
 
 
 def test_deterministic_byte_identical_output(tmp_path):
-    a = write_json(tmp_path, "a.json", spec_pi3().to_json())
+    a = write_json(tmp_path, "a.json", {**spec_pi3().to_json(), "seed": 11})
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    assert main(["verify", a, "--seed", "11", "--out", str(out1)]) == 0
-    assert main(["verify", a, "--seed", "11", "--out", str(out2)]) == 0
+    assert main(["verify", a, "--out", str(out1)]) == 0
+    assert main(["verify", a, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -532,7 +559,6 @@ def test_text_format(capsys):
 
 def test_bad_config_exit_2(capsys):
     assert main(["selfcheck", "--n", "1"]) == 2
-    assert main(["verify", "--tol-rank", "-1"]) == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -540,6 +566,9 @@ def test_bad_config_exit_2(capsys):
     ["verify", "--tol-angle", "5"],
     ["decompose", "--seed", "3"],
     ["compare", "a.json", "b.json", "--tol-rank", "1e-3"],
+    ["verify", "--tol-rank", "-1"],
+    ["decompose", "--tol-eig", "1e-6"],
+    ["verify", "--seed", "7"],
 ])
 def test_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
