@@ -135,11 +135,11 @@ def cmd_compare(args):
 
 
 def cmd_enumerate(args):
-    angles = _parse_angles(args.angles)
+    angles = sorted(set(_parse_angles(args.angles)))  # the grid the catalog uses
     catalog = polar.enumerate_moduli(args.n, angles, seed=args.seed)
     payload = {
         "n": args.n,
-        "angle_grid": list(angles),
+        "angle_grid": angles,
         "count": len(catalog),
         "classes": [
             {"label": entry.label, "spec": entry.spec.to_json()} for entry in catalog

@@ -526,16 +526,63 @@ def skew_hermitian_basis(m):
 def normalizer_residual(V, mats):
     """The parts (1 - pi_V)(T b) of T b outside V, for every matrix T of
     ``mats`` and every b in V.basis, as real rows of shape (len(mats), V.dim,
-    2m): T normalizes V exactly when its block vanishes."""
+    2m): T normalizes V exactly when its block vanishes.  ``mats`` is an
+    (r, m, m) stack, or anything that multiplies vectors like one."""
     m = V.ambient_complex_dim
-    images = np.asarray(mats, dtype=complex).reshape(-1, m, m) @ V.basis.T
+    images = mats @ V.basis.T
     rows = real_rows(images.transpose(0, 2, 1).reshape(-1, m))
     return V._outside(rows).reshape(len(images), V.dim, 2 * m)
 
 
+def _unit_matrices(mats):
+    """The mutually orthogonal matrices of a stack, each at Frobenius norm 1."""
+    return mats / np.linalg.norm(mats, axis=(1, 2), keepdims=True)
+
+
+def normalizer_frame(V):
+    """The normalizer {T in u(m) : T.V <= V} in closed form, as an (r, m, m)
+    stack orthonormal for Re tr(N* M); normalizer_algebra is its numerical
+    oracle.
+
+    A unitary normalizing V keeps each factor of decompose(V) (an
+    eigenspace of -(pi_V J)^2) and the complement of C.V, so the normalizer
+    is block-diagonal in their C-orthonormal frames F, T = F^T M conj(F):
+
+    - a complex factor C^c: M in u(c);
+    - an interior factor of angle phi, in its adapted frame (e_j, f_j),
+      j <= p: the factor is {cos(phi/2) x.e + i sin(phi/2) conj(x).f, x in
+      C^p}, so M = diag(X, conj X) with X in u(p);
+    - the totally real factor R^r: M in so(r), in its real basis;
+    - the complement of C.V: M in u of it.
+
+    Its dimension is normalizer_dimension_formula(V)."""
+    m = V.ambient_complex_dim
+    frames, blocks = [np.zeros((0, m))], []
+    for phi, sub in decompose(V).factors:
+        if phi <= TOL_ANGLE:
+            F = orthonormal_rows(sub.basis)
+            gens = _unit_matrices(skew_hermitian_basis(len(F)))
+        elif abs(phi - math.pi / 2) <= TOL_ANGLE:
+            F = sub.basis  # a real orthonormal basis is C-orthonormal here
+            gens = _unit_matrices(skew_hermitian_basis(len(F))[len(F)::2])  # E_jk - E_kj
+        else:
+            F = _adapted_frame(sub, phi)
+            p = len(F) // 2
+            X = _unit_matrices(skew_hermitian_basis(p)) / math.sqrt(2.0)
+            gens = np.zeros((p * p, 2 * p, 2 * p), dtype=complex)
+            gens[:, :p, :p], gens[:, p:, p:] = X, X.conj()
+        frames.append(F)
+        blocks.append(F.T @ gens @ F.conj())
+    rest = complement_rows(np.vstack(frames), m)
+    blocks.append(rest.T @ _unit_matrices(skew_hermitian_basis(len(rest))) @ rest.conj())
+    return np.concatenate(blocks)
+
+
 def normalizer_algebra(V):
     """Basis of {T in u(m) : T.V <= V} as an (r, m, m) stack: the left null
-    space of the stacked residuals of the generators of u(m)."""
+    space of the stacked residuals of the generators of u(m).  The catalog
+    names its q instead (normalizer_frame, in closed form); this SVD is that
+    construction's oracle, and builds explicit q_basis inputs."""
     m = V.ambient_complex_dim
     gens = skew_hermitian_basis(m)
     if V.dim == 0 or V.dim == 2 * m:

@@ -30,13 +30,15 @@ maps (see PolarityReport).
 
 In both families q is one (r, m, m) stack of u(m), m = n - k or n - 1,
 and its k_0 image is ``su1n.traceless_block``; it is measured in the one
-frame of u(m), ``su1n.u_frame``, which the metric of su(1, n) fixes.
+frame of u(m), ``su1n.u_coords``, which the metric of su(1, n) fixes.  A
+spec gives q either as a q_basis, which enters that frame through
+``su1n.u_frame``, or by name (Q_TYPES), built there in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -61,7 +63,9 @@ from .su1n import (
     traceless_block,
     u_coords,
     u_frame,
+    u_frame_apply,
     u_matrices,
+    u_orthonormal,
 )
 
 TOL_RANK = 1e-8        # rank cutoff of the sampled ranks (slice condition, orbit dims)
@@ -72,6 +76,7 @@ TOL_BRACKET = 1e-9     # bracket_condition
 TOL_SLICE = 1e-8       # h_o moves sigma orthogonally to itself (slice_condition)
 SLICE_SAMPLES = 24  # draws of the regular-vector sampler of the criterion
 ORBIT_SAMPLES = 40  # draws per principal orbit dimension in orbit_equivalence_invariants
+Q_TYPES = ("u", "t", "normalizer")  # the names a spec may give its q by
 
 
 def _upper_pairs(mats):
@@ -96,20 +101,66 @@ def _pair_norm(blocks):
 
 
 def _q_frame(q_basis, m, n):
-    """q through ``su1n.u_frame``, the one way a q enters u(m): orthonormal
-    u_coords rows (metric of su(1, n)) and their (r, m, m) stack, both empty
-    for an empty q."""
+    """q through ``su1n.u_frame``, the one way a q_basis enters u(m):
+    orthonormal u_coords rows (metric of su(1, n)) and their (r, m, m)
+    stack, both empty for an empty q."""
     if not len(q_basis):  # also m = 0, where u_matrices has no frame
         return np.zeros((0, m * m)), np.zeros((0, m, m), dtype=complex)
     rows = u_frame(q_basis, n)  # q at any scale
     return rows, u_matrices(rows, m, n)
 
 
+@dataclass(frozen=True)
+class _UFrame:
+    """All of u(m) in its orthonormal frame ``u_matrices(np.eye(m * m), m, n)``,
+    standing in for that (m^2, m, m) stack: its m^4 entries (250 MB at
+    m = 63) are formed only by ``np.asarray``, while its length and its
+    products with vectors (``su1n.u_frame_apply``, m^3 entries), all that
+    check_spec and _checked_inputs ask of q, are not."""
+
+    m: int
+    n: int
+
+    def __len__(self):
+        return self.m * self.m
+
+    def __matmul__(self, Z):
+        return u_frame_apply(Z, self.n)
+
+    def __array__(self, dtype=None, copy=None):
+        return u_matrices(np.eye(self.m * self.m), self.m, self.n).astype(dtype or complex)
+
+
+def _spec_q(spec):
+    """An orthonormal basis of the spec's q in the metric of su(1, n), as an
+    (r, m, m) stack: its q_basis through ``_q_frame``, or its named q in
+    closed form, the rows of the frame of ``su1n.u_coords`` that span it:
+
+    - "u": u(m), the whole frame (a ``_UFrame``; u(0) = 0);
+    - "t": the maximal torus t(m), its diagonal;
+    - "normalizer": the normalizer of w in u(m), block-diagonal in the
+      canonical frame of kahler.decompose(w) (``kahler.normalizer_frame``).
+    """
+    m, n = spec.m, spec.n
+    if spec.q_type is None:
+        return _q_frame(spec.q_basis, m, n)[1]
+    if m == 0:
+        return np.zeros((0, 0, 0), dtype=complex)
+    if spec.q_type == "u":
+        return _UFrame(m, n)
+    if spec.q_type == "t":
+        return u_matrices(np.eye(m, m * m), m, n)
+    return u_orthonormal(kahler.normalizer_frame(spec.w), n)
+
+
 def _checked_inputs(spec):
     """The one input check of a spec, run by the builders, check_spec and
     the compare and curvature commands: q_basis is skew-Hermitian
     (``su1n.u_frame``), the section and w live in C^m, [q, q] <= q and
-    [q, w] <= w.
+    [q, w] <= w.  A named q is closed by construction, so it costs no
+    m^2 x m^2 SVD and no [q, q] bracket; its [q, w] is measured, the
+    normalizer's too: that is the normalizer of w as kahler.decompose groups
+    its angles, which leaks from w by about half the spread of a group.
 
     h is closed exactly except for those two brackets: every other one is
     fixed by the root-space structure.  Their parts outside h, over
@@ -121,22 +172,26 @@ def _checked_inputs(spec):
     input these checks accept reads is_subalgebra true.
 
     Returns (q, residual): an orthonormal basis of q in the metric of
-    su(1, n), as an (r, m, m) stack, and the closure residual of h."""
+    su(1, n), as an (r, m, m) stack (``_spec_q``), and the closure residual
+    of h."""
     n, m = spec.n, spec.m
     w = spec.w if spec.family == "II" else None
     if spec.q_section.ambient_complex_dim != m or (w is not None and w.ambient_complex_dim != m):
         raise ValueError(f"q_section{'' if w is None else ' and w'} must live in C^{m}")
-    rows, q = _q_frame(spec.q_basis, m, n)
+    closure = 0.0
+    if spec.q_type is None:
+        rows, q = _q_frame(spec.q_basis, m, n)
+        if 0 < len(rows) < m * m:
+            perp = complement_rows(rows, m * m)
+            closure = _pair_norm(u_coords(X @ Ys - Ys @ X, n) @ perp.T for X, Ys in _upper_pairs(q))
+        if closure > TOL_Q_CLOSED:
+            raise ValueError(
+                f"q_basis is not closed under the bracket (residual {closure:.3g} > {TOL_Q_CLOSED:g})"
+            )
+    else:
+        q = _spec_q(spec)
     if not len(q):
         return q, 0.0
-    closure = 0.0
-    if len(rows) < m * m:
-        perp = complement_rows(rows, m * m)
-        closure = _pair_norm(u_coords(X @ Ys - Ys @ X, n) @ perp.T for X, Ys in _upper_pairs(q))
-    if closure > TOL_Q_CLOSED:
-        raise ValueError(
-            f"q_basis is not closed under the bracket (residual {closure:.3g} > {TOL_Q_CLOSED:g})"
-        )
     leak = 0.0 if w is None else float(np.linalg.norm(kahler.normalizer_residual(w, q)))
     resid = math.hypot(closure, math.sqrt(2.0) * leak)
     if resid > TOL_SUBALGEBRA:
@@ -164,7 +219,10 @@ class PolarActionSpec:
     real subspace of C^{n-1} orthogonal to w.
 
     q_basis may be given as any sequence of m x m matrices and is stored as
-    one complex (r, m, m) stack; _checked_inputs checks its algebra.
+    one complex (r, m, m) stack; _checked_inputs checks its algebra.  Or q
+    is named by q_type, one of Q_TYPES (see _spec_q; "normalizer" is family
+    II only), and q_basis stays empty: JSON ``"q": {"type": ...}`` in place
+    of ``"q_basis"``.
     """
 
     n: int
@@ -175,6 +233,7 @@ class PolarActionSpec:
     q_basis: np.ndarray = ()
     q_section: RealSubspace | None = None
     seed: int = 0
+    q_type: str | None = None
 
     @property
     def m(self):
@@ -200,6 +259,20 @@ class PolarActionSpec:
         if q.ndim != 3 or q.shape[1:] != (m, m):
             raise ValueError(f"q_basis must act on C^{m}")
         self.q_basis = np.ascontiguousarray(q)
+        if self.q_type is not None:
+            if self.q_type not in Q_TYPES:
+                raise ValueError(f"q type must be one of {', '.join(Q_TYPES)}; got {self.q_type!r}")
+            if self.q_type == "normalizer" and self.family != "II":
+                raise ValueError("q type 'normalizer' (of w) needs family II")
+            if len(q):
+                raise ValueError("a spec gives q or q_basis, not both")
+
+    def with_q_basis(self):
+        """This spec with its q given as q_basis: for a named q, the
+        orthonormal stack ``_spec_q`` builds (to move it by a unitary, say)."""
+        if self.q_type is None:
+            return self
+        return replace(self, q_type=None, q_basis=np.asarray(_spec_q(self)))
 
     def to_json(self):
         out = {"n": self.n, "family": self.family, "seed": self.seed}
@@ -208,9 +281,11 @@ class PolarActionSpec:
         else:
             out["b"] = self.b_flag
             out["w"] = self.w.to_json()
-        # each entry as its [re, im] pair: the complex stack viewed as floats
-        q = self.q_basis
-        out["q_basis"] = q.view(float).reshape(*q.shape, 2).tolist() if q.size else []
+        if self.q_type is not None:
+            out["q"] = {"type": self.q_type}
+        else:  # each entry as its [re, im] pair: the complex stack viewed as floats
+            q = self.q_basis
+            out["q_basis"] = q.view(float).reshape(*q.shape, 2).tolist() if q.size else []
         out["q_section"] = self.q_section.to_json()
         return out
 
@@ -225,14 +300,26 @@ class PolarActionSpec:
                 raise ValueError(f"{key}: {exc}") from exc
 
         family = data["family"]  # __post_init__ rejects all but 'I' and 'II'
+        if "q" in data and "q_basis" in data:
+            raise ValueError("a spec gives q or q_basis, not both")
         fields = dict(n=json_int(data["n"], "n"), family=family, q_section=subspace("q_section"),
                       q_basis=_q_basis_from_json(data.get("q_basis", [])),
-                      seed=json_int(data.get("seed", 0), "seed"))
+                      seed=json_int(data.get("seed", 0), "seed"),
+                      q_type=_q_type_from_json(data["q"]) if "q" in data else None)
         if family == "I":
             fields["k"] = json_int(data["k"], "k")
         elif family == "II":
             fields.update(b_flag=data["b"], w=subspace("w"))
         return cls(**fields)
+
+
+def _q_type_from_json(data):
+    """The type of a JSON q descriptor, {"type": name}; __post_init__ checks
+    the name against Q_TYPES."""
+    if type(data) is not dict or set(data) != {"type"}:
+        raise ValueError(f'q must be {{"type": name}} with name one of {", ".join(Q_TYPES)}; '
+                         f"got {data!r}")
+    return data["type"]
 
 
 def _q_basis_from_json(data):
@@ -313,9 +400,9 @@ def build_family_II(spec):
     (0, s).
     """
     n = spec.n
-    _checked_inputs(spec)
+    q, _ = _checked_inputs(spec)
     rd = build_root_decomposition(n)
-    h = [traceless_block(n, spec.q_basis), galpha_matrices(spec.w.basis), rd.Z[None]]
+    h = [traceless_block(n, np.asarray(q)), galpha_matrices(spec.w.basis), rd.Z[None]]
     lead = []
     if spec.b_flag == "full":
         h.insert(1, rd.B[None])
@@ -338,13 +425,13 @@ def build_family_I(spec):
     u(n - k) (see _checked_inputs).
     """
     n, k = spec.n, spec.k
-    _checked_inputs(spec)
+    q, _ = _checked_inputs(spec)
     i, j = np.triu_indices(k + 1, 1)
     so = np.zeros((len(i), n + 1, n + 1), dtype=complex)
     so[np.arange(len(i)), i, j] = 1.0
     so[np.arange(len(i)), j, i] = np.where(i == 0, 1.0, -1.0)  # -eps_i eps_j
     lead = [0.5j * np.eye(n)[0]] if k >= 1 else []  # i B, normal to T_o RH^k in T_o CH^k
-    h = np.concatenate([so, traceless_block(n, spec.q_basis)])
+    h = np.concatenate([so, traceless_block(n, np.asarray(q))])
     return h, _section_stack(spec, lead)
 
 
@@ -626,8 +713,11 @@ def orbit_equivalence_invariants(spec1, spec2, seed=0):
     obstructions; matching invariants plus conjugate q-data (checked via
     the congruence witness) give 'yes'; otherwise the comparison of the
     q-representations is left 'undetermined', since sampling alone cannot
-    certify orbit equivalence of arbitrary polar representations.  Each q
-    enters through ``_q_frame`` once; the caller runs ``_checked_inputs``.
+    certify orbit equivalence of arbitrary polar representations.  Two
+    specs whose q is named "normalizer" need no witness: the normalizers of
+    congruent w are conjugate by any unitary carrying one w onto the other.
+    Each q enters through ``_spec_q`` once; the caller runs
+    ``_checked_inputs``.
     """
     n = spec1.n
     if spec2.n != n:
@@ -656,7 +746,7 @@ def orbit_equivalence_invariants(spec1, spec2, seed=0):
             report["reason"] = "Kahler moduli of w differ"
             return "no", report
     m = spec1.m
-    q1, q2 = (_q_frame(spec.q_basis, m, n)[1] for spec in (spec1, spec2))
+    q1, q2 = (np.asarray(_spec_q(spec)) for spec in (spec1, spec2))
     sub1, sub2 = (RealSubspace.full(m),) * 2 if fam_I else (spec1.w.perp(), spec2.w.perp())
     d1, d2 = _principal_orbit_dim(q1, sub1, rng), _principal_orbit_dim(q2, sub2, rng)
     report["principal_orbit_dims"] = (d1, d2)
@@ -666,6 +756,8 @@ def orbit_equivalence_invariants(spec1, spec2, seed=0):
         return "no", report
     if fam_I:
         conj_match, why = _same_matrix_span(q1, q2, n), "identical q-data"
+    elif spec1.q_type == spec2.q_type == "normalizer":
+        conj_match, why = True, "w congruent and q the normalizer of w on both sides"
     else:
         witness = kahler.congruence_witness(dec1, dec2, m)
         back = witness.conj().T
@@ -698,26 +790,20 @@ def _family_I_entries(n):
         if m == 0:
             entries.append(CatalogEntry(
                 label=f"I:k={k},q=0",
-                spec=PolarActionSpec(n=n, family="I", k=k),
+                spec=PolarActionSpec(n=n, family="I", k=k, q_type="u"),  # u(0) = 0
             ))
             continue
         eye = np.eye(m, dtype=complex)
         line = RealSubspace(m, [eye[0]])
         entries.append(CatalogEntry(
             label=f"I:k={k},q=u({m})",
-            spec=PolarActionSpec(
-                n=n, family="I", k=k,
-                q_basis=kahler.skew_hermitian_basis(m), q_section=line,
-            ),
+            spec=PolarActionSpec(n=n, family="I", k=k, q_type="u", q_section=line),
         ))
         if m >= 2:
             entries.append(CatalogEntry(
                 label=f"I:k={k},q=t({m})",
-                spec=PolarActionSpec(
-                    n=n, family="I", k=k,
-                    q_basis=kahler.skew_hermitian_basis(m)[:m],
-                    q_section=RealSubspace(m, list(eye)),
-                ),
+                spec=PolarActionSpec(n=n, family="I", k=k, q_type="t",
+                                     q_section=RealSubspace(m, list(eye))),
             ))
     return entries
 
@@ -771,7 +857,6 @@ def _family_II_entries(n, angle_grid):
     entries = []
     for moduli in _admissible_moduli(n - 1, angle_grid):
         w = kahler.canonical_subspace(n - 1, moduli)
-        q = kahler.normalizer_algebra(w)
         s = normalizer_section(w)
         for b_flag in ("full", "zero"):
             if b_flag == "full" and w.dim == 2 * (n - 1):
@@ -779,10 +864,8 @@ def _family_II_entries(n, angle_grid):
             label = f"II:b={b_flag},w={[(round(a, 6), d) for a, d in moduli]}"
             entries.append(CatalogEntry(
                 label=label,
-                spec=PolarActionSpec(
-                    n=n, family="II", b_flag=b_flag, w=w,
-                    q_basis=q, q_section=s,
-                ),
+                spec=PolarActionSpec(n=n, family="II", b_flag=b_flag, w=w,
+                                     q_type="normalizer", q_section=s),
             ))
     return entries
 
@@ -802,7 +885,8 @@ def enumerate_moduli(n, angle_grid=(), seed=0):
     Family I runs over k with q drawn from the small fixed table (trivial,
     full unitary, maximal torus); family II runs over the b-flag and the
     admissible Kahler moduli of w built from {0, pi/2} plus the angle grid,
-    always with the full normalizer as q.
+    always with the full normalizer as q.  Every spec names its q
+    (PolarActionSpec.q_type).
 
     Entries are deduplicated with orbit_equivalence_invariants, which is
     called only on pairs whose congruence invariants match: same family,
@@ -810,19 +894,22 @@ def enumerate_moduli(n, angle_grid=(), seed=0):
     Every other pair gets 'no' from one of its early exits, which come
     before its (per-call) random draws, so skipping them keeps the catalog,
     its order and its labels exactly as an all-pairs dedupe gives them.
-    Each w is decomposed once, not once per pair.
+    Each w is decomposed once, not once per pair, and an entry is held only
+    against the kept entries of its family, k or b-flag and factor
+    dimensions, which same_moduli needs equal.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     raw = _family_I_entries(n) + _family_II_entries(n, angle_grid)
-    kept = []  # (entry, its congruence invariants)
+    kept, buckets = [], {}  # buckets: (family, k or b-flag, dims) -> kept (entry, moduli)
     for entry in raw:
-        key = _congruence_invariants(entry.spec)
+        family, flag, moduli = _congruence_invariants(entry.spec)
+        bucket = buckets.setdefault((family, flag, tuple(d for _, d in moduli)), [])
         if not any(
-            key[:2] == prev_key[:2]
-            and kahler.same_moduli(key[2], prev_key[2])
+            kahler.same_moduli(moduli, prev_moduli)
             and orbit_equivalence_invariants(prev.spec, entry.spec, seed=seed)[0] == "yes"
-            for prev, prev_key in kept
+            for prev, prev_moduli in bucket
         ):
-            kept.append((entry, key))
-    return [entry for entry, _ in kept]
+            bucket.append((entry, moduli))
+            kept.append(entry)
+    return kept

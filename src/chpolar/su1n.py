@@ -312,6 +312,41 @@ def u_matrices(rows, m, n):
     return out
 
 
+def u_frame_apply(Z, n):
+    """``u_matrices(np.eye(m * m), m, n) @ Z`` for Z of shape (m, ...), m >= 1,
+    without that (m^2, m, m) stack: m^3 entries for a vector, not m^4.  The
+    frame's diagonal element j moves z to i (z_j e_j + beta z) / sqrt 2
+    (its diagonal shifted along the trace), and the pair j < k gives
+    (z_k e_j - z_j e_k) / 2 and i (z_k e_j + z_j e_k) / 2."""
+    Z = np.asarray(Z, dtype=complex)
+    m = Z.shape[0]
+    alpha = _trace_shift(m, n)
+    j, k = np.triu_indices(m, 1)
+    p, pairs = np.arange(len(j)), len(j)
+    out = np.zeros((m * m,) + Z.shape, dtype=complex)
+    out[:m] = (1j * alpha / (m * (1.0 - alpha) * math.sqrt(2.0))) * Z
+    out[np.arange(m), np.arange(m)] += (1j / math.sqrt(2.0)) * Z
+    out[m + p, j] = 0.5 * Z[k]
+    out[m + p, k] = -0.5 * Z[j]
+    out[m + pairs + p, j] = 0.5j * Z[k]
+    out[m + pairs + p, k] = 0.5j * Z[j]
+    return out
+
+
+def u_orthonormal(S, n):
+    """The (r, m, m) stack S of u(m), orthonormal for Re tr(N* M), made
+    orthonormal for the metric of su(1, n) on u(m) (see u_coords) in closed
+    form.  The two differ only along the trace: the Gram matrix of S / sqrt 2
+    in that metric is G = I - t t^T / (n + 1) with t = Im tr S, and
+    G^{-1/2} = I + (1 / sqrt(1 - |t|^2 / (n + 1)) - 1) t t^T / |t|^2."""
+    t = np.trace(S, axis1=1, axis2=2).imag
+    tt = float(t @ t)
+    mix = np.eye(len(S))
+    if tt > 0.0:
+        mix += (1.0 / math.sqrt(1.0 - tt / (n + 1)) - 1.0) * np.outer(t, t) / tt
+    return np.tensordot(mix, S, axes=1) / math.sqrt(2.0)
+
+
 def u_frame(mats, n):
     """Orthonormal u_coords rows spanning the nonempty (r, m, m) stack mats
     of skew-Hermitian matrices, at any scale of mats: the one way a q given

@@ -265,8 +265,10 @@ def test_whole_floats_still_read_as_integers(tmp_path, capsys):
 
 
 def _catalog_spec(label):
-    """The JSON spec of the first n = 3 catalog class whose label starts with label."""
-    return next(e.spec.to_json() for e in polar.enumerate_moduli(3) if e.label.startswith(label))
+    """The JSON spec of the first n = 3 catalog class whose label starts with
+    label, with its q spelled out as q_basis."""
+    return next(e.spec.with_q_basis().to_json() for e in polar.enumerate_moduli(3)
+                if e.label.startswith(label))
 
 
 @pytest.mark.parametrize("family", ["banana", 2, None, "i"])
@@ -383,9 +385,9 @@ def test_cmd_enumerate_accepts_angle_grid(capsys):
     assert rc == 0 and out["count"] > 0
 
 
-# The classes are fixed.  The bytes (basis rows of w, q_section and q_basis)
-# may move only with a deliberate change that updates ENUMERATE_SHA256 and
-# says in CHANGES.md what moved.
+# The classes are fixed.  The bytes (basis rows of w and q_section, and each
+# spec's named q) may move only with a deliberate change that updates
+# ENUMERATE_SHA256 and says in CHANGES.md what moved.
 ENUMERATE_LABELS = {
     "n2": [
         "I:k=2,q=0", "I:k=1,q=u(1)", "I:k=0,q=u(2)", "I:k=0,q=t(2)",
@@ -404,8 +406,8 @@ ENUMERATE_LABELS = {
     ],
 }
 ENUMERATE_SHA256 = {
-    "n2": "bc068547a150472ea8951d6effb2ce995c3ce72d9dbd899723814f79f161dda2",
-    "n3": "ccc1dc98c281cfdba6b624ee0633e8e8fc146ff3dbfacb514da6522d32eac290",
+    "n2": "f090f5f2a6b314ff684ba02317e510442fa70e7e6c8595afb4aa01d029c07f1e",
+    "n3": "e03e37454d81efaeafaf5aa160dd5aca72917815a52c4443792424238d3e5bbf",
 }
 
 
@@ -418,6 +420,24 @@ def test_cmd_enumerate_output_is_pinned(capsys, key, argv):
     text = capsys.readouterr().out
     assert [c["label"] for c in json.loads(text)["classes"]] == ENUMERATE_LABELS[key]
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATE_SHA256[key]
+
+
+def test_cmd_enumerate_echoes_the_grid_it_used(capsys):
+    # the catalog takes each angle once, in increasing order
+    outs = []
+    for angles in ("0.3,0.3", "0.3", "0.7,0.3,0.7", "0.3,0.7"):
+        assert main(["enumerate", "--n", "3", "--angles", angles]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    assert outs[0]["angle_grid"] == outs[1]["angle_grid"] == [0.3]
+    assert outs[2]["angle_grid"] == outs[3]["angle_grid"] == [0.3, 0.7]
+    assert outs[0] == outs[1] and outs[2] == outs[3]
+
+
+def test_cmd_enumerate_specs_name_their_q(capsys):
+    assert main(["enumerate", "--n", "3"]) == 0
+    specs = [c["spec"] for c in json.loads(capsys.readouterr().out)["classes"]]
+    assert all("q_basis" not in spec for spec in specs)
+    assert {spec["q"]["type"] for spec in specs} == {"u", "t", "normalizer"}
 
 
 def test_cmd_enumerate_rejects_bad_angles(capsys):

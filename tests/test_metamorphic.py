@@ -69,7 +69,7 @@ def orthogonal(rng, k):
 def haar_copy(spec, seed, scale):
     """spec conjugated by a Haar unitary of the block q acts on, with its
     q_basis multiplied by scale."""
-    m = spec.q_section.ambient_complex_dim
+    m, spec = spec.q_section.ambient_complex_dim, spec.with_q_basis()
     A = kahler.haar_unitary(m, np.random.default_rng(seed))
     return PolarActionSpec(
         n=spec.n, family=spec.family, k=spec.k, b_flag=spec.b_flag,
@@ -97,11 +97,11 @@ def test_rescaled_and_rebased_inputs_keep_the_invariants(index, seed, log_scale)
     def rebased(rows):  # the same span, another spanning set at another scale
         return scale * np.tensordot(invertible(rng, len(rows)), rows, axes=1) if len(rows) else rows
 
-    m = spec.q_section.ambient_complex_dim
+    m, q = spec.q_section.ambient_complex_dim, spec.with_q_basis().q_basis
     moved = PolarActionSpec(
         n=spec.n, family=spec.family, k=spec.k, b_flag=spec.b_flag,
         w=None if spec.w is None else RealSubspace(m, rebased(spec.w.basis)),
-        q_basis=list(rebased(np.array(spec.q_basis, dtype=complex))),
+        q_basis=list(rebased(q)),
         q_section=RealSubspace(m, rebased(spec.q_section.basis)),
     )
     assert invariants(moved) == invariants(spec)

@@ -1,0 +1,256 @@
+"""A spec may name its q ("u", "t" or "normalizer") in place of spelling
+out q_basis: the closed-form frames against their numerical oracles, the
+named catalog against its explicit form, the JSON and CLI rules, and what
+naming mends (compare of conjugate normalizers, verify at n = 64)."""
+
+import json
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from chpolar import kahler, polar, su1n
+from chpolar.cli import main
+from chpolar.kahler import RealSubspace
+from chpolar.polar import PolarActionSpec, check_spec, enumerate_moduli, normalizer_section
+
+
+def write_json(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def unit_basis(m):
+    """skew_hermitian_basis(m), each matrix at Frobenius norm 1."""
+    gens = kahler.skew_hermitian_basis(m)
+    return gens / np.linalg.norm(gens, axis=(1, 2), keepdims=True)
+
+
+# --- su1n: the frame of u(m) without its stack ------------------------------------
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 3), (4, 7), (6, 7)])
+def test_u_frame_apply_is_the_frame_times_vectors(m, n):
+    rng = np.random.default_rng(m + n)
+    frame = su1n.u_matrices(np.eye(m * m), m, n)
+    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    Z = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+    assert np.abs(su1n.u_frame_apply(z, n) - frame @ z).max() <= 1e-15
+    assert np.abs(su1n.u_frame_apply(Z, n) - frame @ Z).max() <= 1e-15
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 3), (4, 7)])
+def test_u_orthonormal_makes_a_frobenius_frame_orthonormal_in_the_metric(m, n):
+    # the unit skew_hermitian_basis has m matrices with a trace, the
+    # normalizer of a complex line two blocks with one each
+    line = RealSubspace(m, [np.eye(m)[0], 1j * np.eye(m)[0]])
+    for S in (unit_basis(m), kahler.normalizer_frame(line)):
+        rows = su1n.u_coords(su1n.u_orthonormal(S, n), n)
+        assert np.abs(rows @ rows.T - np.eye(len(S))).max() <= 1e-14
+        assert polar._same_matrix_span(su1n.u_orthonormal(S, n), polar._q_frame(S, m, n)[1], n)
+
+
+# --- kahler: the normalizer in closed form ------------------------------------------
+
+
+def _frame_agrees_with_the_svd_oracle(V):
+    """normalizer_frame(V): orthonormal for Re tr(N* M), skew-Hermitian, of
+    the formula's dimension, normalizing V, and spanning what the SVD null
+    space normalizer_algebra(V) spans."""
+    frame = kahler.normalizer_frame(V)
+    m = V.ambient_complex_dim
+    gram = np.einsum("iab,jab->ij", frame.conj(), frame).real
+    frames = [polar._q_frame(q, m, m + 1)[1] for q in (frame, kahler.normalizer_algebra(V))]
+    return (len(frame) == kahler.normalizer_dimension_formula(V)
+            and np.abs(gram - np.eye(len(frame))).max(initial=0.0) <= 1e-12
+            and np.abs(frame + frame.conj().transpose(0, 2, 1)).max(initial=0.0) <= 1e-12
+            and np.linalg.norm(kahler.normalizer_residual(V, frame)) <= 1e-12
+            and polar._same_matrix_span(*frames, m + 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_normalizer_frame_matches_the_svd_oracle_on_the_catalog(n):
+    for moduli in polar._admissible_moduli(n - 1, (0.4, 1.0)):
+        assert _frame_agrees_with_the_svd_oracle(kahler.canonical_subspace(n - 1, moduli)), moduli
+
+
+def test_normalizer_frame_matches_the_svd_oracle_on_haar_moved_subspaces():
+    rng = np.random.default_rng(23)
+    for moduli in ([(0.0, 2), (0.4, 2)], [(1.0, 4), (math.pi / 2, 1)],
+                   [(0.4, 2), (1.0, 2), (math.pi / 2, 1)], [(0.0, 4), (math.pi / 2, 2)],
+                   [(0.0, 10)], []):
+        assert _frame_agrees_with_the_svd_oracle(kahler.random_subspace(5, moduli, rng)), moduli
+
+
+# --- polar: u(m) as a frame that is never formed ------------------------------------
+
+
+def test_the_whole_u_frame_multiplies_like_its_stack():
+    q = polar._UFrame(3, 5)
+    stack = np.asarray(q)
+    assert len(q) == len(stack) == 9
+    assert np.array_equal(stack, su1n.u_matrices(np.eye(9), 3, 5))
+    z = np.array([1.0, 2j, -0.5])
+    assert np.abs(q @ z - stack @ z).max() <= 1e-15
+    w = RealSubspace(3, [np.eye(3)[0]])
+    assert np.abs(kahler.normalizer_residual(w, q) - kahler.normalizer_residual(w, stack)).max() <= 1e-15
+
+
+# --- named against explicit, on the catalog ----------------------------------------
+
+
+EXACT_FIELDS = ("verdict", "is_subalgebra", "section_in_normal", "bracket_condition",
+                "slice_condition", "dim_normal", "dim_section", "dim_isotropy_orbit",
+                "cohomogeneity", "transitive")
+RESIDUALS = ("subalgebra_residual", "section_residual", "bracket_residual")
+
+
+def explicit(spec):
+    """The spec with its named q spelled out by the numerical constructions
+    the catalog used before it named q: skew_hermitian_basis for u(m), its
+    first m matrices for t(m), normalizer_algebra (an SVD null space) for
+    the normalizer of w."""
+    if spec.q_type == "normalizer":
+        return replace(spec, q_type=None, q_basis=kahler.normalizer_algebra(spec.w))
+    gens = kahler.skew_hermitian_basis(spec.m)
+    return replace(spec, q_type=None, q_basis=gens if spec.q_type == "u" else gens[:spec.m])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("grid", [(), (0.4, 1.0)])
+def test_named_q_agrees_with_the_explicit_q_on_the_catalog(n, grid):
+    for entry in enumerate_moduli(n, grid):
+        named = entry.spec
+        assert named.q_type is not None and not len(named.q_basis), entry.label
+        spelled = explicit(named)
+        q_named, q_explicit = np.asarray(polar._spec_q(named)), polar._spec_q(spelled)
+        assert polar._same_matrix_span(q_named, q_explicit, n), entry.label
+        # the closure the named path skips, measured on the named frame
+        assert polar._checked_inputs(named.with_q_basis())[1] <= 1e-12, entry.label
+        got, want = check_spec(named).to_json(), check_spec(spelled).to_json()
+        assert {k: got[k] for k in EXACT_FIELDS} == {k: want[k] for k in EXACT_FIELDS}, entry.label
+        for key in RESIDUALS:
+            assert abs(got[key] - want[key]) <= 1e-12, (entry.label, key, got[key], want[key])
+
+
+# --- JSON and the input rules ---------------------------------------------------------
+
+
+def line_spec(n, **fields):
+    """Family II, b = 0, q = u(n - 1) by name and the section R e_1 (B line
+    included), unless fields say otherwise."""
+    m = n - 1
+    fields = {"q_type": "u", "q_section": RealSubspace(m, [np.eye(m)[0]]), **fields}
+    return PolarActionSpec(n=n, family="II", b_flag="zero", **fields)
+
+
+def test_named_spec_json_roundtrip():
+    spec = line_spec(3)
+    data = spec.to_json()
+    assert data["q"] == {"type": "u"} and "q_basis" not in data
+    back = PolarActionSpec.from_json(data)
+    assert back.q_type == "u" and back.q_basis.shape == (0, 2, 2)
+    assert back.to_json() == data
+
+
+U2_JSON = PolarActionSpec(n=3, family="II", b_flag="zero",
+                          q_basis=kahler.skew_hermitian_basis(2)).to_json()["q_basis"]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d.update(q_basis=[]), "not both"),
+    (lambda d: d.update(q_basis=U2_JSON), "not both"),
+    (lambda d: d.update(q={"type": "banana"}), "q type must be one of u, t, normalizer"),
+    (lambda d: d.update(q={"type": 3}), "q type must be one of"),
+    (lambda d: d.update(q="u"), 'q must be {"type": name}'),
+    (lambda d: d.update(q={"type": "u", "m": 2}), 'q must be {"type": name}'),
+    (lambda d: d.update(q={}), 'q must be {"type": name}'),
+], ids=["both-empty", "both", "unknown-type", "number-type", "bare-name", "extra-key", "no-type"])
+def test_malformed_q_exits_2(tmp_path, capsys, change, message):
+    data = line_spec(3).to_json()
+    assert main(["verify", write_json(tmp_path, "good.json", data)]) == 0
+    capsys.readouterr()
+    change(data)
+    assert main(["verify", write_json(tmp_path, "bad.json", data)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_the_normalizer_names_a_family_II_q(tmp_path, capsys):
+    data = PolarActionSpec(n=3, family="I", k=1, q_type="u").to_json()
+    data["q"] = {"type": "normalizer"}
+    assert main(["verify", write_json(tmp_path, "s.json", data)]) == 2
+    assert "needs family II" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="not both"):
+        PolarActionSpec(n=3, family="I", k=1, q_type="u", q_basis=kahler.skew_hermitian_basis(2))
+
+
+def test_named_u_and_t_are_measured_against_w(tmp_path, capsys):
+    e1 = np.eye(2)[0]
+    # u(2) does not normalize a real line: the [q, w] leak is an input error
+    leaky = line_spec(3, w=RealSubspace(2, [e1]), q_section=RealSubspace(2, [np.eye(2)[1]]))
+    assert main(["verify", write_json(tmp_path, "u.json", leaky.to_json())]) == 2
+    assert "q does not normalize w" in capsys.readouterr().err
+    # t(2) keeps the complex line C e_1, and acts on C e_2 with the section R e_2
+    torus = PolarActionSpec(n=3, family="II", b_flag="full", q_type="t",
+                            w=RealSubspace(2, [e1, 1j * e1]),
+                            q_section=RealSubspace(2, [np.eye(2)[1]]))
+    assert polar._checked_inputs(torus)[1] == 0.0
+    assert main(["verify", write_json(tmp_path, "t.json", torus.to_json())]) == 0
+
+
+@pytest.mark.parametrize("phi, spread, code", [(0.1, 1e-8, 0), (1e-4, 1e-8, 0), (1e-4, 1e-5, 2)])
+def test_a_named_normalizer_is_measured_against_w(tmp_path, capsys, phi, spread, code):
+    # decompose groups the two pairs into one factor, so the named q is u(2)
+    # on it, which leaks from w by about spread / 2: below the input bound
+    # at 1e-8 and above it at 1e-5, as the spelled-out q
+    w = kahler.canonical_subspace(4, [(phi, 2), (phi + spread, 2)])
+    spec = PolarActionSpec(n=5, family="II", b_flag="full", q_type="normalizer", w=w,
+                           q_section=normalizer_section(w))
+    for form in (spec, spec.with_q_basis()):
+        assert main(["verify", write_json(tmp_path, "s.json", form.to_json())]) == code
+        if code:
+            assert "q does not normalize w" in capsys.readouterr().err
+        else:
+            report = json.loads(capsys.readouterr().out)
+            assert 5e-9 <= report["subalgebra_residual"] <= 1e-8
+
+
+# --- what naming mends ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("phi", [0.1, 0.01, 1e-4])
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_compare_of_conjugate_named_normalizers_says_yes(tmp_path, capsys, phi, seed):
+    # w has two pairs at phi and phi + 1e-8: the spans of an explicit q and
+    # its Haar image can miss the 1e-7 test, but two normalizers of
+    # congruent w are conjugate by construction
+    w = kahler.canonical_subspace(4, [(phi, 2), (phi + 1e-8, 2)])
+    A = kahler.haar_unitary(4, np.random.default_rng(seed))
+    image = RealSubspace(4, w.basis @ A.T)
+    specs = [PolarActionSpec(n=5, family="II", b_flag="full", q_type="normalizer", w=v,
+                             q_section=normalizer_section(v)) for v in (w, image)]
+    paths = [write_json(tmp_path, f"{i}.json", s.to_json()) for i, s in enumerate(specs)]
+    assert main(["compare", *paths]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["reason"] == "w congruent and q the normalizer of w on both sides"
+
+
+def test_compare_of_a_named_and_an_explicit_normalizer_goes_through_the_witness():
+    w = kahler.canonical_subspace(3, [(0.4, 2), (math.pi / 2, 1)])
+    A = kahler.haar_unitary(3, np.random.default_rng(5))
+    image = RealSubspace(3, w.basis @ A.T)
+    named = PolarActionSpec(n=4, family="II", b_flag="zero", q_type="normalizer", w=w)
+    spelled = PolarActionSpec(n=4, family="II", b_flag="zero", w=image,
+                              q_basis=kahler.normalizer_algebra(image))
+    answer, report = polar.orbit_equivalence_invariants(named, spelled)
+    assert answer == "yes" and report["witness_unitarity"] < 1e-12
+
+
+def test_verify_of_a_named_u_line_spec_at_n_64(tmp_path, capsys):
+    # the explicit spec is 190 MB of JSON and an SVD of a 3969 x 3969 matrix
+    spec = line_spec(64)
+    assert main(["verify", write_json(tmp_path, "line.json", spec.to_json())]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["dim_normal"], report["cohomogeneity"]) == (True, 127, 2)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import pathlib
@@ -158,7 +159,7 @@ def closure_residual(n, h):
 def conjugated(spec, A):
     """A family II spec moved by the unitary A: w -> A w, q -> A q A*,
     section -> A s."""
-    m = spec.n - 1
+    m, spec = spec.n - 1, spec.with_q_basis()
     return PolarActionSpec(
         n=spec.n, family="II", b_flag=spec.b_flag,
         w=RealSubspace(m, [A @ b for b in spec.w.basis]),
@@ -449,6 +450,47 @@ def test_enumerate_count_strictly_increases_with_grid():
     grids = [[], [math.pi / 4], [math.pi / 6, math.pi / 4], [math.pi / 6, math.pi / 4, math.pi / 3]]
     counts = [len(enumerate_moduli(3, g)) for g in grids]
     assert all(c2 > c1 for c1, c2 in zip(counts, counts[1:]))
+
+
+def closed_form_dimensions(n, label):
+    """(dim_normal, cohomogeneity) of a catalog class from its label alone,
+    by the paper's closed form (arXiv 1208.2823), not by the program.
+
+    Family I, h = so(1, k) + q with q in {0, u(m), t(m)} on C^m, m = n - k:
+    the orbit through o is RH^k, so dim nu = 2n - k; the section is the iB
+    line (k >= 1) plus a section of q on C^m, a line for u(m) and R^m for
+    t(m).  Family II, h = q + b + w + g_2a with q the normalizer of w: the
+    orbit tangent has the p-parts of b, w and g_2a, so dim nu =
+    2n - 1 - dim w - dim b; the section is the B line (b = 0) plus one line
+    per factor of constant Kahler angle of w-perp in C^{n-1}: one per
+    interior angle of w, one for iR^r when w has a totally real factor R^r,
+    and one for the complex complement of C.w when it is not zero."""
+    family, rest = label.split(":")
+    if family == "I":
+        k_part, q = rest.split(",")
+        k, m = int(k_part[2:]), n - int(k_part[2:])
+        section = {"q=0": 0, f"q=u({m})": 1, f"q=t({m})": m}[q]
+        return 2 * n - k, int(k >= 1) + section
+    b_part, w_part = rest.split(",", 1)
+    moduli = ast.literal_eval(w_part[2:])
+    dims = {}
+    for angle, dim in moduli:
+        kind = "complex" if angle == 0.0 else "real" if angle == 1.570796 else angle
+        dims[kind] = dims.get(kind, 0) + dim
+    used = dims.get("complex", 0) // 2 + sum(d for kind, d in dims.items() if kind != "complex")
+    lines = sum(kind != "complex" for kind in dims) + int(used < n - 1)
+    full = b_part == "b=full"
+    return 2 * n - 1 - sum(dims.values()) - int(full), int(not full) + lines
+
+
+@pytest.mark.parametrize("n, grid", [(n, grid) for n in (2, 3, 4, 5, 6) for grid in ((), (0.4, 1.0))]
+                         + [(n, (0.3, 0.7, 1.2)) for n in (2, 3, 4, 5)])
+def test_catalog_dimensions_match_the_papers_closed_form(n, grid):
+    for entry in enumerate_moduli(n, grid):
+        report = check_spec(entry.spec, seed=entry.spec.seed)
+        assert report.verdict, entry.label
+        got = (report.dim_normal, report.cohomogeneity)
+        assert got == closed_form_dimensions(n, entry.label), entry.label
 
 
 def all_pairs_catalog(n, angle_grid=(), seed=0):
