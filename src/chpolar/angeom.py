@@ -19,20 +19,14 @@ ambient algebra's metric, which is twice the AN one on g_a:
 The Levi-Civita connection below is the unique torsion-free metric
 connection for this data; the resulting space has constant holomorphic
 sectional curvature -1.
-
-Isotropy stays in the same model: q in k_0 ~ u(n-1) acts on g_a ~ C^{n-1}
-by u -> N u, so ``isotropy_at`` is a null space in C^{n-1} and forms the
-k_0 matrices only for its answer.  ``conjugate_subalgebra`` alone works in
-the matrix model of su(1, n), through Ad(exp X).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import left_nullspace, orthonormal_rows, real_rows, scaled_norm, unit_rows
-from .su1n import (ConsistencyError, ad_exp, build_root_decomposition, galpha_matrices,
-                   traceless_block, u_frame, u_matrices)
+from ._linalg import orthonormal_rows, real_rows, scaled_norm
+from .su1n import ConsistencyError, build_root_decomposition, galpha_matrices
 
 
 def an_vector(a, u, x):
@@ -267,55 +261,3 @@ def mean_curvature_closed_form(orbit):
     coef = (3 + m) / (2 * (a * a + xsq))
     return an_vector(coef * xsq, -coef * a * x_vec, 0.0)
 
-
-# -- isotropy and conjugation ----------------------------------------------
-
-
-def isotropy_at(n, q_basis, xi):
-    """Isotropy subalgebra at the point Exp(lambda xi)(o): q cut down to
-    ker ad(xi).
-
-    q_basis holds skew-Hermitian matrices acting on C^{n-1} and xi is a
-    vector of C^{n-1} ~ g_a.  The k_0 image of N (``su1n.traceless_block``)
-    acts on g_a as u -> N u, so the answer is {N in span(q) : N xi = 0},
-    computed on the orthonormal frame ``su1n.u_frame`` of q.  Returns an
-    orthonormal basis of it in k_0 as a (k, n+1, n+1) stack, (0, n+1, n+1)
-    when it is zero.  Neither the scale of q nor that of xi changes the
-    answer.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not len(q_basis):
-        return np.zeros((0, n + 1, n + 1), dtype=complex)
-    rows = u_frame(np.asarray(q_basis, dtype=complex), n)
-    xi = np.asarray(xi, dtype=complex).reshape(-1)
-    if xi.shape != (n - 1,):
-        raise ValueError(f"expected vector in C^{n - 1}")
-    xi_hat = unit_rows(real_rows(xi[None]))  # none when xi = 0, which every N fixes
-    if len(xi_hat):
-        moved = real_rows(u_matrices(rows, n - 1, n) @ xi_hat.view(complex)[0])  # N xi
-        rows = left_nullspace(moved) @ rows
-    return traceless_block(n, u_matrices(rows, n - 1, n))
-
-
-def conjugate_subalgebra(n, h_basis, g_exponent):
-    """Push a subalgebra h of k_0 + a + n, a (k, n+1, n+1) stack, forward
-    by Ad(exp(g_exponent)).
-
-    g_exponent is a vector of a + n, in C^n.  The image is
-    re-orthonormalized, returned as a stack, and checked to stay inside
-    k_0 + a + n (it must, since AN normalizes the parabolic subalgebra); a
-    part outside above 1e-9 relative to |X| raises ConsistencyError.
-    """
-    rd = build_root_decomposition(n)
-    if not len(h_basis):
-        return np.zeros((0, n + 1, n + 1), dtype=complex)
-    rows = unit_rows(rd.coords_many(np.asarray(h_basis)))
-    rows = orthonormal_rows(rows @ ad_exp(an_matrix(g_exponent)).T, 1e-12)
-    # g_{-2a} + g_{-a} is the leading run of coordinates, before k_0
-    outside = np.linalg.norm(rows[:, :rd.slices["k_0"].start], axis=1)
-    part = (outside / np.linalg.norm(rows, axis=1)).max(initial=0.0)
-    if part > 1e-9:
-        raise ConsistencyError(f"conjugated algebra left k_0 + a + n "
-                               f"(part outside / |X| = {part:.3g} > 1e-09)")
-    return rd.from_coords_many(rows)

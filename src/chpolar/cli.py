@@ -62,8 +62,11 @@ def render_json(obj, indent=0):
 def _emit(payload, args):
     text = render_json(payload) + "\n" if args.fmt == "json" else _as_text(payload) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 

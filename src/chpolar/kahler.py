@@ -64,6 +64,15 @@ def json_array(data, name, ndim, last, what):
     return arr
 
 
+def json_keys(data, known, what):
+    """A JSON object with keys ``known`` only, else a ValueError naming ``what``."""
+    if type(data) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"{what} has unknown key(s) {', '.join(unknown)}; it reads {', '.join(known)}")
+
+
 @dataclass(frozen=True)
 class RealSubspace:
     """A real-linear subspace of C^m, stored as an orthonormal basis.
@@ -121,28 +130,10 @@ class RealSubspace:
         B = real_rows(self.basis)
         return rows - (rows @ B.T) @ B
 
-    def project(self, v):
-        """Orthogonal (real-linear) projection of v onto this subspace."""
-        v = real_rows(np.asarray(v, dtype=complex).reshape(1, -1))
-        return complex_rows(v - self._outside(v), self.ambient_complex_dim)[0]
-
-    def contains(self, v):
-        """Whether v lies in this subspace, at any scale of v: the part of
-        the unit vector along v outside it is at most TOL_MEMBER."""
-        u = unit_rows(real_rows(np.asarray(v, dtype=complex).reshape(1, -1)))
-        return bool(np.linalg.norm(self._outside(u)) <= TOL_MEMBER)
-
     def contains_subspace(self, other):
         """Whether every (unit) basis row of other lies in this subspace."""
         resid = self._outside(real_rows(other.basis))
         return bool(np.linalg.norm(resid, axis=1).max(initial=0.0) <= TOL_MEMBER)
-
-    def same_span(self, other):
-        return (
-            self.dim == other.dim
-            and self.contains_subspace(other)
-            and other.contains_subspace(self)
-        )
 
     def perp(self):
         """Orthogonal complement in the full realification of C^m."""
@@ -156,6 +147,7 @@ class RealSubspace:
 
     @classmethod
     def from_json(cls, data):
+        json_keys(data, ("ambient_complex_dim", "basis"), "a RealSubspace")
         return cls.from_real_vectors(data["ambient_complex_dim"], data["basis"])
 
 
@@ -191,21 +183,6 @@ class KahlerDecomposition:
                 for f in data["factors"]
             )
         )
-
-
-def kahler_angle(V, v):
-    """Kahler angle of the vector v with respect to V, in [0, pi/2].
-
-    Defined by |pi_V J v| = cos(phi) |v|.  Requires v in V, v != 0; v is
-    scaled to unit length first, so any nonzero scale of v gives the angle.
-    """
-    u = unit_rows(real_rows(np.asarray(v, dtype=complex).reshape(1, -1)))
-    if not len(u):
-        raise ValueError("Kahler angle of the zero vector is undefined")
-    if not V.contains(u.view(complex)):
-        raise ValueError("vector is not a member of the subspace")
-    cosphi = np.linalg.norm(V.project(1j * u.view(complex)))
-    return float(np.arccos(min(1.0, max(0.0, cosphi))))
 
 
 def decompose(V):
@@ -361,14 +338,6 @@ def canonical_subspace(ambient_dim, moduli):
     return RealSubspace(amb, rows)
 
 
-def random_subspace(ambient_dim, moduli, rng):
-    """Random subspace with prescribed (angle, dim) moduli: the canonical
-    representative moved by a Haar-random unitary."""
-    V = canonical_subspace(ambient_dim, moduli)
-    A = haar_unitary(ambient_dim, rng)
-    return RealSubspace(ambient_dim, V.basis @ A.T)
-
-
 def haar_unitary(m, rng):
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     if m == 0:
@@ -377,11 +346,6 @@ def haar_unitary(m, rng):
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def complex_span(V):
-    """The complex span C.V = V + JV, as a real subspace."""
-    return RealSubspace(V.ambient_complex_dim, np.vstack([V.basis, 1j * V.basis]))
 
 
 def ominus(V, U):
@@ -555,7 +519,7 @@ def normalizer_frame(V):
     - the totally real factor R^r: M in so(r), in its real basis;
     - the complement of C.V: M in u of it.
 
-    Its dimension is normalizer_dimension_formula(V)."""
+    Its dimension has a closed form (tests/oracles.py)."""
     m = V.ambient_complex_dim
     frames, blocks = [np.zeros((0, m))], []
     for phi, sub in decompose(V).factors:
@@ -590,26 +554,3 @@ def normalizer_algebra(V):
     null = left_nullspace(normalizer_residual(V, gens).reshape(len(gens), -1))
     return np.tensordot(null, gens, axes=1)
 
-
-def normalizer_dimension_formula(V):
-    """Closed-form dimension of the normalizer of V in u(m).
-
-    From the product structure of the stabilizer: unitary groups of the
-    factors with angle < pi/2, the orthogonal group of the totally real
-    factor, and the unitary group of the complex complement of C.V:
-
-        sum_{phi < pi/2} (m_phi / 2)^2  +  m_{pi/2}(m_{pi/2} - 1)/2
-            + (m_0_perp / 2)^2,
-
-    where m_0_perp = 2m - dim_R(C.V).
-    """
-    dec = decompose(V)
-    total = 0
-    for phi, sub in dec.factors:
-        if abs(phi - math.pi / 2) <= TOL_ANGLE:
-            total += sub.dim * (sub.dim - 1) // 2
-        else:
-            total += (sub.dim // 2) ** 2
-    m0_perp = 2 * V.ambient_complex_dim - complex_span(V).dim
-    total += (m0_perp // 2) ** 2
-    return total

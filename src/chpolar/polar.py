@@ -52,7 +52,7 @@ from ._linalg import (
     sample_ranks,
     unit_rows,
 )
-from .kahler import RealSubspace, json_array, json_int
+from .kahler import RealSubspace, json_array, json_int, json_keys
 from .su1n import (
     TOL_ALG,
     bracket,
@@ -77,6 +77,8 @@ TOL_SLICE = 1e-8       # h_o moves sigma orthogonally to itself (slice_condition
 SLICE_SAMPLES = 24  # draws of the regular-vector sampler of the criterion
 ORBIT_SAMPLES = 40  # draws per principal orbit dimension in orbit_equivalence_invariants
 Q_TYPES = ("u", "t", "normalizer")  # the names a spec may give its q by
+SPEC_KEYS = {"I": ("n", "family", "seed", "k", "q", "q_basis", "q_section"),  # the JSON keys
+             "II": ("n", "family", "seed", "b", "w", "q", "q_basis", "q_section")}  # of a spec
 
 
 def _upper_pairs(mats):
@@ -300,6 +302,8 @@ class PolarActionSpec:
                 raise ValueError(f"{key}: {exc}") from exc
 
         family = data["family"]  # __post_init__ rejects all but 'I' and 'II'
+        if family in ("I", "II"):
+            json_keys(data, SPEC_KEYS[family], f"a family {family} spec")
         if "q" in data and "q_basis" in data:
             raise ValueError("a spec gives q or q_basis, not both")
         fields = dict(n=json_int(data["n"], "n"), family=family, q_section=subspace("q_section"),
@@ -441,14 +445,6 @@ def _closure_residual(rd, h_rows):
     scale of the input."""
     perp = rd.dual_rows(complement_rows(h_rows, rd.dim))
     return _pair_norm(_bracket_values(_upper_pairs(rd.from_coords_many(h_rows)), perp))
-
-
-def build_action(spec):
-    """Dispatch a PolarActionSpec to its family builder.
-
-    Returns (n, h, sigma), the arguments of check_polarity."""
-    build = build_family_I if spec.family == "I" else build_family_II
-    return (spec.n, *build(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +596,7 @@ def check_spec(spec, seed=0):
     form, |Re<w, s>|^2/4 from the pairs (B, s) when b = 0 and
     |Im<s, s'>|^2/8 over the ordered pairs of section vectors.
 
-    The report agrees with check_polarity(*build_action(spec)) up to
+    The report agrees with check_polarity on the builder's (h, sigma) up to
     rounding in the residuals and up to the random draws of the sampler
     (which are taken in a different basis of the same sigma).
     """
@@ -650,32 +646,8 @@ def check_spec(spec, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# regular vectors and orbit equivalence
+# orbit equivalence
 # ---------------------------------------------------------------------------
-
-
-def regular_vectors(q_basis, w, s, samples=100, seed=0):
-    """Sample unit vectors xi in s and flag whether [q, xi] fills
-    g_a minus (w + s), i.e. the rank of {N xi} equals
-    dim g_a - dim w - dim s.
-
-    Everything happens in the C^{n-1} model of g_a, so q enters through
-    ``_q_frame`` with n = m + 1: a q_basis outside u(m) is a ValueError.
-    Returns a list of (xi, flag) pairs.
-    """
-    m = w.ambient_complex_dim
-    if s.ambient_complex_dim != m:
-        raise ValueError("w and s must share the ambient space")
-    cross = np.abs(real_rows(s.basis) @ real_rows(w.basis).T).max(initial=0.0)
-    if cross > 1e-8:
-        raise ValueError(f"s must be orthogonal to w (max |Re<s_i, w_j>| = {cross:.3g} > 1e-8)")
-    if s.dim == 0:
-        return []
-    target = 2 * m - w.dim - s.dim
-    _, q = _q_frame(np.asarray(q_basis, dtype=complex).reshape(len(q_basis), m, m), m, m + 1)
-    ranks = sample_ranks(np.random.default_rng(seed), s.basis,
-                         lambda xi: real_rows(q @ xi), samples, TOL_RANK)
-    return [(xi, d == target) for xi, d, _ in ranks]
 
 
 def _principal_orbit_dim(q, sub, rng):

@@ -42,7 +42,6 @@ from ._linalg import orthonormal_rows, real_rows, scaled_norm, unit_rows
 
 TOL_ALG = 1e-12     # membership tolerances for su(1, n)
 TOL_SNAP = 1e-8     # ad(B) against diag(root values) in the basis
-TOL_CONSIST = 1e-9  # agreement of redundant computations
 
 
 class ConsistencyError(RuntimeError):
@@ -108,34 +107,6 @@ def inner_an(X, Y):
     Xa, Xn = rd.split_a_n(X)
     Ya, Yn = rd.split_a_n(Y)
     return inner(Xa, Ya) + 0.5 * inner(Xn, Yn)
-
-
-def ad(X):
-    """The linear map ad(X) = [X, .] as a matrix in the root-space ONB of g."""
-    rd = build_root_decomposition(X.shape[-1] - 1)
-    return rd.coords_many(bracket(X, rd._mats)).T
-
-
-def ad_exp(X):
-    """Ad(exp X) as a matrix on g, in the root-space ONB.
-
-    Computed both as expm(ad X) and as conjugation by expm(X); the two must
-    agree to TOL_CONSIST, otherwise a ConsistencyError is raised.
-    """
-    import scipy.linalg  # only here, so that importing the package skips it
-
-    rd = build_root_decomposition(X.shape[-1] - 1)
-    via_ad = scipy.linalg.expm(ad(X))
-    g = scipy.linalg.expm(X)
-    ginv = scipy.linalg.expm(-X)
-    via_conj = rd.coords_many(g @ rd._mats @ ginv).T
-    scale = max(1.0, np.abs(via_conj).max())
-    err = np.abs(via_ad - via_conj).max()
-    if err > TOL_CONSIST * scale:
-        raise ConsistencyError(
-            f"expm(ad X) and conjugation by exp(X) disagree by {err:.3g}"
-        )
-    return via_conj
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,226 @@
+"""Test oracles: constructions the tests check the package against and that
+no command of the CLI reaches.
+
+- ``ad`` and ``ad_exp``: ad(X) and Ad(exp X) as matrices on su(1, n) in
+  the root-space orthonormal basis; ``ad_exp`` is the one user of scipy.
+- ``isotropy_at`` and ``conjugate_subalgebra``: isotropy algebras at points
+  off the base, and subalgebras pushed forward by Ad(exp X).
+- ``build_action``: a spec's (n, h, sigma), the arguments of
+  ``polar.check_polarity``; ``regular_vectors``: the regular-vector flags.
+- ``project``, ``contains``, ``same_span``, ``kahler_angle``,
+  ``complex_span``, ``random_subspace`` and ``normalizer_dimension_formula``:
+  queries and constructions on ``kahler.RealSubspace``.
+
+Tests import them with ``from oracles import ...``: pytest puts this
+directory on ``sys.path``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import scipy.linalg
+
+from chpolar._linalg import (complex_rows, left_nullspace, orthonormal_rows, real_rows,
+                             sample_ranks, unit_rows)
+from chpolar.angeom import an_matrix
+from chpolar.kahler import (TOL_ANGLE, TOL_MEMBER, RealSubspace, canonical_subspace,
+                            decompose, haar_unitary)
+from chpolar.polar import TOL_RANK, _q_frame, build_family_I, build_family_II
+from chpolar.su1n import (ConsistencyError, bracket, build_root_decomposition, traceless_block,
+                          u_frame, u_matrices)
+
+TOL_CONSIST = 1e-9  # agreement of the two computations of ad_exp
+
+# -- su(1, n) ------------------------------------------------------------------
+
+
+def ad(X):
+    """The linear map ad(X) = [X, .] as a matrix in the root-space ONB of g."""
+    rd = build_root_decomposition(X.shape[-1] - 1)
+    return rd.coords_many(bracket(X, rd._mats)).T
+
+
+def ad_exp(X):
+    """Ad(exp X) as a matrix on g, in the root-space ONB.
+
+    Computed both as expm(ad X) and as conjugation by expm(X); the two must
+    agree to TOL_CONSIST, otherwise a ConsistencyError is raised.
+    """
+    rd = build_root_decomposition(X.shape[-1] - 1)
+    via_ad = scipy.linalg.expm(ad(X))
+    g = scipy.linalg.expm(X)
+    ginv = scipy.linalg.expm(-X)
+    via_conj = rd.coords_many(g @ rd._mats @ ginv).T
+    scale = max(1.0, np.abs(via_conj).max())
+    err = np.abs(via_ad - via_conj).max()
+    if err > TOL_CONSIST * scale:
+        raise ConsistencyError(
+            f"expm(ad X) and conjugation by exp(X) disagree by {err:.3g}"
+        )
+    return via_conj
+
+
+# -- isotropy and conjugation ----------------------------------------------
+
+
+def isotropy_at(n, q_basis, xi):
+    """Isotropy subalgebra at the point Exp(lambda xi)(o): q cut down to
+    ker ad(xi).
+
+    q_basis holds skew-Hermitian matrices acting on C^{n-1} and xi is a
+    vector of C^{n-1} ~ g_a.  The k_0 image of N (``su1n.traceless_block``)
+    acts on g_a as u -> N u, so the answer is {N in span(q) : N xi = 0},
+    computed on the orthonormal frame ``su1n.u_frame`` of q.  Returns an
+    orthonormal basis of it in k_0 as a (k, n+1, n+1) stack, (0, n+1, n+1)
+    when it is zero.  Neither the scale of q nor that of xi changes the
+    answer.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if not len(q_basis):
+        return np.zeros((0, n + 1, n + 1), dtype=complex)
+    rows = u_frame(np.asarray(q_basis, dtype=complex), n)
+    xi = np.asarray(xi, dtype=complex).reshape(-1)
+    if xi.shape != (n - 1,):
+        raise ValueError(f"expected vector in C^{n - 1}")
+    xi_hat = unit_rows(real_rows(xi[None]))  # none when xi = 0, which every N fixes
+    if len(xi_hat):
+        moved = real_rows(u_matrices(rows, n - 1, n) @ xi_hat.view(complex)[0])  # N xi
+        rows = left_nullspace(moved) @ rows
+    return traceless_block(n, u_matrices(rows, n - 1, n))
+
+
+def conjugate_subalgebra(n, h_basis, g_exponent):
+    """Push a subalgebra h of k_0 + a + n, a (k, n+1, n+1) stack, forward
+    by Ad(exp(g_exponent)).
+
+    g_exponent is a vector of a + n, in C^n.  The image is
+    re-orthonormalized, returned as a stack, and checked to stay inside
+    k_0 + a + n (it must, since AN normalizes the parabolic subalgebra); a
+    part outside above 1e-9 relative to |X| raises ConsistencyError.
+    """
+    rd = build_root_decomposition(n)
+    if not len(h_basis):
+        return np.zeros((0, n + 1, n + 1), dtype=complex)
+    rows = unit_rows(rd.coords_many(np.asarray(h_basis)))
+    rows = orthonormal_rows(rows @ ad_exp(an_matrix(g_exponent)).T, 1e-12)
+    # g_{-2a} + g_{-a} is the leading run of coordinates, before k_0
+    outside = np.linalg.norm(rows[:, :rd.slices["k_0"].start], axis=1)
+    part = (outside / np.linalg.norm(rows, axis=1)).max(initial=0.0)
+    if part > 1e-9:
+        raise ConsistencyError(f"conjugated algebra left k_0 + a + n "
+                               f"(part outside / |X| = {part:.3g} > 1e-09)")
+    return rd.from_coords_many(rows)
+
+
+# -- polar actions -------------------------------------------------------------
+
+
+def build_action(spec):
+    """Dispatch a PolarActionSpec to its family builder.
+
+    Returns (n, h, sigma), the arguments of check_polarity."""
+    build = build_family_I if spec.family == "I" else build_family_II
+    return (spec.n, *build(spec))
+
+
+def regular_vectors(q_basis, w, s, samples=100, seed=0):
+    """Sample unit vectors xi in s and flag whether [q, xi] fills
+    g_a minus (w + s), i.e. the rank of {N xi} equals
+    dim g_a - dim w - dim s.
+
+    Everything happens in the C^{n-1} model of g_a, so q enters through
+    ``polar._q_frame`` with n = m + 1: a q_basis outside u(m) is a ValueError.
+    Returns a list of (xi, flag) pairs.
+    """
+    m = w.ambient_complex_dim
+    if s.ambient_complex_dim != m:
+        raise ValueError("w and s must share the ambient space")
+    cross = np.abs(real_rows(s.basis) @ real_rows(w.basis).T).max(initial=0.0)
+    if cross > 1e-8:
+        raise ValueError(f"s must be orthogonal to w (max |Re<s_i, w_j>| = {cross:.3g} > 1e-8)")
+    if s.dim == 0:
+        return []
+    target = 2 * m - w.dim - s.dim
+    _, q = _q_frame(np.asarray(q_basis, dtype=complex).reshape(len(q_basis), m, m), m, m + 1)
+    ranks = sample_ranks(np.random.default_rng(seed), s.basis,
+                         lambda xi: real_rows(q @ xi), samples, TOL_RANK)
+    return [(xi, d == target) for xi, d, _ in ranks]
+
+
+# -- real subspaces of C^m -------------------------------------------------------
+
+
+def project(V, v):
+    """Orthogonal (real-linear) projection of v onto V."""
+    v = real_rows(np.asarray(v, dtype=complex).reshape(1, -1))
+    return complex_rows(v - V._outside(v), V.ambient_complex_dim)[0]
+
+
+def contains(V, v):
+    """Whether v lies in V, at any scale of v: the part of the unit vector
+    along v outside V is at most TOL_MEMBER."""
+    u = unit_rows(real_rows(np.asarray(v, dtype=complex).reshape(1, -1)))
+    return bool(np.linalg.norm(V._outside(u)) <= TOL_MEMBER)
+
+
+def same_span(V, W):
+    return (
+        V.dim == W.dim
+        and V.contains_subspace(W)
+        and W.contains_subspace(V)
+    )
+
+
+def kahler_angle(V, v):
+    """Kahler angle of the vector v with respect to V, in [0, pi/2].
+
+    Defined by |pi_V J v| = cos(phi) |v|.  Requires v in V, v != 0; v is
+    scaled to unit length first, so any nonzero scale of v gives the angle.
+    """
+    u = unit_rows(real_rows(np.asarray(v, dtype=complex).reshape(1, -1)))
+    if not len(u):
+        raise ValueError("Kahler angle of the zero vector is undefined")
+    if not contains(V, u.view(complex)):
+        raise ValueError("vector is not a member of the subspace")
+    cosphi = np.linalg.norm(project(V, 1j * u.view(complex)))
+    return float(np.arccos(min(1.0, max(0.0, cosphi))))
+
+
+def complex_span(V):
+    """The complex span C.V = V + JV, as a real subspace."""
+    return RealSubspace(V.ambient_complex_dim, np.vstack([V.basis, 1j * V.basis]))
+
+
+def random_subspace(ambient_dim, moduli, rng):
+    """Random subspace with prescribed (angle, dim) moduli: the canonical
+    representative moved by a Haar-random unitary."""
+    V = canonical_subspace(ambient_dim, moduli)
+    A = haar_unitary(ambient_dim, rng)
+    return RealSubspace(ambient_dim, V.basis @ A.T)
+
+
+def normalizer_dimension_formula(V):
+    """Closed-form dimension of the normalizer of V in u(m).
+
+    From the product structure of the stabilizer: unitary groups of the
+    factors with angle < pi/2, the orthogonal group of the totally real
+    factor, and the unitary group of the complex complement of C.V:
+
+        sum_{phi < pi/2} (m_phi / 2)^2  +  m_{pi/2}(m_{pi/2} - 1)/2
+            + (m_0_perp / 2)^2,
+
+    where m_0_perp = 2m - dim_R(C.V).
+    """
+    dec = decompose(V)
+    total = 0
+    for phi, sub in dec.factors:
+        if abs(phi - math.pi / 2) <= TOL_ANGLE:
+            total += sub.dim * (sub.dim - 1) // 2
+        else:
+            total += (sub.dim // 2) ** 2
+    m0_perp = 2 * V.ambient_complex_dim - complex_span(V).dim
+    total += (m0_perp // 2) ** 2
+    return total

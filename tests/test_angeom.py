@@ -10,11 +10,9 @@ from chpolar.angeom import (
     an_json,
     an_vector,
     complex_structure,
-    conjugate_subalgebra,
     curvature,
     holomorphic_sectional_curvature,
     inner_product,
-    isotropy_at,
     levi_civita,
     mean_curvature,
     mean_curvature_closed_form,
@@ -25,6 +23,7 @@ from chpolar.angeom import (
 from chpolar.su1n import (ConsistencyError, bracket, build_root_decomposition, galpha_matrices,
                           theta, traceless_block)
 from chpolar.su1n import norm as su_norm
+from oracles import ad, conjugate_subalgebra, isotropy_at
 
 
 def rand_vec(n, rng):
@@ -329,8 +328,6 @@ def test_unsupported_shape_raises():
 def isotropy_dim_oracle(rd, q_mats, xi_mat):
     """Independent route: dim(span q cap ker ad(xi)) from the rank identity
     dim(A cap B) = dim A + dim B - dim(A + B)."""
-    from chpolar.su1n import ad
-
     A = rd.coords_many(np.array(q_mats))
     sA = np.linalg.svd(A, compute_uv=False)
     dim_a = int(np.sum(sA > 1e-9 * max(1.0, sA[0])))

@@ -13,6 +13,7 @@ import chpolar
 from chpolar import angeom, cli, kahler, polar, su1n
 from chpolar.cli import _as_text, main, render_json
 from chpolar.polar import PolarActionSpec, normalizer_section
+from oracles import build_action
 
 
 def write_json(tmp_path, name, payload):
@@ -160,7 +161,7 @@ def test_cmd_verify_leak_below_the_input_bound_is_measured_not_an_error(tmp_path
 def test_check_spec_matches_the_flat_path_on_the_leak_specs(b_flag):
     spec = leak_spec(b_flag, 3e-9)
     got = polar.check_spec(spec).to_json()
-    want = polar.check_polarity(*polar.build_action(spec)).to_json()
+    want = polar.check_polarity(*build_action(spec)).to_json()
     assert [got[k] for k in ("verdict", "dim_normal", "cohomogeneity")] == \
         [want[k] for k in ("verdict", "dim_normal", "cohomogeneity")]
     # sqrt(2) |(1 - pi_w) N b| over the two orders of the pair (N, b), with
@@ -325,6 +326,53 @@ def test_every_spec_command_rejects_what_verify_rejects(tmp_path, capsys, comman
     argv = ["compare", good, bad] if command == "compare" else [command, bad]
     assert main(argv) == 2
     assert capsys.readouterr().err == message
+
+
+# --- a key the spec does not read is an input error -------------------------------
+
+
+def _spec_with_unknown_keys(name):
+    """A catalog spec as JSON with keys it does not read, and the message
+    that names them."""
+    if name == "misspelled-section":
+        spec = _catalog_spec("II:b=zero,w=[]")
+        spec["q_sectoin"] = spec.pop("q_section")
+        return spec, "a family II spec has unknown key(s) q_sectoin"
+    if name == "family-I-with-b-and-w":
+        spec = _catalog_spec("I:k=2")
+        spec.update(b="zero", w={"ambient_complex_dim": 1, "basis": []})
+        return spec, "a family I spec has unknown key(s) b, w"
+    spec = _catalog_spec("II:b=full,w=[(1.570796, 1)]")
+    spec["w"]["bsis"] = spec["w"].pop("basis")
+    return spec, "w: a RealSubspace has unknown key(s) bsis"
+
+
+@pytest.mark.parametrize("command", ["verify", "compare", "curvature"])
+@pytest.mark.parametrize("name", ["misspelled-section", "family-I-with-b-and-w", "misspelled-w-key"])
+def test_a_key_the_spec_does_not_read_exits_2(tmp_path, capsys, command, name):
+    spec, message = _spec_with_unknown_keys(name)
+    bad = write_json(tmp_path, "bad.json", spec)
+    good = write_json(tmp_path, "good.json", spec_pi3().to_json())
+    argv = ["compare", good, bad] if command == "compare" else [command, bad]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"chpolar: input error: {message}; it reads ")
+
+
+def test_cmd_decompose_unknown_key_exits_2(tmp_path, capsys):
+    line = {"ambient_complex_dim": 2, "basis": [[1, 0, 0, 0]]}
+    assert main(["decompose", write_json(tmp_path, "line.json", line)]) == 0
+    capsys.readouterr()
+    payload = {**line, "angle": 0.5}
+    assert main(["decompose", write_json(tmp_path, "bad.json", payload)]) == 2
+    assert capsys.readouterr().err == ("chpolar: input error: a RealSubspace has unknown key(s) "
+                                       "angle; it reads ambient_complex_dim, basis\n")
+
+
+@pytest.mark.parametrize("payload", ["abc", [1, 2], 3])
+def test_cmd_decompose_reads_only_a_json_object(tmp_path, capsys, payload):
+    assert main(["decompose", write_json(tmp_path, "in.json", payload)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "chpolar: input error: a RealSubspace must be a JSON object, got ")
 
 
 # --- compare ---------------------------------------------------------------------
@@ -563,6 +611,16 @@ def test_deterministic_byte_identical_output(tmp_path):
     assert main(["verify", a, "--out", str(out1)]) == 0
     assert main(["verify", a, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_an_unwritable_out_exits_2(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert main(["enumerate", "--n", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("chpolar: input error: cannot write output: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_render_json_17_digits():

@@ -1,5 +1,7 @@
+import importlib
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -14,18 +16,16 @@ from chpolar._linalg import (
     sample_ranks,
     unit_rows,
 )
-from chpolar.angeom import isotropy_at
 from chpolar.kahler import RealSubspace
 from chpolar.polar import (
     PolarActionSpec,
-    build_action,
     check_polarity,
     normalizer_section,
     orbit_equivalence_invariants,
-    regular_vectors,
 )
 from chpolar.su1n import inner as su1n_inner
 from chpolar.su1n import traceless_block, u_frame, u_matrices
+from oracles import build_action, isotropy_at, random_subspace, regular_vectors
 
 SCALES = (1e-13, 1e-11, 1e-6, 1.0, 1e6)
 
@@ -52,7 +52,7 @@ def test_unit_rows_does_not_underflow_at_1e_300():
     assert np.allclose(unit_rows(A), [[1.0, 0.0], [0.6, -0.8]], rtol=0.0, atol=1e-15)
     assert np.allclose(unit_rows(1e300 * A[:2] / 1e-300), unit_rows(A[:2]), rtol=0.0, atol=1e-15)
     assert RealSubspace(2, [[1e-300, 0]]).dim == 1
-    V = kahler.random_subspace(3, [(math.pi / 5, 2), (math.pi / 2, 1)], np.random.default_rng(4))
+    V = random_subspace(3, [(math.pi / 5, 2), (math.pi / 2, 1)], np.random.default_rng(4))
     got = kahler.decompose(RealSubspace(3, 1e-300 * V.basis)).moduli()
     want = kahler.decompose(V).moduli()
     assert [d for _, d in got] == [d for _, d in want]
@@ -161,7 +161,7 @@ def test_real_subspace_dimension_at_every_scale(scale):
 
 @pytest.mark.parametrize("scale", SCALES)
 def test_decompose_moduli_at_every_scale(scale):
-    V = kahler.random_subspace(3, [(math.pi / 5, 2), (math.pi / 2, 1)], np.random.default_rng(4))
+    V = random_subspace(3, [(math.pi / 5, 2), (math.pi / 2, 1)], np.random.default_rng(4))
     got = kahler.decompose(RealSubspace(3, scale * V.basis)).moduli()
     want = kahler.decompose(V).moduli()
     assert [d for _, d in got] == [d for _, d in want]
@@ -228,3 +228,38 @@ def test_no_hand_written_orthonormalization_returns():
     found = sorted((p.name, name) for p in src.glob("*.py") for name in gone
                    if name in p.read_text())
     assert found == []
+
+
+# --- test oracles stay out of the package ----------------------------------------------
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    """perfbench/trace_op.py wraps these names by getattr: each must stay
+    in its module, or the traced benchmark run fails."""
+    sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    try:
+        import trace_op
+    finally:
+        sys.path.pop(0)
+    missing = [(layer, name) for layer, names in trace_op.WRAPPED.items() for name in names
+               if not callable(getattr(importlib.import_module(f"chpolar.{layer}"), name, None))]
+    assert missing == []
+
+
+def test_the_package_exports_no_test_oracle():
+    assert chpolar.__all__ == [
+        "ConsistencyError", "KahlerDecomposition", "OrbitModel", "PolarActionSpec",
+        "PolarityReport", "RealSubspace", "RootDecomposition", "an_bracket", "an_vector",
+        "bracket", "build_family_I", "build_family_II", "build_root_decomposition",
+        "check_polarity", "check_spec", "congruent", "curvature", "decompose",
+        "enumerate_moduli", "inner", "inner_an", "levi_civita", "make_constant_angle",
+        "mean_curvature", "mean_curvature_closed_form", "normalizer_algebra", "ominus",
+        "orbit_equivalence_invariants", "shape_operator", "theta",
+    ]
+    assert all(hasattr(chpolar, name) for name in chpolar.__all__)
+
+
+def test_scipy_appears_nowhere_in_the_package():
+    src = pathlib.Path(chpolar.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if "scipy" in p.read_text())
+    assert users == []

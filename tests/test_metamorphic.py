@@ -18,11 +18,11 @@ from chpolar import kahler, polar
 from chpolar.kahler import RealSubspace
 from chpolar.polar import (
     PolarActionSpec,
-    build_action,
     check_polarity,
     check_spec,
     orbit_equivalence_invariants,
 )
+from oracles import build_action
 
 
 def _false_claims():

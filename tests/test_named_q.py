@@ -14,6 +14,7 @@ from chpolar import kahler, polar, su1n
 from chpolar.cli import main
 from chpolar.kahler import RealSubspace
 from chpolar.polar import PolarActionSpec, check_spec, enumerate_moduli, normalizer_section
+from oracles import normalizer_dimension_formula, random_subspace
 
 
 def write_json(tmp_path, name, payload):
@@ -63,7 +64,7 @@ def _frame_agrees_with_the_svd_oracle(V):
     m = V.ambient_complex_dim
     gram = np.einsum("iab,jab->ij", frame.conj(), frame).real
     frames = [polar._q_frame(q, m, m + 1)[1] for q in (frame, kahler.normalizer_algebra(V))]
-    return (len(frame) == kahler.normalizer_dimension_formula(V)
+    return (len(frame) == normalizer_dimension_formula(V)
             and np.abs(gram - np.eye(len(frame))).max(initial=0.0) <= 1e-12
             and np.abs(frame + frame.conj().transpose(0, 2, 1)).max(initial=0.0) <= 1e-12
             and np.linalg.norm(kahler.normalizer_residual(V, frame)) <= 1e-12
@@ -81,7 +82,7 @@ def test_normalizer_frame_matches_the_svd_oracle_on_haar_moved_subspaces():
     for moduli in ([(0.0, 2), (0.4, 2)], [(1.0, 4), (math.pi / 2, 1)],
                    [(0.4, 2), (1.0, 2), (math.pi / 2, 1)], [(0.0, 4), (math.pi / 2, 2)],
                    [(0.0, 10)], []):
-        assert _frame_agrees_with_the_svd_oracle(kahler.random_subspace(5, moduli, rng)), moduli
+        assert _frame_agrees_with_the_svd_oracle(random_subspace(5, moduli, rng)), moduli
 
 
 # --- polar: u(m) as a frame that is never formed ------------------------------------

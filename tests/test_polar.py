@@ -13,7 +13,6 @@ from chpolar.cli import render_json
 from chpolar.kahler import RealSubspace
 from chpolar.polar import (
     PolarActionSpec,
-    build_action,
     build_family_I,
     build_family_II,
     check_polarity,
@@ -21,9 +20,9 @@ from chpolar.polar import (
     enumerate_moduli,
     normalizer_section,
     orbit_equivalence_invariants,
-    regular_vectors,
 )
 from chpolar.su1n import build_root_decomposition, theta
+from oracles import build_action, regular_vectors, same_span
 
 
 def canonical_family_II(n, b_flag, moduli):
@@ -558,7 +557,7 @@ def test_spec_json_roundtrip_family_II():
     spec = canonical_family_II(3, "full", [(math.pi / 3, 2)])
     spec2 = PolarActionSpec.from_json(spec.to_json())
     assert spec2.n == spec.n and spec2.family == "II" and spec2.b_flag == "full"
-    assert spec2.w.same_span(spec.w)
+    assert same_span(spec2.w, spec.w)
     n, h, sigma = build_action(spec2)
     assert check_polarity(n, h, sigma).verdict
 

@@ -4,8 +4,6 @@ import pytest
 from chpolar import su1n
 from chpolar.polar import check_polarity
 from chpolar.su1n import (
-    ad,
-    ad_exp,
     bracket,
     build_root_decomposition,
     galpha_matrices,
@@ -15,6 +13,7 @@ from chpolar.su1n import (
     p_matrices,
     theta,
 )
+from oracles import ad, ad_exp
 
 
 def coords(rd, X):
