@@ -13,8 +13,8 @@ Each subcommand takes only the flags it reads; argparse rejects any other
 flag with exit code 2.  No flag changes a bound: the tolerances are the
 library's constants (``polar.TOL_RANK``, ``kahler.TOL_EIG``, ...), so a
 verdict depends on the input alone.  ``verify`` draws with the spec's own
-``seed`` key (0 when absent); ``--seed`` seeds compare, enumerate and
-selfcheck.
+``seed`` key (0 when absent), compare with seed 0, and ``--seed`` seeds
+enumerate and selfcheck.  Output is JSON only.
 
 Exit codes: 0 success / verdict true, 1 verdict false or not equivalent
 (this includes 'undetermined' equivalence answers), 2 input error,
@@ -60,7 +60,7 @@ def render_json(obj, indent=0):
 
 
 def _emit(payload, args):
-    text = render_json(payload) + "\n" if args.fmt == "json" else _as_text(payload) + "\n"
+    text = render_json(payload) + "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -69,28 +69,6 @@ def _emit(payload, args):
             raise ValueError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _as_text(payload, prefix=""):
-    """Indented text; tuples print as lists, as in render_json."""
-    lines = []
-    if isinstance(payload, dict):
-        for k, v in payload.items():
-            if isinstance(v, (dict, list, tuple)):
-                lines.append(f"{prefix}{k}:")
-                lines.append(_as_text(v, prefix + "  "))
-            else:
-                vv = format(v, ".17g") if isinstance(v, float) else v
-                lines.append(f"{prefix}{k}: {vv}")
-    elif isinstance(payload, (list, tuple)):
-        for v in payload:
-            if isinstance(v, (dict, list, tuple)):
-                lines.append(_as_text(v, prefix + "  "))
-            else:
-                lines.append(f"{prefix}- {v}")
-    else:
-        lines.append(f"{prefix}{payload}")
-    return "\n".join(line for line in lines if line)
 
 
 def _read(path, parse, what):
@@ -121,7 +99,7 @@ def cmd_decompose(args):
 
 def cmd_verify(args):
     spec = _read(args.input, polar.PolarActionSpec.from_json, "PolarActionSpec")
-    report = polar.check_spec(spec, seed=spec.seed)
+    report = polar.check_spec(spec)
     _emit(report.to_json(), args)
     return 0 if report.verdict else 1
 
@@ -131,7 +109,7 @@ def cmd_compare(args):
              for path in (args.input_a, args.input_b)]
     for spec in specs:
         polar._checked_inputs(spec)  # the input check of verify
-    answer, report = polar.orbit_equivalence_invariants(*specs, seed=args.seed)
+    answer, report = polar.orbit_equivalence_invariants(*specs)
     payload = {"equivalent": answer, "report": report}
     _emit(payload, args)
     return 0 if answer == "yes" else 1
@@ -282,11 +260,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_flags(p, *names):
-        """The output flags, and each named flag of _FLAGS: a flag goes only
-        on the subcommands that read it, so argparse rejects it elsewhere."""
+        """--out, and each named flag of _FLAGS: a flag goes only on the
+        subcommands that read it, so argparse rejects it elsewhere."""
         for name in names:
             p.add_argument(name, **_FLAGS[name])
-        p.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 
     def with_input(p):
@@ -301,7 +278,7 @@ def build_parser():
     p = sub.add_parser("compare", help="orbit equivalence of two action specs")
     p.add_argument("input_a")
     p.add_argument("input_b")
-    add_flags(p, "--seed")
+    add_flags(p)
     p = sub.add_parser("enumerate", help="enumerate moduli classes")
     p.add_argument("--angles", default="",
                    help="comma separated interior Kahler angles for the w moduli")

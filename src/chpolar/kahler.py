@@ -175,15 +175,6 @@ class KahlerDecomposition:
             ]
         }
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            tuple(
-                (f["angle_rad"], RealSubspace.from_json(f["subspace"]))
-                for f in data["factors"]
-            )
-        )
-
 
 def decompose(V):
     """Canonical decomposition of V into factors of constant Kahler angle.
@@ -417,6 +408,18 @@ def _adapted_frame(sub, phi):
     return frame
 
 
+def _factor_frame(phi, sub):
+    """A C-orthonormal frame of the factor ``sub`` of Kahler angle phi: a
+    C-orthonormal basis of a complex factor, the real orthonormal basis of a
+    totally real one (C-orthonormal there), the adapted frame of an interior
+    one."""
+    if phi <= TOL_ANGLE:
+        return orthonormal_rows(sub.basis)
+    if abs(phi - math.pi / 2) <= TOL_ANGLE:
+        return sub.basis
+    return _adapted_frame(sub, phi)
+
+
 def same_moduli(m1, m2):
     """The congruence rule on Kahler moduli (KahlerDecomposition.moduli()):
     the same number of factors, equal dimensions and angles within
@@ -452,19 +455,8 @@ def congruence_witness(dv, dw, m):
             f"factor dimensions differ: {dv.dimensions()} vs {dw.dimensions()}"
         )
     # C-orthonormal frames factor by factor, then completed to unitaries
-    src, dst = [np.zeros((0, m))], [np.zeros((0, m))]
-    for (phi, s1), (phi2, s2) in zip(dv.factors, dw.factors):
-        if phi <= TOL_ANGLE:  # complex factor: a C-orthonormal basis of it
-            src.append(orthonormal_rows(s1.basis))
-            dst.append(orthonormal_rows(s2.basis))
-        elif abs(phi - math.pi / 2) <= TOL_ANGLE:
-            # a real orthonormal basis of a totally real subspace is C-orthonormal
-            src.append(s1.basis)
-            dst.append(s2.basis)
-        else:
-            src.append(_adapted_frame(s1, phi))
-            dst.append(_adapted_frame(s2, phi2))
-    S, D = np.vstack(src), np.vstack(dst)
+    S = np.vstack([np.zeros((0, m))] + [_factor_frame(phi, s) for phi, s in dv.factors])
+    D = np.vstack([np.zeros((0, m))] + [_factor_frame(phi, s) for phi, s in dw.factors])
     S = np.vstack([S, complement_rows(S, m)])  # the rows of unitary matrices
     D = np.vstack([D, complement_rows(D, m)])
     return D.T @ S.conj()
@@ -523,14 +515,12 @@ def normalizer_frame(V):
     m = V.ambient_complex_dim
     frames, blocks = [np.zeros((0, m))], []
     for phi, sub in decompose(V).factors:
+        F = _factor_frame(phi, sub)
         if phi <= TOL_ANGLE:
-            F = orthonormal_rows(sub.basis)
             gens = _unit_matrices(skew_hermitian_basis(len(F)))
         elif abs(phi - math.pi / 2) <= TOL_ANGLE:
-            F = sub.basis  # a real orthonormal basis is C-orthonormal here
             gens = _unit_matrices(skew_hermitian_basis(len(F))[len(F)::2])  # E_jk - E_kj
         else:
-            F = _adapted_frame(sub, phi)
             p = len(F) // 2
             X = _unit_matrices(skew_hermitian_basis(p)) / math.sqrt(2.0)
             gens = np.zeros((p * p, 2 * p, 2 * p), dtype=complex)

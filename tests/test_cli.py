@@ -11,7 +11,7 @@ import pytest
 
 import chpolar
 from chpolar import angeom, cli, kahler, polar, su1n
-from chpolar.cli import _as_text, main, render_json
+from chpolar.cli import main, render_json
 from chpolar.polar import PolarActionSpec, normalizer_section
 from oracles import build_action
 
@@ -215,13 +215,13 @@ def test_cmd_verify_draws_with_the_spec_seed(tmp_path, monkeypatch, spec_seed, d
     else:
         payload["seed"] = spec_seed
     seen = []
-    real = polar.check_spec
+    real = polar._report
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs["seed"])
-        return real(*args, **kwargs)
+    def spy(residuals, sig, nu, act, seed):  # the sampler's seed
+        seen.append(seed)
+        return real(residuals, sig, nu, act, seed)
 
-    monkeypatch.setattr(polar, "check_spec", spy)
+    monkeypatch.setattr(polar, "_report", spy)
     assert main(["verify", write_json(tmp_path, "s.json", payload)]) == 0
     assert seen == [drawn]
 
@@ -411,11 +411,6 @@ def test_cmd_compare_prints_tuples_as_lists(tmp_path, capsys):
     payload = as_lists({"equivalent": answer, "report": report})
     assert main(["compare", a, a]) == 0
     assert capsys.readouterr().out == render_json(payload) + "\n"
-    assert main(["compare", a, a, "--format", "text"]) == 0
-    text = capsys.readouterr().out
-    assert text == _as_text(payload) + "\n"
-    assert "  family:\n    - II\n    - II\n" in text
-    assert "  principal_orbit_dims:\n    - 1\n    - 1\n" in text
 
 
 # --- enumerate --------------------------------------------------------------------
@@ -491,6 +486,12 @@ def test_cmd_enumerate_specs_name_their_q(capsys):
 def test_cmd_enumerate_rejects_bad_angles(capsys):
     assert main(["enumerate", "--n", "3", "--angles", "2.0"]) == 2
     assert main(["enumerate", "--n", "3", "--angles", "abc"]) == 2
+    capsys.readouterr()
+    # the class w = [(1e-5, 2)] of this catalog would fail verify
+    assert main(["enumerate", "--n", "4", "--angles", "1e-5,0.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid angle 1e-05" in captured.err and "0.001" in captured.err
 
 
 def subprocess_env():
@@ -629,12 +630,6 @@ def test_render_json_17_digits():
     assert json.loads(text)["x"] == 1.0 / 3.0
 
 
-def test_text_format(capsys):
-    rc = main(["selfcheck", "--n", "2", "--format", "text"])
-    out = capsys.readouterr().out
-    assert rc == 0 and "ok: True" in out
-
-
 def test_bad_config_exit_2(capsys):
     assert main(["selfcheck", "--n", "1"]) == 2
 
@@ -647,6 +642,8 @@ def test_bad_config_exit_2(capsys):
     ["verify", "--tol-rank", "-1"],
     ["decompose", "--tol-eig", "1e-6"],
     ["verify", "--seed", "7"],
+    ["selfcheck", "--format", "text"],
+    ["compare", "a.json", "b.json", "--seed", "1"],
 ])
 def test_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -466,13 +466,6 @@ def test_real_subspace_json_roundtrip():
     assert same_span(V, W)
 
 
-def test_decomposition_json_roundtrip():
-    V = kahler.make_constant_angle(1, math.pi / 3, 2)
-    dec = kahler.decompose(V)
-    dec2 = kahler.KahlerDecomposition.from_json(dec.to_json())
-    assert dec2.moduli() == dec.moduli()
-
-
 # --- property-based -----------------------------------------------------------
 
 

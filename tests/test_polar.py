@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import json
 import math
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -486,7 +488,7 @@ def closed_form_dimensions(n, label):
                          + [(n, (0.3, 0.7, 1.2)) for n in (2, 3, 4, 5)])
 def test_catalog_dimensions_match_the_papers_closed_form(n, grid):
     for entry in enumerate_moduli(n, grid):
-        report = check_spec(entry.spec, seed=entry.spec.seed)
+        report = check_spec(entry.spec)
         assert report.verdict, entry.label
         got = (report.dim_normal, report.cohomogeneity)
         assert got == closed_form_dimensions(n, entry.label), entry.label
@@ -516,6 +518,17 @@ def catalog_json(catalog):
 ])
 def test_enumerate_matches_all_pairs_dedupe(n, grid):
     assert catalog_json(enumerate_moduli(n, grid)) == catalog_json(all_pairs_catalog(n, grid))
+
+
+@pytest.mark.parametrize("n,grid", [
+    (3, ()), (4, (0.4, 1.0)), (5, (0.3, 0.7, 1.2)),
+    # near-duplicate angles: the grids on which the dedupe merges entries
+    (4, (0.5, 0.5 + 1e-8)),
+    (3, (0.5, 0.5 + 1e-7, 0.9)),
+])
+def test_enumerate_does_not_depend_on_the_seed(n, grid):
+    catalogs = {catalog_json(enumerate_moduli(n, grid, seed=s)) for s in (0, 1, 7, 2**31 - 2)}
+    assert len(catalogs) == 1
 
 
 def test_enumerate_decomposes_each_w_once(monkeypatch):
@@ -548,6 +561,21 @@ def test_admissible_moduli_has_no_duplicates(grid):
 def test_enumerate_rejects_bad_grid():
     with pytest.raises(ValueError):
         enumerate_moduli(3, [math.pi / 2])
+    margin = polar.GRID_MARGIN
+    for angle in (1e-5, 0.99 * margin, math.pi / 2 - 0.99 * margin, 0.0, -0.1, 2.0):
+        with pytest.raises(ValueError, match=re.escape(repr(angle))) as exc:
+            enumerate_moduli(4, [angle, 0.7])
+        assert f"{margin:g}" in str(exc.value)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_catalog_classes_verify_polar_with_grid_angles_at_the_bound(n):
+    # near 0 and pi/2 the adapted frames lose accuracy: at 3e-4 some of
+    # these classes verify as not polar
+    grid = (polar.GRID_MARGIN, 0.7, math.pi / 2 - polar.GRID_MARGIN)
+    for entry in enumerate_moduli(n, grid):
+        report = check_spec(entry.spec)
+        assert report.verdict, (entry.label, report.to_json())
 
 
 # --- serialization -----------------------------------------------------------------------
@@ -608,7 +636,7 @@ RESIDUALS = ("subalgebra_residual", "section_residual", "bracket_residual")
 def assert_check_spec_matches_the_flat_path(spec, seed=0):
     """check_spec against check_polarity(*build_action(spec)): the same
     booleans and dimensions, the residuals to 1e-12 max(1, value)."""
-    got = check_spec(spec, seed=seed).to_json()
+    got = check_spec(dataclasses.replace(spec, seed=seed)).to_json()
     want = check_polarity(*build_action(spec), seed=seed).to_json()
     assert list(got) == list(want)
     assert {k: got[k] for k in EXACT_FIELDS} == {k: want[k] for k in EXACT_FIELDS}, spec.to_json()
