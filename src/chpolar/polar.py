@@ -77,13 +77,13 @@ TOL_SLICE = 1e-8       # h_o moves sigma orthogonally to itself (slice_condition
 SLICE_SAMPLES = 24  # draws of the regular-vector sampler of the criterion
 ORBIT_SAMPLES = 40  # draws per principal orbit dimension in orbit_equivalence_invariants
 Q_TYPES = ("u", "t", "normalizer")  # the names a spec may give its q by
-# The catalog's grid angles lie in [GRID_MARGIN, pi/2 - GRID_MARGIN].  The
-# adapted frame (kahler._adapted_frame) of a factor whose angle nears 0 or
-# pi/2 carries a rounding error that grows as the angle nears it: over the
-# catalogs for n <= 8 the bracket residual reaches 1.9e-9 at 3e-4 and
-# 5.8e-9 at 1.5e-4 (2.8e-9 at pi/2 - 1.5e-4), above TOL_BRACKET, so such
-# classes verify as not polar; below about 1e-4 decompose snaps the factor
-# to 0 or pi/2 or cannot separate it.  At 1e-3 the largest is 2.9e-10.
+# Neighbours in [0, *grid, pi/2] of the catalog's angle grid lie at least
+# GRID_MARGIN apart.  Closer, the adapted frames (kahler._adapted_frame) lose
+# accuracy: over the catalogs for n <= 8 the bracket residual reaches 1.9e-9
+# at 3e-4 from 0 and 5.8e-9 at 1.5e-4, above TOL_BRACKET, so such classes
+# verify as not polar, and decompose cannot separate two factors whose angles
+# are 4e-6 apart (0.0015 and 0.001504 at n = 6).  At gaps of 1e-3 the largest
+# bracket residual is 3.9e-10.
 GRID_MARGIN = 1e-3
 SPEC_KEYS = {"I": ("n", "family", "seed", "k", "q", "q_basis", "q_section"),  # the JSON keys
              "II": ("n", "family", "seed", "b", "w", "q", "q_basis", "q_section")}  # of a spec
@@ -684,7 +684,7 @@ def _same_matrix_span(q1, q2, n):
     )
 
 
-def orbit_equivalence_invariants(spec1, spec2, seed=0):
+def orbit_equivalence_invariants(spec1, spec2):
     """Decide orbit equivalence of two constructed actions where the
     congruence invariants allow it.
 
@@ -697,14 +697,15 @@ def orbit_equivalence_invariants(spec1, spec2, seed=0):
     certify orbit equivalence of arbitrary polar representations.  Two
     specs whose q is named "normalizer" need no witness: the normalizers of
     congruent w are conjugate by any unitary carrying one w onto the other.
-    Each q enters through ``_spec_q`` once; the caller runs
-    ``_checked_inputs``.
+    Both specs go through ``_checked_inputs`` first, and each q is the one
+    that check returns; the samples are drawn with seed 0.
     """
+    q1, q2 = [_checked_inputs(spec)[0] for spec in (spec1, spec2)]
     n = spec1.n
     if spec2.n != n:
         raise ValueError("actions live on different spaces")
     report = {"family": (spec1.family, spec2.family)}
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     if spec1.family != spec2.family:
         report["reason"] = "family mismatch (mean curvature separates the families)"
@@ -726,8 +727,7 @@ def orbit_equivalence_invariants(spec1, spec2, seed=0):
         if not kahler.same_moduli(*report["w_moduli"]):
             report["reason"] = "Kahler moduli of w differ"
             return "no", report
-    m = spec1.m
-    q1, q2 = (np.asarray(_spec_q(spec)) for spec in (spec1, spec2))
+    m, q1, q2 = spec1.m, np.asarray(q1), np.asarray(q2)
     sub1, sub2 = (RealSubspace.full(m),) * 2 if fam_I else (spec1.w.perp(), spec2.w.perp())
     d1, d2 = _principal_orbit_dim(q1, sub1, rng), _principal_orbit_dim(q2, sub2, rng)
     report["principal_orbit_dims"] = (d1, d2)
@@ -791,17 +791,20 @@ def _family_I_entries(n):
 
 def _admissible_moduli(m, angle_grid):
     """All (angle, dim) multisets fitting in C^m: complex footprint
-    m_0/2 + sum m_phi + m_{pi/2} <= m with even m_0, m_phi."""
+    m_0/2 + sum m_phi + m_{pi/2} <= m with even m_0, m_phi.  Repeats in
+    the grid collapse; any two neighbours in [0, *grid, pi/2] closer than
+    GRID_MARGIN are a ValueError."""
     angles = sorted(set(float(a) for a in angle_grid))
-    for a in angles:
-        if not (GRID_MARGIN <= a <= math.pi / 2 - GRID_MARGIN):
-            raise ValueError(f"grid angle {a!r} is outside [GRID_MARGIN, pi/2 - GRID_MARGIN] "
-                             f"with GRID_MARGIN = {GRID_MARGIN:g}")
+    bounds = [0.0, *angles, math.pi / 2]
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if not lo + GRID_MARGIN <= hi:  # not hi - lo: pi/2 - (pi/2 - GRID_MARGIN) rounds below it
+            a, b = (lo, hi) if i == len(angles) else (hi, lo)
+            raise ValueError(f"grid angle {a!r} lies within GRID_MARGIN = {GRID_MARGIN:g} "
+                             f"of its neighbour {b!r} in [0, *grid, pi/2]")
     results = []
-    interior = list(angles)
 
     def rec(idx, footprint, current):
-        if idx == len(interior):
+        if idx == len(angles):
             # complex part: m_0 = 2 c0 with c0 complex dims
             for c0 in range(0, m - footprint + 1):
                 for mpi2 in range(0, m - footprint - c0 + 1):
@@ -812,7 +815,7 @@ def _admissible_moduli(m, angle_grid):
                         mod.append((math.pi / 2, mpi2))
                     results.append(sorted(mod))
             return
-        phi = interior[idx]
+        phi = angles[idx]
         pairs = 0
         while footprint + 2 * pairs <= m:
             cur = current + ([(phi, 2 * pairs)] if pairs else [])
@@ -852,16 +855,7 @@ def _family_II_entries(n, angle_grid):
     return entries
 
 
-def _congruence_invariants(spec):
-    """The invariants on which orbit_equivalence_invariants answers 'no'
-    before any sampling: (family, k, []) for family I and
-    (family, b-flag, Kahler moduli of w) for family II."""
-    if spec.family == "I":
-        return spec.family, spec.k, []
-    return spec.family, spec.b_flag, kahler.decompose(spec.w).moduli()
-
-
-def enumerate_moduli(n, angle_grid=(), seed=0):
+def enumerate_moduli(n, angle_grid=()):
     """One representative per structural moduli class.
 
     Family I runs over k with q drawn from the small fixed table (trivial,
@@ -870,28 +864,13 @@ def enumerate_moduli(n, angle_grid=(), seed=0):
     always with the full normalizer as q.  Every spec names its q
     (PolarActionSpec.q_type).
 
-    Entries are deduplicated with orbit_equivalence_invariants, which is
-    called only on pairs whose congruence invariants match: same family,
-    same k or b-flag, and Kahler moduli of w equal under kahler.same_moduli.
-    Every other pair gets 'no' from one of its early exits, which come
-    before its (per-call) random draws, so skipping them keeps the catalog,
-    its order and its labels exactly as an all-pairs dedupe gives them.
-    Each w is decomposed once, not once per pair, and an entry is held only
-    against the kept entries of its family, k or b-flag and factor
-    dimensions, which same_moduli needs equal.
+    By Theorem A of arXiv 1208.2823 no two entries are orbit equivalent, so
+    the catalog has no dedupe: two family I entries differ in k, or are
+    u(m) and t(m), whose principal orbits have dimensions 2m - 1 and m; two
+    family II entries differ in b-flag, or their moduli differ in a
+    dimension or in an angle by at least GRID_MARGIN (_admissible_moduli),
+    far above kahler.TOL_ANGLE.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    raw = _family_I_entries(n) + _family_II_entries(n, angle_grid)
-    kept, buckets = [], {}  # buckets: (family, k or b-flag, dims) -> kept (entry, moduli)
-    for entry in raw:
-        family, flag, moduli = _congruence_invariants(entry.spec)
-        bucket = buckets.setdefault((family, flag, tuple(d for _, d in moduli)), [])
-        if not any(
-            kahler.same_moduli(moduli, prev_moduli)
-            and orbit_equivalence_invariants(prev.spec, entry.spec, seed=seed)[0] == "yes"
-            for prev, prev_moduli in bucket
-        ):
-            bucket.append((entry, moduli))
-            kept.append(entry)
-    return kept
+    return _family_I_entries(n) + _family_II_entries(n, angle_grid)

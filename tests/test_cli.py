@@ -492,6 +492,16 @@ def test_cmd_enumerate_rejects_bad_angles(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "grid angle 1e-05" in captured.err and "0.001" in captured.err
+    # two grid angles closer than GRID_MARGIN: the first two catalogs used
+    # to fail in decompose or hold a class that verify rejects, the third
+    # to merge near-equal angles into one class
+    close = repr(0.7 + 0.99 * polar.GRID_MARGIN)
+    for n, angles in (("6", "0.0015,0.001504"), ("7", "0.01,0.010003"), ("4", "0.5,0.50000001"),
+                      ("4", "0.7," + close)):
+        assert main(["enumerate", "--n", n, "--angles", angles]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"grid angle {angles.split(',')[1]}" in captured.err and "0.001" in captured.err
 
 
 def subprocess_env():
@@ -504,12 +514,6 @@ def run_cli(args, cwd):
     """The CLI in its own process, cut after 60 s so that a hang fails."""
     return subprocess.run([sys.executable, "-m", "chpolar.cli", *args], cwd=cwd,
                           env=subprocess_env(), capture_output=True, text=True, timeout=60)
-
-
-def test_cmd_enumerate_merges_angles_within_tolerance(tmp_path):
-    proc = run_cli(["enumerate", "--n", "4", "--angles", "0.5,0.50000001"], tmp_path)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["count"] == 33  # 39 raw entries
 
 
 def test_cmd_compare_angles_within_tolerance(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 from chpolar import kahler, polar
 from chpolar._linalg import orthonormal_rows, unit_rows
-from chpolar.cli import render_json
+from chpolar.cli import main, render_json
 from chpolar.kahler import RealSubspace
 from chpolar.polar import (
     PolarActionSpec,
@@ -419,6 +419,14 @@ def test_equivalence_undetermined_for_uncertified_q():
     assert ans == "undetermined"
 
 
+def test_equivalence_runs_the_input_check():
+    spec = canonical_family_II(3, "full", [(math.pi / 3, 2)])
+    hermitian = dataclasses.replace(spec, q_basis=[np.diag([1.0 + 0j, 0.0])])
+    for pair in ((spec, hermitian), (hermitian, spec)):
+        with pytest.raises(ValueError, match="skew-Hermitian"):
+            orbit_equivalence_invariants(*pair)
+
+
 def test_equivalence_rejects_different_n():
     with pytest.raises(ValueError):
         orbit_equivalence_invariants(family_I_spec(3, 3, "none"), family_I_spec(2, 2, "none"))
@@ -494,12 +502,12 @@ def test_catalog_dimensions_match_the_papers_closed_form(n, grid):
         assert got == closed_form_dimensions(n, entry.label), entry.label
 
 
-def all_pairs_catalog(n, angle_grid=(), seed=0):
+def all_pairs_catalog(n, angle_grid=()):
     """The reference dedupe: each raw entry against every kept entry with
     the full orbit_equivalence_invariants."""
     kept = []
     for entry in polar._family_I_entries(n) + polar._family_II_entries(n, angle_grid):
-        if all(orbit_equivalence_invariants(prev.spec, entry.spec, seed=seed)[0] != "yes"
+        if all(orbit_equivalence_invariants(prev.spec, entry.spec)[0] != "yes"
                for prev in kept):
             kept.append(entry)
     return kept
@@ -509,12 +517,15 @@ def catalog_json(catalog):
     return render_json([[entry.label, entry.spec.to_json()] for entry in catalog])
 
 
+GAP = (polar.GRID_MARGIN, 2 * polar.GRID_MARGIN)  # neighbours at the bound, 0 included
+
+
 @pytest.mark.parametrize("n,grid", [
     *((n, grid) for n in (2, 3, 4, 5)
       for grid in ((), (math.pi / 6, math.pi / 4), (0.3, 0.7, 1.2), (0.4, 1.0))),
-    # near-duplicate angles: the only grids on which the dedupe merges entries
-    (4, (0.5, 0.5 + 1e-8)),
-    (3, (0.5, 0.5 + 1e-7, 0.9)),
+    # gaps at GRID_MARGIN: the closest grids the catalog admits, and no
+    # two of their entries merge either
+    (4, GAP), (3, GAP), (2, GAP), (5, GAP),
 ])
 def test_enumerate_matches_all_pairs_dedupe(n, grid):
     assert catalog_json(enumerate_moduli(n, grid)) == catalog_json(all_pairs_catalog(n, grid))
@@ -522,18 +533,20 @@ def test_enumerate_matches_all_pairs_dedupe(n, grid):
 
 @pytest.mark.parametrize("n,grid", [
     (3, ()), (4, (0.4, 1.0)), (5, (0.3, 0.7, 1.2)),
-    # near-duplicate angles: the grids on which the dedupe merges entries
-    (4, (0.5, 0.5 + 1e-8)),
-    (3, (0.5, 0.5 + 1e-7, 0.9)),
+    (4, GAP), (3, (0.5, 0.5 + polar.GRID_MARGIN, 0.9)),
 ])
-def test_enumerate_does_not_depend_on_the_seed(n, grid):
-    catalogs = {catalog_json(enumerate_moduli(n, grid, seed=s)) for s in (0, 1, 7, 2**31 - 2)}
-    assert len(catalogs) == 1
+def test_enumerate_does_not_depend_on_the_seed(n, grid, capsys):
+    # enumerate --seed is accepted and reads nothing
+    outs = set()
+    for s in (0, 1, 7, 2**31 - 2):
+        argv = ["enumerate", "--n", str(n), "--angles", ",".join(map(repr, grid)), "--seed", str(s)]
+        assert main(argv) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1
 
 
 def test_enumerate_decomposes_each_w_once(monkeypatch):
     n, grid = 6, (0.4, 1.0)
-    raw = len(polar._family_I_entries(n) + polar._family_II_entries(n, grid))
     calls = {"oei": 0, "decompose": 0}
 
     def counted(name, fn):
@@ -545,10 +558,10 @@ def test_enumerate_decomposes_each_w_once(monkeypatch):
     monkeypatch.setattr(polar, "orbit_equivalence_invariants",
                         counted("oei", polar.orbit_equivalence_invariants))
     monkeypatch.setattr(kahler, "decompose", counted("decompose", kahler.decompose))
-    enumerate_moduli(n, grid)
-    # only the family I pairs u(m), t(m) with the same k are compared in full
-    assert calls["oei"] <= n - 1, calls
-    assert calls["decompose"] <= 2 * raw, (calls, raw)
+    catalog = enumerate_moduli(n, grid)
+    # no dedupe: one normalizer section per admissible moduli of w
+    assert calls["oei"] == 0, calls
+    assert calls["decompose"] <= len(polar._admissible_moduli(n - 1, grid)) < len(catalog), calls
 
 
 @pytest.mark.parametrize("grid", [(), (0.5,), (0.5, 0.9), (0.3, 0.6, 1.2), (0.2, 0.4, 0.8, 1.0)])
@@ -566,16 +579,74 @@ def test_enumerate_rejects_bad_grid():
         with pytest.raises(ValueError, match=re.escape(repr(angle))) as exc:
             enumerate_moduli(4, [angle, 0.7])
         assert f"{margin:g}" in str(exc.value)
+    # two grid angles closer than GRID_MARGIN: decompose cannot separate the
+    # first two pairs, and the third used to merge into one class
+    for n, (lower, angle) in ((6, (0.0015, 0.001504)), (7, (0.01, 0.010003)),
+                              (4, (0.5, 0.50000001)), (4, (0.7, 0.7 + 0.99 * margin))):
+        with pytest.raises(ValueError, match=re.escape(repr(angle))) as exc:
+            enumerate_moduli(n, [lower, angle])
+        assert f"{margin:g}" in str(exc.value) and repr(lower) in str(exc.value)
+    # a + GRID_MARGIN <= b, not b - a >= GRID_MARGIN, which would reject this
+    assert enumerate_moduli(3, [math.pi / 2 - margin])
+
+
+def chained(start, count):
+    """count grid angles from start, each the previous one plus GRID_MARGIN."""
+    grid = [start]
+    while len(grid) < count:
+        grid.append(grid[-1] + polar.GRID_MARGIN)
+    return tuple(grid)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_catalog_classes_verify_polar_with_grid_angles_at_the_bound(n):
-    # near 0 and pi/2 the adapted frames lose accuracy: at 3e-4 some of
-    # these classes verify as not polar
-    grid = (polar.GRID_MARGIN, 0.7, math.pi / 2 - polar.GRID_MARGIN)
+    # near 0 and pi/2 and near each other the adapted frames lose accuracy:
+    # at 3e-4 from 0 some of these classes verify as not polar
+    margin = polar.GRID_MARGIN
+    for grid in ((margin, 0.7, math.pi / 2 - margin), chained(margin, 3), chained(0.5, 3),
+                 chained(0.01, 2)):
+        for entry in enumerate_moduli(n, grid):
+            report = check_spec(entry.spec)
+            assert report.verdict, (grid, entry.label, report.to_json())
+
+
+def cohomogeneity_one_labels(n, grid):
+    """The labels of the cohomogeneity one actions on CH^n among the catalog
+    classes, from (n, grid) alone, by the classifications of Berndt-Bruck
+    (J. reine angew. Math. 541, 2001) and Berndt-Tamaru (Trans. AMS 359,
+    2007): zero-dimensional factors dropped, pi/2 written 1.570796."""
+    def II(b_flag, factors):
+        return f"II:b={b_flag},w={[(angle, dim) for angle, dim in factors if dim]}"
+
+    half_pi = 1.570796
+    return {
+        II("zero", [(0.0, 2 * (n - 1))]),  # the horosphere foliation
+        II("full", [(0.0, 2 * (n - 2)), (half_pi, 1)]),  # the solvable foliation
+        f"I:k=0,q=u({n})",  # the tubes around CH^k, k = 0 ...
+        *(II("full", [(0.0, 2 * (k - 1))]) for k in range(1, n)),  # ... and 1 <= k <= n - 1
+        f"I:k={n},q=0",  # the tubes around RH^n
+        # the Berndt-Bruck actions
+        *(II("full", [(0.0, 2 * (n - 1 - k)), (half_pi, k)]) for k in range(2, n)),
+        *(II("full", [(0.0, 2 * (n - 1 - k)), (round(phi, 6), k)])
+          for phi in grid for k in range(2, n, 2)),
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("grid", [(), (0.4, 1.0), (0.3, 0.7, 1.2)])
+def test_cohomogeneity_one_classes_match_the_classification(n, grid):
+    found = {}
     for entry in enumerate_moduli(n, grid):
         report = check_spec(entry.spec)
-        assert report.verdict, (entry.label, report.to_json())
+        if report.cohomogeneity == 1:
+            assert report.verdict, entry.label
+            found[entry.label] = entry.spec
+    assert set(found) == cohomogeneity_one_labels(n, grid)
+    assert len(found) == 2 * n + 1 + len(grid) * ((n - 1) // 2)
+    specs = list(found.items())
+    for i, (label_a, a) in enumerate(specs):
+        for label_b, b in specs[i + 1:]:
+            assert orbit_equivalence_invariants(a, b)[0] == "no", (label_a, label_b)
 
 
 # --- serialization -----------------------------------------------------------------------
