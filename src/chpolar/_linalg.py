@@ -72,8 +72,14 @@ def orthonormal_rows(A, tol=1e-10):
     """Orthonormal rows spanning the rows of A (its leading right singular
     vectors).  For complex A they span the complex row space and are
     orthonormal in the Hermitian product."""
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    s, vh = singular_rows(A)
     return vh[: _rank_of(s, tol)]
+
+
+def singular_rows(A):
+    """The singular values of A, decreasing, and its right singular vectors as rows."""
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    return s, vh
 
 
 def rank(A, tol):

@@ -11,7 +11,7 @@ Subcommands:
 
 Each subcommand takes only the flags it reads; argparse rejects any other
 flag with exit code 2.  No flag changes a bound: the tolerances are the
-library's constants (``polar.TOL_RANK``, ``kahler.TOL_EIG``, ...), so a
+library's constants (``polar.TOL_RANK``, ``kahler.TOL_ANGLE``, ...), so a
 verdict depends on the input alone.  ``verify`` draws with the spec's own
 ``seed`` key (0 when absent), compare with seed 0, and ``--seed`` seeds
 selfcheck only: enumerate draws nothing, and accepts ``--seed`` and reads

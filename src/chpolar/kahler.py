@@ -8,7 +8,8 @@ interleaved), on which Re<u, v> is the dot product, so projections and Gram
 matrices are matmuls and every orthonormalization and rank decision goes
 through ``_linalg``.  The central operation is the canonical decomposition
 of a subspace into factors of constant Kahler angle, obtained from the
-eigenvalues of -(pi_V J)^2 on V.
+singular values of the sine and cosine operators (1 - pi_V) J and pi_V J
+on V.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import (complement_rows, complex_rows, left_nullspace, orthonormal_rows,
-                      real_rows, unit_rows)
+                      real_rows, singular_rows, unit_rows)
 
-# Tolerances; no flag or parameter changes them.  Double precision with
-# ambient dimensions up to ~64 keeps all of these comfortable.
-TOL_EIG = 1e-8      # eigenvalue grouping on cos^2(phi)
-TOL_ANGLE = 1e-6    # angle comparisons, radians
+# Tolerances; no flag or parameter changes them.  TOL_ANGLE, in radians,
+# is the one angle tolerance (decompose, same_moduli).  It groups two pairs
+# 1e-8 apart (0.5 + 1e-8 - 0.5 is 1.000000005e-8) and stays below 1.41e-8,
+# the spread at which the named normalizer of the group leaks past
+# polar.TOL_SUBALGEBRA = 1e-8 (its closure residual is the spread / sqrt 2).
+TOL_ANGLE = 1.2e-8
 TOL_MEMBER = 1e-8   # membership tests
 
 
@@ -179,50 +182,38 @@ class KahlerDecomposition:
 def decompose(V):
     """Canonical decomposition of V into factors of constant Kahler angle.
 
-    Builds P = pi_V o J on V, eigendecomposes the PSD operator -P^2, groups
-    eigenvalues cos^2(phi) within TOL_EIG, and returns the factors sorted by
-    strictly increasing angle.  Eigenvalues within TOL_EIG of 1 (resp. 0)
-    are snapped to angle exactly 0 (resp. pi/2).
+    On the orthonormal basis of V, the sine operator (1 - pi_V) J has the
+    singular values sin(phi) and the cosine operator pi_V J the values
+    cos(phi).  Angles below pi/4 and their vectors come from the sine, the
+    rest from the cosine, so an angle phi lies about phi from 0 or pi/2,
+    not phi^2 as on cos^2 (Knyazev-Argentati, SIAM J. Sci. Comput. 23,
+    2002).  Angles within TOL_ANGLE of 0 or pi/2 are snapped to exactly 0.0
+    or pi/2, the rest are grouped within TOL_ANGLE of a group's first, and
+    the factors come by strictly increasing angle.  Callers test a factor
+    for 0.0 and pi/2 exactly: only this function decides those.
     """
     k = V.dim
     if k == 0:
         return KahlerDecomposition(())
     basis = V.basis
-    P = _pi_J(basis)
-    M = -P @ P
-    M = 0.5 * (M + M.T)
-    evals, evecs = np.linalg.eigh(M)
-    order = np.argsort(-evals)  # decreasing cos^2 -> increasing angle
-    evals, evecs = evals[order], evecs[:, order]
+    sines, sin_rows = singular_rows(V._outside(real_rows(1j * basis)).T)
+    cosines, cos_rows = singular_rows(_pi_J(basis))
+    low = np.arcsin(np.minimum(sines[::-1], 1.0))  # increasing, as the angles of the cosines
+    angles = np.where(low < math.pi / 4, low, np.arccos(np.minimum(cosines, 1.0)))
+    angles[angles <= TOL_ANGLE] = 0.0
+    angles[angles >= math.pi / 2 - TOL_ANGLE] = math.pi / 2
 
     factors = []
     i = 0
     while i < k:
-        j = i
-        while j + 1 < k and abs(evals[j + 1] - evals[i]) <= TOL_EIG:
+        j = i + 1
+        while j < k and angles[j] - angles[i] <= TOL_ANGLE:
             j += 1
-        lam2 = float(np.mean(evals[i : j + 1]))
-        lam2 = min(1.0, max(0.0, lam2))
-        if lam2 >= 1.0 - TOL_EIG:
-            phi = 0.0
-        elif lam2 <= TOL_EIG:
-            phi = math.pi / 2
-        else:
-            phi = float(np.arccos(np.sqrt(lam2)))
-        block = evecs[:, i : j + 1].T @ basis
-        factors.append((phi, RealSubspace(V.ambient_complex_dim, block)))
-        i = j + 1
-
-    # merge factors whose snapped angles coincide (possible after snapping)
-    merged = []
-    for phi, sub in factors:
-        if merged and abs(merged[-1][0] - phi) <= TOL_ANGLE:
-            prev_phi, prev = merged.pop()
-            joint = RealSubspace(V.ambient_complex_dim, np.vstack([prev.basis, sub.basis]))
-            merged.append((prev_phi, joint))
-        else:
-            merged.append((phi, sub))
-    dec = KahlerDecomposition(tuple(merged))
+        phi = float(0.5 * (angles[i] + angles[j - 1]))  # exactly 0.0 or pi/2 when snapped
+        rows = (sin_rows[::-1] if phi < math.pi / 4 else cos_rows)[i:j]
+        factors.append((phi, RealSubspace(V.ambient_complex_dim, rows @ basis)))
+        i = j
+    dec = KahlerDecomposition(tuple(factors))
     _check_decomposition(V, dec)
     return dec
 
@@ -236,7 +227,7 @@ def _pi_J(basis):
 def _check_decomposition(V, dec):
     """Internal invariant checks for a freshly computed decomposition."""
     for phi, sub in dec.factors:
-        if phi < math.pi / 2 - TOL_ANGLE and sub.dim % 2 != 0:
+        if phi != math.pi / 2 and sub.dim % 2 != 0:
             raise ValueError("factor with angle < pi/2 must have even dimension")
     if sum(dec.dimensions()) != V.dim:
         raise ValueError("factors do not sum to the decomposed subspace")
@@ -373,10 +364,12 @@ def _adapted_frame(sub, phi):
     i pi_V J / cos phi with the positive eigenvalues cos phi_j / cos phi, in
     the factor's orthonormal basis.  A factor of one exact angle is framed
     at phi_j = phi.  A factor that ``decompose`` grouped from angles closer
-    than TOL_EIG but not equal is off that frame by about
+    than TOL_ANGLE but not equal is off that frame by about
     |phi_j - phi| cot(phi/2), so it is framed pair by pair, each at the
-    angle of its own eigenvalue.  A ValueError names the leftover of the
-    frame's Gram matrix from the identity if it is still not C-orthonormal.
+    angle of its own eigenvalue.  The frame divides by sin(phi/2), so near
+    0 it is off by about eps / phi: some factors at 2e-6 cannot be framed.
+    A ValueError names the leftover of the frame's Gram matrix from the
+    identity if it is still not C-orthonormal.
     """
     H = 1j * _pi_J(sub.basis) / math.cos(phi)
     lam, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))  # -cos phi_j / cos phi, then +
@@ -393,9 +386,9 @@ def _adapted_frame(sub, phi):
         half = 0.5 * np.arccos(np.clip(lam[sub.dim // 2:] * math.cos(phi), 0.0, 1.0))[:, None]
         frame = frame_at(np.cos(half), np.sin(half))
     if _gram_leftover(frame) > 1e-12:
-        # eigh mixes pairs whose eigenvalues differ by rounding, and a mixed
-        # pair of unequal angles has no exact angle: its frame is off by about
-        # eps / phi^2 (4e-8 at phi = 1e-4).  One Newton-Schulz step,
+        # the arccos of an eigenvalue near 1 loses about eps / sin(phi), and
+        # eigh mixes pairs whose eigenvalues differ by rounding: at 1e-5 the
+        # frame is off by about 1e-5.  One Newton-Schulz step,
         # F -> (3 - F F*) F / 2, takes a Gram matrix I + E to I + O(E^2) and
         # moves the rows by about |E|.
         frame = 0.5 * (3.0 * frame - (frame @ frame.conj().T) @ frame)
@@ -413,9 +406,9 @@ def _factor_frame(phi, sub):
     C-orthonormal basis of a complex factor, the real orthonormal basis of a
     totally real one (C-orthonormal there), the adapted frame of an interior
     one."""
-    if phi <= TOL_ANGLE:
+    if phi == 0.0:
         return orthonormal_rows(sub.basis)
-    if abs(phi - math.pi / 2) <= TOL_ANGLE:
+    if phi == math.pi / 2:
         return sub.basis
     return _adapted_frame(sub, phi)
 
@@ -516,9 +509,9 @@ def normalizer_frame(V):
     frames, blocks = [np.zeros((0, m))], []
     for phi, sub in decompose(V).factors:
         F = _factor_frame(phi, sub)
-        if phi <= TOL_ANGLE:
+        if phi == 0.0:
             gens = _unit_matrices(skew_hermitian_basis(len(F)))
-        elif abs(phi - math.pi / 2) <= TOL_ANGLE:
+        elif phi == math.pi / 2:
             gens = _unit_matrices(skew_hermitian_basis(len(F))[len(F)::2])  # E_jk - E_kj
         else:
             p = len(F) // 2

@@ -78,13 +78,11 @@ SLICE_SAMPLES = 24  # draws of the regular-vector sampler of the criterion
 ORBIT_SAMPLES = 40  # draws per principal orbit dimension in orbit_equivalence_invariants
 Q_TYPES = ("u", "t", "normalizer")  # the names a spec may give its q by
 # Neighbours in [0, *grid, pi/2] of the catalog's angle grid lie at least
-# GRID_MARGIN apart.  Closer, the adapted frames (kahler._adapted_frame) lose
-# accuracy: over the catalogs for n <= 8 the bracket residual reaches 1.9e-9
-# at 3e-4 from 0 and 5.8e-9 at 1.5e-4, above TOL_BRACKET, so such classes
-# verify as not polar, and decompose cannot separate two factors whose angles
-# are 4e-6 apart (0.0015 and 0.001504 at n = 6).  At gaps of 1e-3 the largest
-# bracket residual is 3.9e-10.
-GRID_MARGIN = 1e-3
+# GRID_MARGIN apart.  The floor is the adapted frame near 0
+# (kahler._adapted_frame divides by sin(phi/2)): it frames a factor 1e-5
+# from 0 but not one 2e-6 from 0, and gaps of 1e-5 elsewhere verify polar
+# over the catalogs for n <= 8.
+GRID_MARGIN = 1e-5
 SPEC_KEYS = {"I": ("n", "family", "seed", "k", "q", "q_basis", "q_section"),  # the JSON keys
              "II": ("n", "family", "seed", "b", "w", "q", "q_basis", "q_section")}  # of a spec
 
@@ -170,7 +168,8 @@ def _checked_inputs(spec):
     [q, w] <= w.  A named q is closed by construction, so it costs no
     m^2 x m^2 SVD and no [q, q] bracket; its [q, w] is measured, the
     normalizer's too: that is the normalizer of w as kahler.decompose groups
-    its angles, which leaks from w by about half the spread of a group.
+    its angles (within kahler.TOL_ANGLE), which leaks from w with a closure
+    residual of the spread of a group over sqrt(2).
 
     h is closed exactly except for those two brackets: every other one is
     fixed by the root-space structure.  Their parts outside h, over
@@ -869,7 +868,8 @@ def enumerate_moduli(n, angle_grid=()):
     u(m) and t(m), whose principal orbits have dimensions 2m - 1 and m; two
     family II entries differ in b-flag, or their moduli differ in a
     dimension or in an angle by at least GRID_MARGIN (_admissible_moduli),
-    far above kahler.TOL_ANGLE.
+    far above kahler.TOL_ANGLE, so kahler.decompose keeps their factors
+    apart.
     """
     if n < 2:
         raise ValueError("need n >= 2")

@@ -25,7 +25,7 @@ import scipy.linalg
 from chpolar._linalg import (complex_rows, left_nullspace, orthonormal_rows, real_rows,
                              sample_ranks, unit_rows)
 from chpolar.angeom import an_matrix
-from chpolar.kahler import (TOL_ANGLE, TOL_MEMBER, RealSubspace, canonical_subspace,
+from chpolar.kahler import (TOL_MEMBER, RealSubspace, canonical_subspace,
                             decompose, haar_unitary)
 from chpolar.polar import TOL_RANK, _q_frame, build_family_I, build_family_II
 from chpolar.su1n import (ConsistencyError, bracket, build_root_decomposition, traceless_block,
@@ -217,7 +217,7 @@ def normalizer_dimension_formula(V):
     dec = decompose(V)
     total = 0
     for phi, sub in dec.factors:
-        if abs(phi - math.pi / 2) <= TOL_ANGLE:
+        if phi == math.pi / 2:
             total += sub.dim * (sub.dim - 1) // 2
         else:
             total += (sub.dim // 2) ** 2

@@ -450,7 +450,7 @@ ENUMERATE_LABELS = {
 }
 ENUMERATE_SHA256 = {
     "n2": "f090f5f2a6b314ff684ba02317e510442fa70e7e6c8595afb4aa01d029c07f1e",
-    "n3": "e03e37454d81efaeafaf5aa160dd5aca72917815a52c4443792424238d3e5bbf",
+    "n3": "cef7964a43d6c9650294498eca4105ce1474fe07c4d5dd77a471668ff04f627c",
 }
 
 
@@ -487,11 +487,13 @@ def test_cmd_enumerate_rejects_bad_angles(capsys):
     assert main(["enumerate", "--n", "3", "--angles", "2.0"]) == 2
     assert main(["enumerate", "--n", "3", "--angles", "abc"]) == 2
     capsys.readouterr()
-    # the class w = [(1e-5, 2)] of this catalog would fail verify
-    assert main(["enumerate", "--n", "4", "--angles", "1e-5,0.7"]) == 2
+    # a grid angle below GRID_MARGIN from 0: kahler._adapted_frame cannot
+    # frame some catalog classes at 1e-6 (from n = 6 on)
+    margin = f"{polar.GRID_MARGIN:g}"
+    assert main(["enumerate", "--n", "4", "--angles", "1e-6,0.7"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "grid angle 1e-05" in captured.err and "0.001" in captured.err
+    assert "grid angle 1e-06" in captured.err and margin in captured.err
     # two grid angles closer than GRID_MARGIN: the first two catalogs used
     # to fail in decompose or hold a class that verify rejects, the third
     # to merge near-equal angles into one class
@@ -501,7 +503,7 @@ def test_cmd_enumerate_rejects_bad_angles(capsys):
         assert main(["enumerate", "--n", n, "--angles", angles]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"grid angle {angles.split(',')[1]}" in captured.err and "0.001" in captured.err
+        assert f"grid angle {angles.split(',')[1]}" in captured.err and margin in captured.err
 
 
 def subprocess_env():

@@ -575,12 +575,12 @@ def test_enumerate_rejects_bad_grid():
     with pytest.raises(ValueError):
         enumerate_moduli(3, [math.pi / 2])
     margin = polar.GRID_MARGIN
-    for angle in (1e-5, 0.99 * margin, math.pi / 2 - 0.99 * margin, 0.0, -0.1, 2.0):
+    for angle in (1e-6, 0.99 * margin, math.pi / 2 - 0.99 * margin, 0.0, -0.1, 2.0):
         with pytest.raises(ValueError, match=re.escape(repr(angle))) as exc:
             enumerate_moduli(4, [angle, 0.7])
         assert f"{margin:g}" in str(exc.value)
-    # two grid angles closer than GRID_MARGIN: decompose cannot separate the
-    # first two pairs, and the third used to merge into one class
+    # two grid angles closer than GRID_MARGIN: the first two pairs used to
+    # be grouped by decompose, and the third to merge into one class
     for n, (lower, angle) in ((6, (0.0015, 0.001504)), (7, (0.01, 0.010003)),
                               (4, (0.5, 0.50000001)), (4, (0.7, 0.7 + 0.99 * margin))):
         with pytest.raises(ValueError, match=re.escape(repr(angle))) as exc:
@@ -600,8 +600,8 @@ def chained(start, count):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_catalog_classes_verify_polar_with_grid_angles_at_the_bound(n):
-    # near 0 and pi/2 and near each other the adapted frames lose accuracy:
-    # at 3e-4 from 0 some of these classes verify as not polar
+    # near 0 the adapted frames lose accuracy: at 2e-6 from 0 some of
+    # these classes cannot be framed
     margin = polar.GRID_MARGIN
     for grid in ((margin, 0.7, math.pi / 2 - margin), chained(margin, 3), chained(0.5, 3),
                  chained(0.01, 2)):
