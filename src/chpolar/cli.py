@@ -20,13 +20,15 @@ nothing from it, for the benchmark's command lines.  Output is JSON only.
 Exit codes: 0 success / verdict true, 1 verdict false or not equivalent
 (this includes 'undetermined' equivalence answers), 2 input error,
 3 internal consistency error.  All floating point numbers are printed
-with 17 significant digits so doubles round-trip exactly.
+with 17 significant digits so doubles round-trip exactly; a NaN or an
+infinity, which JSON cannot hold, is an internal consistency error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,7 +38,8 @@ from .su1n import ConsistencyError
 
 
 def render_json(obj, indent=0):
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits; a NaN or
+    infinite float, which JSON cannot hold, is a ConsistencyError."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -56,6 +59,8 @@ def render_json(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ConsistencyError(f"cannot write the non-finite number {float(obj)!r} as JSON")
         return format(float(obj), ".17g")
     return json.dumps(obj)
 

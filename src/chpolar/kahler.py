@@ -30,6 +30,9 @@ from ._linalg import (complement_rows, complex_rows, left_nullspace, orthonormal
 # polar.TOL_SUBALGEBRA = 1e-8 (its closure residual is the spread / sqrt 2).
 TOL_ANGLE = 1.2e-8
 TOL_MEMBER = 1e-8   # membership tests
+# The least interior Kahler angle _adapted_frame frames: a factor phi from
+# 0 is framed to about eps / phi, and one below the floor is an input error.
+FRAME_FLOOR = 5e-6
 
 
 def json_int(value, name):
@@ -347,11 +350,6 @@ def ominus(V, U):
 # -- congruence -----------------------------------------------------------
 
 
-def _gram_leftover(rows):
-    """Largest entry of the Hermitian Gram matrix of ``rows`` minus the identity."""
-    return float(np.abs(rows @ rows.conj().T - np.eye(len(rows))).max(initial=0.0))
-
-
 def _adapted_frame(sub, phi):
     """The (e_j, f_j) frame of a factor of interior Kahler angle phi.
 
@@ -359,41 +357,33 @@ def _adapted_frame(sub, phi):
 
         cos(phi_j/2) e_j + i sin(phi_j/2) f_j,  i cos(phi_j/2) e_j + sin(phi_j/2) f_j
 
-    spanning the factor.  The pairs (v_j, J_j v_j), J_j = pi_V J / cos phi_j,
-    are the real and imaginary parts of the eigenvectors of the Hermitian
-    i pi_V J / cos phi with the positive eigenvalues cos phi_j / cos phi, in
-    the factor's orthonormal basis.  A factor of one exact angle is framed
-    at phi_j = phi.  A factor that ``decompose`` grouped from angles closer
-    than TOL_ANGLE but not equal is off that frame by about
-    |phi_j - phi| cot(phi/2), so it is framed pair by pair, each at the
-    angle of its own eigenvalue.  The frame divides by sin(phi/2), so near
-    0 it is off by about eps / phi: some factors at 2e-6 cannot be framed.
-    A ValueError names the leftover of the frame's Gram matrix from the
-    identity if it is still not C-orthonormal.
+    spanning the factor, phi_j the angle of pair j: phi itself, or within
+    TOL_ANGLE of it in a factor that ``decompose`` grouped.  The
+    eigenvectors c_j of the Hermitian i pi_V J with the positive
+    eigenvalues cos phi_j, in the factor's orthonormal basis, have real and
+    imaginary parts v_j and J_j v_j = pi_V J v_j / cos phi_j, and
+
+        v_j - i J_j v_j = 2 cos(phi_j/2) e_j,  -i (v_j + i J_j v_j) = 2 sin(phi_j/2) f_j,
+
+    so each of these rows scaled to unit length frames its pair at its own
+    angle.  The second is about phi_j long, so it is off by about eps / phi:
+    a factor below FRAME_FLOOR is a ValueError naming the floor.  One
+    Newton-Schulz step, F -> (3 - F F*) F / 2, takes the Gram matrix I + E
+    to I + O(E^2) (eigh mixes pairs whose eigenvalues differ by rounding);
+    a frame whose Gram matrix is still not within TOL_MEMBER of the
+    identity (NaN included) is a ValueError.
     """
-    H = 1j * _pi_J(sub.basis) / math.cos(phi)
-    lam, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))  # -cos phi_j / cos phi, then +
-    top = math.sqrt(2.0) * vecs[:, sub.dim // 2:].T
-    v, jv = top.real @ sub.basis, top.imag @ sub.basis
-
-    def frame_at(c2, s2):  # cos and sin of the half-angles
-        f = (jv - 1j * v) / (2 * s2)  # (J_j v - J v) / (2 sin(phi_j/2))
-        e = (v - 1j * s2 * f) / c2
-        return np.vstack([e, f])
-
-    frame = frame_at(math.cos(phi / 2), math.sin(phi / 2))
-    if _gram_leftover(frame) > 1e-12:
-        half = 0.5 * np.arccos(np.clip(lam[sub.dim // 2:] * math.cos(phi), 0.0, 1.0))[:, None]
-        frame = frame_at(np.cos(half), np.sin(half))
-    if _gram_leftover(frame) > 1e-12:
-        # the arccos of an eigenvalue near 1 loses about eps / sin(phi), and
-        # eigh mixes pairs whose eigenvalues differ by rounding: at 1e-5 the
-        # frame is off by about 1e-5.  One Newton-Schulz step,
-        # F -> (3 - F F*) F / 2, takes a Gram matrix I + E to I + O(E^2) and
-        # moves the rows by about |E|.
-        frame = 0.5 * (3.0 * frame - (frame @ frame.conj().T) @ frame)
-    leftover = _gram_leftover(frame)
-    if leftover > TOL_MEMBER:
+    if phi < FRAME_FLOOR:
+        raise ValueError(f"Kahler angle {phi!r} lies below FRAME_FLOOR = {FRAME_FLOOR:g}, "
+                         f"the least interior angle whose adapted frame is accurate")
+    H = 1j * _pi_J(sub.basis)
+    _, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))  # -cos phi_j, then +cos phi_j
+    c = vecs[:, sub.dim // 2:].T
+    frame = np.vstack([c.conj() @ sub.basis, -1j * c @ sub.basis])  # v - i Jv, -i (v + i Jv)
+    frame /= np.linalg.norm(frame, axis=1, keepdims=True)
+    frame = 0.5 * (3.0 * frame - (frame @ frame.conj().T) @ frame)
+    leftover = np.abs(frame @ frame.conj().T - np.eye(len(frame))).max()
+    if not leftover <= TOL_MEMBER:
         raise ValueError(
             f"adapted frame at angle {phi!r} is not C-orthonormal: "
             f"leftover norm {leftover:.3e} > {TOL_MEMBER:g}"

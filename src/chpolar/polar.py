@@ -78,11 +78,10 @@ SLICE_SAMPLES = 24  # draws of the regular-vector sampler of the criterion
 ORBIT_SAMPLES = 40  # draws per principal orbit dimension in orbit_equivalence_invariants
 Q_TYPES = ("u", "t", "normalizer")  # the names a spec may give its q by
 # Neighbours in [0, *grid, pi/2] of the catalog's angle grid lie at least
-# GRID_MARGIN apart.  The floor is the adapted frame near 0
-# (kahler._adapted_frame divides by sin(phi/2)): it frames a factor 1e-5
-# from 0 but not one 2e-6 from 0, and gaps of 1e-5 elsewhere verify polar
-# over the catalogs for n <= 8.
-GRID_MARGIN = 1e-5
+# GRID_MARGIN apart, twice kahler.FRAME_FLOOR, the least interior angle the
+# adapted frame takes, so every grid angle clears that floor; gaps of 1e-5
+# elsewhere verify polar over the catalogs for n <= 8.
+GRID_MARGIN = 2 * kahler.FRAME_FLOOR
 SPEC_KEYS = {"I": ("n", "family", "seed", "k", "q", "q_basis", "q_section"),  # the JSON keys
              "II": ("n", "family", "seed", "b", "w", "q", "q_basis", "q_section")}  # of a spec
 

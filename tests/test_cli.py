@@ -487,8 +487,8 @@ def test_cmd_enumerate_rejects_bad_angles(capsys):
     assert main(["enumerate", "--n", "3", "--angles", "2.0"]) == 2
     assert main(["enumerate", "--n", "3", "--angles", "abc"]) == 2
     capsys.readouterr()
-    # a grid angle below GRID_MARGIN from 0: kahler._adapted_frame cannot
-    # frame some catalog classes at 1e-6 (from n = 6 on)
+    # a grid angle below GRID_MARGIN from 0: 1e-6 lies below
+    # kahler.FRAME_FLOOR, so its classes could not be framed
     margin = f"{polar.GRID_MARGIN:g}"
     assert main(["enumerate", "--n", "4", "--angles", "1e-6,0.7"]) == 2
     captured = capsys.readouterr()
@@ -634,6 +634,25 @@ def test_render_json_17_digits():
     text = render_json({"x": 1.0 / 3.0})
     assert "0.33333333333333331" in text
     assert json.loads(text)["x"] == 1.0 / 3.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_render_json_refuses_a_non_finite_float(value):
+    # JSON holds no NaN or Infinity: "nan" would be output no reader takes
+    with pytest.raises(su1n.ConsistencyError, match="non-finite number"):
+        render_json({"report": [1.0, value]})
+
+
+def test_a_non_finite_residual_exits_3_and_prints_nothing(capsys, monkeypatch):
+    def verify_nan(args):
+        cli._emit({"verdict": True, "bracket_residual": math.nan}, args)
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", verify_nan)
+    assert main(["verify", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("chpolar: internal consistency error: ") and "nan" in captured.err
 
 
 def test_bad_config_exit_2(capsys):

@@ -308,8 +308,9 @@ def test_congruent_angles_within_tolerance():
 
 
 def test_adapted_frame_at_a_nearby_angle_frames_each_pair():
-    # the frame at 0.5 of a factor at 0.5 + 1e-8 would be off by about
-    # 1e-8 cot(0.25); each pair is framed at its own eigenvalue's angle
+    # each pair is framed at its own angle, from its own eigenvector, not
+    # at the factor angle passed: a frame at 0.5 of a factor at 0.5 + 1e-8
+    # would be off by about 1e-8 cot(0.25)
     angle = 0.5 + 1e-8
     W = kahler.canonical_subspace(3, [(angle, 2)])
     F = kahler._adapted_frame(W, 0.5)

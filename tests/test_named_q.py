@@ -201,10 +201,16 @@ def test_named_u_and_t_are_measured_against_w(tmp_path, capsys):
     assert main(["verify", write_json(tmp_path, "t.json", torus.to_json())]) == 0
 
 
-def normalizer_spec(n, w):
-    """The family II spec with b = full, w, its named normalizer and normalizer_section(w)."""
-    return PolarActionSpec(n=n, family="II", b_flag="full", q_type="normalizer", w=w,
+def normalizer_spec(n, w, b_flag="full"):
+    """The family II spec with b_flag, w, its named normalizer and normalizer_section(w)."""
+    return PolarActionSpec(n=n, family="II", b_flag=b_flag, q_type="normalizer", w=w,
                            q_section=normalizer_section(w))
+
+
+def haar_image(w, seed):
+    """w moved by the Haar unitary of seed ``seed``."""
+    m = w.ambient_complex_dim
+    return RealSubspace(m, w.basis @ kahler.haar_unitary(m, np.random.default_rng(seed)).T)
 
 
 @pytest.mark.parametrize("phi, spread, code", [(0.1, 1e-8, 0), (1e-4, 1e-8, 0), (1e-4, 1e-5, 0)])
@@ -221,7 +227,7 @@ def test_a_named_normalizer_is_measured_against_w(tmp_path, capsys, phi, spread,
         assert abs(report["subalgebra_residual"] - leak) <= 1e-11
 
 
-FRAME_FLOOR = 2e-6  # kahler._adapted_frame divides by sin(phi / 2), and fails on some factors here
+FRAME_FLOOR = 2e-6  # 1e-6 and 1e-7 from 0 lie below kahler.FRAME_FLOOR = 5e-6, an input error
 
 
 @pytest.mark.parametrize("phi", [1e-3, 3e-4, 1e-4, 1e-5, 1e-6, 1e-7])
@@ -235,7 +241,7 @@ def test_a_factor_near_0_or_pi_2_verifies_polar(phi, edge, n, pairs, seed):
     angle = abs(edge - phi)
     w = kahler.canonical_subspace(n - 1, [(angle, 2 * pairs)])
     if seed is not None:
-        w = RealSubspace(n - 1, w.basis @ kahler.haar_unitary(n - 1, np.random.default_rng(seed)).T)
+        w = haar_image(w, seed)
     assert kahler.same_moduli(kahler.decompose(w).moduli(), [(angle, 2 * pairs)])
     try:
         report = check_spec(normalizer_spec(n, w))
@@ -243,6 +249,59 @@ def test_a_factor_near_0_or_pi_2_verifies_polar(phi, edge, n, pairs, seed):
         assert edge == 0.0 and phi < FRAME_FLOOR  # an input error, never a false verdict
         return
     assert report.verdict, report.to_json()
+
+
+@pytest.mark.parametrize("n, moduli, seed", [(6, [(2e-6, 2)], 101), (8, [(3e-6, 6)], 100),
+                                            (4, [(1.5e-8, 2)], 5)])
+@pytest.mark.parametrize("b_flag", ["full", "zero"])
+def test_verify_of_a_factor_below_the_frame_floor_exits_2(tmp_path, capsys, n, moduli, seed, b_flag):
+    # an interior factor below kahler.FRAME_FLOOR is an input error naming
+    # the floor, never a false "not polar" or a frame of NaN
+    spec = normalizer_spec(n, haar_image(kahler.canonical_subspace(n - 1, moduli), seed), b_flag)
+    assert main(["verify", write_json(tmp_path, "s.json", spec.to_json())]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "FRAME_FLOOR" in captured.err
+
+
+def test_compare_of_a_factor_below_the_frame_floor_exits_2(tmp_path, capsys):
+    # the witness below the floor is an input error, not a NaN unitary
+    w = kahler.canonical_subspace(3, [(1.5e-8, 2)])
+    A = kahler.haar_unitary(3, np.random.default_rng(5))
+    q = kahler.normalizer_algebra(w)
+    image = RealSubspace(3, w.basis @ A.T)
+    paths = [write_json(tmp_path, name, PolarActionSpec(
+                 n=4, family="II", b_flag="full", w=v, q_basis=qv,
+                 q_section=normalizer_section(v)).to_json())
+             for name, v, qv in (("a.json", image, A @ q @ A.conj().T), ("c.json", w, q))]
+    assert main(["compare", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "FRAME_FLOOR" in captured.err
+
+
+@pytest.mark.parametrize("phi", [1e-5, 2e-5, 5e-5])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_a_factor_at_or_above_the_frame_floor_verifies_polar_in_any_unitary_frame(phi, n):
+    # every family II action is polar (Theorem A), in every unitary image
+    # of w; the catalog puts its angles at least 2 * FRAME_FLOOR from 0
+    shapes = [[(phi, 2 * ((n - 1) // 2))], [(phi, 2), (math.pi / 2, 1)],
+              *([[(phi, 2), (0.7, 2)]] if n > 4 else [])]  # the last needs C^4
+    for moduli in shapes:
+        w = kahler.canonical_subspace(n - 1, moduli)
+        for seed in range(100, 104):
+            for b_flag in ("full", "zero"):
+                report = check_spec(normalizer_spec(n, haar_image(w, seed), b_flag))
+                assert report.verdict, (moduli, seed, b_flag, report.to_json())
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="q does not normalize w: in a unitary frame, the named normalizer of a "
+                          "complex factor beside one 1e-5 from 0 leaks 1.2e-7 from w")
+def test_a_complex_factor_beside_one_near_0_verifies_polar_in_a_unitary_frame():
+    # polar by Theorem A; the catalog's margin is measured on canonical w only
+    w = haar_image(kahler.canonical_subspace(4, [(0.0, 2), (1e-5, 2)]), 100)
+    assert check_spec(normalizer_spec(5, w)).verdict
 
 
 @pytest.mark.parametrize("n, moduli", [
