@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (complement_rows, complex_rows, left_nullspace, orthonormal_rows,
-                      real_rows, singular_rows, unit_rows)
+from ._linalg import (complement_rows, complex_rows, orthonormal_rows, real_rows,
+                      singular_rows, unit_rows)
 
 # Tolerances; no flag or parameter changes them.  TOL_ANGLE, in radians,
 # is the one angle tolerance (decompose, same_moduli).  It groups two pairs
@@ -478,10 +478,10 @@ def _unit_matrices(mats):
     return mats / np.linalg.norm(mats, axis=(1, 2), keepdims=True)
 
 
-def normalizer_frame(V):
+def normalizer_algebra(V):
     """The normalizer {T in u(m) : T.V <= V} in closed form, as an (r, m, m)
-    stack orthonormal for Re tr(N* M); normalizer_algebra is its numerical
-    oracle.
+    stack orthonormal for Re tr(N* M): the q that a spec names "normalizer"
+    (polar._spec_q), and the one construction of it here.
 
     A unitary normalizing V keeps each factor of decompose(V) (an
     eigenspace of -(pi_V J)^2) and the complement of C.V, so the normalizer
@@ -494,7 +494,10 @@ def normalizer_frame(V):
     - the totally real factor R^r: M in so(r), in its real basis;
     - the complement of C.V: M in u of it.
 
-    Its dimension has a closed form (tests/oracles.py)."""
+    Pairs that decompose groups within TOL_ANGLE share a factor, so they
+    share its u(p); an interior factor below FRAME_FLOOR is a ValueError
+    (``_adapted_frame``).  Its dimension has a closed form, and an SVD null
+    space is its numerical oracle (tests/oracles.py)."""
     m = V.ambient_complex_dim
     frames, blocks = [np.zeros((0, m))], []
     for phi, sub in decompose(V).factors:
@@ -513,17 +516,3 @@ def normalizer_frame(V):
     rest = complement_rows(np.vstack(frames), m)
     blocks.append(rest.T @ _unit_matrices(skew_hermitian_basis(len(rest))) @ rest.conj())
     return np.concatenate(blocks)
-
-
-def normalizer_algebra(V):
-    """Basis of {T in u(m) : T.V <= V} as an (r, m, m) stack: the left null
-    space of the stacked residuals of the generators of u(m).  The catalog
-    names its q instead (normalizer_frame, in closed form); this SVD is that
-    construction's oracle, and builds explicit q_basis inputs."""
-    m = V.ambient_complex_dim
-    gens = skew_hermitian_basis(m)
-    if V.dim == 0 or V.dim == 2 * m:
-        return gens
-    null = left_nullspace(normalizer_residual(V, gens).reshape(len(gens), -1))
-    return np.tensordot(null, gens, axes=1)
-

@@ -145,8 +145,8 @@ def _spec_q(spec):
 
     - "u": u(m), the whole frame (a ``_UFrame``; u(0) = 0);
     - "t": the maximal torus t(m), its diagonal;
-    - "normalizer": the normalizer of w in u(m), block-diagonal in the
-      canonical frame of kahler.decompose(w) (``kahler.normalizer_frame``).
+    - "normalizer": the normalizer of w in u(m), ``kahler.normalizer_algebra``,
+      block-diagonal in the canonical frame of kahler.decompose(w).
     """
     m, n = spec.m, spec.n
     if spec.q_type is None:
@@ -157,7 +157,7 @@ def _spec_q(spec):
         return _UFrame(m, n)
     if spec.q_type == "t":
         return u_matrices(np.eye(m, m * m), m, n)
-    return u_orthonormal(kahler.normalizer_frame(spec.w), n)
+    return u_orthonormal(kahler.normalizer_algebra(spec.w), n)
 
 
 def _checked_inputs(spec):
@@ -166,9 +166,11 @@ def _checked_inputs(spec):
     (``su1n.u_frame``), the section and w live in C^m, [q, q] <= q and
     [q, w] <= w.  A named q is closed by construction, so it costs no
     m^2 x m^2 SVD and no [q, q] bracket; its [q, w] is measured, the
-    normalizer's too: that is the normalizer of w as kahler.decompose groups
-    its angles (within kahler.TOL_ANGLE), which leaks from w with a closure
-    residual of the spread of a group over sqrt(2).
+    normalizer's too.  kahler.normalizer_algebra is the one normalizer,
+    named or spelled out as a q_basis: that of w as kahler.decompose groups
+    its angles (within kahler.TOL_ANGLE), closed under the bracket, which
+    leaks from w with a closure residual of the spread of a group over
+    sqrt(2).
 
     h is closed exactly except for those two brackets: every other one is
     fixed by the root-space structure.  Their parts outside h, over
@@ -790,9 +792,14 @@ def _family_I_entries(n):
 def _admissible_moduli(m, angle_grid):
     """All (angle, dim) multisets fitting in C^m: complex footprint
     m_0/2 + sum m_phi + m_{pi/2} <= m with even m_0, m_phi.  Repeats in
-    the grid collapse; any two neighbours in [0, *grid, pi/2] closer than
-    GRID_MARGIN are a ValueError."""
+    the grid collapse; a grid angle outside (0, pi/2), NaN included, and
+    any two neighbours in [0, *grid, pi/2] closer than GRID_MARGIN are a
+    ValueError."""
     angles = sorted(set(float(a) for a in angle_grid))
+    for a in angles:
+        if not 0.0 < a < math.pi / 2:
+            raise ValueError(f"grid angle {a!r} lies outside the open interval (0, pi/2); grid angles lie "
+                             f"at least GRID_MARGIN = {GRID_MARGIN:g} from 0, pi/2 and each other")
     bounds = [0.0, *angles, math.pi / 2]
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if not lo + GRID_MARGIN <= hi:  # not hi - lo: pi/2 - (pi/2 - GRID_MARGIN) rounds below it

@@ -10,6 +10,9 @@ no command of the CLI reaches.
 - ``project``, ``contains``, ``same_span``, ``kahler_angle``,
   ``complex_span``, ``random_subspace`` and ``normalizer_dimension_formula``:
   queries and constructions on ``kahler.RealSubspace``.
+- ``normalizer_nullspace``: the normalizer of a real subspace as an SVD
+  null space, the numerical oracle of ``kahler.normalizer_algebra`` (the
+  closed form, the one normalizer the package builds).
 
 Tests import them with ``from oracles import ...``: pytest puts this
 directory on ``sys.path``.
@@ -25,8 +28,8 @@ import scipy.linalg
 from chpolar._linalg import (complex_rows, left_nullspace, orthonormal_rows, real_rows,
                              sample_ranks, unit_rows)
 from chpolar.angeom import an_matrix
-from chpolar.kahler import (TOL_MEMBER, RealSubspace, canonical_subspace,
-                            decompose, haar_unitary)
+from chpolar.kahler import (TOL_MEMBER, RealSubspace, canonical_subspace, decompose,
+                            haar_unitary, normalizer_residual, skew_hermitian_basis)
 from chpolar.polar import TOL_RANK, _q_frame, build_family_I, build_family_II
 from chpolar.su1n import (ConsistencyError, bracket, build_root_decomposition, traceless_block,
                           u_frame, u_matrices)
@@ -224,3 +227,16 @@ def normalizer_dimension_formula(V):
     m0_perp = 2 * V.ambient_complex_dim - complex_span(V).dim
     total += (m0_perp // 2) ** 2
     return total
+
+
+def normalizer_nullspace(V):
+    """Basis of {T in u(m) : T.V <= V} as an (r, m, m) stack: the left null
+    space of the stacked residuals of the generators of u(m).  Its 1e-9
+    cutoff (``_linalg.left_nullspace``) may split pairs that decompose
+    groups within TOL_ANGLE, and then it is smaller than the closed form."""
+    m = V.ambient_complex_dim
+    gens = skew_hermitian_basis(m)
+    if V.dim == 0 or V.dim == 2 * m:
+        return gens
+    null = left_nullspace(normalizer_residual(V, gens).reshape(len(gens), -1))
+    return np.tensordot(null, gens, axes=1)

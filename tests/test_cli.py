@@ -506,6 +506,17 @@ def test_cmd_enumerate_rejects_bad_angles(capsys):
         assert f"grid angle {angles.split(',')[1]}" in captured.err and margin in captured.err
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-0.5"])
+def test_cmd_enumerate_names_the_interval_of_an_out_of_range_angle(capsys, angle):
+    # an angle outside (0, pi/2) is not within GRID_MARGIN of a neighbour:
+    # the error names the open interval, not a neighbour
+    assert main(["enumerate", "--n", "4", "--angles", "0.7," + angle]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"grid angle {float(angle)!r} lies outside the open interval (0, pi/2)" in captured.err
+    assert "neighbour" not in captured.err
+
+
 def subprocess_env():
     """The environment of a child interpreter that imports this chpolar."""
     src = os.path.dirname(os.path.dirname(chpolar.__file__))

@@ -410,11 +410,15 @@ def test_normalizer_constant_angle_plane():
 
 
 def test_normalizer_closed_under_action():
+    # the u(1) of the complement of C.V kills V, so T b is rounding noise
+    # there, and contains() would scale it to a unit vector: the part of
+    # T b outside V is measured against |T| |b| = |T| instead, at 1e-12, no
+    # looser than TOL_MEMBER |T b| wherever |T b| >= 1e-4 |T|
     rng = np.random.default_rng(9)
     V = random_subspace(3, [(math.pi / 3, 2)], rng)
     for T in kahler.normalizer_algebra(V):
         for b in V.basis:
-            assert contains(V, T @ b)
+            assert np.linalg.norm(T @ b - project(V, T @ b)) <= 1e-12 * np.linalg.norm(T)
 
 
 def test_normalizer_formula_matches_oracle_on_random_subspaces():

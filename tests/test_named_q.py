@@ -14,7 +14,7 @@ from chpolar import kahler, polar, su1n
 from chpolar.cli import main
 from chpolar.kahler import RealSubspace
 from chpolar.polar import PolarActionSpec, check_spec, enumerate_moduli, normalizer_section
-from oracles import normalizer_dimension_formula, random_subspace
+from oracles import normalizer_dimension_formula, normalizer_nullspace, random_subspace
 
 
 def write_json(tmp_path, name, payload):
@@ -47,7 +47,7 @@ def test_u_orthonormal_makes_a_frobenius_frame_orthonormal_in_the_metric(m, n):
     # the unit skew_hermitian_basis has m matrices with a trace, the
     # normalizer of a complex line two blocks with one each
     line = RealSubspace(m, [np.eye(m)[0], 1j * np.eye(m)[0]])
-    for S in (unit_basis(m), kahler.normalizer_frame(line)):
+    for S in (unit_basis(m), kahler.normalizer_algebra(line)):
         rows = su1n.u_coords(su1n.u_orthonormal(S, n), n)
         assert np.abs(rows @ rows.T - np.eye(len(S))).max() <= 1e-14
         assert polar._same_matrix_span(su1n.u_orthonormal(S, n), polar._q_frame(S, m, n)[1], n)
@@ -57,13 +57,13 @@ def test_u_orthonormal_makes_a_frobenius_frame_orthonormal_in_the_metric(m, n):
 
 
 def _frame_agrees_with_the_svd_oracle(V):
-    """normalizer_frame(V): orthonormal for Re tr(N* M), skew-Hermitian, of
-    the formula's dimension, normalizing V, and spanning what the SVD null
-    space normalizer_algebra(V) spans."""
-    frame = kahler.normalizer_frame(V)
+    """normalizer_algebra(V), the closed form: orthonormal for Re tr(N* M),
+    skew-Hermitian, of the formula's dimension, normalizing V, and spanning
+    what the SVD null space normalizer_nullspace(V) spans."""
+    frame = kahler.normalizer_algebra(V)
     m = V.ambient_complex_dim
     gram = np.einsum("iab,jab->ij", frame.conj(), frame).real
-    frames = [polar._q_frame(q, m, m + 1)[1] for q in (frame, kahler.normalizer_algebra(V))]
+    frames = [polar._q_frame(q, m, m + 1)[1] for q in (frame, normalizer_nullspace(V))]
     return (len(frame) == normalizer_dimension_formula(V)
             and np.abs(gram - np.eye(len(frame))).max(initial=0.0) <= 1e-12
             and np.abs(frame + frame.conj().transpose(0, 2, 1)).max(initial=0.0) <= 1e-12
@@ -111,10 +111,10 @@ RESIDUALS = ("subalgebra_residual", "section_residual", "bracket_residual")
 def explicit(spec):
     """The spec with its named q spelled out by the numerical constructions
     the catalog used before it named q: skew_hermitian_basis for u(m), its
-    first m matrices for t(m), normalizer_algebra (an SVD null space) for
+    first m matrices for t(m), normalizer_nullspace (an SVD null space) for
     the normalizer of w."""
     if spec.q_type == "normalizer":
-        return replace(spec, q_type=None, q_basis=kahler.normalizer_algebra(spec.w))
+        return replace(spec, q_type=None, q_basis=normalizer_nullspace(spec.w))
     gens = kahler.skew_hermitian_basis(spec.m)
     return replace(spec, q_type=None, q_basis=gens if spec.q_type == "u" else gens[:spec.m])
 
@@ -268,7 +268,7 @@ def test_compare_of_a_factor_below_the_frame_floor_exits_2(tmp_path, capsys):
     # the witness below the floor is an input error, not a NaN unitary
     w = kahler.canonical_subspace(3, [(1.5e-8, 2)])
     A = kahler.haar_unitary(3, np.random.default_rng(5))
-    q = kahler.normalizer_algebra(w)
+    q = normalizer_nullspace(w)  # kahler.normalizer_algebra(w) raises below the floor
     image = RealSubspace(3, w.basis @ A.T)
     paths = [write_json(tmp_path, name, PolarActionSpec(
                  n=4, family="II", b_flag="full", w=v, q_basis=qv,
@@ -335,6 +335,29 @@ def test_compare_of_conjugate_named_normalizers_says_yes(tmp_path, capsys, phi, 
     assert main(["compare", *paths]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["reason"] == "w congruent and q the normalizer of w on both sides"
+
+
+@pytest.mark.parametrize("phi", [0.5, 0.1, 0.01, 1e-4])
+@pytest.mark.parametrize("spread", [1e-10, 1e-9, 1e-8])
+def test_a_spelled_out_normalizer_and_its_unitary_image_verify_and_compare(
+        tmp_path, capsys, phi, spread):
+    # w has two pairs spread apart, which decompose groups into one factor:
+    # normalizer_algebra(w) spelled out as q_basis is the named normalizer,
+    # u(2) on that factor, so it is closed, its section has one line for
+    # the factor, and compare finds it conjugate to its Haar image.  The SVD
+    # null space normalizer_nullspace(w) splits the pairs into u(1) + u(1).
+    w = kahler.canonical_subspace(4, [(phi, 2), (phi + spread, 2)])
+    spec = PolarActionSpec(n=5, family="II", b_flag="full", w=w,
+                           q_basis=kahler.normalizer_algebra(w), q_section=normalizer_section(w))
+    a = write_json(tmp_path, "a.json", spec.to_json())
+    assert check_spec(spec).verdict
+    for seed in (11, 12, 13):
+        A = kahler.haar_unitary(4, np.random.default_rng(seed))
+        image = replace(spec, w=RealSubspace(4, w.basis @ A.T), q_basis=A @ spec.q_basis @ A.conj().T,
+                        q_section=RealSubspace(4, spec.q_section.basis @ A.T))
+        assert check_spec(image).verdict, seed
+        assert main(["compare", a, write_json(tmp_path, "b.json", image.to_json())]) == 0, seed
+        assert json.loads(capsys.readouterr().out)["equivalent"] == "yes"
 
 
 def test_compare_of_a_named_and_an_explicit_normalizer_goes_through_the_witness():
