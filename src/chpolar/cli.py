@@ -306,8 +306,11 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--angles" in argv[:-1]:  # its value may start with "-", which argparse reads as a flag
+        i = argv.index("--angles")
+        argv[i:i + 2] = [f"--angles={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

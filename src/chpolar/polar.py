@@ -33,6 +33,11 @@ and its k_0 image is ``su1n.traceless_block``; it is measured in the one
 frame of u(m), ``su1n.u_coords``, which the metric of su(1, n) fixes.  A
 spec gives q either as a q_basis, which enters that frame through
 ``su1n.u_frame``, or by name (Q_TYPES), built there in closed form.
+
+``orbit_equivalence_invariants`` (the compare command) decides orbit
+equivalence past the congruence obstructions by one sampled test: the
+orbit tangents q_1 v and q_2 v, the first carried by the congruence
+witness, must agree to TOL_TANGENT.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from ._linalg import (
     rank,
     real_rows,
     sample_ranks,
+    singular_rows,
     unit_rows,
 )
 from .kahler import RealSubspace, json_array, json_int, json_keys
@@ -74,8 +80,9 @@ TOL_Q_CLOSED = 1e-9    # the builders' bound on the [q, q] part of that closure
 TOL_SECTION = 1e-8     # section_in_normal
 TOL_BRACKET = 1e-9     # bracket_condition
 TOL_SLICE = 1e-8       # h_o moves sigma orthogonally to itself (slice_condition)
+TOL_TANGENT = 1e-7     # gap of two orbit tangents read as one (orbit_equivalence_invariants)
 SLICE_SAMPLES = 24  # draws of the regular-vector sampler of the criterion
-ORBIT_SAMPLES = 40  # draws per principal orbit dimension in orbit_equivalence_invariants
+ORBIT_SAMPLES = 40  # draws of the orbit-tangent sampler of orbit_equivalence_invariants
 Q_TYPES = ("u", "t", "normalizer")  # the names a spec may give its q by
 # Neighbours in [0, *grid, pi/2] of the catalog's angle grid lie at least
 # GRID_MARGIN apart, twice kahler.FRAME_FLOOR, the least interior angle the
@@ -123,7 +130,8 @@ class _UFrame:
     standing in for that (m^2, m, m) stack: its m^4 entries (250 MB at
     m = 63) are formed only by ``np.asarray``, while its length and its
     products with vectors (``su1n.u_frame_apply``, m^3 entries), all that
-    check_spec and _checked_inputs ask of q, are not."""
+    check_spec, _checked_inputs and orbit_equivalence_invariants ask of
+    q, are not."""
 
     m: int
     n: int
@@ -659,46 +667,25 @@ def check_spec(spec):
 # ---------------------------------------------------------------------------
 
 
-def _principal_orbit_dim(q, sub, rng):
-    """Largest sampled orbit dimension of the action of the orthonormal
-    (r, m, m) stack q restricted to sub."""
-    if sub.dim == 0 or not len(q):
-        return 0
-    # coordinates of N v along the orthonormal basis of sub: the orbit stays
-    # in sub when q normalizes it, and this is its projection otherwise
-    ranks = sample_ranks(rng, sub.basis,
-                         lambda v: (q @ v @ sub.basis.conj().T).real, ORBIT_SAMPLES, TOL_RANK)
-    return max((d for _, d, _ in ranks), default=0)
-
-
-def _same_matrix_span(q1, q2, n):
-    """Whether the orthonormal (r, m, m) stacks q1 and q2 of ``_q_frame``
-    span one space: each u_coords row of one lies in the other's span to
-    1e-7.  W q W* stays orthonormal, as the metric is Ad(U(m))-invariant."""
-    if len(q1) != len(q2) or not len(q1):
-        return len(q1) == len(q2)
-    r1, r2 = u_coords(q1, n), u_coords(q2, n)
-    return all(
-        np.linalg.norm(a - (a @ b.T) @ b, axis=1).max(initial=0.0) <= 1e-7
-        for a, b in ((r1, r2), (r2, r1))
-    )
-
-
 def orbit_equivalence_invariants(spec1, spec2):
-    """Decide orbit equivalence of two constructed actions where the
-    congruence invariants allow it.
+    """Decide orbit equivalence of two constructed actions by their orbit
+    tangents, where the congruence invariants allow it.
 
     Returns (answer, report) with answer in {'yes', 'no', 'undetermined'}.
-    The decision tree follows the congruence invariants: family and, within
-    family II, the b-flag and the Kahler moduli of w are complete
-    obstructions; matching invariants plus conjugate q-data (checked via
-    the congruence witness) give 'yes'; otherwise the comparison of the
-    q-representations is left 'undetermined', since sampling alone cannot
-    certify orbit equivalence of arbitrary polar representations.  Two
-    specs whose q is named "normalizer" need no witness: the normalizers of
-    congruent w are conjugate by any unitary carrying one w onto the other.
-    Both specs go through ``_checked_inputs`` first, and each q is the one
-    that check returns; the samples are drawn with seed 0.
+    Family, k within family I, and the b-flag and the Kahler moduli of w
+    within family II are complete obstructions.  Past them, two compact
+    connected groups have the same orbits exactly when their orbit
+    tangents span_R(q v) agree at generic v (Dadok).  At ORBIT_SAMPLES unit
+    v, drawn in C^m for family I and in w_2-perp for family II, q_2 v is
+    set against A q_1 A* v in coordinates of that subspace, where A is the
+    identity for family I and kahler.congruence_witness (carrying w_1 onto
+    w_2) for family II.  Principal orbit dimensions (the largest sampled
+    ranks) that differ give 'no'; a largest gap |P_1 - P_2| between the
+    two tangents of at most TOL_TANGENT gives 'yes'; a larger gap is
+    'undetermined', as another unitary than A may still carry one set of
+    orbits onto the other.  q enters only through q @ v, so a named u(m)
+    is never formed.  Both specs go through ``_checked_inputs`` first, and
+    each q is the one that check returns; the samples use seed 0.
     """
     q1, q2 = [_checked_inputs(spec)[0] for spec in (spec1, spec2)]
     n = spec1.n
@@ -711,12 +698,13 @@ def orbit_equivalence_invariants(spec1, spec2):
         report["reason"] = "family mismatch (mean curvature separates the families)"
         return "no", report
 
-    fam_I = spec1.family == "I"
+    fam_I, m = spec1.family == "I", spec1.m
     if fam_I:
         report["k"] = (spec1.k, spec2.k)
         if spec1.k != spec2.k:
             report["reason"] = "different totally geodesic real hyperbolic cores"
             return "no", report
+        carry, sub = np.eye(m), RealSubspace.full(m)
     else:
         report["b"] = (spec1.b_flag, spec2.b_flag)
         if spec1.b_flag != spec2.b_flag:
@@ -727,29 +715,33 @@ def orbit_equivalence_invariants(spec1, spec2):
         if not kahler.same_moduli(*report["w_moduli"]):
             report["reason"] = "Kahler moduli of w differ"
             return "no", report
-    m, q1, q2 = spec1.m, np.asarray(q1), np.asarray(q2)
-    sub1, sub2 = (RealSubspace.full(m),) * 2 if fam_I else (spec1.w.perp(), spec2.w.perp())
-    d1, d2 = _principal_orbit_dim(q1, sub1, rng), _principal_orbit_dim(q2, sub2, rng)
+        carry, sub = kahler.congruence_witness(dec1, dec2, m), spec2.w.perp()
+    back = carry.conj().T
+    to_sub = sub.basis.conj().T  # x @ to_sub, real part: coordinates of x along sub
+    carried = carry.T @ to_sub  # the same for A x
+
+    def tangent(moved, coords):  # orthonormal coordinate rows of the moved vectors
+        return orthonormal_rows((moved @ coords).real, TOL_RANK)
+
+    d1, d2, gap = 0, 0, 0.0
+    for v, d, t2 in sample_ranks(rng, sub.basis, lambda v: tangent(q2 @ v, to_sub),
+                                 ORBIT_SAMPLES if sub.dim else 0, TOL_RANK):
+        t1 = tangent(q1 @ (back @ v), carried)
+        d1, d2 = max(d1, len(t1)), max(d2, d)
+        gap = max(gap, *(singular_rows(a - (a @ b.T) @ b)[0].max(initial=0.0)
+                         for a, b in ((t1, t2), (t2, t1))))
     report["principal_orbit_dims"] = (d1, d2)
+    if not fam_I:
+        report["witness_unitarity"] = float(np.abs(carry @ back - np.eye(m)).max())
+    on, via = ("", "") if fam_I else (" on w-perp", " through the witness")
     if d1 != d2:
-        on = "" if fam_I else " on w-perp"
         report["reason"] = f"q-actions{on} have different principal orbit dimensions"
         return "no", report
-    if fam_I:
-        conj_match, why = _same_matrix_span(q1, q2, n), "identical q-data"
-    elif spec1.q_type == spec2.q_type == "normalizer":
-        conj_match, why = True, "w congruent and q the normalizer of w on both sides"
-    else:
-        witness = kahler.congruence_witness(dec1, dec2, m)
-        back = witness.conj().T
-        conj_match = (_same_matrix_span(witness @ q1 @ back, q2, n)
-                      and _same_matrix_span(back @ q2 @ witness, q1, n))
-        report["witness_unitarity"] = float(np.abs(witness @ back - np.eye(m)).max())
-        why = "w congruent and q-data conjugate by the witness"
-    if conj_match:
-        report["reason"] = why
+    report["tangent_gap"] = float(gap)
+    if gap <= TOL_TANGENT:
+        report["reason"] = f"q-orbits{on} share their tangents at every sample{via}"
         return "yes", report
-    report["reason"] = "q-representations not certified equivalent by sampling"
+    report["reason"] = f"q-orbit tangents{on} differ at a sample{via}; no other unitary is tried"
     return "undetermined", report
 
 

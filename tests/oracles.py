@@ -7,6 +7,8 @@ no command of the CLI reaches.
   off the base, and subalgebras pushed forward by Ad(exp X).
 - ``build_action``: a spec's (n, h, sigma), the arguments of
   ``polar.check_polarity``; ``regular_vectors``: the regular-vector flags.
+- ``same_matrix_span``: whether two orthonormal stacks of u(m) span one
+  space (``compare`` tests orbit tangents instead).
 - ``project``, ``contains``, ``same_span``, ``kahler_angle``,
   ``complex_span``, ``random_subspace`` and ``normalizer_dimension_formula``:
   queries and constructions on ``kahler.RealSubspace``.
@@ -32,7 +34,7 @@ from chpolar.kahler import (TOL_MEMBER, RealSubspace, canonical_subspace, decomp
                             haar_unitary, normalizer_residual, skew_hermitian_basis)
 from chpolar.polar import TOL_RANK, _q_frame, build_family_I, build_family_II
 from chpolar.su1n import (ConsistencyError, bracket, build_root_decomposition, traceless_block,
-                          u_frame, u_matrices)
+                          u_coords, u_frame, u_matrices)
 
 TOL_CONSIST = 1e-9  # agreement of the two computations of ad_exp
 
@@ -127,6 +129,19 @@ def build_action(spec):
     Returns (n, h, sigma), the arguments of check_polarity."""
     build = build_family_I if spec.family == "I" else build_family_II
     return (spec.n, *build(spec))
+
+
+def same_matrix_span(q1, q2, n):
+    """Whether the orthonormal (r, m, m) stacks q1 and q2 of ``_q_frame``
+    span one space: each u_coords row of one lies in the other's span to
+    1e-7.  W q W* stays orthonormal, as the metric is Ad(U(m))-invariant."""
+    if len(q1) != len(q2) or not len(q1):
+        return len(q1) == len(q2)
+    r1, r2 = u_coords(q1, n), u_coords(q2, n)
+    return all(
+        np.linalg.norm(a - (a @ b.T) @ b, axis=1).max(initial=0.0) <= 1e-7
+        for a, b in ((r1, r2), (r2, r1))
+    )
 
 
 def regular_vectors(q_basis, w, s, samples=100, seed=0):

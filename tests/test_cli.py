@@ -517,6 +517,13 @@ def test_cmd_enumerate_names_the_interval_of_an_out_of_range_angle(capsys, angle
     assert "neighbour" not in captured.err
 
 
+def test_cmd_enumerate_reads_an_angle_list_that_starts_with_a_minus(tmp_path):
+    # argparse would read "-0.5,0.7" as a flag: the grid check names the interval
+    proc = run_cli(["enumerate", "--n", "3", "--angles", "-0.5,0.7"], tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "grid angle -0.5 lies outside the open interval (0, pi/2)" in proc.stderr
+
+
 def subprocess_env():
     """The environment of a child interpreter that imports this chpolar."""
     src = os.path.dirname(os.path.dirname(chpolar.__file__))

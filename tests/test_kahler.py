@@ -9,7 +9,7 @@ from chpolar import kahler, polar
 from chpolar._linalg import left_nullspace
 from chpolar.kahler import RealSubspace
 from oracles import (complex_span, contains, kahler_angle, normalizer_dimension_formula, project,
-                     random_subspace, same_span)
+                     random_subspace, same_matrix_span, same_span)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -444,7 +444,7 @@ def _agrees_with_the_loop_oracle(V):
     frames = [polar._q_frame(np.asarray(q, dtype=complex), m, m + 1)[1]
               for q in (alg, normalizer_algebra_loop(V))]
     return (len(alg) == normalizer_dimension_formula(V)
-            and polar._same_matrix_span(*frames, m + 1))
+            and same_matrix_span(*frames, m + 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

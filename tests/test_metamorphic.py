@@ -154,5 +154,6 @@ def test_compare_is_symmetric(pair, seed, log_scale):
        st.floats(min_value=-6.0, max_value=6.0))
 def test_compare_never_says_no_to_a_haar_conjugated_rescaled_copy(index, seed, log_scale):
     spec = CATALOG[index]
-    # 'undetermined' is allowed: family I q-data are compared by span only
+    # 'undetermined' is allowed: family I has no witness, so a Haar-moved q
+    # is compared with its tangents uncarried
     assert answer(spec, haar_copy(spec, seed, 10.0 ** log_scale)) in ("yes", "undetermined")

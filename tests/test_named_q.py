@@ -14,7 +14,8 @@ from chpolar import kahler, polar, su1n
 from chpolar.cli import main
 from chpolar.kahler import RealSubspace
 from chpolar.polar import PolarActionSpec, check_spec, enumerate_moduli, normalizer_section
-from oracles import normalizer_dimension_formula, normalizer_nullspace, random_subspace
+from oracles import (normalizer_dimension_formula, normalizer_nullspace, random_subspace,
+                     same_matrix_span)
 
 
 def write_json(tmp_path, name, payload):
@@ -50,7 +51,7 @@ def test_u_orthonormal_makes_a_frobenius_frame_orthonormal_in_the_metric(m, n):
     for S in (unit_basis(m), kahler.normalizer_algebra(line)):
         rows = su1n.u_coords(su1n.u_orthonormal(S, n), n)
         assert np.abs(rows @ rows.T - np.eye(len(S))).max() <= 1e-14
-        assert polar._same_matrix_span(su1n.u_orthonormal(S, n), polar._q_frame(S, m, n)[1], n)
+        assert same_matrix_span(su1n.u_orthonormal(S, n), polar._q_frame(S, m, n)[1], n)
 
 
 # --- kahler: the normalizer in closed form ------------------------------------------
@@ -68,7 +69,7 @@ def _frame_agrees_with_the_svd_oracle(V):
             and np.abs(gram - np.eye(len(frame))).max(initial=0.0) <= 1e-12
             and np.abs(frame + frame.conj().transpose(0, 2, 1)).max(initial=0.0) <= 1e-12
             and np.linalg.norm(kahler.normalizer_residual(V, frame)) <= 1e-12
-            and polar._same_matrix_span(*frames, m + 1))
+            and same_matrix_span(*frames, m + 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -127,7 +128,7 @@ def test_named_q_agrees_with_the_explicit_q_on_the_catalog(n, grid):
         assert named.q_type is not None and not len(named.q_basis), entry.label
         spelled = explicit(named)
         q_named, q_explicit = np.asarray(polar._spec_q(named)), polar._spec_q(spelled)
-        assert polar._same_matrix_span(q_named, q_explicit, n), entry.label
+        assert same_matrix_span(q_named, q_explicit, n), entry.label
         # the closure the named path skips, measured on the named frame
         assert polar._checked_inputs(named.with_q_basis())[1] <= 1e-12, entry.label
         got, want = check_spec(named).to_json(), check_spec(spelled).to_json()
@@ -324,9 +325,9 @@ def test_catalog_shaped_w_near_0_pi_2_and_each_other_verify_polar(n, moduli):
 @pytest.mark.parametrize("phi", [0.1, 0.01, 1e-4])
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_compare_of_conjugate_named_normalizers_says_yes(tmp_path, capsys, phi, seed):
-    # w has two pairs at phi and phi + 1e-8: the spans of an explicit q and
-    # its Haar image can miss the 1e-7 test, but two normalizers of
-    # congruent w are conjugate by construction
+    # w has two pairs at phi and phi + 1e-8: two normalizers of congruent w
+    # are conjugate by construction, so their orbits on w-perp share their
+    # tangents once the witness carries one onto the other
     w = kahler.canonical_subspace(4, [(phi, 2), (phi + 1e-8, 2)])
     A = kahler.haar_unitary(4, np.random.default_rng(seed))
     image = RealSubspace(4, w.basis @ A.T)
@@ -334,7 +335,21 @@ def test_compare_of_conjugate_named_normalizers_says_yes(tmp_path, capsys, phi, 
     paths = [write_json(tmp_path, f"{i}.json", s.to_json()) for i, s in enumerate(specs)]
     assert main(["compare", *paths]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
-    assert report["reason"] == "w congruent and q the normalizer of w on both sides"
+    assert report["reason"] == "q-orbits on w-perp share their tangents at every sample through the witness"
+    assert report["tangent_gap"] <= polar.TOL_TANGENT
+
+
+@pytest.mark.parametrize("spec", [line_spec(8), PolarActionSpec(n=8, family="I", k=1, q_type="u")],
+                         ids=["II", "I"])
+def test_compare_of_named_u_specs_never_forms_the_stack_of_u(tmp_path, capsys, monkeypatch, spec):
+    # compare applies q only to vectors, so the (m^2, m, m) stack is not needed
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError("the stack of u(m) was formed")
+
+    monkeypatch.setattr(polar._UFrame, "__array__", refuse)
+    path = write_json(tmp_path, "u.json", spec.to_json())
+    assert main(["compare", path, path]) == 0
+    assert json.loads(capsys.readouterr().out)["equivalent"] == "yes"
 
 
 @pytest.mark.parametrize("phi", [0.5, 0.1, 0.01, 1e-4])

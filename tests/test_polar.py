@@ -405,18 +405,52 @@ def test_equivalence_orbit_dimension_separates_q():
     assert report["principal_orbit_dims"] == (3, 2)
 
 
+def _su(m):
+    """su(m) spanned by the traceless parts of skew_hermitian_basis(m)."""
+    gens = kahler.skew_hermitian_basis(m)
+    return gens - np.trace(gens, axis1=1, axis2=2)[:, None, None] * np.eye(m) / m
+
+
+def _tensor(a, b):
+    """The algebra a (x) 1 + 1 (x) b on C^p (x) C^r, from stacks a on C^p and b on C^r."""
+    return np.concatenate([np.kron(a, np.eye(b.shape[1])), np.kron(np.eye(a.shape[1]), b)])
+
+
+def _so(m):
+    """so(m): the real matrices of skew_hermitian_basis(m)."""
+    gens = kahler.skew_hermitian_basis(m)
+    return gens[~np.iscomplex(gens).any(axis=(1, 2))]
+
+
+@pytest.mark.parametrize("k, q1, q2, ans, dims", [
+    (0, kahler.skew_hermitian_basis(3), _su(3), "yes", (5, 5)),
+    (0, _tensor(kahler.skew_hermitian_basis(2), kahler.skew_hermitian_basis(3)),
+     _tensor(_su(2), _su(3)), "yes", (10, 10)),
+    (0, _tensor(kahler.skew_hermitian_basis(2), kahler.skew_hermitian_basis(2)),
+     _tensor(_su(2), _su(2)), "no", (6, 5)),
+    (0, np.concatenate([_so(3), 1j * np.eye(3)[None]]), _so(3), "no", (4, 3)),
+    (1, _su(2), kahler.skew_hermitian_basis(2), "yes", (3, 3)),
+], ids=["u3-su3", "u2u3-su2su3", "u2u2-su2su2", "so3u1-so3", "su2-u2"])
+def test_equivalence_decides_by_orbit_tangents(k, q1, q2, ans, dims):
+    # u(m) and su(m) (m >= 2) share their orbits, as do the tensor algebras
+    # on C^2 (x) C^3; on C^2 (x) C^2 and for so(3) the centre adds a dimension
+    m = q1.shape[1]
+    specs = [PolarActionSpec(n=m + k, family="I", k=k, q_basis=q) for q in (q1, q2)]
+    for pair, want in ((specs, dims), (specs[::-1], dims[::-1])):
+        got, report = orbit_equivalence_invariants(*pair)
+        assert (got, report["principal_orbit_dims"]) == (ans, want)
+        assert ans == "no" or report["tangent_gap"] <= polar.TOL_TANGENT
+
+
 def test_equivalence_undetermined_for_uncertified_q():
-    # same principal orbit dimension, non-identical q spans: su(2) vs u(2)
-    # conjugated: honest answer is 'undetermined' from sampling alone
-    su2 = []
-    E = np.zeros((2, 2), dtype=complex); E[0, 1], E[1, 0] = 1.0, -1.0; su2.append(E)
-    E = np.zeros((2, 2), dtype=complex); E[0, 1], E[1, 0] = 1j, 1j; su2.append(E)
-    E = np.zeros((2, 2), dtype=complex); E[0, 0], E[1, 1] = 1j, -1j; su2.append(E)
-    eye = np.eye(2, dtype=complex)
-    a = PolarActionSpec(n=3, family="I", k=1, q_basis=su2, q_section=RealSubspace(2, [eye[0]]))
-    b = family_I_spec(3, 1, "full")
-    ans, _ = orbit_equivalence_invariants(a, b)
+    # same principal orbit dimension, tangents apart: t(2) against a Haar
+    # conjugate of it; family I has no witness to carry one onto the other
+    a = family_I_spec(3, 1, "torus")
+    A = kahler.haar_unitary(2, np.random.default_rng(3))
+    b = dataclasses.replace(a, q_basis=A @ a.q_basis @ A.conj().T)
+    ans, report = orbit_equivalence_invariants(a, b)
     assert ans == "undetermined"
+    assert report["principal_orbit_dims"] == (2, 2) and report["tangent_gap"] > 0.5
 
 
 def test_equivalence_runs_the_input_check():
