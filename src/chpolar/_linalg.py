@@ -20,6 +20,10 @@ import math
 import numpy as np
 
 
+class ConsistencyError(RuntimeError):
+    """Two independently computed quantities that must agree did not."""
+
+
 def real_rows(stack):
     """A stack of complex matrices or vectors as real rows, (re, im)
     interleaved, so that Re tr(A* B) (Re<u, v> for vectors) is the dot
@@ -104,13 +108,18 @@ def complement_rows(rows, dim):
     return q[:, rows.shape[0]:].T
 
 
-def sample_ranks(rng, basis, act, samples, tol):
-    """The regular-vector sampler: for each of ``samples`` draws, the unit
-    combination xi of the orthonormal rows ``basis``, the rank of the rows
-    ``act(xi)`` and those rows, as (xi, rank, rows)."""
-    for _ in range(samples):
+def generic_draws(rng, basis, act, tol):
+    """The regular-vector sampler: two unit combinations xi of the
+    orthonormal rows ``basis``, in stream order, as (xi, rank, rows) with
+    the rows ``act(xi)``.  A Gaussian draw is regular with probability 1,
+    so two draws of different rank raise ConsistencyError."""
+    draws = []
+    for _ in range(2):
         coeff = rng.standard_normal(basis.shape[0])
-        coeff /= np.linalg.norm(coeff)
-        xi = coeff @ basis
+        xi = (coeff / np.linalg.norm(coeff)) @ basis
         moved = act(xi)
-        yield xi, rank(moved, tol), moved
+        draws.append((xi, rank(moved, tol), moved))
+    (_, d1, _), (_, d2, _) = draws
+    if d1 != d2:
+        raise ConsistencyError(f"two generic draws give ranks {d1} and {d2}")
+    return draws

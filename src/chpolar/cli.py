@@ -258,7 +258,7 @@ _FLAGS = {
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="chpolar",
+        prog="chpolar", allow_abbrev=False,  # a flag is spelled out: --angle is not --angles
         description="verification tools for polar actions on complex hyperbolic space",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -275,23 +275,24 @@ def build_parser():
                        help="input JSON file, '-' for stdin (default)")
         return p
 
-    add_flags(with_input(sub.add_parser(
-        "decompose", help="Kahler decomposition of a real subspace")))
-    add_flags(with_input(sub.add_parser(
-        "verify", help="run the polarity criterion on an action spec (seeded by the spec)")))
-    p = sub.add_parser("compare", help="orbit equivalence of two action specs")
+    def command(name, summary):  # subparsers do not inherit allow_abbrev
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    add_flags(with_input(command("decompose", "Kahler decomposition of a real subspace")))
+    add_flags(with_input(command(
+        "verify", "run the polarity criterion on an action spec (seeded by the spec)")))
+    p = command("compare", "orbit equivalence of two action specs")
     p.add_argument("input_a")
     p.add_argument("input_b")
     add_flags(p)
-    p = sub.add_parser("enumerate", help="enumerate moduli classes")
+    p = command("enumerate", "enumerate moduli classes")
     p.add_argument("--angles", default="",
                    help="comma separated interior Kahler angles for the w moduli")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted and unused: the catalog draws nothing")
     add_flags(p, "--n")
-    add_flags(with_input(sub.add_parser(
-        "curvature", help="mean curvature of a family II core orbit")))
-    add_flags(sub.add_parser("selfcheck", help="structural identity suite"), "--n", "--seed")
+    add_flags(with_input(command("curvature", "mean curvature of a family II core orbit")))
+    add_flags(command("selfcheck", "structural identity suite"), "--n", "--seed")
     return parser
 
 

@@ -17,8 +17,9 @@ the section orthogonally to itself, and the isotropy orbit of a generic
 section vector together with the section must fill the normal space.  These
 are the necessary conditions of the criterion; for the compact isotropy
 representations arising here the dimension-saturation check at a regular
-vector certifies the section property without invoking the classification
-of polar representations (a documented limitation for exotic inputs).
+vector (``_linalg.generic_draws``) certifies the section property without
+invoking the classification of polar representations (a documented
+limitation for exotic inputs).
 
 ``check_polarity`` works on any h given as a stack of su(1, n) matrices, as
 the builders return it from a spec.  ``check_spec`` evaluates the same
@@ -35,9 +36,9 @@ spec gives q either as a q_basis, which enters that frame through
 ``su1n.u_frame``, or by name (Q_TYPES), built there in closed form.
 
 ``orbit_equivalence_invariants`` (the compare command) decides orbit
-equivalence past the congruence obstructions by one sampled test: the
-orbit tangents q_1 v and q_2 v, the first carried by the congruence
-witness, must agree to TOL_TANGENT.
+equivalence past the congruence obstructions by one sampled test: at two
+generic v the orbit tangents q_1 v and q_2 v, the first carried by the
+congruence witness, must agree to TOL_TANGENT.
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ import numpy as np
 from . import kahler
 from ._linalg import (
     complement_rows,
+    generic_draws,
     left_nullspace,
     orthonormal_rows,
     rank,
     real_rows,
-    sample_ranks,
     singular_rows,
     unit_rows,
 )
@@ -81,8 +82,6 @@ TOL_SECTION = 1e-8     # section_in_normal
 TOL_BRACKET = 1e-9     # bracket_condition
 TOL_SLICE = 1e-8       # h_o moves sigma orthogonally to itself (slice_condition)
 TOL_TANGENT = 1e-7     # gap of two orbit tangents read as one (orbit_equivalence_invariants)
-SLICE_SAMPLES = 24  # draws of the regular-vector sampler of the criterion
-ORBIT_SAMPLES = 40  # draws of the orbit-tangent sampler of orbit_equivalence_invariants
 Q_TYPES = ("u", "t", "normalizer")  # the names a spec may give its q by
 # Neighbours in [0, *grid, pi/2] of the catalog's angle grid lie at least
 # GRID_MARGIN apart, twice kahler.FRAME_FLOOR, the least interior angle the
@@ -368,7 +367,7 @@ class PolarityReport:
 
     ``slice_condition`` holds when |P_sigma [., .]| on h_o x sigma is at
     most 1e-8 (h_o = h cap k moves sigma orthogonally to itself) and sigma
-    plus [h_o, xi] fills nu at the sampled regular xi.
+    plus [h_o, xi] fills nu at the first of two generic draws xi in sigma.
     """
 
     is_subalgebra: bool
@@ -485,8 +484,8 @@ def _report(residuals, sig, nu, act, seed):
 
     ``residuals`` are (subalgebra, section, bracket, slice orthogonality);
     ``sig`` and ``nu`` orthonormal rows of sigma and nu in one Euclidean
-    model of p; ``act`` as in _slice_orthogonality.  At a sampled regular
-    xi in sigma (the sample maximizing dim[h_o, xi]) the span
+    model of p; ``act`` as in _slice_orthogonality.  At the first of two
+    generic draws xi in sigma, whose ranks dim[h_o, xi] agree, the span
     sigma + [h_o, xi] must fill nu."""
     sub_resid, sec_resid, br_resid, ortho_resid = residuals
     rng = np.random.default_rng(seed)
@@ -495,11 +494,8 @@ def _report(residuals, sig, nu, act, seed):
     bracket_condition = br_resid <= TOL_BRACKET
 
     k_sec, dim_nu = sig.shape[0], nu.shape[0]
-    dim_orbit_xi, best_stack = 0, np.zeros((0, sig.shape[1]))
-    for _, d, moved in sample_ranks(rng, sig, act, SLICE_SAMPLES if k_sec else 0, TOL_RANK):
-        if d >= dim_orbit_xi:  # the last sample of largest rank
-            dim_orbit_xi, best_stack = d, moved
-    dim_joint = rank(np.vstack([sig, best_stack]), TOL_RANK)
+    (_, dim_orbit_xi, moved), _ = generic_draws(rng, sig, act, TOL_RANK)
+    dim_joint = rank(np.vstack([sig, moved]), TOL_RANK)
     slice_condition = (ortho_resid <= TOL_SLICE) and (dim_joint == dim_nu)
 
     verdict = bool(
@@ -509,8 +505,8 @@ def _report(residuals, sig, nu, act, seed):
     if not verdict:
         # sigma is not certified, so count on all of nu: dim nu minus the
         # principal orbit dimension of the slice representation of h_o
-        ranks = [d for _, d, _ in sample_ranks(rng, nu, act, SLICE_SAMPLES, TOL_RANK)]
-        cohomogeneity = dim_nu - max(ranks, default=0)
+        (_, d, _), _ = generic_draws(rng, nu, act, TOL_RANK)
+        cohomogeneity = dim_nu - d
     return PolarityReport(
         is_subalgebra=is_subalgebra,
         subalgebra_residual=sub_resid,
@@ -555,14 +551,14 @@ def check_polarity(n, h, sigma, seed=0):
     2. sigma lies in the normal space nu = p minus the orbit tangent;
     3. <h, sigma + [sigma, sigma]> = 0;
     4. the isotropy algebra h_o = h cap k moves sigma orthogonally to
-       itself, and at a sampled regular xi in sigma (the sample maximizing
-       dim[h_o, xi]) the span sigma + [h_o, xi] fills nu.
+       itself, and at the first of two generic draws xi in sigma, whose
+       ranks dim[h_o, xi] agree, the span sigma + [h_o, xi] fills nu.
 
     The residuals are the Frobenius norms PolarityReport describes.  The
     verdict is the conjunction; a transitive action (empty normal space)
     passes with the empty section only.  The cohomogeneity of a polar
-    action is dim sigma; otherwise it is dim nu minus the largest
-    dim[h_o, xi] over xi sampled in nu.
+    action is dim sigma; otherwise it is dim nu minus dim[h_o, xi] at two
+    generic draws xi in nu, which must agree.
     """
     rd = build_root_decomposition(n)
     h_rows, sig_rows = _member_rows(rd, h, "h"), _member_rows(rd, sigma, "sigma")
@@ -614,8 +610,8 @@ def check_spec(spec):
     |Im<s, s'>|^2/8 over the ordered pairs of section vectors.
 
     The report agrees with check_polarity on the builder's (h, sigma) up to
-    rounding in the residuals and up to the random draws of the sampler
-    (which are taken in a different basis of the same sigma).
+    rounding in the residuals; its generic draws are taken in another basis
+    of the same sigma, so they differ, but their ranks do not.
     """
     n, fam_II = spec.n, spec.family == "II"
     q, sub_resid = _checked_inputs(spec)
@@ -675,24 +671,24 @@ def orbit_equivalence_invariants(spec1, spec2):
     Family, k within family I, and the b-flag and the Kahler moduli of w
     within family II are complete obstructions.  Past them, two compact
     connected groups have the same orbits exactly when their orbit
-    tangents span_R(q v) agree at generic v (Dadok).  At ORBIT_SAMPLES unit
-    v, drawn in C^m for family I and in w_2-perp for family II, q_2 v is
-    set against A q_1 A* v in coordinates of that subspace, where A is the
-    identity for family I and kahler.congruence_witness (carrying w_1 onto
-    w_2) for family II.  Principal orbit dimensions (the largest sampled
-    ranks) that differ give 'no'; a largest gap |P_1 - P_2| between the
-    two tangents of at most TOL_TANGENT gives 'yes'; a larger gap is
-    'undetermined', as another unitary than A may still carry one set of
-    orbits onto the other.  q enters only through q @ v, so a named u(m)
-    is never formed.  Both specs go through ``_checked_inputs`` first, and
-    each q is the one that check returns; the samples use seed 0.
+    tangents span_R(q v) agree at generic v (Dadok).  At two generic unit
+    v (``_linalg.generic_draws``), in C^m for family I and in w_2-perp for
+    family II, q_2 v is set against A q_1 A* v in coordinates of that
+    subspace, A the identity for family I and kahler.congruence_witness
+    (carrying w_1 onto w_2) for family II.  Principal orbit dimensions (the
+    ranks, the same at both draws) that differ give 'no'; a gap |P_1 - P_2|
+    of the two tangents of at most TOL_TANGENT at both draws gives 'yes'; a
+    larger gap is 'undetermined', as another unitary than A may still
+    carry one set of orbits onto the other.  q enters only through q @ v,
+    so a named u(m) is never formed.  Both specs go through
+    ``_checked_inputs`` first, and each q is the one that check returns;
+    the draws use seed 0.
     """
     q1, q2 = [_checked_inputs(spec)[0] for spec in (spec1, spec2)]
     n = spec1.n
     if spec2.n != n:
         raise ValueError("actions live on different spaces")
     report = {"family": (spec1.family, spec2.family)}
-    rng = np.random.default_rng(0)
 
     if spec1.family != spec2.family:
         report["reason"] = "family mismatch (mean curvature separates the families)"
@@ -720,16 +716,14 @@ def orbit_equivalence_invariants(spec1, spec2):
     to_sub = sub.basis.conj().T  # x @ to_sub, real part: coordinates of x along sub
     carried = carry.T @ to_sub  # the same for A x
 
-    def tangent(moved, coords):  # orthonormal coordinate rows of the moved vectors
-        return orthonormal_rows((moved @ coords).real, TOL_RANK)
+    def tangents(act, coords):  # orthonormal coordinate rows of act(v) at the same two v for each q
+        return generic_draws(np.random.default_rng(0), sub.basis,
+                             lambda v: orthonormal_rows((act(v) @ coords).real, TOL_RANK), TOL_RANK)
 
-    d1, d2, gap = 0, 0, 0.0
-    for v, d, t2 in sample_ranks(rng, sub.basis, lambda v: tangent(q2 @ v, to_sub),
-                                 ORBIT_SAMPLES if sub.dim else 0, TOL_RANK):
-        t1 = tangent(q1 @ (back @ v), carried)
-        d1, d2 = max(d1, len(t1)), max(d2, d)
-        gap = max(gap, *(singular_rows(a - (a @ b.T) @ b)[0].max(initial=0.0)
-                         for a, b in ((t1, t2), (t2, t1))))
+    (_, d1, t1), (_, _, u1) = tangents(lambda v: q1 @ (back @ v), carried)
+    (_, d2, t2), (_, _, u2) = tangents(lambda v: q2 @ v, to_sub)
+    gap = max(singular_rows(a - (a @ b.T) @ b)[0].max(initial=0.0)
+              for a, b in ((t1, t2), (t2, t1), (u1, u2), (u2, u1)))
     report["principal_orbit_dims"] = (d1, d2)
     if not fam_I:
         report["witness_unitarity"] = float(np.abs(carry @ back - np.eye(m)).max())

@@ -38,14 +38,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._linalg import orthonormal_rows, real_rows, scaled_norm, unit_rows
+from ._linalg import ConsistencyError, orthonormal_rows, real_rows, scaled_norm, unit_rows
 
 TOL_ALG = 1e-12     # membership tolerances for su(1, n)
 TOL_SNAP = 1e-8     # ad(B) against diag(root values) in the basis
-
-
-class ConsistencyError(RuntimeError):
-    """Two independently computed quantities that must agree did not."""
 
 
 def _signature(n):

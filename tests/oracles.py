@@ -6,7 +6,9 @@ no command of the CLI reaches.
 - ``isotropy_at`` and ``conjugate_subalgebra``: isotropy algebras at points
   off the base, and subalgebras pushed forward by Ad(exp X).
 - ``build_action``: a spec's (n, h, sigma), the arguments of
-  ``polar.check_polarity``; ``regular_vectors``: the regular-vector flags.
+  ``polar.check_polarity``; ``sample_ranks``: the multi-draw sampler, the
+  reference for ``_linalg.generic_draws``; ``regular_vectors``: the
+  regular-vector flags.
 - ``same_matrix_span``: whether two orthonormal stacks of u(m) span one
   space (``compare`` tests orbit tangents instead).
 - ``project``, ``contains``, ``same_span``, ``kahler_angle``,
@@ -27,8 +29,8 @@ import math
 import numpy as np
 import scipy.linalg
 
-from chpolar._linalg import (complex_rows, left_nullspace, orthonormal_rows, real_rows,
-                             sample_ranks, unit_rows)
+from chpolar._linalg import (complex_rows, left_nullspace, orthonormal_rows, rank, real_rows,
+                             unit_rows)
 from chpolar.angeom import an_matrix
 from chpolar.kahler import (TOL_MEMBER, RealSubspace, canonical_subspace, decompose,
                             haar_unitary, normalizer_residual, skew_hermitian_basis)
@@ -142,6 +144,20 @@ def same_matrix_span(q1, q2, n):
         np.linalg.norm(a - (a @ b.T) @ b, axis=1).max(initial=0.0) <= 1e-7
         for a, b in ((r1, r2), (r2, r1))
     )
+
+
+def sample_ranks(rng, basis, act, samples, tol):
+    """The multi-draw sampler: for each of ``samples`` draws, the unit
+    combination xi of the orthonormal rows ``basis``, the rank of the rows
+    ``act(xi)`` and those rows, as (xi, rank, rows).  The package draws
+    twice (``_linalg.generic_draws``); the largest rank over many draws is
+    the generic rank it must find."""
+    for _ in range(samples):
+        coeff = rng.standard_normal(basis.shape[0])
+        coeff /= np.linalg.norm(coeff)
+        xi = coeff @ basis
+        moved = act(xi)
+        yield xi, rank(moved, tol), moved
 
 
 def regular_vectors(q_basis, w, s, samples=100, seed=0):

@@ -524,6 +524,15 @@ def test_cmd_enumerate_reads_an_angle_list_that_starts_with_a_minus(tmp_path):
     assert "grid angle -0.5 lies outside the open interval (0, pi/2)" in proc.stderr
 
 
+@pytest.mark.parametrize("flag", [["--angle", "0.5"], ["--ang", "0.5"], ["--angle", "-0.5,0.7"]])
+def test_cmd_enumerate_takes_no_abbreviation_of_angles(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--n", "3", *flag])
+    assert exc.value.code == 2
+    assert main(["enumerate", "--n", "3", "--angles", "-0.5,0.7"]) == 2
+    assert "lies outside the open interval (0, pi/2)" in capsys.readouterr().err
+
+
 def subprocess_env():
     """The environment of a child interpreter that imports this chpolar."""
     src = os.path.dirname(os.path.dirname(chpolar.__file__))

@@ -9,11 +9,12 @@ import pytest
 import chpolar
 from chpolar import kahler
 from chpolar._linalg import (
+    ConsistencyError,
     complement_rows,
+    generic_draws,
     left_nullspace,
     orthonormal_rows,
     rank,
-    sample_ranks,
     unit_rows,
 )
 from chpolar.kahler import RealSubspace
@@ -96,14 +97,26 @@ def test_complement_rows():
     assert np.allclose(complement_rows(np.zeros((0, 3)), 3), np.eye(3))
 
 
-def test_sample_ranks_draws_unit_combinations_in_stream_order():
+def test_generic_draws_draws_two_unit_combinations_in_stream_order():
     basis = np.eye(4)[:2]
-    out = list(sample_ranks(np.random.default_rng(5), basis, lambda xi: xi[None], 3, 1e-8))
+    out = generic_draws(np.random.default_rng(5), basis, lambda xi: xi[None], 1e-8)
     rng = np.random.default_rng(5)
+    assert len(out) == 2
     for xi, d, moved in out:
         coeff = rng.standard_normal(2)
         assert np.allclose(xi, (coeff / np.linalg.norm(coeff)) @ basis)
         assert d == 1 and np.array_equal(moved, xi[None])
+
+
+def test_generic_draws_of_different_rank_raise_naming_both_ranks():
+    # the rank of act(xi) is 1 where xi[0] > 0 and 0 elsewhere; under seed 2
+    # the first draw has xi[0] > 0 and the second xi[0] < 0
+    def act(xi):
+        return xi[None] if xi[0] > 0 else np.zeros((1, len(xi)))
+
+    with pytest.raises(ConsistencyError, match="two generic draws give ranks 1 and 0"):
+        generic_draws(np.random.default_rng(2), np.eye(3)[:2], act, 1e-8)
+    assert ConsistencyError is chpolar.su1n.ConsistencyError is chpolar.ConsistencyError
 
 
 # --- rank decisions do not depend on the scale of the input -------------------------

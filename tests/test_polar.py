@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from chpolar import kahler, polar
-from chpolar._linalg import orthonormal_rows, unit_rows
+from chpolar._linalg import left_nullspace, orthonormal_rows, real_rows, unit_rows
 from chpolar.cli import main, render_json
 from chpolar.kahler import RealSubspace
 from chpolar.polar import (
@@ -23,8 +23,8 @@ from chpolar.polar import (
     normalizer_section,
     orbit_equivalence_invariants,
 )
-from chpolar.su1n import build_root_decomposition, theta
-from oracles import build_action, regular_vectors, same_span
+from chpolar.su1n import bracket, build_root_decomposition, theta
+from oracles import build_action, regular_vectors, same_span, sample_ranks
 
 
 def canonical_family_II(n, b_flag, moduli):
@@ -444,13 +444,42 @@ def test_equivalence_decides_by_orbit_tangents(k, q1, q2, ans, dims):
 
 def test_equivalence_undetermined_for_uncertified_q():
     # same principal orbit dimension, tangents apart: t(2) against a Haar
-    # conjugate of it; family I has no witness to carry one onto the other
+    # conjugate of it; family I has no witness to carry one onto the other.
+    # The gap at the two generic draws reads 0.2056, far above TOL_TANGENT
     a = family_I_spec(3, 1, "torus")
     A = kahler.haar_unitary(2, np.random.default_rng(3))
     b = dataclasses.replace(a, q_basis=A @ a.q_basis @ A.conj().T)
     ans, report = orbit_equivalence_invariants(a, b)
     assert ans == "undetermined"
-    assert report["principal_orbit_dims"] == (2, 2) and report["tangent_gap"] > 0.5
+    assert report["principal_orbit_dims"] == (2, 2) and report["tangent_gap"] > 0.1
+
+
+def _largest_rank(basis, act):
+    """The largest rank of act over 40 draws of the multi-draw sampler."""
+    draws = sample_ranks(np.random.default_rng(1), basis, act, 40, polar.TOL_RANK)
+    return max(d for _, d, _ in draws)
+
+
+@pytest.mark.parametrize("grid", [(), (0.4, 1.0)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_two_generic_draws_find_the_largest_rank_of_many(n, grid):
+    # dim [h_o, xi] over xi in sigma, in the su(1, n) model of the builders,
+    # and dim q v over v in C^m (family I) or in w-perp (family II), which q
+    # preserves, against check_spec and a class compared with itself
+    rd = build_root_decomposition(n)
+    P_p = 0.5 * (np.eye(rd.dim) - rd.theta_matrix)
+    for entry in enumerate_moduli(n, grid):
+        spec = entry.spec
+        h, sigma = [orthonormal_rows(unit_rows(rd.coords_many(x))) for x in build_action(spec)[1:]]
+        h_o = rd.from_coords_many(left_nullspace(h @ P_p) @ h)
+        isotropy = _largest_rank(
+            sigma, lambda xi: rd.coords_many(bracket(h_o, rd.from_coords_many(xi)[0])))
+        assert check_spec(spec).dim_isotropy_orbit == isotropy, entry.label
+        q = np.asarray(polar._checked_inputs(spec)[0])
+        sub = spec.w.perp() if spec.family == "II" else RealSubspace.full(spec.m)
+        orbit = _largest_rank(sub.basis, lambda v: real_rows(q @ v))
+        _, report = orbit_equivalence_invariants(spec, spec)
+        assert report["principal_orbit_dims"] == (orbit, orbit), entry.label
 
 
 def test_equivalence_runs_the_input_check():
