@@ -152,6 +152,8 @@ def cmd_curvature(args):
 
 
 def cmd_selfcheck(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     payload, ok = identity_suite(args.n, args.seed)
     _emit(payload, args)
     return 0 if ok else 1

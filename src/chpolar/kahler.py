@@ -108,14 +108,6 @@ class RealSubspace:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_real_vectors(cls, ambient_complex_dim, vectors):
-        """Build from vectors in interleaved [re_1, im_1, ..., re_m, im_m]
-        layout, as JSON holds them (``json_array``); m must be an integer."""
-        m = json_int(ambient_complex_dim, "ambient_complex_dim")
-        rows = json_array(vectors, "basis", 2, 2 * m, f"a list of vectors of 2m = {2 * m} entries")
-        return cls(m, rows[..., 0::2] + 1j * rows[..., 1::2])
-
-    @classmethod
     def zero(cls, ambient_complex_dim):
         return cls(ambient_complex_dim, [])
 
@@ -153,8 +145,13 @@ class RealSubspace:
 
     @classmethod
     def from_json(cls, data):
+        """Read ``to_json``'s object: basis vectors in the interleaved
+        [re_1, im_1, ..., re_m, im_m] layout (``json_array``), m an integer."""
         json_keys(data, ("ambient_complex_dim", "basis"), "a RealSubspace")
-        return cls.from_real_vectors(data["ambient_complex_dim"], data["basis"])
+        m = json_int(data["ambient_complex_dim"], "ambient_complex_dim")
+        rows = json_array(data["basis"], "basis", 2, 2 * m,
+                          f"a list of vectors of 2m = {2 * m} entries")
+        return cls(m, rows[..., 0::2] + 1j * rows[..., 1::2])
 
 
 @dataclass(frozen=True)

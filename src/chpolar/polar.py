@@ -146,9 +146,9 @@ class _UFrame:
 
 
 def _spec_q(spec):
-    """An orthonormal basis of the spec's q in the metric of su(1, n), as an
-    (r, m, m) stack: its q_basis through ``_q_frame``, or its named q in
-    closed form, the rows of the frame of ``su1n.u_coords`` that span it:
+    """An orthonormal basis of the spec's named q in the metric of su(1, n),
+    as an (r, m, m) stack in closed form, the rows of the frame of
+    ``su1n.u_coords`` that span it (a q_basis goes through ``_q_frame``):
 
     - "u": u(m), the whole frame (a ``_UFrame``; u(0) = 0);
     - "t": the maximal torus t(m), its diagonal;
@@ -156,8 +156,6 @@ def _spec_q(spec):
       block-diagonal in the canonical frame of kahler.decompose(w).
     """
     m, n = spec.m, spec.n
-    if spec.q_type is None:
-        return _q_frame(spec.q_basis, m, n)[1]
     if m == 0:
         return np.zeros((0, 0, 0), dtype=complex)
     if spec.q_type == "u":
@@ -189,8 +187,8 @@ def _checked_inputs(spec):
     input these checks accept reads is_subalgebra true.
 
     Returns (q, residual): an orthonormal basis of q in the metric of
-    su(1, n), as an (r, m, m) stack (``_spec_q``), and the closure residual
-    of h."""
+    su(1, n), as an (r, m, m) stack (``_q_frame`` or ``_spec_q``), and the
+    closure residual of h."""
     n, m = spec.n, spec.m
     w = spec.w if spec.family == "II" else None
     if spec.q_section.ambient_complex_dim != m or (w is not None and w.ambient_complex_dim != m):
@@ -587,7 +585,7 @@ def check_polarity(n, h, sigma, seed=0):
 def check_spec(spec):
     """check_polarity for a PolarActionSpec, evaluated in the tangent space
     T_o CH^n = C^n; no su(1, n) element is formed.  The sampler draws with
-    the spec's own seed.
+    the spec's own seed; a negative one is a ValueError before any work.
 
     The spec is validated by _checked_inputs, which also measures the only
     brackets of h that can leave h ([q, q] and [q, w]).  With z = (z', u)
@@ -613,6 +611,8 @@ def check_spec(spec):
     rounding in the residuals; its generic draws are taken in another basis
     of the same sigma, so they differ, but their ranks do not.
     """
+    if spec.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {spec.seed}")
     n, fam_II = spec.n, spec.family == "II"
     q, sub_resid = _checked_inputs(spec)
     lead = n - spec.m
@@ -722,8 +722,6 @@ def orbit_equivalence_invariants(spec1, spec2):
 
     (_, d1, t1), (_, _, u1) = tangents(lambda v: q1 @ (back @ v), carried)
     (_, d2, t2), (_, _, u2) = tangents(lambda v: q2 @ v, to_sub)
-    gap = max(singular_rows(a - (a @ b.T) @ b)[0].max(initial=0.0)
-              for a, b in ((t1, t2), (t2, t1), (u1, u2), (u2, u1)))
     report["principal_orbit_dims"] = (d1, d2)
     if not fam_I:
         report["witness_unitarity"] = float(np.abs(carry @ back - np.eye(m)).max())
@@ -731,6 +729,8 @@ def orbit_equivalence_invariants(spec1, spec2):
     if d1 != d2:
         report["reason"] = f"q-actions{on} have different principal orbit dimensions"
         return "no", report
+    gap = max(singular_rows(a - (a @ b.T) @ b)[0].max(initial=0.0)
+              for a, b in ((t1, t2), (t2, t1), (u1, u2), (u2, u1)))
     report["tangent_gap"] = float(gap)
     if gap <= TOL_TANGENT:
         report["reason"] = f"q-orbits{on} share their tangents at every sample{via}"

@@ -16,10 +16,11 @@ theta-image, and k_0 = {diag(ia, ia, N) traceless, N in u(n-1)}, the
 image of u(n-1) under ``traceless_block``.  u(m) has one orthonormal
 frame for the metric of su(1, n), ``u_coords``: the k_0 block is its
 image, and every q given from outside enters through ``u_frame``.  The
-construction checks that ad(B) is diagonal in the resulting basis with
-the root values {-1, -1/2, 0, 1/2, 1}; the numerical constructions of the
-root spaces as ad(B) eigenspaces and of k_0 by orthonormalizing its
-generators are test oracles (tests/test_su1n.py).
+construction only assembles these blocks; the tests assert the structure
+(tests/test_su1n.py): the basis is orthonormal and lies in su(1, n), ad(B)
+is diagonal in it with the root values {-1, -1/2, 0, 1/2, 1}, theta and J
+act as stated, against the numerical constructions of the root spaces as
+ad(B) eigenspaces and of k_0 by orthonormalizing its generators as oracles.
 Distinguished generators: Z spans g_{2a} with <Z, Z> = 2 and sign fixed
 by J B = Z, where J is the complex structure of the solvable model; J on
 g_a is J X = -[theta(X), Z].
@@ -40,8 +41,7 @@ import numpy as np
 
 from ._linalg import ConsistencyError, orthonormal_rows, real_rows, scaled_norm, unit_rows
 
-TOL_ALG = 1e-12     # membership tolerances for su(1, n)
-TOL_SNAP = 1e-8     # ad(B) against diag(root values) in the basis
+TOL_ALG = 1e-12     # membership tolerance for su(1, n)
 
 
 def _signature(n):
@@ -54,8 +54,8 @@ def membership_residual(mats):
 
         max(|tr X| / (n + 1), max|X* I + I X| / 10) / max|X|.
 
-    The one membership test: the root decomposition and check_polarity
-    compare it with TOL_ALG, at any scale of X."""
+    The one membership test: check_polarity compares it with TOL_ALG, at
+    any scale of X, and so do the tests on the root-space basis."""
     n = mats.shape[-1] - 1
     I = _signature(n)
     trace = np.abs(np.trace(mats, axis1=1, axis2=2)) / (n + 1)
@@ -78,7 +78,7 @@ def theta(X):
     return X * np.outer(eps, eps)
 
 
-_METRIC_SCALE = 2.0  # solved once from <B, B> = 1; see build_root_decomposition
+_METRIC_SCALE = 2.0  # c of <B, B> = 1, as 1 / tr(B^2); the tests assert it
 
 
 def inner(X, Y):
@@ -199,9 +199,6 @@ def p_matrices(z):
     return out
 
 
-ROOT_VALUES = {"g_m2a": -1.0, "g_ma": -0.5, "k_0": 0.0, "a": 0.0, "g_a": 0.5, "g_2a": 1.0}
-
-
 def _functionals(mats, c):
     """Coordinate functionals of a stack: row i, dotted with ``real_rows(X)``,
     gives <E_i, X> = -c Re(vec(theta(E_i)^T) . vec(X))."""
@@ -210,11 +207,6 @@ def _functionals(mats, c):
     out[:, 0::2] = d.real
     out[:, 1::2] = -d.imag
     return out
-
-
-def _gram(A, Bs, c):
-    """Gram matrix <A_i, B_j> of two stacks, as one matmul."""
-    return real_rows(A) @ _functionals(Bs, c).T
 
 
 def traceless_block(n, N):
@@ -348,9 +340,10 @@ def build_root_decomposition(n):
     form: Z, the adapted g_a frame X(u)/2 (first row and column
     (0, conj u | u), second (0, conj u | -u)), the theta-images of both,
     and k_0 = {diag(ia, ia, N) traceless, N in u(n-1)} in the orthonormal
-    frame of ``u_coords``.
-    ``_verify_root_decomposition`` then checks that ad(B) is diagonal with
-    the root values in the assembled basis.
+    frame of ``u_coords``.  Nothing here is checked at run time: the
+    tests assert, up to n = 16, that the basis is orthonormal and lies in
+    su(1, n), that the blocks are the ad(B) eigenspaces, and the stated
+    theta_matrix, J and normalizations of B and Z.
     """
     n = int(n)
     if n < 2:
@@ -360,20 +353,10 @@ def build_root_decomposition(n):
 
     Bmat = np.zeros((N1, N1), complex)
     Bmat[0, 1] = Bmat[1, 0] = 0.5  # B = H0 / 2
-    # the scale is solved from <B, B> = 1, not assumed:
-    c = 1.0 / float(np.real(np.trace(Bmat @ Bmat)))
-    if abs(c - _METRIC_SCALE) > 1e-14:
-        raise ConsistencyError("metric scale disagrees with the module constant")
 
-    # distinguished g_{2a} generator: <Z, Z> = 2 and J B = Z, the latter
-    # realized via the tangent-space complex structure: 2 i B = (1 - theta) Z
+    # distinguished g_{2a} generator: <Z, Z> = 2, sign fixed by J B = Z
     Zmat = np.zeros((N1, N1), complex)
     Zmat[0, 0], Zmat[0, 1], Zmat[1, 0], Zmat[1, 1] = 0.5j, -0.5j, 0.5j, -0.5j
-    iB = np.zeros((N1, N1), complex)
-    iB[0, 1], iB[1, 0] = -0.5j, 0.5j
-    sign_err = np.abs(2 * iB - (Zmat - theta(Zmat))).max()
-    if sign_err > 1e-12:
-        raise ConsistencyError(f"sign of Z violates J B = Z (residual {sign_err:.3g})")
 
     # adapted AN-orthonormal frame of g_a: F_j = X(e_j)/2 and J F_j = X(i e_j)/2
     frame = galpha_matrices(np.kron(np.eye(m), [[1.0], [1j]]))
@@ -396,14 +379,12 @@ def build_root_decomposition(n):
     for name, block in blocks:
         slices[name] = slice(start, start + len(block))
         start += len(block)
-    if start != N1 * N1 - 1:
-        raise ConsistencyError(f"blocks give {start} basis elements, not {N1 * N1 - 1}")
     mats = np.concatenate([block for _, block in blocks])
-    dual = _functionals(mats, c)
+    dual = _functionals(mats, _METRIC_SCALE)
     theta_mat = _theta_permutation(slices, start)
     for arr in (Bmat, Zmat, mats, dual, theta_mat):
         arr.flags.writeable = False  # shared by every caller through the cache
-    rd = RootDecomposition(
+    return RootDecomposition(
         n=n,
         slices=slices,
         B=Bmat,
@@ -412,62 +393,3 @@ def build_root_decomposition(n):
         _dual=dual,
         _mats=mats,
     )
-    _verify_root_decomposition(rd)
-    return rd
-
-
-def _verify_root_decomposition(rd):
-    """Structural invariants checked once per construction, each on the
-    whole stacked basis at once."""
-    mats, c, N = rd._mats, _METRIC_SCALE, rd.dim
-    member = membership_residual(mats).max()
-    if member > TOL_ALG:
-        raise ConsistencyError(
-            f"basis leaves su(1, n) (relative residual {member:.3g} > {TOL_ALG:g})")
-    gram_err = np.abs(_gram(mats, mats, c) - np.eye(N)).max()
-    if gram_err > 1e-9:
-        raise ConsistencyError(f"global basis is not orthonormal (max |G - 1| = {gram_err:.3g})")
-    BZ = _gram(np.array([rd.B, rd.Z]), np.array([rd.B, rd.Z]), c)
-    if abs(BZ[0, 0] - 1.0) > 1e-12:
-        raise ConsistencyError(f"<B, B> = {BZ[0, 0]!r} != 1")
-    if abs(BZ[1, 1] - 2.0) > 1e-12:
-        raise ConsistencyError(f"<Z, Z> = {BZ[1, 1]!r} != 2")
-
-    # ad(B) in the basis is diag(-1, -1/2, 0, 0, 1/2, 1) block by block; an
-    # orthonormal basis of all of su(1, n) on which it is diagonal pins
-    # every root space and its dimension
-    lam = np.zeros(N)
-    for name, value in ROOT_VALUES.items():
-        lam[rd.slices[name]] = value
-    adB_mats = bracket(rd.B, mats)
-    adB = rd.coords_many(adB_mats).T
-    dev = np.abs(adB - np.diag(lam)).max()
-    if dev > TOL_SNAP:
-        raise ConsistencyError(f"ad(B) is off diag(root values) by {dev:.3g} > {TOL_SNAP:g}")
-    asym = np.abs(adB - adB.T).max()
-    if asym > 1e-10:
-        raise ConsistencyError(f"ad(B) is not symmetric in the orthonormal basis ({asym:.3g})")
-    R = adB_mats - lam[:, None, None] * mats
-    resid = np.sqrt(np.maximum(0.0, np.einsum("ij,ij->i", real_rows(R), _functionals(R, c))))
-    if resid.max() > 1e-10:
-        name = next(k for k, s in rd.slices.items() if resid[s].max() > 1e-10)
-        raise ConsistencyError(
-            f"block {name} is not an ad(B) eigenspace (residual {resid.max():.3g})"
-        )
-
-    # theta g_lambda = g_{-lambda}: theta in coordinates is the stored
-    # signed permutation, column by column
-    theta_err = np.linalg.norm(
-        rd.coords_many(theta(mats)).T - rd.theta_matrix, axis=0
-    ).max()
-    if theta_err > 1e-10:
-        raise ConsistencyError(f"theta does not map g_lambda onto g_-lambda ({theta_err:.3g})")
-
-    # J on g_a, J E = -[theta E, Z] in coordinates: J F_j = J-frame partner,
-    # which also makes J^2 = -1
-    ga = rd.slices["g_a"]
-    J = rd.coords_many(bracket(rd.Z, theta(mats[ga])))[:, ga].T
-    J_std = np.kron(np.eye(rd.n - 1), np.array([[0.0, -1.0], [1.0, 0.0]]))
-    J_err = np.abs(J - J_std).max()
-    if J_err > 1e-10:
-        raise ConsistencyError(f"J = -[theta(.), Z] disagrees with the adapted frame ({J_err:.3g})")

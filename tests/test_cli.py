@@ -260,6 +260,22 @@ def test_numbers_that_json_cannot_mean_exit_2(tmp_path, capsys, command, payload
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "SPEC"], "seed must be a non-negative integer, got -1"),
+    (["selfcheck", "--n", "3", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+], ids=["verify", "selfcheck"])
+def test_a_negative_seed_exits_2_naming_it_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           argv, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a negative seed reached the computation")
+
+    monkeypatch.setattr(polar, "_checked_inputs", forbidden)
+    monkeypatch.setattr(su1n, "build_root_decomposition", forbidden)
+    spec = write_json(tmp_path, "s.json", _with(_line_spec(), ("seed",), -1))
+    assert main([spec if arg == "SPEC" else arg for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_whole_floats_still_read_as_integers(tmp_path, capsys):
     payload = _with(_line_spec(), ("n",), 2.0)
     assert main(["verify", write_json(tmp_path, "s.json", payload)]) == 0

@@ -137,8 +137,10 @@ def test_theta_swaps_root_spaces():
 
 
 def test_metric_normalization():
-    for n in (2, 3, 5):
+    for n in (2, 3, 5, 16):
         rd = build_root_decomposition(n)
+        # the module's scale c is the one that <B, B> = c tr(B^2) = 1 solves for
+        assert abs(1.0 / np.real(np.trace(rd.B @ rd.B)) - su1n._METRIC_SCALE) <= 1e-14
         assert inner(rd.B, rd.B) == pytest.approx(1.0, abs=1e-12)
         assert inner(rd.Z, rd.Z) == pytest.approx(2.0, abs=1e-12)
         assert inner_an(rd.Z, rd.Z) == pytest.approx(1.0, abs=1e-12)
@@ -199,7 +201,7 @@ def test_norm_does_not_underflow():
 # --- root decomposition ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
 def test_root_space_dimensions(n):
     rd = build_root_decomposition(n)
     dims = {k: v.stop - v.start for k, v in rd.slices.items()}
@@ -211,11 +213,12 @@ def test_root_space_dimensions(n):
 
 
 def test_root_spaces_are_ad_B_eigenspaces():
-    rd = build_root_decomposition(3)
     lam = {"g_m2a": -1.0, "g_ma": -0.5, "k_0": 0.0, "a": 0.0, "g_a": 0.5, "g_2a": 1.0}
-    for name, want in lam.items():
-        for E in rd.block(name):
-            assert norm(bracket(rd.B, E) - want * E) < 1e-10
+    for n in (3, 16):
+        rd = build_root_decomposition(n)
+        for name, want in lam.items():
+            for E in rd.block(name):
+                assert norm(bracket(rd.B, E) - want * E) < 1e-10
 
 
 def test_bracket_grading():
@@ -258,6 +261,16 @@ def test_k_and_p_bases():
     assert np.abs(gram - np.eye(rd.dim)).max() < 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_basis_lies_in_su1n_and_is_orthonormal(n):
+    rd = build_root_decomposition(n)
+    basis = np.array(onb(rd))
+    assert su1n.membership_residual(basis).max() <= su1n.TOL_ALG
+    # <X_i, X_j> = -c Re tr(theta(X_i) X_j) over all pairs at once
+    gram = -su1n._METRIC_SCALE * np.einsum("ikl,jlk->ij", theta(basis), basis).real
+    assert np.abs(gram - np.eye(rd.dim)).max() <= 1e-9
+
+
 def test_onb_is_orthonormal_and_projections_sum_to_identity():
     rd = build_root_decomposition(3)
     basis = onb(rd)
@@ -291,15 +304,16 @@ def test_J_squares_to_minus_one():
 
 def test_J_fixed_by_JB_equals_Z():
     # 2 i B = (1 - theta) Z under the tangent-space complex structure
-    rd = build_root_decomposition(3)
-    lhs = 2.0 * times_i(rd, rd.B)
-    rhs = rd.Z - theta(rd.Z)
-    assert norm(lhs - rhs) < 1e-12
+    for n in (3, 16):
+        rd = build_root_decomposition(n)
+        lhs = 2.0 * times_i(rd, rd.B)
+        rhs = rd.Z - theta(rd.Z)
+        assert norm(lhs - rhs) < 1e-12
 
 
 def test_bracket_with_center_recovers_J():
     # -[theta X(u), Z] = X(iu) on g_a: J is multiplication by i
-    for n in (2, 3, 5):
+    for n in (2, 3, 5, 16):
         rd = build_root_decomposition(n)
         rng = np.random.default_rng(n)
         for _ in range(20):
@@ -427,7 +441,7 @@ def test_k0_bridge_roundtrip_and_action():
     assert norm(bracket(T, galpha(u)) - galpha(N @ u)) < 1e-10
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
 def test_galpha_matrix_matches_the_frame_sum(n):
     # the reference: u -> sum_j Re u_j F_j + Im u_j J F_j over the
     # AN-orthonormal frame F_j = X(e_j)/2, J F_j = X(i e_j)/2, which is
@@ -519,7 +533,7 @@ def _projector(rd, mats):
     return C.T @ C
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 def test_closed_form_blocks_span_the_ad_B_eigenspaces(n):
     rd = build_root_decomposition(n)
     oracle = eigenspace_oracle(n)
@@ -535,7 +549,7 @@ def test_closed_form_blocks_span_the_ad_B_eigenspaces(n):
         assert np.abs(_projector(rd, oracle[key]) - closed).max() < 1e-9, key
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 def test_theta_matrix_is_coords_of_theta_of_basis(n):
     rd = build_root_decomposition(n)
     for j, E in enumerate(onb(rd)):
