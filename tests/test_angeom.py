@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chpolar import angeom, kahler
+from chpolar._linalg import complex_rows, real_rows
 from chpolar.angeom import (
     OrbitModel,
     an_bracket,
@@ -182,12 +183,12 @@ def test_orbit_errors_name_the_measured_number(monkeypatch):
                        match=r"orthogonal to w \(\|Re<w, X>\| / \(\|w\|\|X\|\) = 0.707 > 1e-9\)"):
         OrbitModel.from_line(3, 1.0, np.array([1.0, 1.0], dtype=complex),
                              [np.array([2.0 + 0j, 0.0])])
-    # a normal space one short of the complement
+    # a normal space one short of the complement builds, and fails the
+    # dimension count that test_orbit_model_is_a_subalgebra_filled_by_its_normal asserts
     full = angeom.orthonormal_rows
     monkeypatch.setattr(angeom, "orthonormal_rows", lambda A, tol: full(A, tol)[1:])
-    with pytest.raises(ConsistencyError,
-                       match=r"do not fill a \+ n \(dimensions 3 \+ 2 != 2n = 6\)"):
-        line_orbit(3, a=1.0, m=1)
+    orb = line_orbit(3, a=1.0, m=1)
+    assert (len(orb.tangent), len(orb.normal)) == (3, 2)
 
 
 def test_orbit_rejects_non_orthogonal_X_at_small_scale():
@@ -200,6 +201,58 @@ def test_orbit_tangent_is_subalgebra():
     orb = line_orbit(4, a=0.7, m=2)
     assert len(orb.tangent) == 1 + 2 + 1
     assert len(orb.normal) == 2 * 4 - 4
+
+
+def subalgebra_residual(tangent):
+    """The largest part |[s, t] - P_T [s, t]| outside the span of the
+    AN-orthonormal rows ``tangent``, over every pair of rows."""
+    T = real_rows(tangent)
+    brackets = real_rows(np.array([an_bracket(s, t) for s in tangent for t in tangent]))
+    return float(np.linalg.norm(brackets - brackets @ T.T @ T, axis=1).max(initial=0.0))
+
+
+def random_line_data(n, m, rng):
+    """A unit X in g_a and m orthonormal rows of w orthogonal to it."""
+    q, _ = np.linalg.qr(rng.standard_normal((2 * (n - 1), m + 1)))
+    rows = complex_rows(q.T, n - 1)
+    return rows[0], list(rows[1:])
+
+
+def random_orbits(n, kind, rng):
+    """Orbits of ``kind`` with dim w in {0, some, all it may take}, and for
+    the line kind a and X at every scale from 1e-6 to 1e6."""
+    top = 2 * (n - 1) - (kind == "line")
+    for m in sorted({0, int(rng.integers(0, top + 1)), top}):
+        if kind != "line":
+            yield OrbitModel.from_flag(n, kind[len("flag_"):], random_line_data(n, m, rng)[1])
+            continue
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            x_vec, w = random_line_data(n, m, rng)
+            yield OrbitModel.from_line(n, scale * rng.standard_normal(),
+                                       scale * rng.standard_normal() * x_vec, w)
+
+
+@pytest.mark.parametrize("kind", ["line", "flag_zero", "flag_full"])
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
+def test_orbit_model_is_a_subalgebra_filled_by_its_normal(n, kind):
+    # [a, n] <= n and [g_a, g_a] <= g_2a: both shapes are subalgebras of
+    # a + n for every input, and tangent and normal together fill a + n
+    rng = np.random.default_rng(300 + n)
+    for orb in random_orbits(n, kind, rng):
+        assert subalgebra_residual(orb.tangent) <= 1e-10
+        assert len(orb.tangent) + len(orb.normal) == 2 * n
+        frame = real_rows(np.concatenate([orb.tangent, orb.normal]))
+        assert np.abs(frame @ frame.T - np.eye(2 * n)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["line", "flag_zero", "flag_full"])
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
+def test_shape_operator_is_self_adjoint_on_every_normal(n, kind):
+    rng = np.random.default_rng(400 + n)
+    for orb in random_orbits(n, kind, rng):
+        for eta in orb.normal:
+            S = shape_operator(orb, eta)
+            assert np.abs(S - S.T).max() <= 1e-9
 
 
 def test_shape_operator_leading_direction():
@@ -247,9 +300,10 @@ def test_errors_name_the_residual_and_the_bound():
     with pytest.raises(ValueError, match=r"orthonormalize \(max \|G - 1\| = 3 > 1e-9\)"):
         OrbitModel.from_flag(3, "zero", [np.array([0, 2.0 + 0j])])
     e1 = np.array([1.0 + 0j, 0.0])
-    orb.tangent = np.array([from_galpha(e1), from_galpha(1j * e1)])  # [U, JU] = Z
-    with pytest.raises(ValueError, match=r"a \+ n \(bracket part outside 1 > 1e-10\)"):
-        orb._check_subalgebra()
+    # the residual that test_orbit_model_is_a_subalgebra_filled_by_its_normal
+    # bounds by 1e-10 reads 1 on [U, JU] = Z
+    assert subalgebra_residual(np.array([from_galpha(e1), from_galpha(1j * e1)])) \
+        == pytest.approx(1.0, abs=1e-15)
     rd = build_root_decomposition(3)
     origin = an_vector(0.0, np.zeros(2, dtype=complex), 0.0)
     with pytest.raises(ConsistencyError, match=r"n \(part outside / \|X\| = 1 > 1e-09\)"):

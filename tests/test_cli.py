@@ -611,6 +611,35 @@ def test_cmd_curvature_b_zero(tmp_path, capsys):
     assert out["max_deviation"] < 1e-9
 
 
+def curvature_spec(n, b_flag):
+    """A family II spec whose w, a Haar image of [(pi/3, 2), (pi/2, n - 3)]
+    in C^{n-1}, has no coordinate-aligned row."""
+    w = kahler.canonical_subspace(n - 1, [(math.pi / 3, 2), (math.pi / 2, n - 3)])
+    w = kahler.RealSubspace(n - 1, w.basis @ kahler.haar_unitary(n - 1, np.random.default_rng(n)).T)
+    return PolarActionSpec(n=n, family="II", b_flag=b_flag, q_type="normalizer", w=w,
+                           q_section=normalizer_section(w))
+
+
+# curvature prints the numeric mean curvature beside the closed form at 17
+# digits, so its bytes pin every floating-point operation of the orbit model
+# and of the shape operators it sums.
+CURVATURE_SHA256 = {
+    (3, "full"): "abc05dd7d7af57ad1d1153d8ec2566fa693b7798e1174e16455b1d5d45672ab0",
+    (3, "zero"): "d5db1b331b5908f1b23527027c8f8fe4219a70d71660d00c6f6af2d0613cdbfc",
+    (4, "full"): "9d73eac657b410e36138e8ede878c64f38519792cd793ec9681b65fe5d1fb3fd",
+    (4, "zero"): "82211302e18f5e53849111c6994d3d3f4d35339917e938578af005be164fabcd",
+}
+
+
+@pytest.mark.parametrize("n, b_flag", sorted(CURVATURE_SHA256))
+def test_cmd_curvature_output_is_pinned(tmp_path, capsys, n, b_flag):
+    spec = curvature_spec(n, b_flag)
+    assert main(["curvature", write_json(tmp_path, "s.json", spec.to_json())]) == 0
+    text = capsys.readouterr().out
+    assert json.loads(text)["max_deviation"] < 1e-9
+    assert hashlib.sha256(text.encode()).hexdigest() == CURVATURE_SHA256[n, b_flag]
+
+
 def test_cmd_curvature_family_I_is_input_error(tmp_path, capsys):
     spec = PolarActionSpec(n=3, family="I", k=3)
     assert main(["curvature", write_json(tmp_path, "s.json", spec.to_json())]) == 2

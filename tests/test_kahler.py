@@ -150,11 +150,41 @@ def test_decompose_mixed_complex_plus_real_line():
 
 def test_check_decomposition_names_the_cross_factor_product():
     e1, e2 = np.eye(2, dtype=complex)
-    V = RealSubspace(2, [e1, 1j * e1, e2])
     dec = kahler.KahlerDecomposition(((0.0, RealSubspace(2, [e1, 1j * e1])),
                                       (math.pi / 2, RealSubspace(2, [e1 + e2]))))
     with pytest.raises(ValueError, match=r"not orthogonal \(max \|<a, b>\| = 0.707 > 1e-08\)"):
-        kahler._check_decomposition(V, dec)
+        kahler._check_decomposition(dec)
+
+
+# moduli in C^m, m >= 4, whose angles sit where decompose is least sure:
+# about pi/4, where it switches from the sine to the cosine, near 0 and
+# pi/2, where it snaps, and pairs that TOL_ANGLE = 1.2e-8 groups
+CLOSE_MODULI = [
+    [(math.pi / 4 - 1e-9, 2), (math.pi / 4 + 1e-9, 2)],
+    [(math.pi / 4, 2), (math.pi / 4 + 1e-5, 2)],
+    [(math.pi / 4 - 1e-5, 2), (math.pi / 4 + 1e-5, 2)],
+    [(5e-9, 2), (0.5, 2)],
+    [(1e-7, 2), (0.5, 2)],
+    [(0.0, 2), (math.pi / 2 - 1e-7, 2), (math.pi / 2, 1)],
+    [(math.pi / 2 - 5e-9, 2), (math.pi / 2, 2)],
+]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_decompose_dimensions_sum_and_angles_strictly_increase(m):
+    # both hold by construction, so decompose does not check them
+    rng = np.random.default_rng(600 + m)
+    spaces = [RealSubspace(m, rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m)))
+              for d in range(2 * m + 1)]
+    if m >= 4:
+        spaces += [random_subspace(m, moduli, rng) for moduli in CLOSE_MODULI]
+    if m >= 6:
+        spaces.append(random_subspace(m, [(0.3, 2), (0.3 + 5e-9, 2), (0.3 + 1e-8, 2)], rng))
+    for V in spaces:
+        dec = kahler.decompose(V)
+        assert sum(dec.dimensions()) == V.dim
+        angles = dec.angles()
+        assert all(a < b for a, b in zip(angles, angles[1:])), angles
 
 
 def test_decompose_reassembles_projection():

@@ -490,21 +490,27 @@ def _raw_su_basis(n):
     return out
 
 
-def _ip_raw(X, Y, I, c):
-    return -c * float(np.real(np.trace(I @ X @ I @ Y)))
+def _gram_raw(X, Y, I, c):
+    """The Gram matrix -c Re tr(I X_a I Y_b) of two stacks of matrices, as
+    one matmul: tr(M N) sums M * N^T entrywise."""
+    left = (I @ X @ I).reshape(len(X), -1)
+    return -c * np.real(left @ Y.transpose(0, 2, 1).reshape(len(Y), -1).T)
 
 
-def _mgs_matrices(mats, I, c):
-    out = []
-    for X in mats:
-        Y = np.array(X, dtype=complex)
+def _gram_schmidt_matrices(mats, I, c):
+    """Gram-Schmidt in coefficients over ``mats``: each element less its
+    parts along the earlier results, twice, and dropped when the remainder
+    is at most 1e-10."""
+    mats = np.asarray(mats)
+    G = _gram_raw(mats, mats, I, c)
+    out = np.zeros((0, len(mats)))
+    for y in np.eye(len(mats)):
         for _ in range(2):
-            for E in out:
-                Y = Y - _ip_raw(Y, E, I, c) * E
-        nrm = np.sqrt(max(0.0, _ip_raw(Y, Y, I, c)))
+            y = y - ((y @ G) @ out.T) @ out
+        nrm = np.sqrt(max(0.0, y @ G @ y))
         if nrm > 1e-10:
-            out.append(Y / nrm)
-    return out
+            out = np.vstack([out, y / nrm])
+    return np.tensordot(out, mats, axes=(1, 0))
 
 
 def eigenspace_oracle(n, c=2.0):
@@ -513,16 +519,16 @@ def eigenspace_oracle(n, c=2.0):
     I = np.diag([-1.0] + [1.0] * n).astype(complex)
     B = np.zeros((n + 1, n + 1), complex)
     B[0, 1] = B[1, 0] = 0.5
-    onb = _mgs_matrices(_raw_su_basis(n), I, c)
+    onb = _gram_schmidt_matrices(_raw_su_basis(n), I, c)
     assert len(onb) == (n + 1) ** 2 - 1
-    adB = np.array([[_ip_raw(B @ F - F @ B, E, I, c) for F in onb] for E in onb])
+    adB = _gram_raw(onb, B @ onb - onb @ B, I, c)
     evals, evecs = np.linalg.eigh(adB)
     out = {t: [] for t in (-1.0, -0.5, 0.0, 0.5, 1.0)}
     for lam, col in zip(evals, evecs.T):
         best = min(out, key=lambda t: abs(lam - t))
         assert abs(lam - best) < 1e-8
-        out[best].append(np.tensordot(col, np.array(onb), axes=(0, 0)))
-    out["k_0"] = _mgs_matrices([(M + I @ M @ I) / 2 for M in out[0.0]], I, c)
+        out[best].append(np.tensordot(col, onb, axes=(0, 0)))
+    out["k_0"] = _gram_schmidt_matrices([(M + I @ M @ I) / 2 for M in out[0.0]], I, c)
     return out
 
 
