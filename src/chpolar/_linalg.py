@@ -110,12 +110,13 @@ def complement_rows(rows, dim):
 
 def generic_draws(rng, basis, act, tol):
     """The regular-vector sampler: two unit combinations xi of the
-    orthonormal rows ``basis``, in stream order, as (xi, rank, rows) with
+    orthonormal rows ``basis``, their coefficients ``rng.gauss(0.0, 1.0)``
+    draws of a ``random.Random`` in stream order, as (xi, rank, rows) with
     the rows ``act(xi)``.  A Gaussian draw is regular with probability 1,
     so two draws of different rank raise ConsistencyError."""
     draws = []
     for _ in range(2):
-        coeff = rng.standard_normal(basis.shape[0])
+        coeff = np.array([rng.gauss(0.0, 1.0) for _ in range(basis.shape[0])])
         xi = (coeff / np.linalg.norm(coeff)) @ basis
         moved = act(xi)
         draws.append((xi, rank(moved, tol), moved))

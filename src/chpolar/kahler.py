@@ -317,7 +317,9 @@ def canonical_subspace(ambient_dim, moduli):
 
 
 def haar_unitary(m, rng):
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
+    """Haar-distributed unitary via QR of a complex Ginibre matrix drawn
+    from the numpy Generator ``rng``.  No command calls it: it makes the
+    unitary images of the tests and of the benchmark's workloads."""
     if m == 0:
         return np.zeros((0, 0), dtype=complex)
     z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))

@@ -44,6 +44,7 @@ congruence witness, must agree to TOL_TANGENT.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -486,7 +487,7 @@ def _report(residuals, sig, nu, act, seed):
     generic draws xi in sigma, whose ranks dim[h_o, xi] agree, the span
     sigma + [h_o, xi] must fill nu."""
     sub_resid, sec_resid, br_resid, ortho_resid = residuals
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     is_subalgebra = sub_resid <= TOL_SUBALGEBRA
     section_in_normal = sec_resid <= TOL_SECTION
     bracket_condition = br_resid <= TOL_BRACKET
@@ -556,8 +557,11 @@ def check_polarity(n, h, sigma, seed=0):
     verdict is the conjunction; a transitive action (empty normal space)
     passes with the empty section only.  The cohomogeneity of a polar
     action is dim sigma; otherwise it is dim nu minus dim[h_o, xi] at two
-    generic draws xi in nu, which must agree.
+    generic draws xi in nu, which must agree.  A negative seed is a
+    ValueError.
     """
+    if seed < 0:  # random.Random would draw with |seed|
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rd = build_root_decomposition(n)
     h_rows, sig_rows = _member_rows(rd, h, "h"), _member_rows(rd, sigma, "sigma")
 
@@ -682,7 +686,7 @@ def orbit_equivalence_invariants(spec1, spec2):
     carry one set of orbits onto the other.  q enters only through q @ v,
     so a named u(m) is never formed.  Both specs go through
     ``_checked_inputs`` first, and each q is the one that check returns;
-    the draws use seed 0.
+    the draws come from ``random.Random(0)``.
     """
     q1, q2 = [_checked_inputs(spec)[0] for spec in (spec1, spec2)]
     n = spec1.n
@@ -717,7 +721,7 @@ def orbit_equivalence_invariants(spec1, spec2):
     carried = carry.T @ to_sub  # the same for A x
 
     def tangents(act, coords):  # orthonormal coordinate rows of act(v) at the same two v for each q
-        return generic_draws(np.random.default_rng(0), sub.basis,
+        return generic_draws(random.Random(0), sub.basis,
                              lambda v: orthonormal_rows((act(v) @ coords).real, TOL_RANK), TOL_RANK)
 
     (_, d1, t1), (_, _, u1) = tangents(lambda v: q1 @ (back @ v), carried)

@@ -655,24 +655,26 @@ def test_cmd_selfcheck_passes(capsys):
 
 
 def test_cmd_selfcheck_catches_a_wrong_Z(capsys, monkeypatch):
-    # with Z of the wrong sign, -[theta X(u), Z] is -X(iu): the J identity
-    # must read the error and selfcheck must exit 1
+    # with Z of the wrong sign, -[theta X(u), Z] is -X(iu): the J identity,
+    # evaluated at one draw, must read the error at every seed and selfcheck
+    # must exit 1
     original = su1n.build_root_decomposition
     monkeypatch.setattr(su1n, "build_root_decomposition",
                         lambda n: dataclasses.replace(original(n), Z=-original(n).Z))
-    assert main(["selfcheck", "--n", "3"]) == 1
-    out = json.loads(capsys.readouterr().out)
-    assert out["ok"] is False
-    assert out["max_residuals"]["bracket_with_Z_defines_J"] > 1.0
+    for seed in range(8):
+        assert main(["selfcheck", "--n", "3", "--seed", str(seed)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is False
+        assert out["max_residuals"]["bracket_with_Z_defines_J"] > 1.0, seed
 
 
 # selfcheck prints rounding-level residuals at 17 digits, so its bytes pin
 # every floating-point operation of galpha_matrices, traceless_block and the
 # root decomposition it runs through.
 SELFCHECK_SHA256 = {
-    2: "91574523fbb162ab9474960c183da7441318fd7dd82877374a71a6195483cdd0",
-    3: "36131b39bde923ebd0e09db68fc7e8780819f5c35147783a9c200b45e8cd4047",
-    4: "065f450e37c313e97f5dfea476a5caf30f15b75c6b5212d3c4cc470b0a8dd666",
+    2: "024feaa6185fe5510b60b1293c9934961e0def120dcc0dc029f1047c2af034ed",
+    3: "ec19963526b0d892cb5b65c6f403a4646ad203e455d49361eb7a17f0c4c5068a",
+    4: "c90f223d82da2608a278dc3ee8d6038a32520b58157c2838e4c6634ce32f7169",
 }
 
 
@@ -757,3 +759,25 @@ def test_import_cli_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify", "compare", "enumerate", "curvature",
+                                     "selfcheck"])
+def test_no_command_imports_numpy_random(tmp_path, command):
+    # every draw comes from the standard library's random.Random, so no
+    # command pays for the numpy.random import
+    spec = write_json(tmp_path, "s.json", spec_pi3().to_json())
+    argv = {
+        "decompose": [write_json(tmp_path, "w.json", spec_pi3().w.to_json())],
+        "verify": [spec],
+        "compare": [spec, spec],
+        "enumerate": ["--n", "2"],
+        "curvature": [spec],
+        "selfcheck": ["--n", "3"],
+    }[command]
+    code = ("import sys; from chpolar.cli import main; rc = main(sys.argv[1:]); "
+            "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", code, command, *argv, "--out", str(tmp_path / "o.json")],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"

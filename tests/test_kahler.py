@@ -187,6 +187,17 @@ def test_decompose_dimensions_sum_and_angles_strictly_increase(m):
         assert all(a < b for a, b in zip(angles, angles[1:])), angles
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="complex spans of factors are not orthogonal: two pairs 2e-8 apart "
+                          "that straddle pi/4 come from the sine and the cosine operator")
+def test_decompose_reads_two_pairs_straddling_pi_4_in_a_unitary_frame():
+    # a valid subspace, which decompose rejects as an input error (max
+    # |<a, b>| = 8.6e-8 at this seed); gaps above 2e-6 decompose
+    V = random_subspace(4, [(math.pi / 4 - 1e-8, 2), (math.pi / 4 + 1e-8, 2)],
+                        np.random.default_rng(1))
+    assert kahler.decompose(V).dimensions() == [2, 2]
+
+
 def test_decompose_reassembles_projection():
     rng = np.random.default_rng(3)
     V = random_subspace(4, [(0.0, 2), (math.pi / 3, 2), (math.pi / 2, 1)], rng)

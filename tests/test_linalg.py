@@ -1,6 +1,7 @@
 import importlib
 import math
 import pathlib
+import random
 import sys
 
 import numpy as np
@@ -99,23 +100,23 @@ def test_complement_rows():
 
 def test_generic_draws_draws_two_unit_combinations_in_stream_order():
     basis = np.eye(4)[:2]
-    out = generic_draws(np.random.default_rng(5), basis, lambda xi: xi[None], 1e-8)
-    rng = np.random.default_rng(5)
+    out = generic_draws(random.Random(5), basis, lambda xi: xi[None], 1e-8)
+    rng = random.Random(5)
     assert len(out) == 2
     for xi, d, moved in out:
-        coeff = rng.standard_normal(2)
+        coeff = np.array([rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)])
         assert np.allclose(xi, (coeff / np.linalg.norm(coeff)) @ basis)
         assert d == 1 and np.array_equal(moved, xi[None])
 
 
 def test_generic_draws_of_different_rank_raise_naming_both_ranks():
-    # the rank of act(xi) is 1 where xi[0] > 0 and 0 elsewhere; under seed 2
+    # the rank of act(xi) is 1 where xi[0] > 0 and 0 elsewhere; under seed 0
     # the first draw has xi[0] > 0 and the second xi[0] < 0
     def act(xi):
         return xi[None] if xi[0] > 0 else np.zeros((1, len(xi)))
 
     with pytest.raises(ConsistencyError, match="two generic draws give ranks 1 and 0"):
-        generic_draws(np.random.default_rng(2), np.eye(3)[:2], act, 1e-8)
+        generic_draws(random.Random(0), np.eye(3)[:2], act, 1e-8)
     assert ConsistencyError is chpolar.su1n.ConsistencyError is chpolar.ConsistencyError
 
 

@@ -223,6 +223,8 @@ def test_crafted_negative_fails_robustly():
     assert not report.verdict
     assert not report.bracket_condition
     assert report.bracket_residual >= 0.1
+    with pytest.raises(ValueError, match="non-negative integer"):
+        check_polarity(n, h, sigma, seed=-1)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-12])
