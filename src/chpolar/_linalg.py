@@ -2,15 +2,15 @@
 
 Matrices are real, one vector per row; ``orthonormal_rows`` and
 ``complement_rows`` also take complex rows, orthonormal then in the
-Hermitian product (complex vectors are otherwise passed as their real rows,
-``real_rows``, and viewed back with ``complex_rows``).  A singular value
-counts toward the rank when it exceeds ``tol * max(1, s_0)``, with ``s_0``
-the largest one (``_rank_of``).  The cutoff is relative at scale 1 and
-above and absolute below it, so that a projection of unit data that is
-numerically zero (h inside k, an empty normal space, [h_o, xi] = 0) keeps
-rank 0 instead of counting rounding noise.  Scale-free answers come from the inputs: spanning
-sets from outside the program pass through ``unit_rows``, and every other
-matrix is built from orthonormal rows.
+Hermitian product (complex vectors are otherwise real rows, ``real_rows``,
+viewed back with ``complex_rows``).  There is one zero, ``TOL_RANK``: a
+singular value counts toward the rank when it exceeds ``TOL_RANK * max(1,
+s_0)``, ``s_0`` the largest one (``_rank_of``); ``kahler``'s membership
+tests read the same bound, so a vector that close to a span adds no
+direction anywhere.  The cutoff is absolute below scale 1, so unit data
+projected to numerical zero (h inside k, [h_o, xi] = 0) keeps rank 0.
+Scale-free answers come from the inputs: spanning sets from outside pass
+through ``unit_rows``, and every other matrix is built from orthonormal rows.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+TOL_RANK = 1e-8  # the one rank cutoff and membership bound
 
 
 class ConsistencyError(RuntimeError):
@@ -37,9 +39,9 @@ def complex_rows(rows, m):
     return np.ascontiguousarray(rows).view(complex).reshape(len(rows), m)
 
 
-def _rank_of(s, tol):
+def _rank_of(s):
     """The rank rule on singular values in decreasing order."""
-    return int(np.sum(s > tol * max(1.0, s[0]))) if s.size else 0
+    return int(np.sum(s > TOL_RANK * max(1.0, s[0]))) if s.size else 0
 
 
 def unit_rows(A):
@@ -72,12 +74,12 @@ def scaled_norm(inner, X):
     return float(np.ldexp(np.sqrt(max(0.0, inner(scaled, scaled))), exp))
 
 
-def orthonormal_rows(A, tol=1e-10):
+def orthonormal_rows(A):
     """Orthonormal rows spanning the rows of A (its leading right singular
     vectors).  For complex A they span the complex row space and are
     orthonormal in the Hermitian product."""
     s, vh = singular_rows(A)
-    return vh[: _rank_of(s, tol)]
+    return vh[: _rank_of(s)]
 
 
 def singular_rows(A):
@@ -86,16 +88,16 @@ def singular_rows(A):
     return s, vh
 
 
-def rank(A, tol):
+def rank(A):
     """Rank of A under the rank rule; 0 for an empty matrix."""
-    return _rank_of(np.linalg.svd(A, compute_uv=False), tol)
+    return _rank_of(np.linalg.svd(A, compute_uv=False))
 
 
 def left_nullspace(A):
     """Orthonormal rows c with c @ A = 0, one coefficient per row of A,
-    under the rank rule at tol 1e-9."""
+    under the rank rule."""
     _, s, vh = np.linalg.svd(A.T, full_matrices=True)
-    return vh[_rank_of(s, 1e-9):]
+    return vh[_rank_of(s):]
 
 
 def complement_rows(rows, dim):
@@ -108,7 +110,7 @@ def complement_rows(rows, dim):
     return q[:, rows.shape[0]:].T
 
 
-def generic_draws(rng, basis, act, tol):
+def generic_draws(rng, basis, act):
     """The regular-vector sampler: two unit combinations xi of the
     orthonormal rows ``basis``, their coefficients ``rng.gauss(0.0, 1.0)``
     draws of a ``random.Random`` in stream order, as (xi, rank, rows) with
@@ -119,7 +121,7 @@ def generic_draws(rng, basis, act, tol):
         coeff = np.array([rng.gauss(0.0, 1.0) for _ in range(basis.shape[0])])
         xi = (coeff / np.linalg.norm(coeff)) @ basis
         moved = act(xi)
-        draws.append((xi, rank(moved, tol), moved))
+        draws.append((xi, rank(moved), moved))
     (_, d1, _), (_, d2, _) = draws
     if d1 != d2:
         raise ConsistencyError(f"two generic draws give ranks {d1} and {d2}")

@@ -107,8 +107,9 @@ def curvature(X, Y, Z, W):
 
 
 def sectional_curvature(X, Y):
-    denom = inner_product(X, X) * inner_product(Y, Y) - inner_product(X, Y) ** 2
-    if denom <= 1e-14:
+    lengths = inner_product(X, X) * inner_product(Y, Y)
+    denom = lengths - inner_product(X, Y) ** 2
+    if denom <= 1e-14 * lengths:  # relative, so that X and Y may have any scale
         raise ValueError("vectors do not span a plane")
     return curvature(X, Y, Y, X) / denom
 
@@ -173,7 +174,7 @@ class OrbitModel:
             raise ValueError(
                 f"tangent basis failed to orthonormalize (max |G - 1| = {gram_err:.3g} > 1e-9)"
             )
-        normal = orthonormal_rows(np.eye(2 * self.n) - T.T @ T, 1e-9)
+        normal = orthonormal_rows(np.eye(2 * self.n) - T.T @ T)
         self.normal = np.ascontiguousarray(normal).view(complex)
 
     @classmethod

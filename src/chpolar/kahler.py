@@ -20,16 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (complement_rows, complex_rows, orthonormal_rows, real_rows,
+from ._linalg import (TOL_RANK, complement_rows, complex_rows, orthonormal_rows, real_rows,
                       singular_rows, unit_rows)
 
-# Tolerances; no flag or parameter changes them.  TOL_ANGLE, in radians,
+# Tolerances; no flag or parameter changes them.  Membership tests read
+# _linalg.TOL_RANK, the one zero of every rank.  TOL_ANGLE, in radians,
 # is the one angle tolerance (decompose, same_moduli).  It groups two pairs
 # 1e-8 apart (0.5 + 1e-8 - 0.5 is 1.000000005e-8) and stays below 1.41e-8,
 # the spread at which the named normalizer of the group leaks past
 # polar.TOL_SUBALGEBRA = 1e-8 (its closure residual is the spread / sqrt 2).
 TOL_ANGLE = 1.2e-8
-TOL_MEMBER = 1e-8   # membership tests
 # The least interior Kahler angle _adapted_frame frames: a factor phi from
 # 0 is framed to about eps / phi, and one below the floor is an input error.
 FRAME_FLOOR = 5e-6
@@ -130,7 +130,7 @@ class RealSubspace:
     def contains_subspace(self, other):
         """Whether every (unit) basis row of other lies in this subspace."""
         resid = self._outside(real_rows(other.basis))
-        return bool(np.linalg.norm(resid, axis=1).max(initial=0.0) <= TOL_MEMBER)
+        return bool(np.linalg.norm(resid, axis=1).max(initial=0.0) <= TOL_RANK)
 
     def perp(self):
         """Orthogonal complement in the full realification of C^m."""
@@ -234,10 +234,10 @@ def _check_decomposition(dec):
     owner = np.repeat(np.arange(len(dec.factors)), dec.dimensions())
     F = np.vstack([sub.basis for _, sub in dec.factors])
     cross = np.abs(F.conj() @ F.T)[owner[:, None] != owner[None, :]]
-    if cross.max(initial=0.0) > TOL_MEMBER:
+    if cross.max(initial=0.0) > TOL_RANK:
         raise ValueError(
             f"complex spans of factors are not orthogonal "
-            f"(max |<a, b>| = {cross.max():.3g} > {TOL_MEMBER:g})"
+            f"(max |<a, b>| = {cross.max():.3g} > {TOL_RANK:g})"
         )
 
 
@@ -365,7 +365,7 @@ def _adapted_frame(sub, phi):
     a factor below FRAME_FLOOR is a ValueError naming the floor.  One
     Newton-Schulz step, F -> (3 - F F*) F / 2, takes the Gram matrix I + E
     to I + O(E^2) (eigh mixes pairs whose eigenvalues differ by rounding);
-    a frame whose Gram matrix is still not within TOL_MEMBER of the
+    a frame whose Gram matrix is still not within TOL_RANK of the
     identity (NaN included) is a ValueError.
     """
     if phi < FRAME_FLOOR:
@@ -378,10 +378,10 @@ def _adapted_frame(sub, phi):
     frame /= np.linalg.norm(frame, axis=1, keepdims=True)
     frame = 0.5 * (3.0 * frame - (frame @ frame.conj().T) @ frame)
     leftover = np.abs(frame @ frame.conj().T - np.eye(len(frame))).max()
-    if not leftover <= TOL_MEMBER:
+    if not leftover <= TOL_RANK:
         raise ValueError(
             f"adapted frame at angle {phi!r} is not C-orthonormal: "
-            f"leftover norm {leftover:.3e} > {TOL_MEMBER:g}"
+            f"leftover norm {leftover:.3e} > {TOL_RANK:g}"
         )
     return frame
 

@@ -50,16 +50,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import kahler
-from ._linalg import (
-    complement_rows,
-    generic_draws,
-    left_nullspace,
-    orthonormal_rows,
-    rank,
-    real_rows,
-    singular_rows,
-    unit_rows,
-)
+from ._linalg import (TOL_RANK, complement_rows, generic_draws, left_nullspace, orthonormal_rows,
+                      rank, real_rows, singular_rows, unit_rows)
 from .kahler import RealSubspace, json_array, json_int, json_keys
 from .su1n import (
     TOL_ALG,
@@ -76,7 +68,7 @@ from .su1n import (
     u_orthonormal,
 )
 
-TOL_RANK = 1e-8        # rank cutoff of the sampled ranks (slice condition, orbit dims)
+# Report bounds, not rank cutoffs: every rank here is at _linalg.TOL_RANK.
 TOL_SUBALGEBRA = 1e-8  # is_subalgebra; also the builders' bound on the closure of h
 TOL_Q_CLOSED = 1e-9    # the builders' bound on the [q, q] part of that closure
 TOL_SECTION = 1e-8     # section_in_normal
@@ -493,8 +485,8 @@ def _report(residuals, sig, nu, act, seed):
     bracket_condition = br_resid <= TOL_BRACKET
 
     k_sec, dim_nu = sig.shape[0], nu.shape[0]
-    (_, dim_orbit_xi, moved), _ = generic_draws(rng, sig, act, TOL_RANK)
-    dim_joint = rank(np.vstack([sig, moved]), TOL_RANK)
+    (_, dim_orbit_xi, moved), _ = generic_draws(rng, sig, act)
+    dim_joint = rank(np.vstack([sig, moved]))
     slice_condition = (ortho_resid <= TOL_SLICE) and (dim_joint == dim_nu)
 
     verdict = bool(
@@ -504,7 +496,7 @@ def _report(residuals, sig, nu, act, seed):
     if not verdict:
         # sigma is not certified, so count on all of nu: dim nu minus the
         # principal orbit dimension of the slice representation of h_o
-        (_, d, _), _ = generic_draws(rng, nu, act, TOL_RANK)
+        (_, d, _), _ = generic_draws(rng, nu, act)
         cohomogeneity = dim_nu - d
     return PolarityReport(
         is_subalgebra=is_subalgebra,
@@ -722,7 +714,7 @@ def orbit_equivalence_invariants(spec1, spec2):
 
     def tangents(act, coords):  # orthonormal coordinate rows of act(v) at the same two v for each q
         return generic_draws(random.Random(0), sub.basis,
-                             lambda v: orthonormal_rows((act(v) @ coords).real, TOL_RANK), TOL_RANK)
+                             lambda v: orthonormal_rows((act(v) @ coords).real))
 
     (_, d1, t1), (_, _, u1) = tangents(lambda v: q1 @ (back @ v), carried)
     (_, d2, t2), (_, _, u2) = tangents(lambda v: q2 @ v, to_sub)

@@ -29,16 +29,29 @@ import math
 import numpy as np
 import scipy.linalg
 
-from chpolar._linalg import (complex_rows, left_nullspace, orthonormal_rows, rank, real_rows,
-                             unit_rows)
+from chpolar._linalg import TOL_RANK, complex_rows, real_rows, singular_rows, unit_rows
 from chpolar.angeom import an_matrix
-from chpolar.kahler import (TOL_MEMBER, RealSubspace, canonical_subspace, decompose,
-                            haar_unitary, normalizer_residual, skew_hermitian_basis)
-from chpolar.polar import TOL_RANK, _q_frame, build_family_I, build_family_II
+from chpolar.kahler import (RealSubspace, canonical_subspace, decompose, haar_unitary,
+                            normalizer_residual, skew_hermitian_basis)
+from chpolar.polar import _q_frame, build_family_I, build_family_II
 from chpolar.su1n import (ConsistencyError, bracket, build_root_decomposition, traceless_block,
                           u_coords, u_frame, u_matrices)
 
 TOL_CONSIST = 1e-9  # agreement of the two computations of ad_exp
+
+
+def _rank(s, tol):
+    """The rank rule of ``_linalg`` on the decreasing singular values s, at
+    the cutoff tol: the oracles keep their own cutoffs, so that no reference
+    moves with the package's one zero (``_linalg.TOL_RANK``)."""
+    return int(np.sum(s > tol * max(1.0, s[0]))) if s.size else 0
+
+
+def left_nullspace(A, tol):
+    """Orthonormal rows c with c @ A = 0, under the rank rule at tol."""
+    _, s, vh = np.linalg.svd(A.T, full_matrices=True)
+    return vh[_rank(s, tol):]
+
 
 # -- su(1, n) ------------------------------------------------------------------
 
@@ -95,7 +108,7 @@ def isotropy_at(n, q_basis, xi):
     xi_hat = unit_rows(real_rows(xi[None]))  # none when xi = 0, which every N fixes
     if len(xi_hat):
         moved = real_rows(u_matrices(rows, n - 1, n) @ xi_hat.view(complex)[0])  # N xi
-        rows = left_nullspace(moved) @ rows
+        rows = left_nullspace(moved, 1e-9) @ rows
     return traceless_block(n, u_matrices(rows, n - 1, n))
 
 
@@ -112,7 +125,8 @@ def conjugate_subalgebra(n, h_basis, g_exponent):
     if not len(h_basis):
         return np.zeros((0, n + 1, n + 1), dtype=complex)
     rows = unit_rows(rd.coords_many(np.asarray(h_basis)))
-    rows = orthonormal_rows(rows @ ad_exp(an_matrix(g_exponent)).T, 1e-12)
+    s, vh = singular_rows(rows @ ad_exp(an_matrix(g_exponent)).T)
+    rows = vh[:_rank(s, 1e-12)]
     # g_{-2a} + g_{-a} is the leading run of coordinates, before k_0
     outside = np.linalg.norm(rows[:, :rd.slices["k_0"].start], axis=1)
     part = (outside / np.linalg.norm(rows, axis=1)).max(initial=0.0)
@@ -157,7 +171,7 @@ def sample_ranks(rng, basis, act, samples, tol):
         coeff /= np.linalg.norm(coeff)
         xi = coeff @ basis
         moved = act(xi)
-        yield xi, rank(moved, tol), moved
+        yield xi, _rank(np.linalg.svd(moved, compute_uv=False), tol), moved
 
 
 def regular_vectors(q_basis, w, s, samples=100, seed=0):
@@ -195,9 +209,9 @@ def project(V, v):
 
 def contains(V, v):
     """Whether v lies in V, at any scale of v: the part of the unit vector
-    along v outside V is at most TOL_MEMBER."""
+    along v outside V is at most TOL_RANK."""
     u = unit_rows(real_rows(np.asarray(v, dtype=complex).reshape(1, -1)))
-    return bool(np.linalg.norm(V._outside(u)) <= TOL_MEMBER)
+    return bool(np.linalg.norm(V._outside(u)) <= TOL_RANK)
 
 
 def same_span(V, W):
@@ -263,11 +277,11 @@ def normalizer_dimension_formula(V):
 def normalizer_nullspace(V):
     """Basis of {T in u(m) : T.V <= V} as an (r, m, m) stack: the left null
     space of the stacked residuals of the generators of u(m).  Its 1e-9
-    cutoff (``_linalg.left_nullspace``) may split pairs that decompose
-    groups within TOL_ANGLE, and then it is smaller than the closed form."""
+    cutoff may split pairs that decompose groups within TOL_ANGLE, and then
+    it is smaller than the closed form."""
     m = V.ambient_complex_dim
     gens = skew_hermitian_basis(m)
     if V.dim == 0 or V.dim == 2 * m:
         return gens
-    null = left_nullspace(normalizer_residual(V, gens).reshape(len(gens), -1))
+    null = left_nullspace(normalizer_residual(V, gens).reshape(len(gens), -1), 1e-9)
     return np.tensordot(null, gens, axes=1)

@@ -120,6 +120,14 @@ def test_sectional_curvature_of_B_Z_plane():
     assert sectional_curvature(B, Z) == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-3, 1.0, 1e3, 1e6])
+def test_sectional_curvature_tests_for_a_plane_at_any_scale(scale):
+    X = an_vector(0.3, np.array([0.2 + 0.1j, -0.4j]), 0.5)
+    assert holomorphic_sectional_curvature(scale * X) == pytest.approx(-1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="do not span a plane"):
+        sectional_curvature(scale * X, -2.5 * scale * X)
+
+
 def test_curvature_antisymmetry():
     rng = np.random.default_rng(3)
     X, Y, Z, W = (rand_vec(3, rng) for _ in range(4))
@@ -186,7 +194,7 @@ def test_orbit_errors_name_the_measured_number(monkeypatch):
     # a normal space one short of the complement builds, and fails the
     # dimension count that test_orbit_model_is_a_subalgebra_filled_by_its_normal asserts
     full = angeom.orthonormal_rows
-    monkeypatch.setattr(angeom, "orthonormal_rows", lambda A, tol: full(A, tol)[1:])
+    monkeypatch.setattr(angeom, "orthonormal_rows", lambda A: full(A)[1:])
     orb = line_orbit(3, a=1.0, m=1)
     assert (len(orb.tangent), len(orb.normal)) == (3, 2)
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chpolar import kahler, polar
-from chpolar._linalg import left_nullspace
 from chpolar.kahler import RealSubspace
-from oracles import (complex_span, contains, kahler_angle, normalizer_dimension_formula, project,
-                     random_subspace, same_matrix_span, same_span)
+from oracles import (complex_span, contains, kahler_angle, left_nullspace,
+                     normalizer_dimension_formula, project, random_subspace, same_matrix_span,
+                     same_span)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -66,7 +66,7 @@ def normalizer_algebra_loop(V):
             r = r - sum(float(np.real(np.vdot(bj, r))) * bj for bj in V.basis)
             resid.append(np.concatenate([r.real, r.imag]))
         rows.append(np.concatenate(resid))
-    null = left_nullspace(np.array(rows))
+    null = left_nullspace(np.array(rows), 1e-9)
     return [sum(c * g for c, g in zip(coeffs, gens)) for coeffs in null]
 
 
@@ -298,6 +298,15 @@ def test_ominus_complement_has_same_angle():
     assert dec.factors[0][0] == pytest.approx(math.pi / 3, abs=1e-9)
 
 
+def test_ominus_takes_every_subspace_contains_subspace_accepts():
+    # U lies 1e-9 off V: a member by TOL_RANK, so the complement is a line
+    e1, e2 = np.eye(2, dtype=complex)
+    V, U = RealSubspace(2, [e1, e2]), RealSubspace(2, [e1 + 1e-9j * e1])
+    assert V.contains_subspace(U)
+    comp = kahler.ominus(V, U)
+    assert comp.dim == 1 and V.contains_subspace(comp)
+
+
 def test_ominus_requires_containment():
     V = RealSubspace(2, [np.array([1, 0])])
     U = RealSubspace(2, [np.array([0, 1])])
@@ -454,7 +463,7 @@ def test_normalizer_closed_under_action():
     # the u(1) of the complement of C.V kills V, so T b is rounding noise
     # there, and contains() would scale it to a unit vector: the part of
     # T b outside V is measured against |T| |b| = |T| instead, at 1e-12, no
-    # looser than TOL_MEMBER |T b| wherever |T b| >= 1e-4 |T|
+    # looser than TOL_RANK |T b| wherever |T b| >= 1e-4 |T|
     rng = np.random.default_rng(9)
     V = random_subspace(3, [(math.pi / 3, 2)], rng)
     for T in kahler.normalizer_algebra(V):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import chpolar
-from chpolar import kahler
+from chpolar import kahler, polar
 from chpolar._linalg import (
+    TOL_RANK,
     ConsistencyError,
     complement_rows,
     generic_draws,
@@ -62,12 +63,12 @@ def test_unit_rows_does_not_underflow_at_1e_300():
 
 
 def test_rank_rule_is_relative_above_scale_one_and_absolute_below():
-    A = np.diag([1e6, 1.0, 1e-3])
-    assert rank(A, 1e-10) == 3
-    assert rank(A, 1e-8) == 2  # 1e-3 < 1e-8 * 1e6
-    assert rank(1e-11 * np.eye(3), 1e-8) == 0  # absolute below scale 1
-    assert rank(unit_rows(1e-11 * np.eye(3)), 1e-8) == 3
-    assert rank(np.zeros((0, 4)), 1e-8) == 0
+    assert polar.TOL_RANK is TOL_RANK == 1e-8  # the one zero
+    assert rank(np.diag([1e6, 1.0, 1e-3])) == 2  # 1e-3 < 1e-8 * 1e6
+    assert rank(np.diag([1.0, 1e-9])) == 1
+    assert rank(1e-11 * np.eye(3)) == 0  # absolute below scale 1
+    assert rank(unit_rows(1e-11 * np.eye(3))) == 3
+    assert rank(np.zeros((0, 4))) == 0
 
 
 def test_orthonormal_rows_spans_the_rows():
@@ -100,7 +101,7 @@ def test_complement_rows():
 
 def test_generic_draws_draws_two_unit_combinations_in_stream_order():
     basis = np.eye(4)[:2]
-    out = generic_draws(random.Random(5), basis, lambda xi: xi[None], 1e-8)
+    out = generic_draws(random.Random(5), basis, lambda xi: xi[None])
     rng = random.Random(5)
     assert len(out) == 2
     for xi, d, moved in out:
@@ -116,7 +117,7 @@ def test_generic_draws_of_different_rank_raise_naming_both_ranks():
         return xi[None] if xi[0] > 0 else np.zeros((1, len(xi)))
 
     with pytest.raises(ConsistencyError, match="two generic draws give ranks 1 and 0"):
-        generic_draws(random.Random(0), np.eye(3)[:2], act, 1e-8)
+        generic_draws(random.Random(0), np.eye(3)[:2], act)
     assert ConsistencyError is chpolar.su1n.ConsistencyError is chpolar.ConsistencyError
 
 

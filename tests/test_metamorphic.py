@@ -4,18 +4,23 @@ Verdict, dim_normal and cohomogeneity of check_spec do not change under a
 unitary conjugation of a family II spec, a positive rescaling and invertible
 real change of basis of q_basis, w and the section, or a change of seed; and
 the residuals of the flat check_polarity do not depend on the bases of h
-and sigma it is given.  The compare answer is symmetric, and never 'no'
-for a spec against its Haar-conjugated copy with q rescaled.
+and sigma it is given.  A spanning vector within 1e-9 of another adds no
+direction: verify and decompose read the same span.  The compare answer is
+symmetric, and never 'no' for a spec against its Haar-conjugated copy with
+q rescaled.
 """
 
+import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chpolar import kahler, polar
+from chpolar import cli, kahler, polar
 from chpolar.kahler import RealSubspace
 from chpolar.polar import (
     PolarActionSpec,
@@ -131,6 +136,60 @@ def test_flat_residuals_do_not_depend_on_the_bases_of_h_and_sigma(index, seed):
     for key in RESIDUALS:
         # 1e-12 relative, above a rounding floor four decades below the bounds
         assert math.isclose(moved[key], base[key], rel_tol=1e-12, abs_tol=1e-13), (key, base, moved)
+
+
+# -- near-duplicate spanning vectors -------------------------------------------
+
+ANGLE_W = kahler.canonical_subspace(3, [(0.7, 2)])
+NEAR_DUPLICATE = {
+    # u(2) on C^2 with the section R e_1: the named line spec of n = 3
+    "line": PolarActionSpec(n=3, family="II", b_flag="zero", w=RealSubspace.zero(2), q_type="u",
+                            q_section=RealSubspace(2, [np.eye(2)[0]])),
+    "angle": PolarActionSpec(n=4, family="II", b_flag="full", w=ANGLE_W, q_type="normalizer",
+                             q_section=polar.normalizer_section(ANGLE_W)),
+}
+REPORT_KEYS = ("verdict", "dim_normal", "dim_section", "dim_isotropy_orbit", "cohomogeneity")
+
+
+def near_duplicate(subspace, entry):
+    """A RealSubspace JSON with a copy of its first vector appended, 1e-9
+    added to the copy's entry ``entry`` (of the re, im interleaved layout)."""
+    out = copy.deepcopy(subspace)
+    row = list(out["basis"][0])
+    row[entry] += 1e-9
+    out["basis"].append(row)
+    return out
+
+
+def command_output(tmp_path, capsys, command, payload):
+    """The exit code and the JSON output of one CLI command on payload."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main([command, str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def moduli(decomposition):
+    return [(f["angle_rad"], len(f["subspace"]["basis"])) for f in decomposition["factors"]]
+
+
+@pytest.mark.parametrize("name, key, entry", [
+    ("line", "q_section", 2),   # e_1 + 1e-9 e_2
+    ("angle", "w", 4),          # the first vector of w + 1e-9 e_3
+    ("angle", "q_section", 5),  # e_3 + 1e-9 i e_3
+])
+def test_a_near_duplicate_spanning_vector_keeps_the_verdict(tmp_path, capsys, name, key, entry):
+    spec = NEAR_DUPLICATE[name].to_json()
+    moved = dict(spec, **{key: near_duplicate(spec[key], entry)})
+    code, report = command_output(tmp_path, capsys, "verify", spec)
+    moved_code, moved_report = command_output(tmp_path, capsys, "verify", moved)
+    assert code == moved_code == 0 and report["verdict"]
+    assert [moved_report[k] for k in REPORT_KEYS] == [report[k] for k in REPORT_KEYS]
+    if key == "w":
+        base, dup = (command_output(tmp_path, capsys, "decompose", data[key])
+                     for data in (spec, moved))
+        assert base[0] == dup[0] == 0
+        assert kahler.same_moduli(moduli(dup[1]), moduli(base[1]))
 
 
 # -- compare -----------------------------------------------------------------
