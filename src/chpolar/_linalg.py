@@ -1,4 +1,5 @@
-"""The linear-algebra kernel: every SVD rank and null-space decision.
+"""The linear-algebra kernel: every SVD rank and null-space decision, and
+the one Hermitian eigenproblem (``eigen_rows``).
 
 Matrices are real, one vector per row; ``orthonormal_rows`` and
 ``complement_rows`` also take complex rows, orthonormal then in the
@@ -86,6 +87,13 @@ def singular_rows(A):
     """The singular values of A, decreasing, and its right singular vectors as rows."""
     _, s, vh = np.linalg.svd(A, full_matrices=False)
     return s, vh
+
+
+def eigen_rows(H):
+    """The eigenvalues of the Hermitian H, increasing, and its unit
+    eigenvectors as rows; H is first made exactly Hermitian."""
+    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
+    return vals, vecs.T
 
 
 def rank(A):

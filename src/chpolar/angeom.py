@@ -124,50 +124,21 @@ def _same_model(X, Y):
 
 
 class OrbitModel:
-    """An orbit of a family-II type subgroup through the base point,
-    represented by its tangent subalgebra inside a + n.
+    """An orbit of a subgroup of AN through the base point, represented by
+    its tangent subalgebra inside a + n.
 
-    Two supported tangent shapes:
-
-    - line type:  R(aB + X) + w + g_2a   with X in g_a orthogonal to w,
-    - flag type:  b + w + g_2a           with b either 0 or all of a.
-
-    ``tangent`` and ``normal`` are AN-orthonormal (k, n) stacks; ``normal``
-    spans the AN-orthogonal complement of the tangent in a + n.  Only the
-    inputs are checked: tests/test_angeom.py asserts that both shapes are
-    subalgebras ([a, n] <= n, [g_a, g_a] <= g_2a) and that the stacks fill a + n.
+    ``tangent`` is an AN-orthonormal (k, n) stack and ``normal`` spans its
+    AN-orthogonal complement in a + n.  ``from_flag`` builds the flag type
+    b + w + g_2a, b either 0 or all of a; ``b_flag`` names it, and is None
+    for any other tangent.  Only the inputs are checked: tests/test_angeom.py
+    asserts that the flag and line types are subalgebras ([a, n] <= n,
+    [g_a, g_a] <= g_2a) and that the stacks fill a + n.
     """
 
-    def __init__(self, n, kind, a, x_vec, w_basis):
-        if kind not in ("line", "flag_zero", "flag_full"):
-            raise ValueError(f"unsupported tangent shape {kind!r}")
+    def __init__(self, n, tangent, b_flag=None):
         self.n = int(n)
-        self.kind = kind
-        self.a = float(a)
-        self.x_vec = np.asarray(x_vec, dtype=complex).reshape(-1)
-        w_rows = [np.asarray(b, dtype=complex).reshape(-1) for b in w_basis]
-        if any(r.shape != (self.n - 1,) for r in w_rows) or self.x_vec.shape != (self.n - 1,):
-            raise ValueError("g_a data must live in C^{n-1}")
-        x_norm = norm(self.x_vec)
-        for r in w_rows:  # relative, so that X and w may have any scale
-            dot = abs(np.real(np.vdot(r, self.x_vec)))
-            if dot > 1e-9 * norm(r) * x_norm:
-                raise ValueError(f"X must be orthogonal to w "
-                                 f"(|Re<w, X>| / (|w||X|) = {dot / norm(r) / x_norm:.3g} > 1e-9)")
-        self.w_basis = w_rows
-
-        zeros = np.zeros(self.n - 1, dtype=complex)
-        tangent = []
-        if kind == "line":
-            lead = an_vector(self.a, self.x_vec, 0.0)
-            if norm(lead) == 0.0:
-                raise ValueError("line-type orbit needs aB + X nonzero")
-            tangent.append((1.0 / norm(lead)) * lead)
-        elif kind == "flag_full":
-            tangent.append(an_vector(1.0, zeros, 0.0))
-        tangent += [an_vector(0.0, r, 0.0) for r in w_rows]
-        tangent.append(an_vector(0.0, zeros, 1.0))
-        self.tangent = np.array(tangent)
+        self.b_flag = b_flag
+        self.tangent = np.array(tangent, dtype=complex)
         T = real_rows(self.tangent)
         gram_err = np.abs(T @ T.T - np.eye(len(T))).max()
         if gram_err > 1e-9:
@@ -178,21 +149,17 @@ class OrbitModel:
         self.normal = np.ascontiguousarray(normal).view(complex)
 
     @classmethod
-    def from_line(cls, n, a, x_vec, w_basis=()):
-        """Orbit with tangent R(aB + X) + w + g_2a."""
-        return cls(n, "line", a, x_vec, w_basis)
-
-    @classmethod
     def from_flag(cls, n, b_flag, w_basis=()):
         """Orbit with tangent b + w + g_2a, b_flag in {'zero', 'full'}."""
         if b_flag not in ("zero", "full"):
             raise ValueError("b_flag must be 'zero' or 'full'")
-        zeros = np.zeros((n - 1,), dtype=complex)
-        return cls(n, "flag_" + b_flag, 0.0, zeros, w_basis)
-
-    @property
-    def dim_w(self):
-        return len(self.w_basis)
+        w_rows = [np.asarray(b, dtype=complex).reshape(-1) for b in w_basis]
+        if any(r.shape != (n - 1,) for r in w_rows):
+            raise ValueError("g_a data must live in C^{n-1}")
+        zeros = np.zeros(n - 1, dtype=complex)
+        lead = [an_vector(1.0, zeros, 0.0)] if b_flag == "full" else []
+        w_part = [an_vector(0.0, r, 0.0) for r in w_rows]
+        return cls(n, lead + w_part + [an_vector(0.0, zeros, 1.0)], b_flag)
 
     def project_tangent(self, X):
         T = real_rows(self.tangent)
@@ -226,22 +193,15 @@ def mean_curvature(orbit):
 
 
 def mean_curvature_closed_form(orbit):
-    """The closed-form mean curvature of the supported orbit shapes:
+    """The closed-form mean curvature of a flag orbit (``from_flag``):
 
-    - tangent R(aB + X) + w + g_2a:
-          (3 + dim w) / (2 (a^2 + |X|^2)) (|X|^2 B - a X),
     - tangent a + w + g_2a: 0,
     - tangent w + g_2a: (1/2)(2 + dim w) B.
     """
-    n, m = orbit.n, orbit.dim_w
-    zeros = np.zeros(n - 1, dtype=complex)
-    if orbit.kind == "flag_full":
+    if orbit.b_flag is None:
+        raise ValueError("the closed form covers the flag orbits of from_flag only")
+    zeros = np.zeros(orbit.n - 1, dtype=complex)
+    if orbit.b_flag == "full":
         return an_vector(0.0, zeros, 0.0)
-    if orbit.kind == "flag_zero":
-        return an_vector(0.5 * (2 + m), zeros, 0.0)
-    size = norm(an_vector(orbit.a, orbit.x_vec, 0.0))  # H is the same for every t(aB + X)
-    a, x_vec = orbit.a / size, orbit.x_vec / size
-    xsq = float(np.real(np.vdot(x_vec, x_vec)))
-    coef = (3 + m) / (2 * (a * a + xsq))
-    return an_vector(coef * xsq, -coef * a * x_vec, 0.0)
-
+    dim_w = len(orbit.tangent) - 1  # the tangent is w + g_2a
+    return an_vector(0.5 * (2 + dim_w), zeros, 0.0)

@@ -5,11 +5,12 @@ Everything here works with the Euclidean structure Re<u, v> (real part of the
 standard Hermitian product) and the complex structure J(v) = i*v.  Vectors
 of C^m are handled as their real rows (``_linalg.real_rows``: re, im
 interleaved), on which Re<u, v> is the dot product, so projections and Gram
-matrices are matmuls and every orthonormalization and rank decision goes
-through ``_linalg``.  The central operation is the canonical decomposition
-of a subspace into factors of constant Kahler angle, obtained from the
-singular values of the sine and cosine operators (1 - pi_V) J and pi_V J
-on V.
+matrices are matmuls and every orthonormalization, rank decision and
+eigenproblem goes through ``_linalg``.  The central operation is the
+canonical decomposition of a subspace into factors of constant Kahler
+angle: the eigenproblem of the Hermitian i pi_V J gives the angles above
+SWITCH_ANGLE and their vectors, and the singular values of the sine
+operator (1 - pi_V) J on the rest of V give the smaller ones.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (TOL_RANK, complement_rows, complex_rows, orthonormal_rows, real_rows,
-                      singular_rows, unit_rows)
+from ._linalg import (TOL_RANK, complement_rows, complex_rows, eigen_rows, orthonormal_rows,
+                      real_rows, singular_rows, unit_rows)
 
 # Tolerances; no flag or parameter changes them.  Membership tests read
 # _linalg.TOL_RANK, the one zero of every rank.  TOL_ANGLE, in radians,
@@ -33,6 +34,12 @@ TOL_ANGLE = 1.2e-8
 # The least interior Kahler angle _adapted_frame frames: a factor phi from
 # 0 is framed to about eps / phi, and one below the floor is an input error.
 FRAME_FLOOR = 5e-6
+# The one switch of decompose, in radians: pairs above it take angle and
+# vectors from the eigenproblem of i pi_V J, the rest from the sine SVD.
+# Near 0 the eigenproblem separates two pairs phi and phi + d only to about
+# phi d, so small angles keep sine data; above it no two pairs of one
+# subspace depend on two factorizations, however close they lie.
+SWITCH_ANGLE = 0.1
 
 
 def json_int(value, name):
@@ -181,26 +188,43 @@ class KahlerDecomposition:
 def decompose(V):
     """Canonical decomposition of V into factors of constant Kahler angle.
 
-    On the orthonormal basis of V, the sine operator (1 - pi_V) J has the
-    singular values sin(phi) and the cosine operator pi_V J the values
-    cos(phi).  Angles below pi/4 and their vectors come from the sine, the
-    rest from the cosine, so an angle phi lies about phi from 0 or pi/2,
-    not phi^2 as on cos^2 (Knyazev-Argentati, SIAM J. Sci. Comput. 23,
-    2002).  Angles within TOL_ANGLE of 0 or pi/2 are snapped to exactly 0.0
-    or pi/2, the rest are grouped within TOL_ANGLE of a group's first, and
-    the factors come by strictly increasing angle.  Callers test a factor
-    for 0.0 and pi/2 exactly: only this function decides those.
+    On the orthonormal basis of V, pi_V J is the real skew matrix P, and
+    the Hermitian i P has the eigenvalues +-cos(phi) of the pairs and 0 on
+    the totally real part.  One eigenproblem gives every pair above
+    SWITCH_ANGLE and more than TOL_ANGLE below pi/2 its angle, the arccos
+    of its positive eigenvalue, and its vectors sqrt 2 Re c and sqrt 2 Im c,
+    c the eigenvector: each is accurate to about eps whatever the gap to
+    another pair (Davis-Kahan, SIAM J. Numer. Anal. 7, 1970).  On the exact
+    complement of those vectors, the sine operator (1 - pi_V) J has the
+    singular values sin(phi) of the rest, so a small angle lies about phi
+    from 0, not phi^2 as on cos (Knyazev-Argentati, SIAM J. Sci. Comput.
+    23, 2002).  The singular vectors with sine below sin(pi/4) are the
+    pairs below SWITCH_ANGLE (cut at pi/4, so that a pair at SWITCH_ANGLE
+    lands on one side), and what is left of V is the totally real factor,
+    at exactly pi/2.  Angles within TOL_ANGLE of 0 are snapped to exactly
+    0.0, the rows are sorted once with their angles and grouped within
+    TOL_ANGLE of a group's first, so the factors come by strictly
+    increasing angle.  Callers test a factor for 0.0 and pi/2 exactly:
+    only this function decides those.
     """
     k = V.dim
     if k == 0:
         return KahlerDecomposition(())
     basis = V.basis
-    sines, sin_rows = singular_rows(V._outside(real_rows(1j * basis)).T)
-    cosines, cos_rows = singular_rows(_pi_J(basis))
-    low = np.arcsin(np.minimum(sines[::-1], 1.0))  # increasing, as the angles of the cosines
-    angles = np.where(low < math.pi / 4, low, np.arccos(np.minimum(cosines, 1.0)))
+    cosines, c = eigen_rows(1j * _pi_J(basis))
+    high = np.arccos(np.clip(cosines, -1.0, 1.0))
+    pick = (high > SWITCH_ANGLE) & (high < math.pi / 2 - TOL_ANGLE)
+    high_rows = math.sqrt(2.0) * np.vstack([c[pick].real, c[pick].imag])
+    rest = complement_rows(high_rows, k)
+    sines, low_rows = singular_rows(V._outside(real_rows(1j * basis)).T @ rest.T)
+    low = np.arcsin(np.minimum(sines[::-1], 1.0))  # increasing
+    keep = low < math.pi / 4
+    low_rows = low_rows[::-1][keep] @ rest
+    real = complement_rows(np.vstack([high_rows, low_rows]), k)  # the totally real factor
+    angles = np.concatenate([high[pick], high[pick], low[keep], np.full(len(real), math.pi / 2)])
+    order = np.argsort(angles, kind="stable")
+    angles, rows = angles[order], np.vstack([high_rows, low_rows, real])[order]
     angles[angles <= TOL_ANGLE] = 0.0
-    angles[angles >= math.pi / 2 - TOL_ANGLE] = math.pi / 2
 
     factors = []
     i = 0
@@ -209,8 +233,7 @@ def decompose(V):
         while j < k and angles[j] - angles[i] <= TOL_ANGLE:
             j += 1
         phi = float(0.5 * (angles[i] + angles[j - 1]))  # exactly 0.0 or pi/2 when snapped
-        rows = (sin_rows[::-1] if phi < math.pi / 4 else cos_rows)[i:j]
-        factors.append((phi, RealSubspace(V.ambient_complex_dim, rows @ basis)))
+        factors.append((phi, RealSubspace(V.ambient_complex_dim, rows[i:j] @ basis)))
         i = j
     dec = KahlerDecomposition(tuple(factors))
     _check_decomposition(dec)
@@ -371,9 +394,8 @@ def _adapted_frame(sub, phi):
     if phi < FRAME_FLOOR:
         raise ValueError(f"Kahler angle {phi!r} lies below FRAME_FLOOR = {FRAME_FLOOR:g}, "
                          f"the least interior angle whose adapted frame is accurate")
-    H = 1j * _pi_J(sub.basis)
-    _, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))  # -cos phi_j, then +cos phi_j
-    c = vecs[:, sub.dim // 2:].T
+    _, c = eigen_rows(1j * _pi_J(sub.basis))  # -cos phi_j, then +cos phi_j
+    c = c[sub.dim // 2:]
     frame = np.vstack([c.conj() @ sub.basis, -1j * c @ sub.basis])  # v - i Jv, -i (v + i Jv)
     frame /= np.linalg.norm(frame, axis=1, keepdims=True)
     frame = 0.5 * (3.0 * frame - (frame @ frame.conj().T) @ frame)

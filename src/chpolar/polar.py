@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -274,13 +274,6 @@ class PolarActionSpec:
                 raise ValueError("q type 'normalizer' (of w) needs family II")
             if len(q):
                 raise ValueError("a spec gives q or q_basis, not both")
-
-    def with_q_basis(self):
-        """This spec with its q given as q_basis: for a named q, the
-        orthonormal stack ``_spec_q`` builds (to move it by a unitary, say)."""
-        if self.q_type is None:
-            return self
-        return replace(self, q_type=None, q_basis=np.asarray(_spec_q(self)))
 
     def to_json(self):
         out = {"n": self.n, "family": self.family, "seed": self.seed}

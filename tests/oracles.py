@@ -5,8 +5,11 @@ no command of the CLI reaches.
   the root-space orthonormal basis; ``ad_exp`` is the one user of scipy.
 - ``isotropy_at`` and ``conjugate_subalgebra``: isotropy algebras at points
   off the base, and subalgebras pushed forward by Ad(exp X).
+- ``LineOrbit``: the orbit of tangent R(aB + X) + w + g_2a as an
+  ``angeom.OrbitModel``, with its closed-form mean curvature.
 - ``build_action``: a spec's (n, h, sigma), the arguments of
-  ``polar.check_polarity``; ``sample_ranks``: the multi-draw sampler, the
+  ``polar.check_polarity``; ``with_q_basis``: a spec with its named q
+  spelled out as q_basis; ``sample_ranks``: the multi-draw sampler, the
   reference for ``_linalg.generic_draws``; ``regular_vectors``: the
   regular-vector flags.
 - ``same_matrix_span``: whether two orthonormal stacks of u(m) span one
@@ -25,15 +28,16 @@ directory on ``sys.path``.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 
 from chpolar._linalg import TOL_RANK, complex_rows, real_rows, singular_rows, unit_rows
-from chpolar.angeom import an_matrix
+from chpolar.angeom import OrbitModel, an_matrix, an_vector, norm
 from chpolar.kahler import (RealSubspace, canonical_subspace, decompose, haar_unitary,
                             normalizer_residual, skew_hermitian_basis)
-from chpolar.polar import _q_frame, build_family_I, build_family_II
+from chpolar.polar import _q_frame, _spec_q, build_family_I, build_family_II
 from chpolar.su1n import (ConsistencyError, bracket, build_root_decomposition, traceless_block,
                           u_coords, u_frame, u_matrices)
 
@@ -136,6 +140,43 @@ def conjugate_subalgebra(n, h_basis, g_exponent):
     return rd.from_coords_many(rows)
 
 
+# -- orbits in AN -----------------------------------------------------------------
+
+
+class LineOrbit(OrbitModel):
+    """The orbit of tangent R(aB + X) + w + g_2a, X in g_a = C^{n-1}
+    orthogonal to w.  a, X and w may have any scale: X against w is judged
+    relative to their lengths, and aB + X = 0 is a ValueError."""
+
+    def __init__(self, n, a, x_vec, w_basis=()):
+        self.a = float(a)
+        self.x_vec = np.asarray(x_vec, dtype=complex).reshape(-1)
+        w_rows = [np.asarray(b, dtype=complex).reshape(-1) for b in w_basis]
+        if any(r.shape != (n - 1,) for r in w_rows) or self.x_vec.shape != (n - 1,):
+            raise ValueError("g_a data must live in C^{n-1}")
+        x_norm = norm(self.x_vec)
+        for r in w_rows:
+            dot = abs(np.real(np.vdot(r, self.x_vec)))
+            if dot > 1e-9 * norm(r) * x_norm:
+                raise ValueError(f"X must be orthogonal to w "
+                                 f"(|Re<w, X>| / (|w||X|) = {dot / norm(r) / x_norm:.3g} > 1e-9)")
+        lead = an_vector(self.a, self.x_vec, 0.0)
+        if norm(lead) == 0.0:
+            raise ValueError("line-type orbit needs aB + X nonzero")
+        zeros = np.zeros(n - 1, dtype=complex)
+        super().__init__(n, [(1.0 / norm(lead)) * lead, *(an_vector(0.0, r, 0.0) for r in w_rows),
+                             an_vector(0.0, zeros, 1.0)])
+        self.dim_w = len(w_rows)
+
+    def mean_curvature_closed_form(self):
+        """(3 + dim w) / (2 (a^2 + |X|^2)) (|X|^2 B - a X), the same for every t(aB + X)."""
+        size = norm(an_vector(self.a, self.x_vec, 0.0))
+        a, x_vec = self.a / size, self.x_vec / size
+        xsq = float(np.real(np.vdot(x_vec, x_vec)))
+        coef = (3 + self.dim_w) / (2 * (a * a + xsq))
+        return an_vector(coef * xsq, -coef * a * x_vec, 0.0)
+
+
 # -- polar actions -------------------------------------------------------------
 
 
@@ -145,6 +186,14 @@ def build_action(spec):
     Returns (n, h, sigma), the arguments of check_polarity."""
     build = build_family_I if spec.family == "I" else build_family_II
     return (spec.n, *build(spec))
+
+
+def with_q_basis(spec):
+    """The spec with its q given as q_basis: for a named q, the orthonormal
+    stack ``polar._spec_q`` builds (to move it by a unitary, say)."""
+    if spec.q_type is None:
+        return spec
+    return replace(spec, q_type=None, q_basis=np.asarray(_spec_q(spec)))
 
 
 def same_matrix_span(q1, q2, n):

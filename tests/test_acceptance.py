@@ -17,8 +17,8 @@ from chpolar.cli import main as cli_main
 from chpolar.kahler import RealSubspace
 from chpolar.polar import PolarActionSpec, check_polarity, normalizer_section
 from chpolar.su1n import bracket, build_root_decomposition, galpha_matrices, inner, norm, theta
-from oracles import (ad, build_action, isotropy_at, normalizer_dimension_formula, project,
-                     random_subspace)
+from oracles import (LineOrbit, ad, build_action, isotropy_at, normalizer_dimension_formula,
+                     project, random_subspace)
 
 
 def _report(num, desc):
@@ -226,8 +226,8 @@ def test_criterion_05_mean_curvature():
             rows.append(rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
         sub = RealSubspace(n - 1, rows)
         scale = float(rng.uniform(0.5, 2.0))
-        orbit = OrbitModel.from_line(n, a, scale * sub.basis[0], list(sub.basis[1:]))
-        diff = angeom.mean_curvature(orbit) - angeom.mean_curvature_closed_form(orbit)
+        orbit = LineOrbit(n, a, scale * sub.basis[0], list(sub.basis[1:]))
+        diff = angeom.mean_curvature(orbit) - orbit.mean_curvature_closed_form()
         worst = max(worst, angeom.norm(diff))
     assert worst <= 1e-9, worst
     for n in (2, 3, 4):

@@ -24,7 +24,7 @@ from chpolar.angeom import (
 from chpolar.su1n import (ConsistencyError, bracket, build_root_decomposition, galpha_matrices,
                           theta, traceless_block)
 from chpolar.su1n import norm as su_norm
-from oracles import ad, conjugate_subalgebra, isotropy_at
+from oracles import LineOrbit, ad, conjugate_subalgebra, isotropy_at
 
 
 def rand_vec(n, rng):
@@ -157,12 +157,12 @@ def line_orbit(n=3, a=1.0, m=1):
     x_vec[0] = 1.0
     eye = np.eye(n - 1, dtype=complex)
     w = [eye[1 + j] for j in range(m)]
-    return OrbitModel.from_line(n, a, x_vec, w)
+    return LineOrbit(n, a, x_vec, w)
 
 
 def test_orbit_requires_orthogonal_X():
     with pytest.raises(ValueError):
-        OrbitModel.from_line(3, 1.0, np.array([1.0, 0]), [np.array([1.0, 0])])
+        LineOrbit(3, 1.0, np.array([1.0, 0]), [np.array([1.0, 0])])
 
 
 @pytest.mark.parametrize("a", [1e-13, 1e-11, 1.0, 1e6])
@@ -170,8 +170,8 @@ def test_orbit_requires_orthogonal_X():
 def test_line_orbit_at_any_scale(a, x_scale):
     # aB + X and X against w are judged relative to their own size
     w = [np.array([1.0 + 0j, 0.0])]
-    orb = OrbitModel.from_line(3, a, np.array([0.0, x_scale * a], dtype=complex), w)
-    closed = mean_curvature_closed_form(orb)
+    orb = LineOrbit(3, a, np.array([0.0, x_scale * a], dtype=complex), w)
+    closed = orb.mean_curvature_closed_form()
     assert norm(mean_curvature(orb) - closed) <= 1e-12 * max(1.0, norm(closed))
 
 
@@ -179,18 +179,17 @@ def test_line_orbit_at_any_scale(a, x_scale):
 def test_line_orbit_below_the_square_root_of_the_smallest_double(x_scale):
     # a^2 underflows at a = 1e-170; norm scales by a power of two first
     a = 1e-170
-    orb = OrbitModel.from_line(3, a, np.array([0.0, x_scale * a], dtype=complex))
+    orb = LineOrbit(3, a, np.array([0.0, x_scale * a], dtype=complex))
     lead = an_vector(1.0, [0.0, x_scale], 0.0) / math.hypot(1.0, x_scale)
     assert norm(orb.tangent[0] - lead) < 1e-15
-    closed = mean_curvature_closed_form(orb)
+    closed = orb.mean_curvature_closed_form()
     assert norm(mean_curvature(orb) - closed) <= 1e-12 * max(1.0, norm(closed))
 
 
 def test_orbit_errors_name_the_measured_number(monkeypatch):
     with pytest.raises(ValueError,
                        match=r"orthogonal to w \(\|Re<w, X>\| / \(\|w\|\|X\|\) = 0.707 > 1e-9\)"):
-        OrbitModel.from_line(3, 1.0, np.array([1.0, 1.0], dtype=complex),
-                             [np.array([2.0 + 0j, 0.0])])
+        LineOrbit(3, 1.0, np.array([1.0, 1.0], dtype=complex), [np.array([2.0 + 0j, 0.0])])
     # a normal space one short of the complement builds, and fails the
     # dimension count that test_orbit_model_is_a_subalgebra_filled_by_its_normal asserts
     full = angeom.orthonormal_rows
@@ -201,8 +200,7 @@ def test_orbit_errors_name_the_measured_number(monkeypatch):
 
 def test_orbit_rejects_non_orthogonal_X_at_small_scale():
     with pytest.raises(ValueError, match="orthogonal"):
-        OrbitModel.from_line(3, 1e-11, np.array([1e-11, 1e-11], dtype=complex),
-                             [np.array([1.0 + 0j, 0.0])])
+        LineOrbit(3, 1e-11, np.array([1e-11, 1e-11], dtype=complex), [np.array([1.0 + 0j, 0.0])])
 
 
 def test_orbit_tangent_is_subalgebra():
@@ -236,8 +234,8 @@ def random_orbits(n, kind, rng):
             continue
         for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             x_vec, w = random_line_data(n, m, rng)
-            yield OrbitModel.from_line(n, scale * rng.standard_normal(),
-                                       scale * rng.standard_normal() * x_vec, w)
+            yield LineOrbit(n, scale * rng.standard_normal(),
+                            scale * rng.standard_normal() * x_vec, w)
 
 
 @pytest.mark.parametrize("kind", ["line", "flag_zero", "flag_full"])
@@ -354,7 +352,7 @@ def test_mean_curvature_generic_line_case():
         H = mean_curvature(orb)
         want = an_vector((3 + m) / 4.0, -(3 + m) / 4.0 * orb.x_vec, 0.0)
         assert norm(H - want) < 1e-9
-        assert norm(mean_curvature_closed_form(orb) - want) < 1e-12
+        assert norm(orb.mean_curvature_closed_form() - want) < 1e-12
 
 
 def test_mean_curvature_trace_matches_closed_form_randomized():
@@ -372,8 +370,8 @@ def test_mean_curvature_trace_matches_closed_form_randomized():
         ]
         sub = kahler.RealSubspace(n - 1, rows)
         w = [b for b in sub.basis[1:]]
-        orb = OrbitModel.from_line(n, a, sub.basis[0] * np.linalg.norm(x_vec), w)
-        diff = mean_curvature(orb) - mean_curvature_closed_form(orb)
+        orb = LineOrbit(n, a, sub.basis[0] * np.linalg.norm(x_vec), w)
+        diff = mean_curvature(orb) - orb.mean_curvature_closed_form()
         assert norm(diff) < 1e-9
 
 
@@ -381,7 +379,9 @@ def test_unsupported_shape_raises():
     with pytest.raises(ValueError):
         OrbitModel.from_flag(3, "half", [])
     with pytest.raises(ValueError):
-        OrbitModel.from_line(3, 0.0, np.zeros(2, dtype=complex), [])
+        LineOrbit(3, 0.0, np.zeros(2, dtype=complex), [])
+    with pytest.raises(ValueError, match="flag orbits"):
+        mean_curvature_closed_form(line_orbit())  # the package's closed form is the flag one
 
 
 # --- isotropy ------------------------------------------------------------------------

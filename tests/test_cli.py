@@ -13,7 +13,7 @@ import chpolar
 from chpolar import angeom, cli, kahler, polar, su1n
 from chpolar.cli import main, render_json
 from chpolar.polar import PolarActionSpec, normalizer_section
-from oracles import build_action
+from oracles import build_action, with_q_basis
 
 
 def write_json(tmp_path, name, payload):
@@ -284,7 +284,7 @@ def test_whole_floats_still_read_as_integers(tmp_path, capsys):
 def _catalog_spec(label):
     """The JSON spec of the first n = 3 catalog class whose label starts with
     label, with its q spelled out as q_basis."""
-    return next(e.spec.with_q_basis().to_json() for e in polar.enumerate_moduli(3)
+    return next(with_q_basis(e.spec).to_json() for e in polar.enumerate_moduli(3)
                 if e.label.startswith(label))
 
 

@@ -187,15 +187,25 @@ def test_decompose_dimensions_sum_and_angles_strictly_increase(m):
         assert all(a < b for a, b in zip(angles, angles[1:])), angles
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="complex spans of factors are not orthogonal: two pairs 2e-8 apart "
-                          "that straddle pi/4 come from the sine and the cosine operator")
 def test_decompose_reads_two_pairs_straddling_pi_4_in_a_unitary_frame():
-    # a valid subspace, which decompose rejects as an input error (max
-    # |<a, b>| = 8.6e-8 at this seed); gaps above 2e-6 decompose
+    # a valid subspace: vectors of one pair from the sine and of the other
+    # from the cosine operator would have complex spans orthogonal only to
+    # about eps / gap (max |<a, b>| = 8.6e-8 at this seed)
     V = random_subspace(4, [(math.pi / 4 - 1e-8, 2), (math.pi / 4 + 1e-8, 2)],
                         np.random.default_rng(1))
     assert kahler.decompose(V).dimensions() == [2, 2]
+
+
+@pytest.mark.parametrize("c, seed", [(kahler.SWITCH_ANGLE, 12), (0.3, 1), (math.pi / 4, 0),
+                                     (1.2, 7)])
+def test_decompose_separates_two_pairs_2e_8_apart_in_a_unitary_frame(c, seed):
+    # vectors of pairs from one eigenproblem (above SWITCH_ANGLE), or from
+    # it and the sine SVD on its exact complement (at SWITCH_ANGLE), have
+    # complex spans orthogonal to about eps, whatever the gap
+    V = random_subspace(4, [(c - 1e-8, 2), (c + 1e-8, 2)], np.random.default_rng(seed))
+    dec = kahler.decompose(V)
+    assert dec.dimensions() == [2, 2]
+    assert np.abs(np.array(dec.angles()) - [c - 1e-8, c + 1e-8]).max() <= 1e-9
 
 
 def test_decompose_reassembles_projection():

@@ -28,7 +28,7 @@ from chpolar.polar import (
     check_spec,
     orbit_equivalence_invariants,
 )
-from oracles import build_action
+from oracles import build_action, with_q_basis
 
 
 def _false_claims():
@@ -75,7 +75,7 @@ def orthogonal(rng, k):
 def haar_copy(spec, seed, scale):
     """spec conjugated by a Haar unitary of the block q acts on, with its
     q_basis multiplied by scale."""
-    m, spec = spec.q_section.ambient_complex_dim, spec.with_q_basis()
+    m, spec = spec.q_section.ambient_complex_dim, with_q_basis(spec)
     A = kahler.haar_unitary(m, np.random.default_rng(seed))
     return PolarActionSpec(
         n=spec.n, family=spec.family, k=spec.k, b_flag=spec.b_flag,
@@ -103,7 +103,7 @@ def test_rescaled_and_rebased_inputs_keep_the_invariants(index, seed, log_scale)
     def rebased(rows):  # the same span, another spanning set at another scale
         return scale * np.tensordot(invertible(rng, len(rows)), rows, axes=1) if len(rows) else rows
 
-    m, q = spec.q_section.ambient_complex_dim, spec.with_q_basis().q_basis
+    m, q = spec.q_section.ambient_complex_dim, with_q_basis(spec).q_basis
     moved = PolarActionSpec(
         n=spec.n, family=spec.family, k=spec.k, b_flag=spec.b_flag,
         w=None if spec.w is None else RealSubspace(m, rebased(spec.w.basis)),

@@ -24,7 +24,7 @@ from chpolar.polar import (
     orbit_equivalence_invariants,
 )
 from chpolar.su1n import bracket, build_root_decomposition, theta
-from oracles import build_action, regular_vectors, same_span, sample_ranks
+from oracles import build_action, regular_vectors, same_span, sample_ranks, with_q_basis
 
 
 def canonical_family_II(n, b_flag, moduli):
@@ -160,7 +160,7 @@ def closure_residual(n, h):
 def conjugated(spec, A):
     """A family II spec moved by the unitary A: w -> A w, q -> A q A*,
     section -> A s."""
-    m, spec = spec.n - 1, spec.with_q_basis()
+    m, spec = spec.n - 1, with_q_basis(spec)
     return PolarActionSpec(
         n=spec.n, family="II", b_flag=spec.b_flag,
         w=RealSubspace(m, [A @ b for b in spec.w.basis]),
