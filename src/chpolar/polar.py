@@ -807,15 +807,15 @@ def _admissible_moduli(m, angle_grid):
 
 
 def normalizer_section(w):
-    """The canonical section of the full-normalizer action on w-perp: one
-    line per constant-angle factor of w-perp (including the complex one)."""
-    wperp = w.perp()
-    if wperp.dim == 0:
-        return RealSubspace.zero(w.ambient_complex_dim)
-    rows = []
-    for _, factor in kahler.decompose(wperp).factors:
-        rows.append(factor.basis[0])
-    return RealSubspace(w.ambient_complex_dim, rows)
+    """The section of the named normalizer on w-perp, one line per factor of w-perp, read off
+    decompose(w), the split the normalizer is built from; a split of w-perp agrees only to eps/gap."""
+    m, B = w.ambient_complex_dim, w.basis
+    rows = [*complement_rows(orthonormal_rows(B), m)[:1]]  # a line of the complex factor (C w)-perp
+    for phi, sub in kahler.decompose(w).factors:  # v, the first row: no line at 0, J v at pi/2,
+        Jv = 1j * sub.basis[:1]  # and in between the part outside w of J pi_w J v, the frame line
+        Jp = real_rows(1j * (real_rows(Jv) @ real_rows(B).T) @ B)  # sin(phi/2) e - i cos(phi/2) f
+        rows.extend(() if phi == 0.0 else Jv if phi == math.pi / 2 else w._outside(Jp).view(complex))
+    return RealSubspace(m, rows)
 
 
 def _family_II_entries(n, angle_grid):

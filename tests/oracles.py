@@ -20,6 +20,9 @@ no command of the CLI reaches.
 - ``normalizer_nullspace``: the normalizer of a real subspace as an SVD
   null space, the numerical oracle of ``kahler.normalizer_algebra`` (the
   closed form, the one normalizer the package builds).
+- ``normalizer_section_oracle``: the section of the named normalizer read
+  off a second split, that of w-perp, the reference for
+  ``polar.normalizer_section``.
 
 Tests import them with ``from oracles import ...``: pytest puts this
 directory on ``sys.path``.
@@ -334,3 +337,13 @@ def normalizer_nullspace(V):
         return gens
     null = left_nullspace(normalizer_residual(V, gens).reshape(len(gens), -1), 1e-9)
     return np.tensordot(null, gens, axes=1)
+
+
+def normalizer_section_oracle(w):
+    """The section of the named normalizer on w-perp from a second split:
+    the first basis row of each factor of decompose(w-perp), the complex
+    one included.  Each split fixes its factors only to about eps / gap,
+    so for close pairs of w its lines need not be those of
+    polar.normalizer_section, which reads them off decompose(w)."""
+    return RealSubspace(w.ambient_complex_dim,
+                        [sub.basis[0] for _, sub in decompose(w.perp()).factors])

@@ -466,7 +466,7 @@ ENUMERATE_LABELS = {
 }
 ENUMERATE_SHA256 = {
     "n2": "f090f5f2a6b314ff684ba02317e510442fa70e7e6c8595afb4aa01d029c07f1e",
-    "n3": "cef7964a43d6c9650294498eca4105ce1474fe07c4d5dd77a471668ff04f627c",
+    "n3": "2c9edef21aea7818c801d7725c7c6af5cad3a27557e45eccd916020ad9e762a2",
 }
 
 

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from chpolar import kahler, polar, su1n
+from chpolar._linalg import rank, real_rows
 from chpolar.cli import main
 from chpolar.kahler import RealSubspace
 from chpolar.polar import PolarActionSpec, check_spec, enumerate_moduli, normalizer_section
-from oracles import (normalizer_dimension_formula, normalizer_nullspace, random_subspace,
-                     same_matrix_span, with_q_basis)
+from oracles import (normalizer_dimension_formula, normalizer_nullspace, normalizer_section_oracle,
+                     random_subspace, same_matrix_span, with_q_basis)
 
 
 def write_json(tmp_path, name, payload):
@@ -214,6 +215,21 @@ def haar_image(w, seed):
     return RealSubspace(m, w.basis @ kahler.haar_unitary(m, np.random.default_rng(seed)).T)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_section_has_one_line_in_each_factor_of_w_perp(n):
+    # normalizer_section reads its lines off decompose(w); the oracle reads
+    # them off decompose(w-perp), a second split.  Both give one line per
+    # factor of w-perp, in w-perp
+    for moduli in polar._admissible_moduli(n - 1, (0.3, 0.9)):
+        canonical = kahler.canonical_subspace(n - 1, moduli)
+        for w in (canonical, *(haar_image(canonical, seed) for seed in range(4))):
+            section, wperp = normalizer_section(w), w.perp()
+            assert wperp.contains_subspace(section), moduli  # to _linalg.TOL_RANK
+            assert section.dim == normalizer_section_oracle(w).dim, moduli
+            for _, factor in kahler.decompose(wperp).factors:
+                assert rank(real_rows(section.basis) @ real_rows(factor.basis).T) == 1, moduli
+
+
 @pytest.mark.parametrize("phi, spread, code", [(0.1, 1e-8, 0), (1e-4, 1e-8, 0), (1e-4, 1e-5, 0)])
 def test_a_named_normalizer_is_measured_against_w(tmp_path, capsys, phi, spread, code):
     # decompose groups two pairs 1e-8 apart into one factor, so the named q
@@ -281,16 +297,18 @@ def test_compare_of_a_factor_below_the_frame_floor_exits_2(tmp_path, capsys):
     assert "FRAME_FLOOR" in captured.err
 
 
-@pytest.mark.parametrize("phi", [1e-5, 2e-5, 5e-5])
+@pytest.mark.parametrize("phi", [6e-6, 8e-6, 1e-5, 2e-5, 5e-5])
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_a_factor_at_or_above_the_frame_floor_verifies_polar_in_any_unitary_frame(phi, n):
     # every family II action is polar (Theorem A), in every unitary image
-    # of w; the catalog puts its angles at least 2 * FRAME_FLOOR from 0
+    # of w; the catalog puts its angles at least 2 * FRAME_FLOOR from 0.
+    # A section read off a second split, of w-perp, reads n = 6, [(6e-6,
+    # 2), (pi/2, 1)] at seed 100 and n = 8, [(8e-6, 6)] at seed 104 as not polar
     shapes = [[(phi, 2 * ((n - 1) // 2))], [(phi, 2), (math.pi / 2, 1)],
               *([[(phi, 2), (0.7, 2)]] if n > 4 else [])]  # the last needs C^4
     for moduli in shapes:
         w = kahler.canonical_subspace(n - 1, moduli)
-        for seed in range(100, 104):
+        for seed in range(100, 108):
             for b_flag in ("full", "zero"):
                 report = check_spec(normalizer_spec(n, haar_image(w, seed), b_flag))
                 assert report.verdict, (moduli, seed, b_flag, report.to_json())
@@ -305,13 +323,13 @@ def test_a_complex_factor_beside_one_near_0_verifies_polar_in_a_unitary_frame():
     assert check_spec(normalizer_spec(5, w)).verdict
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="bracket_residual 2.8e-8 > TOL_BRACKET: the named normalizer comes from "
-                          "decompose(w) and the section from decompose(w-perp), two splits of "
-                          "pairs 1e-7 apart, each fixed only to about eps / gap")
-def test_two_pairs_1e_7_apart_verify_polar_in_a_unitary_frame():
-    # polar by Theorem A; gaps above about 3e-6 verify polar
-    w = random_subspace(4, [(0.3 - 5e-8, 2), (0.3 + 5e-8, 2)], np.random.default_rng(7))
+@pytest.mark.parametrize("c, gap, seed", [(0.3, 1e-7, 7), (0.3, 1e-6, 0), (1.2, 1e-6, 1),
+                                          (math.pi / 4, 1e-7, 1), (1.2, 2e-8, 0)])
+def test_two_pairs_1e_7_apart_verify_polar_in_a_unitary_frame(c, gap, seed):
+    # polar by Theorem A.  The named normalizer and the section come from
+    # one split of w; a section read off a second split, of w-perp, agrees
+    # with it only to about eps / gap, and reads each of these as not polar
+    w = random_subspace(4, [(c - gap / 2, 2), (c + gap / 2, 2)], np.random.default_rng(seed))
     assert check_spec(normalizer_spec(5, w, "zero")).verdict
 
 
