@@ -162,10 +162,11 @@ class RealSubspace:
 
 @dataclass(frozen=True)
 class KahlerDecomposition:
-    """Ordered factors (angle, subspace) of constant Kahler angle, angles
-    strictly increasing in [0, pi/2]."""
+    """Ordered factors (angle, subspace) of constant Kahler angle, angles strictly
+    increasing in [0, pi/2], of ``subspace`` (``to_json`` writes the factors only)."""
 
     factors: tuple
+    subspace: RealSubspace = field(repr=False)
 
     def angles(self):
         return [phi for phi, _ in self.factors]
@@ -209,7 +210,7 @@ def decompose(V):
     """
     k = V.dim
     if k == 0:
-        return KahlerDecomposition(())
+        return KahlerDecomposition((), V)
     basis = V.basis
     cosines, c = eigen_rows(1j * _pi_J(basis))
     high = np.arccos(np.clip(cosines, -1.0, 1.0))
@@ -235,7 +236,7 @@ def decompose(V):
         phi = float(0.5 * (angles[i] + angles[j - 1]))  # exactly 0.0 or pi/2 when snapped
         factors.append((phi, RealSubspace(V.ambient_complex_dim, rows[i:j] @ basis)))
         i = j
-    dec = KahlerDecomposition(tuple(factors))
+    dec = KahlerDecomposition(tuple(factors), V)
     _check_decomposition(dec)
     return dec
 
@@ -368,8 +369,8 @@ def ominus(V, U):
 # -- congruence -----------------------------------------------------------
 
 
-def _adapted_frame(sub, phi):
-    """The (e_j, f_j) frame of a factor of interior Kahler angle phi.
+def _adapted_frame(V, sub, phi):
+    """The (e_j, f_j) frame of a factor ``sub`` of V of interior Kahler angle phi.
 
     Returns C-orthonormal rows e_1..e_p, f_1..f_p (p = dim/2) with
 
@@ -377,26 +378,32 @@ def _adapted_frame(sub, phi):
 
     spanning the factor, phi_j the angle of pair j: phi itself, or within
     TOL_ANGLE of it in a factor that ``decompose`` grouped.  The
-    eigenvectors c_j of the Hermitian i pi_V J with the positive
-    eigenvalues cos phi_j, in the factor's orthonormal basis, have real and
-    imaginary parts v_j and J_j v_j = pi_V J v_j / cos phi_j, and
+    eigenvectors c_j of the Hermitian i pi_sub J with the positive
+    eigenvalues cos phi_j give the unit v_j = sqrt 2 Re c_j @ sub.basis, and
+    J v_j is split against V: p = pi_V J v_j (|p| = cos phi_j), o = J v_j - p.
 
-        v_j - i J_j v_j = 2 cos(phi_j/2) e_j,  -i (v_j + i J_j v_j) = 2 sin(phi_j/2) f_j,
+        v_j - i p/|p| = 2 cos(phi_j/2) e_j,  p (1 - |p|)/|p| - o = 2 sin(phi_j/2) f_j,
 
-    so each of these rows scaled to unit length frames its pair at its own
-    angle.  The second is about phi_j long, so it is off by about eps / phi:
+    1 - |p| taken as |o|^2 / (1 + |p|): each row scaled to unit length
+    frames its pair at its own angle, in V to rounding, where a split
+    against the factor (off by about eps / phi) would divide its error by
+    phi.  The second row is about phi long, so it is off by about eps / phi:
     a factor below FRAME_FLOOR is a ValueError naming the floor.  One
-    Newton-Schulz step, F -> (3 - F F*) F / 2, takes the Gram matrix I + E
-    to I + O(E^2) (eigh mixes pairs whose eigenvalues differ by rounding);
-    a frame whose Gram matrix is still not within TOL_RANK of the
-    identity (NaN included) is a ValueError.
+    Newton-Schulz step, F -> (3 - F F*) F / 2, takes the Gram matrix I + E to
+    I + O(E^2) (eigh mixes pairs whose eigenvalues differ by rounding); a
+    Gram matrix still not within TOL_RANK of I (NaN included) is a ValueError.
     """
     if phi < FRAME_FLOOR:
         raise ValueError(f"Kahler angle {phi!r} lies below FRAME_FLOOR = {FRAME_FLOOR:g}, "
                          f"the least interior angle whose adapted frame is accurate")
     _, c = eigen_rows(1j * _pi_J(sub.basis))  # -cos phi_j, then +cos phi_j
-    c = c[sub.dim // 2:]
-    frame = np.vstack([c.conj() @ sub.basis, -1j * c @ sub.basis])  # v - i Jv, -i (v + i Jv)
+    v = math.sqrt(2.0) * c[sub.dim // 2:].real @ sub.basis
+    B, Jv = real_rows(V.basis), real_rows(1j * v)
+    p = (Jv @ B.T) @ B
+    o, p = (Jv - p).view(complex), p.view(complex)
+    norm_p = np.linalg.norm(p, axis=1, keepdims=True)
+    one_minus = np.sum(np.abs(o) ** 2, axis=1, keepdims=True) / (1.0 + norm_p)  # 1 - |p|
+    frame = np.vstack([v - 1j * p / norm_p, p * one_minus / norm_p - o])
     frame /= np.linalg.norm(frame, axis=1, keepdims=True)
     frame = 0.5 * (3.0 * frame - (frame @ frame.conj().T) @ frame)
     leftover = np.abs(frame @ frame.conj().T - np.eye(len(frame))).max()
@@ -408,16 +415,15 @@ def _adapted_frame(sub, phi):
     return frame
 
 
-def _factor_frame(phi, sub):
-    """A C-orthonormal frame of the factor ``sub`` of Kahler angle phi: a
-    C-orthonormal basis of a complex factor, the real orthonormal basis of a
-    totally real one (C-orthonormal there), the adapted frame of an interior
-    one."""
-    if phi == 0.0:
-        return orthonormal_rows(sub.basis)
-    if phi == math.pi / 2:
-        return sub.basis
-    return _adapted_frame(sub, phi)
+def frames(dec):
+    """The C-orthonormal frame of each factor of ``dec`` in order, then the rows of the
+    complement of C.V, V = dec.subspace, together one unitary matrix: ``orthonormal_rows``
+    at 0, the real basis at pi/2 and in between the adapted frame against V
+    (``_adapted_frame``), which the congruence witness and the named normalizer read."""
+    m = dec.subspace.ambient_complex_dim
+    F = [orthonormal_rows(sub.basis) if phi == 0.0 else sub.basis if phi == math.pi / 2
+         else _adapted_frame(dec.subspace, sub, phi) for phi, sub in dec.factors]
+    return [*F, complement_rows(np.vstack([np.zeros((0, m)), *F]), m)]
 
 
 def same_moduli(m1, m2):
@@ -441,11 +447,12 @@ def congruent(V, W):
     dv, dw = decompose(V), decompose(W)
     if not same_moduli(dv.moduli(), dw.moduli()):
         return False, None
-    return True, congruence_witness(dv, dw, V.ambient_complex_dim)
+    return True, congruence_witness(dv, dw)
 
 
-def congruence_witness(dv, dw, m):
-    """Unitary A of C^m carrying the factors of dv onto those of dw.
+def congruence_witness(dv, dw):
+    """Unitary A of C^m carrying the factors of dv onto those of dw, read
+    off their unitary ``frames``.
 
     dv and dw are the decompositions of two subspaces of C^m whose moduli
     agree under same_moduli; then A.V = W.
@@ -454,12 +461,7 @@ def congruence_witness(dv, dw, m):
         raise ValueError(
             f"factor dimensions differ: {dv.dimensions()} vs {dw.dimensions()}"
         )
-    # C-orthonormal frames factor by factor, then completed to unitaries
-    S = np.vstack([np.zeros((0, m))] + [_factor_frame(phi, s) for phi, s in dv.factors])
-    D = np.vstack([np.zeros((0, m))] + [_factor_frame(phi, s) for phi, s in dw.factors])
-    S = np.vstack([S, complement_rows(S, m)])  # the rows of unitary matrices
-    D = np.vstack([D, complement_rows(D, m)])
-    return D.T @ S.conj()
+    return np.vstack(frames(dw)).T @ np.vstack(frames(dv)).conj()
 
 
 # -- normalizers ----------------------------------------------------------
@@ -515,10 +517,10 @@ def normalizer_algebra(V):
     share its u(p); an interior factor below FRAME_FLOOR is a ValueError
     (``_adapted_frame``).  Its dimension has a closed form, and an SVD null
     space is its numerical oracle (tests/oracles.py)."""
-    m = V.ambient_complex_dim
-    frames, blocks = [np.zeros((0, m))], []
-    for phi, sub in decompose(V).factors:
-        F = _factor_frame(phi, sub)
+    dec = decompose(V)
+    *F_all, rest = frames(dec)
+    blocks = []
+    for (phi, _), F in zip(dec.factors, F_all):
         if phi == 0.0:
             gens = _unit_matrices(skew_hermitian_basis(len(F)))
         elif phi == math.pi / 2:
@@ -528,8 +530,6 @@ def normalizer_algebra(V):
             X = _unit_matrices(skew_hermitian_basis(p)) / math.sqrt(2.0)
             gens = np.zeros((p * p, 2 * p, 2 * p), dtype=complex)
             gens[:, :p, :p], gens[:, p:, p:] = X, X.conj()
-        frames.append(F)
         blocks.append(F.T @ gens @ F.conj())
-    rest = complement_rows(np.vstack(frames), m)
     blocks.append(rest.T @ _unit_matrices(skew_hermitian_basis(len(rest))) @ rest.conj())
     return np.concatenate(blocks)

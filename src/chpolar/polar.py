@@ -700,7 +700,7 @@ def orbit_equivalence_invariants(spec1, spec2):
         if not kahler.same_moduli(*report["w_moduli"]):
             report["reason"] = "Kahler moduli of w differ"
             return "no", report
-        carry, sub = kahler.congruence_witness(dec1, dec2, m), spec2.w.perp()
+        carry, sub = kahler.congruence_witness(dec1, dec2), spec2.w.perp()
     back = carry.conj().T
     to_sub = sub.basis.conj().T  # x @ to_sub, real part: coordinates of x along sub
     carried = carry.T @ to_sub  # the same for A x

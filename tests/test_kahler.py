@@ -151,7 +151,8 @@ def test_decompose_mixed_complex_plus_real_line():
 def test_check_decomposition_names_the_cross_factor_product():
     e1, e2 = np.eye(2, dtype=complex)
     dec = kahler.KahlerDecomposition(((0.0, RealSubspace(2, [e1, 1j * e1])),
-                                      (math.pi / 2, RealSubspace(2, [e1 + e2]))))
+                                      (math.pi / 2, RealSubspace(2, [e1 + e2]))),
+                                     RealSubspace(2, [e1, 1j * e1, e1 + e2]))
     with pytest.raises(ValueError, match=r"not orthogonal \(max \|<a, b>\| = 0.707 > 1e-08\)"):
         kahler._check_decomposition(dec)
 
@@ -373,7 +374,7 @@ def test_adapted_frame_at_a_nearby_angle_frames_each_pair():
     # would be off by about 1e-8 cot(0.25)
     angle = 0.5 + 1e-8
     W = kahler.canonical_subspace(3, [(angle, 2)])
-    F = kahler._adapted_frame(W, 0.5)
+    F = kahler._adapted_frame(W, W, 0.5)
     assert np.abs(F @ F.conj().T - np.eye(2)).max() < 1e-12
     e, f = F
     c, s = math.cos(angle / 2), math.sin(angle / 2)
@@ -479,6 +480,18 @@ def test_normalizer_closed_under_action():
     for T in kahler.normalizer_algebra(V):
         for b in V.basis:
             assert np.linalg.norm(T @ b - project(V, T @ b)) <= 1e-12 * np.linalg.norm(T)
+
+
+@pytest.mark.parametrize("phi", [1e-5, 5e-5, 1e-4])
+def test_the_normalizer_of_a_complex_factor_beside_one_near_0_keeps_w(phi):
+    # decompose splits the factor at phi from the complex one only to about
+    # eps / phi; each pair is framed against W, so the normalizer keeps W.
+    # A frame taken against the factor divided that error by phi again and
+    # left W by up to 5.4e-7 at 1e-5
+    V = kahler.canonical_subspace(4, [(0.0, 2), (phi, 2)])
+    for seed in range(100, 108):
+        W = RealSubspace(4, V.basis @ kahler.haar_unitary(4, np.random.default_rng(seed)).T)
+        assert np.linalg.norm(kahler.normalizer_residual(W, kahler.normalizer_algebra(W))) <= 1e-9
 
 
 def test_normalizer_formula_matches_oracle_on_random_subspaces():
