@@ -1,14 +1,14 @@
-"""The linear-algebra kernel: every SVD rank and null-space decision, and
-the one Hermitian eigenproblem (``eigen_rows``).
+"""The linear-algebra kernel: every SVD, and so every rank, null-space and
+singular-value decision (``kahler``'s Kahler angles are singular values).
 
-Matrices are real, one vector per row; ``orthonormal_rows`` and
-``complement_rows`` also take complex rows, orthonormal then in the
-Hermitian product (complex vectors are otherwise real rows, ``real_rows``,
-viewed back with ``complex_rows``).  There is one zero, ``TOL_RANK``: a
-singular value counts toward the rank when it exceeds ``TOL_RANK * max(1,
-s_0)``, ``s_0`` the largest one (``_rank_of``); ``kahler``'s membership
-tests read the same bound, so a vector that close to a span adds no
-direction anywhere.  The cutoff is absolute below scale 1, so unit data
+Matrices are real, one vector per row; ``singular_rows``,
+``orthonormal_rows`` and ``complement_rows`` also take complex rows,
+orthonormal then in the Hermitian product (complex vectors are otherwise
+real rows, ``real_rows``, viewed back with ``complex_rows``).  There is
+one zero, ``TOL_RANK``: a singular value counts toward the rank when it
+exceeds ``TOL_RANK * max(1, s_0)``, ``s_0`` the largest one
+(``_rank_of``); ``kahler``'s membership tests read the same bound, so a
+vector that close to a span adds no direction anywhere.  The cutoff is absolute below scale 1, so unit data
 projected to numerical zero (h inside k, [h_o, xi] = 0) keeps rank 0.
 Scale-free answers come from the inputs: spanning sets from outside pass
 through ``unit_rows``, and every other matrix is built from orthonormal rows.
@@ -87,13 +87,6 @@ def singular_rows(A):
     """The singular values of A, decreasing, and its right singular vectors as rows."""
     _, s, vh = np.linalg.svd(A, full_matrices=False)
     return s, vh
-
-
-def eigen_rows(H):
-    """The eigenvalues of the Hermitian H, increasing, and its unit
-    eigenvectors as rows; H is first made exactly Hermitian."""
-    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-    return vals, vecs.T
 
 
 def rank(A):

@@ -6,11 +6,11 @@ standard Hermitian product) and the complex structure J(v) = i*v.  Vectors
 of C^m are handled as their real rows (``_linalg.real_rows``: re, im
 interleaved), on which Re<u, v> is the dot product, so projections and Gram
 matrices are matmuls and every orthonormalization, rank decision and
-eigenproblem goes through ``_linalg``.  The central operation is the
+singular value goes through ``_linalg``.  The central operation is the
 canonical decomposition of a subspace into factors of constant Kahler
-angle: the eigenproblem of the Hermitian i pi_V J gives the angles above
-SWITCH_ANGLE and their vectors, and the singular values of the sine
-operator (1 - pi_V) J on the rest of V give the smaller ones.
+angle: one SVD of its complex basis gives every pair, its angle phi read
+off the singular value sqrt 2 sin(phi/2) and its vectors off the left
+singular vector of that value (``_kahler_pairs``).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (TOL_RANK, complement_rows, complex_rows, eigen_rows, orthonormal_rows,
-                      real_rows, singular_rows, unit_rows)
+from ._linalg import (TOL_RANK, complement_rows, complex_rows, orthonormal_rows, real_rows,
+                      singular_rows, unit_rows)
 
 # Tolerances; no flag or parameter changes them.  Membership tests read
 # _linalg.TOL_RANK, the one zero of every rank.  TOL_ANGLE, in radians,
@@ -32,14 +32,9 @@ from ._linalg import (TOL_RANK, complement_rows, complex_rows, eigen_rows, ortho
 # polar.TOL_SUBALGEBRA = 1e-8 (its closure residual is the spread / sqrt 2).
 TOL_ANGLE = 1.2e-8
 # The least interior Kahler angle _adapted_frame frames: a factor phi from
-# 0 is framed to about eps / phi, and one below the floor is an input error.
+# 0 is framed to about eps / phi, and one more than TOL_ANGLE below the
+# floor is an input error.
 FRAME_FLOOR = 5e-6
-# The one switch of decompose, in radians: pairs above it take angle and
-# vectors from the eigenproblem of i pi_V J, the rest from the sine SVD.
-# Near 0 the eigenproblem separates two pairs phi and phi + d only to about
-# phi d, so small angles keep sine data; above it no two pairs of one
-# subspace depend on two factorizations, however close they lie.
-SWITCH_ANGLE = 0.1
 
 
 def json_int(value, name):
@@ -189,42 +184,33 @@ class KahlerDecomposition:
 def decompose(V):
     """Canonical decomposition of V into factors of constant Kahler angle.
 
-    On the orthonormal basis of V, pi_V J is the real skew matrix P, and
-    the Hermitian i P has the eigenvalues +-cos(phi) of the pairs and 0 on
-    the totally real part.  One eigenproblem gives every pair above
-    SWITCH_ANGLE and more than TOL_ANGLE below pi/2 its angle, the arccos
-    of its positive eigenvalue, and its vectors sqrt 2 Re c and sqrt 2 Im c,
-    c the eigenvector: each is accurate to about eps whatever the gap to
-    another pair (Davis-Kahan, SIAM J. Numer. Anal. 7, 1970).  On the exact
-    complement of those vectors, the sine operator (1 - pi_V) J has the
-    singular values sin(phi) of the rest, so a small angle lies about phi
-    from 0, not phi^2 as on cos (Knyazev-Argentati, SIAM J. Sci. Comput.
-    23, 2002).  The singular vectors with sine below sin(pi/4) are the
-    pairs below SWITCH_ANGLE (cut at pi/4, so that a pair at SWITCH_ANGLE
-    lands on one side), and what is left of V is the totally real factor,
-    at exactly pi/2.  Angles within TOL_ANGLE of 0 are snapped to exactly
-    0.0, the rows are sorted once with their angles and grouped within
-    TOL_ANGLE of a group's first, so the factors come by strictly
-    increasing angle.  Callers test a factor for 0.0 and pi/2 exactly:
-    only this function decides those.
+    ``_kahler_pairs`` reads the singular values of the complex basis of V,
+    sqrt 2 cos(phi/2) and sqrt 2 sin(phi/2) for each pair and 1 on the
+    totally real part, as the angles pi - phi, phi and pi/2.  Every pair
+    more than TOL_ANGLE below pi/2 takes its angle phi and its vectors
+    sqrt 2 Re c and sqrt 2 Im c from the conjugate left vector c of its
+    smaller value; what is left of V is the totally real factor, at
+    exactly pi/2.  sqrt 2 sin(phi/2) has slope at least 1/2 on [0, pi/2],
+    so the smaller values of two pairs phi and phi + d lie at least d/2
+    apart and each c is accurate to about eps / d on all of [0, pi/2]; the
+    eigenvalues cos(phi) of i pi_V J lie only d sin(phi) apart, which
+    vanishes at 0 (Knyazev-Argentati, SIAM J. Sci. Comput. 23, 2002).
+    Angles within TOL_ANGLE of 0 are snapped to exactly 0.0, and the rows,
+    in increasing angle, are grouped within TOL_ANGLE of a group's first,
+    so the factors come by strictly increasing angle.  Callers test a
+    factor for 0.0 and pi/2 exactly: only this function decides those.
     """
     k = V.dim
     if k == 0:
         return KahlerDecomposition((), V)
     basis = V.basis
-    cosines, c = eigen_rows(1j * _pi_J(basis))
-    high = np.arccos(np.clip(cosines, -1.0, 1.0))
-    pick = (high > SWITCH_ANGLE) & (high < math.pi / 2 - TOL_ANGLE)
-    high_rows = math.sqrt(2.0) * np.vstack([c[pick].real, c[pick].imag])
-    rest = complement_rows(high_rows, k)
-    sines, low_rows = singular_rows(V._outside(real_rows(1j * basis)).T @ rest.T)
-    low = np.arcsin(np.minimum(sines[::-1], 1.0))  # increasing
-    keep = low < math.pi / 4
-    low_rows = low_rows[::-1][keep] @ rest
-    real = complement_rows(np.vstack([high_rows, low_rows]), k)  # the totally real factor
-    angles = np.concatenate([high[pick], high[pick], low[keep], np.full(len(real), math.pi / 2)])
-    order = np.argsort(angles, kind="stable")
-    angles, rows = angles[order], np.vstack([high_rows, low_rows, real])[order]
+    theta, c = _kahler_pairs(basis)
+    pick = theta < math.pi / 2 - TOL_ANGLE  # the smaller values of the pairs, last
+    pairs, c = theta[pick][::-1], c[pick][::-1]  # increasing
+    pair_rows = math.sqrt(2.0) * np.stack([c.real, c.imag], axis=1).reshape(-1, k)
+    real = complement_rows(pair_rows, k)  # the totally real factor
+    angles = np.concatenate([np.repeat(pairs, 2), np.full(len(real), math.pi / 2)])
+    rows = np.vstack([pair_rows, real])
     angles[angles <= TOL_ANGLE] = 0.0
 
     factors = []
@@ -241,10 +227,24 @@ def decompose(V):
     return dec
 
 
-def _pi_J(basis):
-    """The matrix of pi_V J on V in the orthonormal rows ``basis`` of V:
-    P[a, b] = Re<J b_b, b_a>, so P @ x are the coordinates of pi_V J(x @ basis)."""
-    return real_rows(basis) @ real_rows(1j * basis).T
+def _kahler_pairs(basis):
+    """The angles of the real span V of the orthonormal rows ``basis``
+    ((k, m) complex), decreasing, and their vectors as rows.
+
+    The Hermitian Gram matrix B B* of the complex basis B is 1 + i P, P the
+    matrix of pi_V J on V's real coordinates, and i P has the eigenvalues
+    +-cos(phi) on the pairs and 0 on the totally real part.  So the
+    singular values s of B, zero-padded to k columns, are sqrt 2 cos(phi/2)
+    and sqrt 2 sin(phi/2) for each pair and 1 on the rest, read here as
+    the angles 2 arcsin(s / sqrt 2): pi - phi, phi and pi/2.  The row c of
+    the smaller value of a pair, the conjugate of its left singular vector,
+    is the eigenvector of i P at cos(phi): the real coordinates sqrt 2 Re c
+    and sqrt 2 Im c span the pair."""
+    k, m = basis.shape
+    padded = np.zeros((max(k, m), k), dtype=complex)
+    padded[:m] = basis.conj().T
+    s, c = singular_rows(padded)
+    return 2.0 * np.arcsin(np.minimum(s / math.sqrt(2.0), 1.0)), c
 
 
 def _check_decomposition(dec):
@@ -377,10 +377,11 @@ def _adapted_frame(V, sub, phi):
         cos(phi_j/2) e_j + i sin(phi_j/2) f_j,  i cos(phi_j/2) e_j + sin(phi_j/2) f_j
 
     spanning the factor, phi_j the angle of pair j: phi itself, or within
-    TOL_ANGLE of it in a factor that ``decompose`` grouped.  The
-    eigenvectors c_j of the Hermitian i pi_sub J with the positive
-    eigenvalues cos phi_j give the unit v_j = sqrt 2 Re c_j @ sub.basis, and
-    J v_j is split against V: p = pi_V J v_j (|p| = cos phi_j), o = J v_j - p.
+    TOL_ANGLE of it in a factor that ``decompose`` grouped.  The rows c_j
+    of the smaller singular values sqrt 2 sin(phi_j/2) of the complex basis
+    of the factor (``_kahler_pairs``) give the unit v_j = sqrt 2 Re c_j @
+    sub.basis, and J v_j is split against V: p = pi_V J v_j (|p| = cos
+    phi_j), o = J v_j - p.
 
         v_j - i p/|p| = 2 cos(phi_j/2) e_j,  p (1 - |p|)/|p| - o = 2 sin(phi_j/2) f_j,
 
@@ -388,15 +389,16 @@ def _adapted_frame(V, sub, phi):
     frames its pair at its own angle, in V to rounding, where a split
     against the factor (off by about eps / phi) would divide its error by
     phi.  The second row is about phi long, so it is off by about eps / phi:
-    a factor below FRAME_FLOOR is a ValueError naming the floor.  One
-    Newton-Schulz step, F -> (3 - F F*) F / 2, takes the Gram matrix I + E to
-    I + O(E^2) (eigh mixes pairs whose eigenvalues differ by rounding); a
-    Gram matrix still not within TOL_RANK of I (NaN included) is a ValueError.
+    a factor more than TOL_ANGLE below FRAME_FLOOR is a ValueError naming
+    the floor.  One Newton-Schulz step, F -> (3 - F F*) F / 2, takes the Gram
+    matrix I + E to I + O(E^2) (the SVD mixes pairs whose singular values
+    differ by rounding); a Gram matrix still not within TOL_RANK of I (NaN
+    included) is a ValueError.
     """
-    if phi < FRAME_FLOOR:
+    if phi + TOL_ANGLE < FRAME_FLOOR:
         raise ValueError(f"Kahler angle {phi!r} lies below FRAME_FLOOR = {FRAME_FLOOR:g}, "
                          f"the least interior angle whose adapted frame is accurate")
-    _, c = eigen_rows(1j * _pi_J(sub.basis))  # -cos phi_j, then +cos phi_j
+    _, c = _kahler_pairs(sub.basis)  # pi - phi_j, then phi_j
     v = math.sqrt(2.0) * c[sub.dim // 2:].real @ sub.basis
     B, Jv = real_rows(V.basis), real_rows(1j * v)
     p = (Jv @ B.T) @ B

@@ -197,16 +197,19 @@ def test_decompose_reads_two_pairs_straddling_pi_4_in_a_unitary_frame():
     assert kahler.decompose(V).dimensions() == [2, 2]
 
 
-@pytest.mark.parametrize("c, seed", [(kahler.SWITCH_ANGLE, 12), (0.3, 1), (math.pi / 4, 0),
-                                     (1.2, 7)])
+@pytest.mark.parametrize("c, seed", [(1e-3, 5), (0.05, 2), (0.1, 12), (0.3, 1),
+                                     (math.pi / 4, 0), (1.2, 7)])
 def test_decompose_separates_two_pairs_2e_8_apart_in_a_unitary_frame(c, seed):
-    # vectors of pairs from one eigenproblem (above SWITCH_ANGLE), or from
-    # it and the sine SVD on its exact complement (at SWITCH_ANGLE), have
-    # complex spans orthogonal to about eps, whatever the gap
+    # the smaller singular values sqrt 2 sin(phi/2) of two pairs d apart
+    # differ by at least d/2, so the vectors of the pairs have complex spans
+    # orthogonal to about eps whatever the gap, near 0 too, where the
+    # eigenvalues cos(phi) of i pi_V J lie only d sin(phi) apart
     V = random_subspace(4, [(c - 1e-8, 2), (c + 1e-8, 2)], np.random.default_rng(seed))
     dec = kahler.decompose(V)
     assert dec.dimensions() == [2, 2]
     assert np.abs(np.array(dec.angles()) - [c - 1e-8, c + 1e-8]).max() <= 1e-9
+    (_, a), (_, b) = dec.factors
+    assert np.abs(a.basis.conj() @ b.basis.T).max() <= 1e-13
 
 
 def test_decompose_reassembles_projection():

@@ -13,7 +13,6 @@ from chpolar._linalg import (
     TOL_RANK,
     ConsistencyError,
     complement_rows,
-    eigen_rows,
     generic_draws,
     left_nullspace,
     orthonormal_rows,
@@ -98,15 +97,6 @@ def test_complement_rows():
     full = np.vstack([rows, perp])
     assert np.allclose(full @ full.T, np.eye(3))
     assert np.allclose(complement_rows(np.zeros((0, 3)), 3), np.eye(3))
-
-
-def test_eigen_rows_diagonalizes_the_hermitian_part():
-    # i P for a real skew P: eigenvalues -1, 0, 1, increasing, eigenvectors as rows
-    P = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    vals, rows = eigen_rows(1j * P + 1e-3 * (P - P.T))  # its skew-Hermitian part is dropped
-    assert np.allclose(vals, [-1.0, 0.0, 1.0])
-    assert np.allclose(rows.conj() @ rows.T, np.eye(3))
-    assert np.allclose(rows.conj() @ (1j * P) @ rows.T, np.diag(vals))
 
 
 def test_generic_draws_draws_two_unit_combinations_in_stream_order():
@@ -242,11 +232,11 @@ def test_u_frame_rows_are_orthonormal_in_su1n_at_every_scale(n, scale):
 
 
 def test_svd_appears_only_in_the_kernel():
-    # and so does the one Hermitian eigen call
+    # and no Hermitian eigen call appears at all: Kahler angles are singular values
     src = pathlib.Path(chpolar.__file__).parent
-    for call in ("linalg.svd", "linalg.eigh"):
-        users = sorted(p.name for p in src.glob("*.py") if call in p.read_text())
-        assert users == ["_linalg.py"], call
+    users = {call: sorted(p.name for p in src.glob("*.py") if call in p.read_text())
+             for call in ("linalg.svd", "linalg.eigh")}
+    assert users == {"linalg.svd": ["_linalg.py"], "linalg.eigh": []}
 
 
 def test_no_hand_written_orthonormalization_returns():

@@ -297,7 +297,7 @@ def test_compare_of_a_factor_below_the_frame_floor_exits_2(tmp_path, capsys):
     assert "FRAME_FLOOR" in captured.err
 
 
-@pytest.mark.parametrize("phi", [6e-6, 8e-6, 1e-5, 2e-5, 5e-5])
+@pytest.mark.parametrize("phi", [kahler.FRAME_FLOOR, 6e-6, 8e-6, 1e-5, 2e-5, 5e-5])
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_a_factor_at_or_above_the_frame_floor_verifies_polar_in_any_unitary_frame(phi, n):
     # every family II action is polar (Theorem A), in every unitary image
@@ -325,15 +325,15 @@ def test_a_complex_factor_beside_one_near_0_verifies_polar_in_a_unitary_frame():
 
 @pytest.mark.parametrize("c, gap, seed", [
     (0.3, 1e-7, 7), (0.3, 1e-6, 0), (1.2, 1e-6, 1), (math.pi / 4, 1e-7, 1), (1.2, 2e-8, 0),
-    pytest.param(0.05, 2e-8, 17, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="below SWITCH_ANGLE the sine SVD splits pairs 2e-8 apart only to about "
-               "eps / (phi gap): the section leaves [q, section] by 9.5e-9 > TOL_BRACKET")),
+    (0.05, 2e-8, 17), (0.05, 1e-7, 0), (1e-3, 2e-8, 11), (0.01, 2e-8, 1),
 ])
 def test_two_pairs_1e_7_apart_verify_polar_in_a_unitary_frame(c, gap, seed):
     # polar by Theorem A.  The named normalizer and the section come from
     # one split of w; a section read off a second split, of w-perp, agrees
-    # with it only to about eps / gap, and reads each of these as not polar
+    # with it only to about eps / gap, and reads the first five as not
+    # polar.  Near 0 (the last four) the split reads the pairs off singular
+    # values sqrt 2 sin(phi/2), at least gap/2 apart; a split on the
+    # eigenvalues cos(phi), gap sin(phi) apart, reads them as not polar
     w = random_subspace(4, [(c - gap / 2, 2), (c + gap / 2, 2)], np.random.default_rng(seed))
     assert check_spec(normalizer_spec(5, w, "zero")).verdict
 
