@@ -20,16 +20,27 @@ for the benchmark's command lines.  Output is JSON only.
 
 Exit codes: 0 success / verdict true, 1 verdict false or not equivalent
 (this includes 'undetermined' equivalence answers), 2 input error,
-3 internal consistency error.  All floating point numbers are printed
+3 internal consistency error.  An output that cannot be written, an
+``--out`` file or stdout, is an input error; after a failed write to
+stdout, fd 1 points at ``os.devnull``, so the interpreter's final flush
+cannot turn exit 2 into 120.  All floating point numbers are printed
 with 17 significant digits so doubles round-trip exactly; a NaN or an
 infinity, which JSON cannot hold, is an internal consistency error.
+
+``main`` first calls ``gc.freeze()``, the one process-wide effect of a
+run: the objects the imports built (about 22 k, numpy's and chpolar's
+modules, functions and types) move to the permanent generation, so
+neither the run's collections nor the interpreter's final ones walk them.
+The collector stays on for what the run makes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import random
 import sys
 
@@ -69,14 +80,19 @@ def render_json(obj, indent=0):
 
 def _emit(payload, args):
     text = render_json(payload) + "\n"
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write output: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:  # the final flush at exit would retry the write and exit 120
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ValueError(f"cannot write output: {exc}") from exc
 
 
 def _read(path, parse, what):
@@ -300,6 +316,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    gc.freeze()  # no collection, at exit either, walks the objects the imports built
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--angles" in argv[:-1]:  # its value may start with "-", which argparse reads as a flag
         i = argv.index("--angles")

@@ -763,9 +763,10 @@ def test_import_cli_leaves_scipy_unloaded():
 
 @pytest.mark.parametrize("command", ["decompose", "verify", "compare", "enumerate", "curvature",
                                      "selfcheck"])
-def test_no_command_imports_numpy_random(tmp_path, command):
+def test_main_freezes_its_imports_and_no_command_imports_numpy_random(tmp_path, command):
     # every draw comes from the standard library's random.Random, so no
-    # command pays for the numpy.random import
+    # command pays for the numpy.random import; main freezes the heap its
+    # imports built, and the collector stays on for what the run makes
     spec = write_json(tmp_path, "s.json", spec_pi3().to_json())
     argv = {
         "decompose": [write_json(tmp_path, "w.json", spec_pi3().w.to_json())],
@@ -775,9 +776,42 @@ def test_no_command_imports_numpy_random(tmp_path, command):
         "curvature": [spec],
         "selfcheck": ["--n", "3"],
     }[command]
-    code = ("import sys; from chpolar.cli import main; rc = main(sys.argv[1:]); "
-            "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(rc)")
+    # after main: numpy.random loaded, a freeze made, the collector on, and
+    # a cycle made after main freed
+    code = """
+import gc, sys, weakref
+from chpolar.cli import main
+rc = main(sys.argv[1:])
+class Node:
+    pass
+node = Node()
+node.self = node
+ref = weakref.ref(node)
+del node
+gc.collect()
+print('numpy.random' in sys.modules, gc.get_freeze_count() > 0, gc.isenabled(), ref() is None,
+      file=sys.stderr)
+sys.exit(rc)
+"""
     proc = subprocess.run([sys.executable, "-c", code, command, *argv, "--out", str(tmp_path / "o.json")],
                           env=subprocess_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "False"
+    assert proc.stderr.split() == ["False", "True", "True", "True"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [["selfcheck", "--n", "2"], ["enumerate", "--n", "4", "--angles", "0.3,0.7"]])
+def test_an_unwritable_stdout_exits_2(buffered, argv):
+    # a write to /dev/full fails with ENOSPC: in the write itself when stdout
+    # is unbuffered or the text (36 kB for enumerate) outgrows the buffer, else
+    # in the flush, which the interpreter would otherwise retry at exit (120)
+    env = {k: v for k, v in subprocess_env().items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "chpolar.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("chpolar: input error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
