@@ -21,7 +21,8 @@ for the benchmark's command lines.  Output is JSON only.
 Exit codes: 0 success / verdict true, 1 verdict false or not equivalent
 (this includes 'undetermined' equivalence answers), 2 input error,
 3 internal consistency error.  An output that cannot be written, an
-``--out`` file or stdout, is an input error; after a failed write to
+``--out`` file or stdout, is an input error, and so is an input too large
+for the machine's memory (a ``MemoryError``); after a failed write to
 stdout, fd 1 points at ``os.devnull``, so the interpreter's final flush
 cannot turn exit 2 into 120.  All floating point numbers are printed
 with 17 significant digits so doubles round-trip exactly; a NaN or an
@@ -326,6 +327,9 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"chpolar: input error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"chpolar: input error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"chpolar: internal consistency error: {exc}", file=sys.stderr)

@@ -485,9 +485,10 @@ def skew_hermitian_basis(m):
 
 def normalizer_residual(V, mats):
     """The parts (1 - pi_V)(T b) of T b outside V, for every matrix T of
-    ``mats`` and every b in V.basis, as real rows of shape (len(mats), V.dim,
-    2m): T normalizes V exactly when its block vanishes.  ``mats`` is an
-    (r, m, m) stack, or anything that multiplies vectors like one."""
+    ``mats`` and every b in V.basis, as real rows of shape (r, V.dim, 2m):
+    T normalizes V exactly when its block vanishes.  ``mats`` is an
+    (r, m, m) stack, or anything whose products with vectors, r rows each,
+    have the Gram matrix of such a stack's, which keeps the norm."""
     m = V.ambient_complex_dim
     images = mats @ V.basis.T
     rows = real_rows(images.transpose(0, 2, 1).reshape(-1, m))

@@ -63,7 +63,6 @@ from .su1n import (
     traceless_block,
     u_coords,
     u_frame,
-    u_frame_apply,
     u_matrices,
     u_orthonormal,
 )
@@ -119,11 +118,16 @@ def _q_frame(q_basis, m, n):
 @dataclass(frozen=True)
 class _UFrame:
     """All of u(m) in its orthonormal frame ``u_matrices(np.eye(m * m), m, n)``,
-    standing in for that (m^2, m, m) stack: its m^4 entries (250 MB at
-    m = 63) are formed only by ``np.asarray``, while its length and its
-    products with vectors (``su1n.u_frame_apply``, m^3 entries), all that
-    check_spec, _checked_inputs and orbit_equivalence_invariants ask of
-    q, are not."""
+    standing in for that (m^2, m, m) stack: its m^4 entries are formed only
+    by ``np.asarray``, and its length is the dimension m^2.  For each column
+    z of Z, ``q @ Z`` is not the m^2 products N z but 2m + 1 rows with their
+    real Gram matrix, so the same span and norms under any real linear map,
+    all that check_spec, _checked_inputs and orbit_equivalence_invariants
+    read: |z|^2 / 4 on the complex complement of z, c |z|^2 on R iz and 0
+    on R z (the orbit of U(m) is the sphere).  The rows are
+    Y = (|z|/2)(1 - conj(u) u^T), u = z/|z|, then iY, then sqrt(c) iz, with
+    c = (m - 1 + (n + 1) / (n + 1 - m)) / (2m) from su(m) and the trace
+    line; z = 0 gives zero rows."""
 
     m: int
     n: int
@@ -132,7 +136,13 @@ class _UFrame:
         return self.m * self.m
 
     def __matmul__(self, Z):
-        return u_frame_apply(Z, self.n)
+        Z = np.asarray(Z, dtype=complex)
+        size = np.linalg.norm(Z, axis=0)
+        u = np.divide(Z, size, out=np.zeros_like(Z), where=size > 0)
+        Y = -0.5 * size * u.conj()[:, None] * u[None]
+        Y[np.arange(self.m), np.arange(self.m)] += 0.5 * size
+        c = (self.m - 1 + (self.n + 1) / (self.n + 1 - self.m)) / (2 * self.m)
+        return np.concatenate([Y, 1j * Y, math.sqrt(c) * 1j * Z[None]])
 
     def __array__(self, dtype=None, copy=None):
         return u_matrices(np.eye(self.m * self.m), self.m, self.n).astype(dtype or complex)
@@ -143,7 +153,7 @@ def _spec_q(spec):
     as an (r, m, m) stack in closed form, the rows of the frame of
     ``su1n.u_coords`` that span it (a q_basis goes through ``_q_frame``):
 
-    - "u": u(m), the whole frame (a ``_UFrame``; u(0) = 0);
+    - "u": u(m), the whole frame, as a ``_UFrame`` that acts in closed form;
     - "t": the maximal torus t(m), its diagonal;
     - "normalizer": the normalizer of w in u(m), ``kahler.normalizer_algebra``,
       block-diagonal in the canonical frame of kahler.decompose(w).
@@ -458,8 +468,9 @@ def _section_residual(sig, nu):
 
 def _slice_orthogonality(sig, act):
     """|P_sigma [., .]| on h_o x sigma, from the orthonormal rows ``sig`` of
-    sigma and ``act(xi)``, the rows [T, xi] over an orthonormal basis T of
-    h_o: zero when h_o moves sigma orthogonally to itself."""
+    sigma and ``act(xi)``, real rows with the Gram matrix of the rows
+    [T, xi] over an orthonormal basis T of h_o (those rows, or fewer):
+    zero when h_o moves sigma orthogonally to itself."""
     return math.sqrt(sum(float(np.sum((act(s) @ sig.T) ** 2)) for s in sig))
 
 
@@ -589,12 +600,14 @@ def check_spec(spec):
       R^k = span(e_0, ..., e_{k-1}); sigma is i e_0 (k >= 1) plus (0, s);
 
     so nu is the complement of those p-parts, so(k) acts by rotations of
-    the leading block and q by N on u.  The bracket of two section vectors
-    lies in k, where its h-part is its h_o-part (whose norm is the slice
-    orthogonality residual, by ad-invariance of the metric) plus, for
-    family II only, its parts along the k-parts of X_w and Z: in closed
-    form, |Re<w, s>|^2/4 from the pairs (B, s) when b = 0 and
-    |Im<s, s'>|^2/8 over the ordered pairs of section vectors.
+    the leading block and q by N on u, read off the rows of ``q @ u``: for
+    a named u(m) 2m + 1 rows with the Gram matrix of the m^2 products N u,
+    so each residual and rank is that of the whole frame.  The bracket of
+    two section vectors lies in k, where its h-part is its h_o-part (whose
+    norm is the slice orthogonality residual, by ad-invariance of the
+    metric) plus, for family II only, its parts along the k-parts of X_w
+    and Z: in closed form, |Re<w, s>|^2/4 from the pairs (B, s) when b = 0
+    and |Im<s, s'>|^2/8 over the ordered pairs of section vectors.
 
     The report agrees with check_polarity on the builder's (h, sigma) up to
     rounding in the residuals; its generic draws are taken in another basis
@@ -633,13 +646,12 @@ def check_spec(spec):
     rot_a, rot_b = np.triu_indices(lead, 1)  # so(k) of family I; none for family II
     rot = np.arange(len(rot_a))
 
-    def act(xi):  # real rows [T, xi] over an orthonormal basis T of h_o
+    def act(xi):  # real rows with the Gram matrix of [T, xi] over orthonormal T in h_o
         z = xi.view(complex)
-        out = np.zeros((len(rot) + len(q), n), dtype=complex)
-        out[rot, rot_a] = 0.5 * z[rot_b]
-        out[rot, rot_b] = -0.5 * z[rot_a]
-        out[len(rot):, lead:] = q @ z[lead:]
-        return real_rows(out)
+        rotated = np.zeros((len(rot), n), dtype=complex)
+        rotated[rot, rot_a] = 0.5 * z[rot_b]
+        rotated[rot, rot_b] = -0.5 * z[rot_a]
+        return real_rows(np.vstack([rotated, trailing(q @ z[lead:])]))
 
     ortho = _slice_orthogonality(sig, act)
     br_resid = math.sqrt(float(np.sum((sig @ hp.T) ** 2)) + ortho ** 2 + extra)
@@ -669,9 +681,9 @@ def orbit_equivalence_invariants(spec1, spec2):
     of the two tangents of at most TOL_TANGENT at both draws gives 'yes'; a
     larger gap is 'undetermined', as another unitary than A may still
     carry one set of orbits onto the other.  q enters only through q @ v,
-    so a named u(m) is never formed.  Both specs go through
-    ``_checked_inputs`` first, and each q is the one that check returns;
-    the draws come from ``random.Random(0)``.
+    2m + 1 rows for a named u(m), which is never formed.  Both specs go
+    through ``_checked_inputs`` first, and each q is the one that check
+    returns; the draws come from ``random.Random(0)``.
     """
     q1, q2 = [_checked_inputs(spec)[0] for spec in (spec1, spec2)]
     n = spec1.n

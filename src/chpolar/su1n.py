@@ -16,6 +16,8 @@ theta-image, and k_0 = {diag(ia, ia, N) traceless, N in u(n-1)}, the
 image of u(n-1) under ``traceless_block``.  u(m) has one orthonormal
 frame for the metric of su(1, n), ``u_coords``: the k_0 block is its
 image, and every q given from outside enters through ``u_frame``.  The
+whole frame never multiplies vectors here: a named u(m) acts in closed
+form (``polar._UFrame``), with 2m + 1 rows in place of m^2.  The
 construction only assembles these blocks; the tests assert the structure
 (tests/test_su1n.py): the basis is orthonormal and lies in su(1, n), ad(B)
 is diagonal in it with the root values {-1, -1/2, 0, 1/2, 1}, theta and J
@@ -268,27 +270,6 @@ def u_matrices(rows, m, n):
     iu = np.triu_indices(m, 1)
     out[:, iu[0], iu[1]] = off
     out[:, iu[1], iu[0]] = -off.conj()
-    return out
-
-
-def u_frame_apply(Z, n):
-    """``u_matrices(np.eye(m * m), m, n) @ Z`` for Z of shape (m, ...), m >= 1,
-    without that (m^2, m, m) stack: m^3 entries for a vector, not m^4.  The
-    frame's diagonal element j moves z to i (z_j e_j + beta z) / sqrt 2
-    (its diagonal shifted along the trace), and the pair j < k gives
-    (z_k e_j - z_j e_k) / 2 and i (z_k e_j + z_j e_k) / 2."""
-    Z = np.asarray(Z, dtype=complex)
-    m = Z.shape[0]
-    alpha = _trace_shift(m, n)
-    j, k = np.triu_indices(m, 1)
-    p, pairs = np.arange(len(j)), len(j)
-    out = np.zeros((m * m,) + Z.shape, dtype=complex)
-    out[:m] = (1j * alpha / (m * (1.0 - alpha) * math.sqrt(2.0))) * Z
-    out[np.arange(m), np.arange(m)] += (1j / math.sqrt(2.0)) * Z
-    out[m + p, j] = 0.5 * Z[k]
-    out[m + p, k] = -0.5 * Z[j]
-    out[m + pairs + p, j] = 0.5j * Z[k]
-    out[m + pairs + p, k] = 0.5j * Z[j]
     return out
 
 

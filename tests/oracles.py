@@ -13,7 +13,9 @@ no command of the CLI reaches.
   reference for ``_linalg.generic_draws``; ``regular_vectors``: the
   regular-vector flags.
 - ``same_matrix_span``: whether two orthonormal stacks of u(m) span one
-  space (``compare`` tests orbit tangents instead).
+  space (``compare`` tests orbit tangents instead); ``u_frame_apply``: the
+  products of the whole orthonormal frame of u(m) with vectors, the
+  reference for the closed form of ``polar._UFrame``.
 - ``project``, ``contains``, ``same_span``, ``kahler_angle``,
   ``complex_span``, ``random_subspace`` and ``normalizer_dimension_formula``:
   queries and constructions on ``kahler.RealSubspace``.
@@ -41,8 +43,8 @@ from chpolar.angeom import OrbitModel, an_matrix, an_vector, norm
 from chpolar.kahler import (RealSubspace, canonical_subspace, decompose, haar_unitary,
                             normalizer_residual, skew_hermitian_basis)
 from chpolar.polar import _q_frame, _spec_q, build_family_I, build_family_II
-from chpolar.su1n import (ConsistencyError, bracket, build_root_decomposition, traceless_block,
-                          u_coords, u_frame, u_matrices)
+from chpolar.su1n import (ConsistencyError, _trace_shift, bracket, build_root_decomposition,
+                          traceless_block, u_coords, u_frame, u_matrices)
 
 TOL_CONSIST = 1e-9  # agreement of the two computations of ad_exp
 
@@ -210,6 +212,27 @@ def same_matrix_span(q1, q2, n):
         np.linalg.norm(a - (a @ b.T) @ b, axis=1).max(initial=0.0) <= 1e-7
         for a, b in ((r1, r2), (r2, r1))
     )
+
+
+def u_frame_apply(Z, n):
+    """``u_matrices(np.eye(m * m), m, n) @ Z`` for Z of shape (m, ...), m >= 1,
+    without that (m^2, m, m) stack: m^3 entries for a vector, not m^4.  The
+    frame's diagonal element j moves z to i (z_j e_j + beta z) / sqrt 2
+    (its diagonal shifted along the trace), and the pair j < k gives
+    (z_k e_j - z_j e_k) / 2 and i (z_k e_j + z_j e_k) / 2."""
+    Z = np.asarray(Z, dtype=complex)
+    m = Z.shape[0]
+    alpha = _trace_shift(m, n)
+    j, k = np.triu_indices(m, 1)
+    p, pairs = np.arange(len(j)), len(j)
+    out = np.zeros((m * m,) + Z.shape, dtype=complex)
+    out[:m] = (1j * alpha / (m * (1.0 - alpha) * math.sqrt(2.0))) * Z
+    out[np.arange(m), np.arange(m)] += (1j / math.sqrt(2.0)) * Z
+    out[m + p, j] = 0.5 * Z[k]
+    out[m + p, k] = -0.5 * Z[j]
+    out[m + pairs + p, j] = 0.5j * Z[k]
+    out[m + pairs + p, k] = 0.5j * Z[j]
+    return out
 
 
 def sample_ranks(rng, basis, act, samples, tol):

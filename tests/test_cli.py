@@ -799,6 +799,21 @@ sys.exit(rc)
     assert proc.stderr.split() == ["False", "True", "True", "True"]
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 1.42 TiB for an array", ""])
+def test_an_op_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, message):
+    # an input too large for the machine is an input error, not a verdict
+    # (exit 1) with a traceback; the op's MemoryError is raised, not provoked
+    def too_large(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(polar, "check_spec", too_large)
+    path = write_json(tmp_path, "s.json", spec_pi3().to_json())
+    assert main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chpolar: input error: out of memory: {message or 'MemoryError'}\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.parametrize("argv", [["selfcheck", "--n", "2"], ["enumerate", "--n", "4", "--angles", "0.3,0.7"]])

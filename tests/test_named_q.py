@@ -16,7 +16,7 @@ from chpolar.cli import main
 from chpolar.kahler import RealSubspace
 from chpolar.polar import PolarActionSpec, check_spec, enumerate_moduli, normalizer_section
 from oracles import (normalizer_dimension_formula, normalizer_nullspace, normalizer_section_oracle,
-                     random_subspace, same_matrix_span, with_q_basis)
+                     random_subspace, same_matrix_span, u_frame_apply, with_q_basis)
 
 
 def write_json(tmp_path, name, payload):
@@ -31,7 +31,7 @@ def unit_basis(m):
     return gens / np.linalg.norm(gens, axis=(1, 2), keepdims=True)
 
 
-# --- su1n: the frame of u(m) without its stack ------------------------------------
+# --- the frame of u(m) without its stack -------------------------------------------
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 3), (4, 7), (6, 7)])
@@ -40,8 +40,35 @@ def test_u_frame_apply_is_the_frame_times_vectors(m, n):
     frame = su1n.u_matrices(np.eye(m * m), m, n)
     z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     Z = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
-    assert np.abs(su1n.u_frame_apply(z, n) - frame @ z).max() <= 1e-15
-    assert np.abs(su1n.u_frame_apply(Z, n) - frame @ Z).max() <= 1e-15
+    assert np.abs(u_frame_apply(z, n) - frame @ z).max() <= 1e-15
+    assert np.abs(u_frame_apply(Z, n) - frame @ Z).max() <= 1e-15
+
+
+def gram(rows):
+    """The real Gram matrix R^T R of complex rows, as real rows R."""
+    R = real_rows(rows)
+    return R.T @ R
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("gap", [1, 2, 5])  # n + 1 - m
+def test_the_u_frame_acts_on_a_vector_in_closed_form(m, gap):
+    # 2m + 1 rows with the Gram matrix of the m^2 frame products N z: the
+    # same span, the sphere's tangent of dimension 2m - 1, at any scale of z
+    n = m + gap - 1
+    q = polar._UFrame(m, n)
+    rng = np.random.default_rng(10 * m + gap)
+    Z = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+    moved, want = q @ Z, u_frame_apply(Z, n)
+    assert moved.shape == (2 * m + 1, m, 3)
+    for z, rows, oracle in zip(Z.T, moved.transpose(2, 0, 1), want.transpose(2, 0, 1)):
+        assert np.abs(gram(rows) - gram(oracle)).max() <= 1e-13 * np.vdot(z, z).real
+        assert rank(real_rows(rows)) == 2 * m - 1
+        assert np.abs((q @ z) - rows).max() <= 1e-15 * np.linalg.norm(z)
+        for scale in (1e-150, 1e150):
+            assert np.abs((q @ (scale * z)) / scale - rows).max() <= 1e-14 * np.linalg.norm(z)
+    zero = q @ np.zeros(m)
+    assert zero.shape == (2 * m + 1, m) and rank(real_rows(zero)) == 0
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 3), (4, 7)])
@@ -91,14 +118,17 @@ def test_normalizer_frame_matches_the_svd_oracle_on_haar_moved_subspaces():
 
 
 def test_the_whole_u_frame_multiplies_like_its_stack():
+    # q @ z is not stack @ z, but has its Gram matrix, so the residual of
+    # [q, w] has the same norm
     q = polar._UFrame(3, 5)
     stack = np.asarray(q)
     assert len(q) == len(stack) == 9
     assert np.array_equal(stack, su1n.u_matrices(np.eye(9), 3, 5))
     z = np.array([1.0, 2j, -0.5])
-    assert np.abs(q @ z - stack @ z).max() <= 1e-15
+    assert np.abs(gram(q @ z) - gram(stack @ z)).max() <= 1e-15
     w = RealSubspace(3, [np.eye(3)[0]])
-    assert np.abs(kahler.normalizer_residual(w, q) - kahler.normalizer_residual(w, stack)).max() <= 1e-15
+    leaks = [np.linalg.norm(kahler.normalizer_residual(w, mats)) for mats in (q, stack)]
+    assert abs(leaks[0] - leaks[1]) <= 1e-15
 
 
 # --- named against explicit, on the catalog ----------------------------------------
